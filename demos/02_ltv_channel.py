@@ -1,8 +1,8 @@
 """Sample a linear time-varying EVA channel and inspect its structure.
 
 Each realization is a set of 9 paths with Jakes-distributed Doppler shifts;
-materialized taps become banded per-symbol matrices whose band width is the
-channel memory.
+materialized taps (only the columns the paths reach are stored) define banded
+per-symbol matrices whose band width is the channel memory.
 """
 
 import numpy as np
@@ -22,7 +22,8 @@ print(f"path Dopplers/nu_max: {np.round(paths.dopplers_hz / nu_max, 3)}")
 
 mats = ch.realize(paths, cfg, with_cp=False)
 l_ch = mats.realization.l_ch
-print(f"\nchannel memory: L_ch = {l_ch} taps at {cfg.sample_period_s * 1e9:.1f} ns spacing")
+print(f"\nchannel memory: L_ch = {l_ch} taps at {cfg.sample_period_s * 1e9:.1f} ns spacing, "
+      f"{mats.realization.tap_index.size} of them active")
 m = mats.matrix(0)
 print(f"per-symbol matrix shape: {m.shape} (banded, {l_ch} diagonals)")
 
@@ -31,7 +32,7 @@ rng = np.random.default_rng(1)
 x = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
 y = m @ x
 direct = np.zeros(m.shape[0], dtype=complex)
-h = mats.realization.taps[0]
+h = mats.realization.dense_taps()[0]
 for r in range(direct.size):
     for ell in range(l_ch):
         if 0 <= r - ell < x.size:

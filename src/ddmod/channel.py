@@ -4,7 +4,8 @@ A realization is a tap tensor h[i, r, l] for symbol i, output sample r and
 tap index l, where tap l carries the energy of paths whose delay rounds to
 l-1 oversampled samples.  The per-symbol channel matrix places tap l on the
 l-1'th subdiagonal, so a single zero-delay unit tap is exactly the identity
-(embedded over trailing zero rows).
+(embedded over trailing zero rows).  A channel is a sum of a few paths, so
+only the tap columns those paths reach are stored and applied.
 
 Generation is pure given (seed, config); realizations are immutable after
 construction, so parallel Monte-Carlo trials can each own an independent
@@ -14,7 +15,7 @@ generator without shared state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,9 +116,15 @@ def required_l_ch(paths: PathSet, cfg: ModemConfig) -> int:
 
 @dataclass(frozen=True)
 class LtvChannelRealization:
-    """Materialized taps h[i, r, l] with i = 0..N-1, r = 0..rows-1, l = 0..L_ch-1."""
+    """Path-sparse taps h[i, r, l] with i = 0..N-1, r = 0..rows-1, l = 0..L_ch-1.
 
-    taps: np.ndarray          # (n_symbols, rows, l_ch) complex
+    Only the active tap columns are stored: column j of ``taps`` is tap
+    ``tap_index[j]`` (ascending), and every other column of h is zero.
+    """
+
+    taps: np.ndarray          # (n_symbols, rows, n_active) complex
+    tap_index: np.ndarray     # (n_active,) ascending tap columns in [0, l_ch)
+    l_ch: int
     sample_period_s: float
 
     @property
@@ -128,9 +135,11 @@ class LtvChannelRealization:
     def rows(self) -> int:
         return self.taps.shape[1]
 
-    @property
-    def l_ch(self) -> int:
-        return self.taps.shape[2]
+    def dense_taps(self) -> np.ndarray:
+        """The full (n_symbols, rows, l_ch) tensor, zero off the active columns."""
+        out = np.zeros((self.n_symbols, self.rows, self.l_ch), dtype=complex)
+        out[:, :, self.tap_index] = self.taps
+        return out
 
 
 def materialize_taps(
@@ -140,11 +149,13 @@ def materialize_taps(
     n_symbols: int | None = None,
     l_ch: int | None = None,
 ) -> LtvChannelRealization:
-    """Evaluate the per-symbol time-varying taps for every required (i, r, l).
+    """Evaluate the per-symbol time-varying taps on the active tap columns.
 
     Tap (i, r, l) sums h_p * g((l-1) - tau_p/Ts) * exp(j2*pi*nu_p*((l + r + i - 1)*Ts - Ts/2))
     over paths, with r and i counted from 1 and g the configured shaping pulse
-    (ideal Nyquist rounds each delay to a single unit tap).
+    (ideal Nyquist rounds each delay to a single unit tap).  The active
+    columns are the union over paths of the rounded delay plus or minus the
+    pulse half-span; every other column is exactly zero and is not stored.
     """
     n_sym = cfg.n if n_symbols is None else n_symbols
     ts = cfg.sample_period_s
@@ -156,48 +167,48 @@ def materialize_taps(
             f"path delays need L_ch >= {span}, got {l_ch}"
         )
 
-    taps = np.zeros((n_sym, rows, l_ch), dtype=complex)
-    ell = np.arange(1, l_ch + 1)            # 1-based tap index; delay = ell - 1 samples
-    r = np.arange(1, rows + 1)
     half = _pulse_half_span(cfg.pulse)
+    peaks = [int(round(tau / ts)) for tau in paths.delays_s]
+    windows = [(max(0, peak - half), min(l_ch - 1, peak + half)) for peak in peaks]
+    tap_index = np.unique(np.concatenate([np.arange(lo, hi + 1) for lo, hi in windows]))
+    taps = np.zeros((n_sym, rows, tap_index.size), dtype=complex)
+    ell = tap_index + 1                     # 1-based tap index; delay = ell - 1 samples
+    r = np.arange(1, rows + 1)
 
-    for h_p, tau, nu in zip(paths.gains, paths.delays_s, paths.dopplers_hz):
-        delay_samples = tau / ts
+    for h_p, tau, nu, (lo, hi) in zip(paths.gains, paths.delays_s, paths.dopplers_hz, windows):
+        g = np.zeros(tap_index.size)
+        first = np.searchsorted(tap_index, lo)
         if cfg.pulse == "ideal":
-            g = np.zeros(l_ch)
-            peak = int(round(delay_samples))
-            if peak > l_ch - 1:
-                raise DelaySpanError(f"delay {tau} s maps beyond L_ch={l_ch}")
-            g[peak] = 1.0
+            g[first] = 1.0
         else:
-            peak = int(round(delay_samples))
-            if peak > l_ch - 1:
-                raise DelaySpanError(f"delay {tau} s maps beyond L_ch={l_ch}")
-            g = np.zeros(l_ch)
-            lo = max(0, peak - half)
-            hi = min(l_ch - 1, peak + half)
-            d = np.arange(lo, hi + 1)
-            g[lo:hi + 1] = raised_cosine(d - delay_samples)
+            g[first:first + hi - lo + 1] = raised_cosine(np.arange(lo, hi + 1) - tau / ts)
         # phase exp(j2*pi*nu*((ell + r + i - 1)*Ts - Ts/2)), separable in ell, r, i
         ph_ell = np.exp(2j * np.pi * nu * (ell * ts - ts / 2.0))
         ph_r = np.exp(2j * np.pi * nu * r * ts)
         ph_i = np.exp(2j * np.pi * nu * np.arange(n_sym) * ts)
         taps += h_p * np.einsum("i,r,l->irl", ph_i, ph_r, g * ph_ell)
-    return LtvChannelRealization(taps=taps, sample_period_s=ts)
+    return LtvChannelRealization(taps=taps, tap_index=tap_index, l_ch=l_ch, sample_period_s=ts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelMatrixSet:
-    """Per-symbol banded channel matrices built lazily from a realization.
+    """Per-symbol banded channel matrices M_i, applied through their active taps.
 
     Matrix i has shape (cols + L_ch - 1) x cols with entry (r, c) equal to
     h[i, r, r - c + 1] for 0 <= r - c <= L_ch - 1 and zero elsewhere
-    (1-based tap indexing; zero-delay taps sit on the main diagonal).
+    (1-based tap indexing; zero-delay taps sit on the main diagonal).  The
+    kernels touch only the active taps and act on all N symbols at once;
+    :meth:`matrix` builds one dense M_i and serves only as a test oracle.
     """
 
     realization: LtvChannelRealization
     cols: int
-    _cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        if self.realization.rows < self.rows:
+            raise ValueError(
+                f"dimension mismatch: realization rows {self.realization.rows} < required {self.rows}"
+            )
 
     def __len__(self) -> int:
         return self.realization.n_symbols
@@ -207,28 +218,37 @@ class ChannelMatrixSet:
         return self.cols + self.realization.l_ch - 1
 
     def matrix(self, i: int) -> np.ndarray:
-        if i in self._cache:
-            return self._cache[i]
-        h = self.realization.taps[i]
-        if h.shape[0] < self.rows:
-            raise ValueError(
-                f"dimension mismatch: realization has {h.shape[0]} rows, need {self.rows}"
-            )
+        """Dense M_i (oracle for the banded kernels)."""
+        real = self.realization
         mat = np.zeros((self.rows, self.cols), dtype=complex)
         c = np.arange(self.cols)
-        for ell in range(self.realization.l_ch):
-            rr = c + ell
-            mat[rr, c] = h[rr, ell]
-        self._cache[i] = mat
+        for j, ell in enumerate(real.tap_index):
+            mat[c + ell, c] = real.taps[i, c + ell, j]
         return mat
 
-    def block_diagonal(self) -> np.ndarray:
-        """Full block-diagonal assembly across all symbols (debug scale only)."""
-        n = len(self)
-        out = np.zeros((n * self.rows, n * self.cols), dtype=complex)
-        for i in range(n):
-            out[i * self.rows:(i + 1) * self.rows, i * self.cols:(i + 1) * self.cols] = self.matrix(i)
-        return out
+    def apply(self, blocks: np.ndarray) -> np.ndarray:
+        """(rows, N) array whose column i is M_i @ blocks[:, i]."""
+        real = self.realization
+        x = np.asarray(blocks).T
+        out = np.zeros((len(self), self.rows), dtype=complex)
+        for j, ell in enumerate(real.tap_index):
+            out[:, ell:ell + self.cols] += real.taps[:, ell:ell + self.cols, j] * x
+        return out.T
+
+    def left_multiply(self, w: np.ndarray, row0: int) -> np.ndarray:
+        """(N, w.shape[0], cols) stack of w @ M_i[row0:row0 + w.shape[1], :].
+
+        Column c of M_i holds tap j at row c + tap_index[j], so column c of the
+        product is sum_j w[:, c + tap_index[j] - row0] * h[i, c + tap_index[j], j]:
+        an (N x n_active) @ (n_active x w.shape[0]) product per column, batched.
+        """
+        real = self.realization
+        rr = np.arange(self.cols)[:, np.newaxis] + real.tap_index   # (cols, n_active) rows of M_i
+        a = rr - row0                                                # matching columns of w
+        inside = (a >= 0) & (a < w.shape[1])
+        w_cols = np.where(inside[..., np.newaxis], w.T[np.clip(a, 0, w.shape[1] - 1)], 0)
+        h_cols = real.taps[:, rr, np.arange(real.tap_index.size)]   # (N, cols, n_active)
+        return (h_cols.transpose(1, 0, 2) @ w_cols).transpose(1, 2, 0)
 
 
 def channel_matrices(
@@ -236,17 +256,12 @@ def channel_matrices(
 ) -> ChannelMatrixSet:
     """Banded per-symbol matrices sized for the CP-bearing or CP-less chain."""
     cols = cfg.k * cfg.o_s + (cfg.n_cp if with_cp else 0)
-    mats = ChannelMatrixSet(realization=real, cols=cols)
-    if real.rows < mats.rows:
-        raise ValueError(
-            f"dimension mismatch: realization rows {real.rows} < required {mats.rows}"
-        )
-    return mats
+    return ChannelMatrixSet(realization=real, cols=cols)
 
 
 def realize(paths: PathSet, cfg: ModemConfig, with_cp: bool,
             n_symbols: int | None = None) -> ChannelMatrixSet:
-    """One-stop materialization: tap tensor plus matrix set for a modulation."""
+    """One-stop materialization: path-sparse taps plus matrix set for a modulation."""
     l_ch = required_l_ch(paths, cfg)
     cols = cfg.k * cfg.o_s + (cfg.n_cp if with_cp else 0)
     real = materialize_taps(paths, cfg, rows=cols + l_ch - 1, n_symbols=n_symbols, l_ch=l_ch)
@@ -256,23 +271,26 @@ def realize(paths: PathSet, cfg: ModemConfig, with_cp: bool,
 # Text export ---------------------------------------------------------------
 
 def export_taps(real: LtvChannelRealization) -> str:
-    """Self-describing text dump, one line per (symbol, tap) vector over rows."""
+    """Self-describing text dump, one line per (symbol, stored tap) vector over rows.
+
+    Only the active tap columns are written; a column without a line is zero.
+    """
     lines = [
-        "# ltv-taps v1",
+        "# ltv-taps v2",
         f"# symbols={real.n_symbols} rows={real.rows} l_ch={real.l_ch} "
         f"sample_period_s={real.sample_period_s!r}",
     ]
     for i in range(real.n_symbols):
-        for ell in range(real.l_ch):
-            vals = " ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in real.taps[i, :, ell])
+        for j, ell in enumerate(real.tap_index):
+            vals = " ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in real.taps[i, :, j])
             lines.append(f"{i + 1} {ell + 1} {vals}")
     return "\n".join(lines) + "\n"
 
 
 def parse_taps(text: str) -> LtvChannelRealization:
-    """Inverse of :func:`export_taps`."""
+    """Inverse of :func:`export_taps`; also reads v1 dumps, which list every tap column."""
     header = None
-    body = []
+    columns = {}
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -281,16 +299,16 @@ def parse_taps(text: str) -> LtvChannelRealization:
             if "symbols=" in line:
                 header = line
             continue
-        body.append(line)
+        parts = line.split()
+        vals = np.array([float(v) for v in parts[2:]])
+        columns[int(parts[0]) - 1, int(parts[1]) - 1] = vals[0::2] + 1j * vals[1::2]
     if header is None:
         raise ValueError("missing taps header")
     fields = dict(part.split("=") for part in header.lstrip("# ").split())
     n_sym, rows, l_ch = int(fields["symbols"]), int(fields["rows"]), int(fields["l_ch"])
     ts = float(fields["sample_period_s"])
-    taps = np.zeros((n_sym, rows, l_ch), dtype=complex)
-    for line in body:
-        parts = line.split()
-        i, ell = int(parts[0]) - 1, int(parts[1]) - 1
-        vals = np.array([float(v) for v in parts[2:]])
-        taps[i, :, ell] = vals[0::2] + 1j * vals[1::2]
-    return LtvChannelRealization(taps=taps, sample_period_s=ts)
+    tap_index = np.array(sorted({ell for _, ell in columns}), dtype=int)
+    taps = np.zeros((n_sym, rows, tap_index.size), dtype=complex)
+    for (i, ell), vals in columns.items():
+        taps[i, :, np.searchsorted(tap_index, ell)] = vals
+    return LtvChannelRealization(taps=taps, tap_index=tap_index, l_ch=l_ch, sample_period_s=ts)

@@ -126,7 +126,7 @@ def drufmc_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> Effect
     exp(-j2*pi*n*m/N) C_m and the shifted tail terms over symbols m, followed
     by the Doppler-side DFT.
     """
-    k, n, ko = cfg.k, cfg.n, cfg.k * cfg.o_s
+    k, n = cfg.k, cfg.n
     f_k = dft_matrix(k)
     f_n = dft_matrix(n)
     w = oversampled_dft(cfg.k, cfg.o_s)
@@ -138,12 +138,9 @@ def drufmc_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> Effect
     tail = tail * null[np.newaxis, :]
 
     # Per-symbol maps in the delay domain, times F_K for the input-side DFT
-    cf = np.empty((n, k, k), dtype=complex)
-    df = np.empty((n, k, k), dtype=complex)
-    for m in range(n):
-        bt = fkh_w @ chan.matrix(m)[:ko, :]   # F_K^H W (R_tail M_m)
-        cf[m] = bt @ (head @ f_k)
-        df[m] = bt @ (tail @ f_k)
+    bt = chan.left_multiply(fkh_w, 0)         # F_K^H W (R_tail M_m) for every m
+    cf = bt @ (head @ f_k)
+    df = bt @ (tail @ f_k)
 
     theta = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
     phi = np.sqrt(n) * f_n.conj()                   # phi[m, col] = exp(+j2*pi*m*col/N)

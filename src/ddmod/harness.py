@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -84,7 +85,6 @@ class ExperimentConfig:
 
 _INT_KEYS = {"k", "n", "o_s", "b", "d", "filter_len", "n_cp", "n_guard", "trials", "seed", "psd_trials"}
 _FLOAT_KEYS = {"filter_att_db", "delta_f_hz", "f_c_hz", "p_t", "delta_oob_db"}
-_STR_KEYS = {"pulse", "guard_nulling", "onetap", "channel", "out"}
 _LIST_KEYS = {"waveforms", "snr_db", "speeds_kmh"}
 
 
@@ -288,8 +288,21 @@ def _worker(args):
     waveform, speed, snr_index, trial = cell
     try:
         return evaluate_point(cfg, waveform, speed, snr_index, trial), None
-    except Exception as exc:  # recorded, not fatal for the sweep
-        return None, (cell, repr(exc))
+    except Exception:  # recorded with its traceback, not fatal for the sweep
+        return None, (cell, traceback.format_exc())
+
+
+def _worker_count(value: str | None) -> int:
+    """Process count from a DDMOD_THREADS value; unset means serial."""
+    if value is None:
+        return 1
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"DDMOD_THREADS must be an integer >= 1, got {value!r}")
+    return workers
 
 
 def run_sweep(cfg: ExperimentConfig, out_path: str | None = None):
@@ -297,8 +310,9 @@ def run_sweep(cfg: ExperimentConfig, out_path: str | None = None):
 
     Rows are sorted by (waveform, speed, SNR, trial) before writing so the
     output is independent of execution order; DDMOD_THREADS > 1 enables a
-    process pool over grid cells.
+    process pool over grid cells.  A failure is (cell, formatted traceback).
     """
+    workers = _worker_count(os.environ.get("DDMOD_THREADS"))
     cells = [
         (wf, speed, si, t)
         for wf in cfg.waveforms
@@ -306,7 +320,6 @@ def run_sweep(cfg: ExperimentConfig, out_path: str | None = None):
         for si in range(len(cfg.snr_db))
         for t in range(cfg.trials)
     ]
-    workers = int(os.environ.get("DDMOD_THREADS", "1"))
     results = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -524,7 +537,7 @@ def main(argv=None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         for cell, err in failures:
-            print(f"row failed {cell}: {err}", file=sys.stderr)
+            print(f"row failed {cell}:\n{err}", file=sys.stderr, end="")
         print(f"{len(rows)} rows" + (f" -> {args.out or cfg.out}" if (args.out or cfg.out) else ""))
         return 1 if failures else 0
 

@@ -45,9 +45,9 @@ def apply_channel(
 ) -> np.ndarray:
     """Push a serialized signal through the per-symbol LTV matrices and add noise.
 
-    Blocks are independent (block-diagonal channel); each output block gains
-    L_ch - 1 tail samples.  Noise is circular complex Gaussian with the given
-    per-sample variance.
+    Blocks are independent (block-diagonal channel) and are convolved with the
+    active taps all at once; each output block gains L_ch - 1 tail samples.
+    Noise is circular complex Gaussian with the given per-sample variance.
     """
     s = np.asarray(s)
     n_sym = len(chan)
@@ -55,11 +55,7 @@ def apply_channel(
         raise ValueError(
             f"dimension mismatch: signal length {s.size} != {n_sym} x {chan.cols}"
         )
-    blocks_in = invec(s, chan.cols)
-    out = np.empty((chan.rows, n_sym), dtype=complex)
-    for i in range(n_sym):
-        out[:, i] = np.sqrt(p_t) * (chan.matrix(i) @ blocks_in[:, i])
-    r = vec(out)
+    r = vec(np.sqrt(p_t) * chan.apply(invec(s, chan.cols)))
     if noise_var > 0:
         rng = np.random.default_rng(seed)
         w = rng.standard_normal(r.size) + 1j * rng.standard_normal(r.size)
@@ -81,25 +77,16 @@ def ofdm_demodulate(r: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     return oversampled_dft(cfg.k, cfg.o_s) @ z
 
 
-def per_symbol_ft_channel(chan: ChannelMatrixSet, cfg: ModemConfig, i: int) -> np.ndarray:
-    """K x K frequency-time channel of symbol i: W @ R_cp @ M_i @ A_cp @ W^H."""
-    w = oversampled_dft(cfg.k, cfg.o_s)
-    h = cp_core(chan, cfg, i)
-    return w @ h @ w.conj().T
+def per_symbol_ft_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarray:
+    """(N, K, K) stack of frequency-time channels W @ R_cp @ M_i @ A_cp @ W^H.
 
-
-def cp_core(chan: ChannelMatrixSet, cfg: ModemConfig, i: int) -> np.ndarray:
-    """Time-domain K*O_s x K*O_s map of symbol i after CP insertion and removal."""
+    R_cp keeps rows n_cp .. n_cp + K*O_s - 1 of the banded product; A_cp @ W^H
+    is the CP-prefixed inverse DFT, which folds the CP columns back.
+    """
     ko = cfg.k * cfg.o_s
-    l_ch = chan.realization.l_ch
-    m = chan.matrix(i)
-    # R_cp @ M selects rows n_cp .. n_cp + ko - 1; A_cp folds the CP columns back
-    core = m[cfg.n_cp:cfg.n_cp + ko, :]
-    if cfg.n_cp > 0:
-        folded = core[:, cfg.n_cp:].copy()
-        folded[:, ko - cfg.n_cp:] += core[:, :cfg.n_cp]
-        return folded
-    return core
+    w = oversampled_dft(cfg.k, cfg.o_s)
+    wh = w.conj().T
+    return chan.left_multiply(w, cfg.n_cp) @ np.concatenate((wh[ko - cfg.n_cp:], wh))
 
 
 def ofdm_full_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> "EffectiveChannel":
@@ -112,10 +99,10 @@ def ofdm_full_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> "Ef
 
     k, n = cfg.k, cfg.n
     null = _guard_mask(k, cfg.n_guard if cfg.guard_nulling == "tx" else 0)
+    blocks = per_symbol_ft_channel(chan, cfg) * null[np.newaxis, :]
     out = np.zeros((k * n, k * n), dtype=complex)
     for i in range(n):
-        blk = per_symbol_ft_channel(chan, cfg, i) * null[np.newaxis, :]
-        out[i * k:(i + 1) * k, i * k:(i + 1) * k] = np.sqrt(cfg.p_t) * blk
+        out[i * k:(i + 1) * k, i * k:(i + 1) * k] = np.sqrt(cfg.p_t) * blocks[i]
     return EffectiveChannel(matrix=out, p_t=cfg.p_t)
 
 
@@ -134,15 +121,11 @@ def ofdm_onetap_fde(
     y_ft = np.asarray(y_ft)
     if y_ft.shape != (cfg.k, cfg.n):
         raise ValueError(f"dimension mismatch: expected {(cfg.k, cfg.n)}, got {y_ft.shape}")
-    est = np.empty_like(y_ft, dtype=complex)
-    for i in range(cfg.n):
-        c = np.diag(per_symbol_ft_channel(chan, cfg, i))
-        y = y_ft[:, i] / np.sqrt(cfg.p_t)
-        if cfg.onetap == "zf":
-            est[:, i] = y / c
-        else:
-            est[:, i] = np.conj(c) * y / (np.abs(c) ** 2 + noise_var / cfg.p_t)
-    return est
+    c = np.diagonal(per_symbol_ft_channel(chan, cfg), axis1=1, axis2=2).T
+    y = y_ft / np.sqrt(cfg.p_t)
+    if cfg.onetap == "zf":
+        return y / c
+    return np.conj(c) * y / (np.abs(c) ** 2 + noise_var / cfg.p_t)
 
 
 def ofdm_onetap_sinr(chan: ChannelMatrixSet, cfg: ModemConfig, noise_var: float) -> np.ndarray:
@@ -151,10 +134,7 @@ def ofdm_onetap_sinr(chan: ChannelMatrixSet, cfg: ModemConfig, noise_var: float)
     Scalar equalization rescales the whole observation row, so the SINR does
     not depend on the MMSE/ZF choice.
     """
-    out = np.empty((cfg.k, cfg.n))
-    for i in range(cfg.n):
-        blk = np.sqrt(cfg.p_t) * per_symbol_ft_channel(chan, cfg, i)
-        sig = np.abs(np.diag(blk)) ** 2
-        interference = np.sum(np.abs(blk) ** 2, axis=1) - sig
-        out[:, i] = sig / (interference + noise_var)
-    return out
+    blk = np.sqrt(cfg.p_t) * per_symbol_ft_channel(chan, cfg)
+    sig = np.abs(np.diagonal(blk, axis1=1, axis2=2)) ** 2
+    interference = np.sum(np.abs(blk) ** 2, axis=2) - sig
+    return (sig / (interference + noise_var)).T

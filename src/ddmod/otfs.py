@@ -72,10 +72,7 @@ def otfs_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> Effectiv
     k, n = cfg.k, cfg.n
     f_k = dft_matrix(k)
     null = _guard_mask(k, cfg.n_guard if cfg.guard_nulling == "tx" else 0)
-    b_i = np.empty((n, k, k), dtype=complex)
-    for i in range(n):
-        ft = per_symbol_ft_channel(chan, cfg, i) * null[np.newaxis, :]
-        b_i[i] = f_k.conj().T @ ft @ f_k
+    b_i = f_k.conj().T @ (per_symbol_ft_channel(chan, cfg) * null[np.newaxis, :]) @ f_k
     # B_dd[d] = sum_i B_i * exp(-j2*pi*(i-1)*d/N) with i counted from 1
     phases = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
     b_dd = np.einsum("id,ikl->dkl", phases, b_i)

@@ -1,0 +1,71 @@
+"""Dense reference constructions for the path-sparse channel kernels.
+
+The library stores only the active tap columns of a realization and applies
+them with banded kernels batched over symbols.  The literal dense routes they
+replaced live here as test oracles: the full (N, rows, L_ch) tap tensor, the
+per-symbol CP core R_cp @ M_i @ A_cp, its frequency-time block, and the v1
+text dump that wrote every tap column.
+"""
+
+import numpy as np
+
+from ddmod import channel as ch
+from ddmod.transforms import oversampled_dft
+
+
+def dense_materialize_taps(paths, cfg, rows, n_symbols=None, l_ch=None) -> np.ndarray:
+    """Tap tensor h[i, r, l] over every tap column, one outer product per path."""
+    n_sym = cfg.n if n_symbols is None else n_symbols
+    ts = cfg.sample_period_s
+    if l_ch is None:
+        l_ch = ch.required_l_ch(paths, cfg)
+    taps = np.zeros((n_sym, rows, l_ch), dtype=complex)
+    ell = np.arange(1, l_ch + 1)
+    r = np.arange(1, rows + 1)
+    half = 0 if cfg.pulse == "ideal" else ch.RRC_HALF_SPAN
+    for h_p, tau, nu in zip(paths.gains, paths.delays_s, paths.dopplers_hz):
+        delay_samples = tau / ts
+        peak = int(round(delay_samples))
+        g = np.zeros(l_ch)
+        if cfg.pulse == "ideal":
+            g[peak] = 1.0
+        else:
+            lo = max(0, peak - half)
+            hi = min(l_ch - 1, peak + half)
+            g[lo:hi + 1] = ch.raised_cosine(np.arange(lo, hi + 1) - delay_samples)
+        ph_ell = np.exp(2j * np.pi * nu * (ell * ts - ts / 2.0))
+        ph_r = np.exp(2j * np.pi * nu * r * ts)
+        ph_i = np.exp(2j * np.pi * nu * np.arange(n_sym) * ts)
+        taps += h_p * np.einsum("i,r,l->irl", ph_i, ph_r, g * ph_ell)
+    return taps
+
+
+def cp_core(chan, cfg, i: int) -> np.ndarray:
+    """Time-domain K*O_s x K*O_s map R_cp @ M_i @ A_cp of symbol i, from the dense matrix."""
+    ko = cfg.k * cfg.o_s
+    core = chan.matrix(i)[cfg.n_cp:cfg.n_cp + ko, :]
+    if cfg.n_cp > 0:
+        folded = core[:, cfg.n_cp:].copy()
+        folded[:, ko - cfg.n_cp:] += core[:, :cfg.n_cp]
+        return folded
+    return core
+
+
+def dense_ft_block(chan, cfg, i: int) -> np.ndarray:
+    """K x K frequency-time channel W @ R_cp @ M_i @ A_cp @ W^H of symbol i."""
+    w = oversampled_dft(cfg.k, cfg.o_s)
+    return w @ cp_core(chan, cfg, i) @ w.conj().T
+
+
+def export_dense_v1(taps: np.ndarray, sample_period_s: float) -> str:
+    """The v1 text dump: one line per (symbol, tap) for every tap column."""
+    n_sym, rows, l_ch = taps.shape
+    lines = [
+        "# ltv-taps v1",
+        f"# symbols={n_sym} rows={rows} l_ch={l_ch} sample_period_s={sample_period_s!r}",
+    ]
+    for i in range(n_sym):
+        for ell in range(l_ch):
+            vals = " ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in taps[i, :, ell])
+            lines.append(f"{i + 1} {ell + 1} {vals}")
+    return "\n".join(lines) + "\n"

@@ -81,6 +81,7 @@ class TestMaterializeTaps:
         )
         rows, n_sym = 64, 5
         real = ch.materialize_taps(paths, cfg, rows=rows, n_symbols=n_sym)
+        dense = real.dense_taps()
         rng = np.random.default_rng(11)
         for _ in range(20):
             i0 = rng.integers(0, n_sym)
@@ -93,7 +94,7 @@ class TestMaterializeTaps:
                 expected += h_p * pulse * np.exp(
                     2j * np.pi * nu * ((ell + r + i - 1) * ts - ts / 2.0)
                 )
-            assert abs(real.taps[i0, r0, l0] - expected) < 1e-12
+            assert abs(dense[i0, r0, l0] - expected) < 1e-12
 
     def test_delay_span_error(self):
         cfg = desk_config()
@@ -108,7 +109,7 @@ class TestMaterializeTaps:
                            delays_s=np.array([6.4 * ts]), dopplers_hz=np.zeros(1))
         real = ch.materialize_taps(paths, cfg, rows=16, n_symbols=1)
         peak = int(round(6.4))
-        mags = np.abs(real.taps[0, 0, :])
+        mags = np.abs(real.dense_taps()[0, 0, :])
         assert mags.argmax() == peak
         assert mags[peak - 1] > 0 and mags[peak + 1] > 0   # fractional delay leaks
         # raised cosine at integer offsets from an integer delay is a unit tap
@@ -117,7 +118,7 @@ class TestMaterializeTaps:
         real_int = ch.materialize_taps(paths_int, cfg, rows=16, n_symbols=1)
         expect = np.zeros(real_int.l_ch)
         expect[6] = 1.0
-        assert np.abs(real_int.taps[0, 0, :] - expect).max() < 1e-12
+        assert np.abs(real_int.dense_taps()[0, 0, :] - expect).max() < 1e-12
 
 
 class TestChannelMatrices:
@@ -150,7 +151,7 @@ class TestChannelMatrices:
         i = 1
         m = mats.matrix(i)
         x = crandn(rng, m.shape[1])
-        h = mats.realization.taps[i]
+        h = mats.realization.dense_taps()[i]
         direct = np.zeros(m.shape[0], dtype=complex)
         for r in range(direct.size):
             for ell in range(mats.realization.l_ch):
@@ -171,6 +172,13 @@ class TestChannelMatrices:
         assert len(with_cp) == cfg.n
 
 
+    def test_short_realization_rejected(self):
+        cfg = desk_config()
+        real = ch.materialize_taps(ch.sample_eva_paths(4, 50 / 3.6, cfg.f_c_hz), cfg, rows=12)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ch.channel_matrices(real, cfg, with_cp=True)
+
+
 class TestTapExport:
     def test_round_trip(self):
         cfg = desk_config(n=2)
@@ -180,4 +188,6 @@ class TestTapExport:
         back = ch.parse_taps(text)
         assert back.sample_period_s == real.sample_period_s
         assert np.array_equal(back.taps, real.taps)
-        assert text.startswith("# ltv-taps v1")
+        assert np.array_equal(back.tap_index, real.tap_index)
+        assert back.l_ch == real.l_ch
+        assert text.startswith("# ltv-taps v2")

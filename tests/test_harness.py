@@ -11,10 +11,12 @@ from ddmod.config import ConfigError
 from ddmod.harness import (
     CSV_HEADER,
     ExperimentConfig,
+    _worker_count,
     channel_seed,
     config_from_dict,
     evaluate_point,
     load_config,
+    main,
     run_psd,
     run_sweep,
 )
@@ -173,6 +175,23 @@ class TestMatrixExport:
         text = export_matrix_text(m, label="psi")
         assert text.startswith("# ddmod-matrix v1 label=psi rows=4 cols=6")
         assert np.array_equal(parse_matrix_text(text), m)
+
+
+class TestWorkerCount:
+    def test_unset_runs_serially(self):
+        assert _worker_count(None) == 1
+        assert _worker_count("3") == 3
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_rejects_anything_but_a_positive_integer(self, value):
+        with pytest.raises(ConfigError, match="DDMOD_THREADS must be an integer >= 1"):
+            _worker_count(value)
+
+    def test_cli_reports_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DDMOD_THREADS", "abc")
+        cfg = write_config(tmp_path, DESK_LINES + "waveforms = otfs\ntrials = 1\n")
+        assert main(["run", "--config", cfg]) == 2
+        assert "config error: DDMOD_THREADS" in capsys.readouterr().err
 
 
 class TestRunPsd:
