@@ -30,6 +30,10 @@ EVA_POWERS_DB = np.array([0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9]
 RRC_ROLLOFF = 0.25
 RRC_HALF_SPAN = 4  # samples each side of the pulse peak
 
+#: Byte budget of the (columns, active taps, rows of w) operand that
+#: ChannelMatrixSet.left_multiply gathers; wider tap sets go in column chunks.
+LEFT_MULTIPLY_CHUNK_BYTES = 32 * 2**20
+
 
 class DelaySpanError(ValueError):
     """A path delay maps to a tap index beyond the realized span."""
@@ -240,15 +244,22 @@ class ChannelMatrixSet:
 
         Column c of M_i holds tap j at row c + tap_index[j], so column c of the
         product is sum_j w[:, c + tap_index[j] - row0] * h[i, c + tap_index[j], j]:
-        an (N x n_active) @ (n_active x w.shape[0]) product per column, batched.
+        an (N x n_active) @ (n_active x w.shape[0]) product per column, batched
+        over chunks of columns whose gathered w operand stays under
+        LEFT_MULTIPLY_CHUNK_BYTES.
         """
         real = self.realization
-        rr = np.arange(self.cols)[:, np.newaxis] + real.tap_index   # (cols, n_active) rows of M_i
-        a = rr - row0                                                # matching columns of w
-        inside = (a >= 0) & (a < w.shape[1])
-        w_cols = np.where(inside[..., np.newaxis], w.T[np.clip(a, 0, w.shape[1] - 1)], 0)
-        h_cols = real.taps[:, rr, np.arange(real.tap_index.size)]   # (N, cols, n_active)
-        return (h_cols.transpose(1, 0, 2) @ w_cols).transpose(1, 2, 0)
+        n_active = real.tap_index.size
+        step = max(1, LEFT_MULTIPLY_CHUNK_BYTES // (16 * max(1, n_active) * w.shape[0]))
+        out = np.empty((self.cols, len(self), w.shape[0]), dtype=complex)
+        for c0 in range(0, self.cols, step):
+            rr = np.arange(c0, min(c0 + step, self.cols))[:, np.newaxis] + real.tap_index
+            a = rr - row0                                            # matching columns of w
+            inside = (a >= 0) & (a < w.shape[1])
+            w_cols = np.where(inside[..., np.newaxis], w.T[np.clip(a, 0, w.shape[1] - 1)], 0)
+            h_cols = real.taps[:, rr, np.arange(n_active)]          # (N, chunk, n_active)
+            np.matmul(h_cols.transpose(1, 0, 2), w_cols, out=out[c0:c0 + step])
+        return out.transpose(1, 2, 0)
 
 
 def channel_matrices(

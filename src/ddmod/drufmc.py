@@ -5,6 +5,17 @@ delay-Doppler pre/post processing.
 Consecutive filtered symbols overlap by the filter tail (L - 1 samples) and
 the final tail is dropped, so a frame occupies exactly K*O_s*N samples, the
 same air time as the CP-bearing chain's payload.
+
+In the delay-time domain (A = X_dd F_N^H in, U = Y_dd F_N^H out) the channel
+is block lower-bidiagonal: U[:, m] = T[m, m] A[:, m] + T[m, m-1] A[:, m-1]
+with T[m, m] = sqrt(P_T) C_m and T[m, m-1] = sqrt(P_T) D_m, the per-symbol
+head and overlap-tail maps of :func:`_delay_domain_blocks`.  The dense
+delay-Doppler channel is V T V^H with V = F_N (x) I_K, so its MMSE error
+covariance is sigma^2 V G V^H, G = (T^H T + sigma^2 I)^{-1}.  The Doppler
+DFT mixes the diagonals of every block of G, so :func:`drufmc_mmse` streams
+the rows of the inverse block-Cholesky factor (O(N^2 K^3) work, O(N K^2)
+memory) instead of a selected inverse.  :func:`drufmc_effective_channel`
+builds the dense matrix as the reference.
 """
 
 from __future__ import annotations
@@ -13,7 +24,8 @@ import numpy as np
 
 from .channel import ChannelMatrixSet
 from .config import ConfigError, ModemConfig
-from .ofdm import _guard_mask, apply_channel
+from .mmse import bidiagonal_mmse, mmse_sinr
+from .ofdm import _tx_null, apply_channel
 from .otfs import EffectiveChannel
 from .transforms import (
     dft_matrix,
@@ -117,6 +129,21 @@ def dd_to_ft_kron(cfg: ModemConfig) -> np.ndarray:
     return np.kron(dft_matrix(cfg.n).conj(), dft_matrix(cfg.k))
 
 
+def _delay_domain_blocks(chan: ChannelMatrixSet, cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(N, K, K) stacks C_m, D_m: symbol m's head and overlap-tail maps, delay domain in and out.
+
+    C_m = F_K^H W (R_tail M_m) head F_K carries symbol m into its own block;
+    D_m, built from the tail, carries symbol m - 1 into block m.  TX guard
+    nulling is applied to the frequency-time inputs.
+    """
+    f_k = dft_matrix(cfg.k)
+    fkh_w = f_k.conj().T @ oversampled_dft(cfg.k, cfg.o_s)
+    null = _tx_null(cfg)
+    head, tail = _precoder_parts(cfg)
+    bt = chan.left_multiply(fkh_w, 0)         # F_K^H W (R_tail M_m) for every m
+    return bt @ (head * null @ f_k), bt @ (tail * null @ f_k)
+
+
 def drufmc_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> EffectiveChannel:
     """Dense KN x KN delay-Doppler map of the filtered CP-less chain.
 
@@ -127,29 +154,35 @@ def drufmc_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> Effect
     by the Doppler-side DFT.
     """
     k, n = cfg.k, cfg.n
-    f_k = dft_matrix(k)
-    f_n = dft_matrix(n)
-    w = oversampled_dft(cfg.k, cfg.o_s)
-    fkh_w = f_k.conj().T @ w
-
-    null = _guard_mask(k, cfg.n_guard if cfg.guard_nulling == "tx" else 0)
-    head, tail = _precoder_parts(cfg)
-    head = head * null[np.newaxis, :]
-    tail = tail * null[np.newaxis, :]
-
-    # Per-symbol maps in the delay domain, times F_K for the input-side DFT
-    bt = chan.left_multiply(fkh_w, 0)         # F_K^H W (R_tail M_m) for every m
-    cf = bt @ (head @ f_k)
-    df = bt @ (tail @ f_k)
-
+    cf, df = _delay_domain_blocks(chan, cfg)
     theta = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-    phi = np.sqrt(n) * f_n.conj()                   # phi[m, col] = exp(+j2*pi*m*col/N)
+    phi = np.sqrt(n) * dft_matrix(n).conj()         # phi[m, col] = exp(+j2*pi*m*col/N)
     # tail of symbol m lands in the head of symbol m+1: shift its phase row
     phi_shift = np.zeros_like(phi)
     phi_shift[1:] = phi[:-1]
     blocks = (
-        np.einsum("rm,mc,mkl->rckl", theta, phi, cf)
-        + np.einsum("rm,mc,mkl->rckl", theta, phi_shift, df)
+        np.einsum("rm,mc,mkl->rckl", theta, phi, cf, optimize=True)
+        + np.einsum("rm,mc,mkl->rckl", theta, phi_shift, df, optimize=True)
     )
     out = blocks.transpose(0, 2, 1, 3).reshape(k * n, k * n) * (np.sqrt(cfg.p_t) / n)
     return EffectiveChannel(matrix=out, p_t=cfg.p_t)
+
+
+def drufmc_mmse(
+    y_dd: np.ndarray,
+    chan: ChannelMatrixSet,
+    cfg: ModemConfig,
+    sigma2: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """MMSE SINR grid and estimates through the block lower-bidiagonal T.
+
+    Returns the (K, N) SINR and delay-Doppler estimate grids; equal to
+    ``metrics.sinr_map`` and ``metrics.mmse_detect`` on
+    :func:`drufmc_effective_channel` without forming it.
+    """
+    cf, df = _delay_domain_blocks(chan, cfg)
+    f_n = dft_matrix(cfg.n)
+    scale = np.sqrt(cfg.p_t)
+    u = (np.asarray(y_dd) @ f_n.conj()).T          # U = Y_dd F_N^H, one row per symbol
+    mse, a_hat = bidiagonal_mmse(scale * cf, scale * df, u, sigma2, f_n)
+    return mmse_sinr(mse.T, sigma2), a_hat.T @ f_n

@@ -211,7 +211,11 @@ def _trial_paths(cfg: ExperimentConfig, speed_kmh: float, snr_index: int, trial:
 def evaluate_point(
     cfg: ExperimentConfig, waveform: str, speed_kmh: float, snr_index: int, trial: int
 ) -> ResultRow:
-    """Metrics for one (waveform, speed, SNR, trial) grid cell."""
+    """Metrics for one (waveform, speed, SNR, trial) grid cell.
+
+    The MMSE waveforms use the structured routes (``ofdm_full_mmse``,
+    ``otfs_mmse``, ``drufmc_mmse``); no KN x KN effective channel is built.
+    """
     start = time.perf_counter()
     modem = cfg.modem
     snr_db = cfg.snr_db[snr_index]
@@ -226,39 +230,34 @@ def evaluate_point(
     x_dd = qpsk_grid(sym_rng, modem.k, modem.n)
     x = vec(x_dd)
 
-    if waveform == "ofdm-onetap":
-        smap = sinr_map_from_values(ofdm.ofdm_onetap_sinr(chan, modem, sigma2), n_guard)
-        s = ofdm.ofdm_modulate(invec(x, modem.k), modem)
-        r = ofdm.apply_channel(s, chan, modem.p_t, sigma2, noise_ss)
-        y_ft = ofdm.ofdm_demodulate(r, modem)
-        x_hat = vec(ofdm.ofdm_onetap_fde(y_ft, chan, modem, sigma2))
-        efficiency = modem.cp_efficiency()
+    if waveform == "drufmc":
+        s = drufmc.drufmc_modulate(x_dd, modem)
+        r = drufmc.drufmc_apply_channel(s, chan, modem.p_t, sigma2, noise_ss)
+        y_dd = drufmc.drufmc_demodulate(r, modem)
+        sinr, x_hat = drufmc.drufmc_mmse(y_dd, chan, modem, sigma2)
+        efficiency = 1.0
     else:
+        ft = ofdm.per_symbol_ft_channel(chan, modem)
+        efficiency = modem.cp_efficiency()
         if waveform == "otfs":
-            eff = otfs.otfs_effective_channel(chan, modem)
             s = otfs.otfs_modulate(x_dd, modem)
             r = otfs.otfs_apply_channel(s, chan, modem.p_t, sigma2, noise_ss)
-            y = vec(otfs.otfs_demodulate(r, modem))
-            efficiency = modem.cp_efficiency()
-        elif waveform == "drufmc":
-            eff = drufmc.drufmc_effective_channel(chan, modem)
-            s = drufmc.drufmc_modulate(x_dd, modem)
-            r = drufmc.drufmc_apply_channel(s, chan, modem.p_t, sigma2, noise_ss)
-            y = vec(drufmc.drufmc_demodulate(r, modem))
-            efficiency = 1.0
-        else:  # ofdm-full
-            eff = ofdm.ofdm_full_effective_channel(chan, modem)
+            sinr, x_hat = otfs.otfs_mmse(otfs.otfs_demodulate(r, modem), ft, modem, sigma2)
+        else:
             s = ofdm.ofdm_modulate(invec(x, modem.k), modem)
             r = ofdm.apply_channel(s, chan, modem.p_t, sigma2, noise_ss)
-            y = vec(ofdm.ofdm_demodulate(r, modem))
-            efficiency = modem.cp_efficiency()
-        smap = sinr_map(eff, sigma2, modem, n_guard)
-        x_hat = mmse_detect(eff, y, sigma2)
+            y_ft = ofdm.ofdm_demodulate(r, modem)
+            if waveform == "ofdm-full":
+                sinr, x_hat = ofdm.ofdm_full_mmse(y_ft, ft, modem, sigma2)
+            else:
+                sinr = ofdm.ofdm_onetap_sinr(ft, modem, sigma2)
+                x_hat = ofdm.ofdm_onetap_fde(y_ft, ft, modem, sigma2)
+    smap = sinr_map_from_values(sinr, n_guard)
 
     report = MetricsReport(
         net_sinr_db=net_sinr(smap),
         avg_se_bps_hz=avg_spectral_efficiency(smap, efficiency),
-        nmse=normalized_mse(x_hat, x),
+        nmse=normalized_mse(vec(x_hat), x),
         efficiency=efficiency,
         n_guard=n_guard,
     )
@@ -473,6 +472,18 @@ def selftest() -> int:
     ))
     rel = np.linalg.norm(probe - effu.matrix[:, j]) / np.linalg.norm(effu.matrix[:, j])
     check("DR-UFMC chain/matrix probe", rel < 1e-9)
+
+    sigma2 = 1e-2
+    y_dd = rng.standard_normal((cfg.k, cfg.n)) + 1j * rng.standard_normal((cfg.k, cfg.n))
+    for name, dense, (sinr, x_hat) in (
+        ("OTFS", eff, otfs.otfs_mmse(y_dd, ofdm.per_symbol_ft_channel(chan, cfg), cfg, sigma2)),
+        ("DR-UFMC", effu, drufmc.drufmc_mmse(y_dd, chan_no, cfg, sigma2)),
+    ):
+        ref_sinr = sinr_map(dense, sigma2, cfg).values
+        ref_x = mmse_detect(dense, vec(y_dd), sigma2)
+        check(f"{name} structured MMSE equals dense route",
+              np.abs(sinr - ref_sinr).max() < 1e-9 * np.abs(ref_sinr).max()
+              and np.abs(vec(x_hat) - ref_x).max() < 1e-9 * np.abs(ref_x).max())
 
     small = desk_config(k=16, o_s=2, b=4, d=4, filter_len=5, n=4)
     x_dd = qpsk_grid(rng, small.k, small.n)

@@ -1,5 +1,9 @@
 """Linear MMSE detection, SINR / spectral-efficiency accounting, PSD estimation
 and the guard-subcarrier search against an out-of-band emission threshold.
+
+``sinr_map`` and ``mmse_detect`` work on any dense effective channel; they are
+the reference for the structured per-waveform routes built on
+:mod:`ddmod.mmse`, which the sweep uses.
 """
 
 from __future__ import annotations
@@ -11,11 +15,8 @@ from scipy import signal as sp_signal
 from scipy.linalg import cho_factor, cho_solve
 
 from .config import ModemConfig
+from .mmse import IllConditionedError
 from .otfs import EffectiveChannel
-
-
-class IllConditionedError(RuntimeError):
-    """The MMSE normal matrix is numerically singular (sigma^2 = 0 with rank loss)."""
 
 
 class GuardSearchError(RuntimeError):

@@ -2,8 +2,15 @@
 
 The modulator here is the frequency-time core shared with the delay-Doppler
 chain: data sits directly on the K x N frequency-time grid.  Two receivers
-are provided, full multicarrier-multisymbol linear MMSE (via the effective
-channel matrix) and classical per-subcarrier one-tap FDE.
+are provided, full multicarrier-multisymbol linear MMSE and classical
+per-subcarrier one-tap FDE.
+
+The channel is block-diagonal per symbol, so full MMSE needs no KN x KN
+matrix: with C_i = sqrt(P_T) * B_i * diag(null) the K x K frequency-time
+block of symbol i, the MMSE SINR of bin (k, i) is 1 / (sigma^2 [G_i]_kk) - 1
+and the estimate of column i is G_i C_i^H y_i, G_i = (C_i^H C_i + sigma^2 I)^{-1}
+(:func:`ofdm_full_mmse`).  :func:`ofdm_full_effective_channel` builds the dense
+block-diagonal matrix as the reference.
 """
 
 from __future__ import annotations
@@ -12,15 +19,16 @@ import numpy as np
 
 from .channel import ChannelMatrixSet
 from .config import ModemConfig
+from .mmse import mmse_sinr, per_symbol_mmse
 from .transforms import invec, oversampled_dft, vec
 
 
-def _guard_mask(k: int, n_guard: int) -> np.ndarray:
-    """1 on data subcarriers, 0 on the n_guard edge subcarriers each side."""
-    mask = np.ones(k)
-    if n_guard > 0:
-        mask[:n_guard] = 0.0
-        mask[k - n_guard:] = 0.0
+def _tx_null(cfg: ModemConfig) -> np.ndarray:
+    """1 on data subcarriers; 0 on the n_guard edge subcarriers each side if guard_nulling is "tx"."""
+    mask = np.ones(cfg.k)
+    if cfg.guard_nulling == "tx" and cfg.n_guard > 0:
+        mask[:cfg.n_guard] = 0.0
+        mask[cfg.k - cfg.n_guard:] = 0.0
     return mask
 
 
@@ -98,43 +106,67 @@ def ofdm_full_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> "Ef
     from .otfs import EffectiveChannel  # shared container
 
     k, n = cfg.k, cfg.n
-    null = _guard_mask(k, cfg.n_guard if cfg.guard_nulling == "tx" else 0)
-    blocks = per_symbol_ft_channel(chan, cfg) * null[np.newaxis, :]
+    blocks = per_symbol_ft_channel(chan, cfg) * _tx_null(cfg)
     out = np.zeros((k * n, k * n), dtype=complex)
     for i in range(n):
         out[i * k:(i + 1) * k, i * k:(i + 1) * k] = np.sqrt(cfg.p_t) * blocks[i]
     return EffectiveChannel(matrix=out, p_t=cfg.p_t)
 
 
+def ofdm_full_mmse(
+    y_ft: np.ndarray,
+    ft: np.ndarray,
+    cfg: ModemConfig,
+    sigma2: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full MMSE SINR grid and estimates from the (N, K, K) frequency-time stack.
+
+    One batched Cholesky of C_i^H C_i + sigma^2 I per symbol; bins whose
+    column is exactly zero (TX-nulled guards) report SINR 0, as in
+    ``metrics.sinr_map``.  Returns the (K, N) SINR and estimate grids.
+    """
+    c = np.sqrt(cfg.p_t) * ft * _tx_null(cfg)
+    mse, x_hat = per_symbol_mmse(c, y_ft, sigma2)
+    live = np.any(c != 0, axis=1).T
+    return np.where(live, mmse_sinr(mse.T, sigma2), 0.0), x_hat
+
+
 def ofdm_onetap_fde(
     y_ft: np.ndarray,
-    chan: ChannelMatrixSet,
+    ft: np.ndarray,
     cfg: ModemConfig,
     noise_var: float,
 ) -> np.ndarray:
     """Per-subcarrier scalar equalization of a received frequency-time grid.
 
-    The scalar channel of bin (k, i) is the diagonal of the symbol-i
-    frequency-time matrix; inter-carrier leakage is left as noise.  The MMSE
-    scalar shrinks by |c|^2 + sigma^2/P_T, the ZF variant divides by c.
+    ``ft`` is the (N, K, K) stack from :func:`per_symbol_ft_channel`.  The
+    scalar channel of bin (k, i) is the diagonal of the symbol-i
+    frequency-time matrix; inter-carrier leakage is left as noise.  The
+    MMSE scalar shrinks by |c|^2 + sigma^2/P_T, the ZF variant divides by c.
     """
     y_ft = np.asarray(y_ft)
     if y_ft.shape != (cfg.k, cfg.n):
         raise ValueError(f"dimension mismatch: expected {(cfg.k, cfg.n)}, got {y_ft.shape}")
-    c = np.diagonal(per_symbol_ft_channel(chan, cfg), axis1=1, axis2=2).T
+    c = np.diagonal(ft, axis1=1, axis2=2).T
     y = y_ft / np.sqrt(cfg.p_t)
     if cfg.onetap == "zf":
         return y / c
     return np.conj(c) * y / (np.abs(c) ** 2 + noise_var / cfg.p_t)
 
 
-def ofdm_onetap_sinr(chan: ChannelMatrixSet, cfg: ModemConfig, noise_var: float) -> np.ndarray:
+def ofdm_onetap_sinr(
+    ft: np.ndarray | ChannelMatrixSet, cfg: ModemConfig, noise_var: float
+) -> np.ndarray:
     """Per-bin SINR of one-tap FDE: diagonal power over row residual plus noise.
 
-    Scalar equalization rescales the whole observation row, so the SINR does
-    not depend on the MMSE/ZF choice.
+    ``ft`` is the (N, K, K) stack from :func:`per_symbol_ft_channel`; a
+    ``ChannelMatrixSet`` is also accepted and built into that stack, the form
+    ``tests/test_acceptance.py`` uses.  Scalar equalization rescales the whole
+    observation row, so the SINR does not depend on the MMSE/ZF choice.
     """
-    blk = np.sqrt(cfg.p_t) * per_symbol_ft_channel(chan, cfg)
+    if isinstance(ft, ChannelMatrixSet):
+        ft = per_symbol_ft_channel(ft, cfg)
+    blk = np.sqrt(cfg.p_t) * ft
     sig = np.abs(np.diagonal(blk, axis1=1, axis2=2)) ** 2
     interference = np.sum(np.abs(blk) ** 2, axis=2) - sig
     return (sig / (interference + noise_var)).T

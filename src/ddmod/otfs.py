@@ -3,6 +3,14 @@
 The chain wraps the CP-OFDM core of :mod:`ddmod.ofdm` between the inverse
 and forward symplectic transforms.  The effective channel maps the
 vectorized K x N delay-Doppler input grid to the vectorized output grid.
+
+That channel is OFDM-full's block-diagonal frequency-time channel C_FT
+conjugated by the unitary Q = F_N^* (x) F_K (vec(isfft(X)) = Q vec(X)), so
+G = (C^H C + sigma^2 I)^{-1} is Q^H blockdiag(G_i) Q.  Its diagonal at
+delay k is mean_i [F_K^H G_i F_K]_kk for every Doppler bin, and the MMSE
+estimate is sfft of the per-symbol MMSE estimate of isfft(y)
+(:func:`otfs_mmse`).  :func:`otfs_effective_channel` builds the dense matrix
+as the reference.
 """
 
 from __future__ import annotations
@@ -14,7 +22,8 @@ import numpy as np
 
 from .channel import ChannelMatrixSet
 from .config import ModemConfig
-from .ofdm import _guard_mask, apply_channel, ofdm_demodulate, ofdm_modulate, per_symbol_ft_channel
+from .mmse import mmse_sinr, per_symbol_mmse
+from .ofdm import _tx_null, apply_channel, ofdm_demodulate, ofdm_modulate, per_symbol_ft_channel
 from .transforms import dft_matrix, isfft, sfft
 
 
@@ -71,8 +80,7 @@ def otfs_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> Effectiv
     """
     k, n = cfg.k, cfg.n
     f_k = dft_matrix(k)
-    null = _guard_mask(k, cfg.n_guard if cfg.guard_nulling == "tx" else 0)
-    b_i = f_k.conj().T @ (per_symbol_ft_channel(chan, cfg) * null[np.newaxis, :]) @ f_k
+    b_i = f_k.conj().T @ (per_symbol_ft_channel(chan, cfg) * _tx_null(cfg)) @ f_k
     # B_dd[d] = sum_i B_i * exp(-j2*pi*(i-1)*d/N) with i counted from 1
     phases = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
     b_dd = np.einsum("id,ikl->dkl", phases, b_i)
@@ -82,3 +90,21 @@ def otfs_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> Effectiv
         for col in range(n):
             out[row * k:(row + 1) * k, col * k:(col + 1) * k] = scale * b_dd[(row - col) % n]
     return EffectiveChannel(matrix=out, p_t=cfg.p_t)
+
+
+def otfs_mmse(
+    y_dd: np.ndarray,
+    ft: np.ndarray,
+    cfg: ModemConfig,
+    sigma2: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """MMSE SINR grid and estimates from the (N, K, K) frequency-time stack.
+
+    Same blocks and factors as :func:`ddmod.ofdm.ofdm_full_mmse`; the SINR is
+    1 / (sigma^2 mean_i diag(F_K^H G_i F_K)) - 1, equal across Doppler bins.
+    Returns the (K, N) SINR and delay-Doppler estimate grids.
+    """
+    c = np.sqrt(cfg.p_t) * ft * _tx_null(cfg)
+    mse, x_ft = per_symbol_mmse(c, isfft(y_dd), sigma2, basis=dft_matrix(cfg.k))
+    sinr = mmse_sinr(mse.mean(axis=0), sigma2)
+    return np.repeat(sinr[:, np.newaxis], cfg.n, axis=1), sfft(x_ft)

@@ -39,7 +39,7 @@ def test_run_csv_matches_golden(tmp_path, monkeypatch, pulse):
 
 
 def test_failed_cell_reports_traceback(tmp_path, monkeypatch, capsys):
-    def exploding_onetap_sinr(chan, cfg, noise_var):
+    def exploding_onetap_sinr(ft, cfg, noise_var):
         raise RuntimeError("one-tap SINR unavailable")
 
     monkeypatch.delenv("DDMOD_THREADS", raising=False)

@@ -64,7 +64,7 @@ class TestOneTapFde:
         x = qpsk_grid(rng, cfg.k, cfg.n)
         r = ofdm.apply_channel(ofdm.ofdm_modulate(x, cfg), chan, 1.0, 0.0)
         y = ofdm.ofdm_demodulate(r, cfg)
-        est = ofdm.ofdm_onetap_fde(y, chan, cfg, noise_var=0.0)
+        est = ofdm.ofdm_onetap_fde(y, ofdm.per_symbol_ft_channel(chan, cfg), cfg, noise_var=0.0)
         assert np.abs(est - x).max() < 1e-10
 
     def test_mmse_shrinks_to_zero_in_heavy_noise(self):
@@ -72,8 +72,14 @@ class TestOneTapFde:
         rng = np.random.default_rng(6)
         chan = ch.realize(ch.ideal_path(), cfg, with_cp=True)
         y = crandn(rng, cfg.k, cfg.n)
-        est = ofdm.ofdm_onetap_fde(y, chan, cfg, noise_var=1e9)
+        est = ofdm.ofdm_onetap_fde(y, ofdm.per_symbol_ft_channel(chan, cfg), cfg, noise_var=1e9)
         assert np.abs(est).max() < 1e-6
+
+    def test_sinr_from_channel_set_equals_sinr_from_stack(self):
+        cfg = desk_config()
+        chan = ch.realize(ch.sample_eva_paths(2, 500 / 3.6, cfg.f_c_hz), cfg, with_cp=True)
+        ft = ofdm.per_symbol_ft_channel(chan, cfg)
+        assert np.array_equal(ofdm.ofdm_onetap_sinr(chan, cfg, 0.1), ofdm.ofdm_onetap_sinr(ft, cfg, 0.1))
 
     def test_onetap_sinr_never_beats_full_mmse(self):
         cfg = desk_config()
@@ -82,7 +88,7 @@ class TestOneTapFde:
             chan = ch.realize(ch.sample_eva_paths(seed, 500 / 3.6, cfg.f_c_hz),
                               cfg, with_cp=True)
             full = sinr_map(ofdm.ofdm_full_effective_channel(chan, cfg), sigma2, cfg).values
-            onetap = ofdm.ofdm_onetap_sinr(chan, cfg, sigma2)
+            onetap = ofdm.ofdm_onetap_sinr(ofdm.per_symbol_ft_channel(chan, cfg), cfg, sigma2)
             assert np.all(onetap <= full * (1 + 1e-9))
 
     def test_high_doppler_strictly_degrades_onetap(self):
@@ -90,7 +96,7 @@ class TestOneTapFde:
         sigma2 = 1e-3
         chan = ch.realize(ch.sample_eva_paths(7, 500 / 3.6, cfg.f_c_hz), cfg, with_cp=True)
         full = sinr_map(ofdm.ofdm_full_effective_channel(chan, cfg), sigma2, cfg).values
-        onetap = ofdm.ofdm_onetap_sinr(chan, cfg, sigma2)
+        onetap = ofdm.ofdm_onetap_sinr(ofdm.per_symbol_ft_channel(chan, cfg), cfg, sigma2)
         assert np.all(onetap < full)
 
     def test_static_channel_within_cp_matches_full_mmse(self):
@@ -102,7 +108,7 @@ class TestOneTapFde:
         assert chan.realization.l_ch - 1 <= cfg.n_cp
         sigma2 = 1e-2
         full = sinr_map(ofdm.ofdm_full_effective_channel(chan, cfg), sigma2, cfg).values
-        onetap = ofdm.ofdm_onetap_sinr(chan, cfg, sigma2)
+        onetap = ofdm.ofdm_onetap_sinr(ofdm.per_symbol_ft_channel(chan, cfg), cfg, sigma2)
         gap_db = np.abs(10 * np.log10(full) - 10 * np.log10(onetap))
         assert gap_db.max() < 0.1
 
@@ -127,7 +133,8 @@ class TestOneTapFde:
         x = qpsk_grid(rng, cfg.k, cfg.n)
         r = ofdm.apply_channel(ofdm.ofdm_modulate(x, cfg), chan, 1.0, 0.0)
         y = ofdm.ofdm_demodulate(r, cfg)
-        zf = ofdm.ofdm_onetap_fde(y, chan, cfg.with_(onetap="zf"), 0.0)
+        ft = ofdm.per_symbol_ft_channel(chan, cfg)
+        zf = ofdm.ofdm_onetap_fde(y, ft, cfg.with_(onetap="zf"), 0.0)
         assert np.abs(zf - x).max() < 1e-8
-        mmse = ofdm.ofdm_onetap_fde(y, chan, cfg.with_(onetap="mmse"), 0.0)
+        mmse = ofdm.ofdm_onetap_fde(y, ft, cfg.with_(onetap="mmse"), 0.0)
         assert np.abs(mmse - zf).max() < 1e-8

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddmod import channel as ch
-from ddmod.config import ModemConfig
+from ddmod.config import ModemConfig, desk_config, table1_config
 from ddmod.ofdm import per_symbol_ft_channel
 from ddmod.transforms import dft_matrix, oversampled_dft
 
@@ -104,6 +104,28 @@ def test_left_multiply_matches_dense(case, seed):
     stack = chan.left_multiply(w, row0)
     for m in range(cfg.n):
         assert close(stack[m], w @ chan.matrix(m)[row0:row0 + nrows, :])
+
+
+def test_left_multiply_column_chunks_are_exact(monkeypatch):
+    cfg = desk_config(pulse="rrc")
+    chan = ch.realize(ch.sample_eva_paths(4, 500 / 3.6, cfg.f_c_hz), cfg, with_cp=True)
+    w = oversampled_dft(cfg.k, cfg.o_s)
+    whole = chan.left_multiply(w, cfg.n_cp)
+    monkeypatch.setattr(ch, "LEFT_MULTIPLY_CHUNK_BYTES", 1)     # one column per chunk
+    assert np.array_equal(chan.left_multiply(w, cfg.n_cp), whole)
+    # a dump with a header and no tap lines stores no columns: an all-zero product
+    empty = ch.parse_taps("# ltv-taps v2\n# symbols=2 rows=12 l_ch=3 sample_period_s=1e-06\n")
+    assert empty.tap_index.size == 0
+    stack = ch.ChannelMatrixSet(realization=empty, cols=10).left_multiply(w[:, :12], 0)
+    assert stack.shape == (2, cfg.k, 10) and not stack.any()
+
+
+def test_left_multiply_budget_keeps_sweep_shapes_in_one_chunk():
+    # the desk cases and the full-scale ideal pulse gather under the budget
+    for cfg in (desk_config(pulse="rrc"), table1_config()):
+        chan = ch.realize(ch.sample_eva_paths(0, 500 / 3.6, cfg.f_c_hz), cfg, with_cp=True)
+        gathered = 16 * chan.cols * chan.realization.tap_index.size * cfg.k
+        assert gathered <= ch.LEFT_MULTIPLY_CHUNK_BYTES
 
 
 class TestTapText:
