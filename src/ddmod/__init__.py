@@ -21,7 +21,6 @@ from .channel import (
 )
 from .config import ConfigError, ModemConfig, desk_config, table1_config
 from .drufmc import (
-    drufmc_apply_channel,
     drufmc_demodulate,
     drufmc_effective_channel,
     drufmc_modulate,
@@ -32,7 +31,6 @@ from .harness import ExperimentConfig, ResultRow, load_config, run_psd, run_swee
 from .metrics import (
     GuardSearchError,
     IllConditionedError,
-    MetricsReport,
     PsdEstimate,
     SinrMap,
     avg_spectral_efficiency,
@@ -53,22 +51,14 @@ from .ofdm import (
     ofdm_onetap_fde,
     ofdm_onetap_sinr,
 )
-from .otfs import (
-    EffectiveChannel,
-    otfs_apply_channel,
-    otfs_demodulate,
-    otfs_effective_channel,
-    otfs_modulate,
-)
+from .otfs import otfs_demodulate, otfs_effective_channel, otfs_modulate
 from .transforms import (
     PrototypeFilter,
     chebyshev_window,
     dft_matrix,
     isfft,
     oversampled_dft,
-    selection_matrix,
     sfft,
-    subband_conv_matrix,
     ufmc_precoder,
 )
 

@@ -14,8 +14,9 @@ delay-Doppler channel is V T V^H with V = F_N (x) I_K, so its MMSE error
 covariance is sigma^2 V G V^H, G = (T^H T + sigma^2 I)^{-1}.  The Doppler
 DFT mixes the diagonals of every block of G, so :func:`drufmc_mmse` streams
 the rows of the inverse block-Cholesky factor (O(N^2 K^3) work, O(N K^2)
-memory) instead of a selected inverse.  :func:`drufmc_effective_channel`
-builds the dense matrix as the reference.
+memory) instead of a selected inverse; :func:`drufmc_link` runs the whole
+link.  :func:`drufmc_effective_channel` builds the dense matrix as the
+reference.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .channel import ChannelMatrixSet
 from .config import ConfigError, ModemConfig
 from .mmse import bidiagonal_mmse, mmse_sinr
 from .ofdm import _tx_null, apply_channel
-from .otfs import EffectiveChannel
 from .transforms import (
     dft_matrix,
     invec,
@@ -37,17 +37,6 @@ from .transforms import (
     ufmc_precoder,
     vec,
 )
-
-
-def _precoder_parts(cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Head (rows < K*O_s) and zero-padded tail of the per-symbol precoder."""
-    p = ufmc_precoder(cfg)
-    ko = cfg.k * cfg.o_s
-    head = p[:ko]
-    tail = np.zeros((ko, cfg.k), dtype=complex)
-    if cfg.filter_len > 1:
-        tail[:cfg.filter_len - 1] = p[ko:]
-    return head, tail
 
 
 def overlap_add(x_tilde: np.ndarray, cfg: ModemConfig) -> np.ndarray:
@@ -82,17 +71,6 @@ def ufmc_modulate_ft(x_ft: np.ndarray, cfg: ModemConfig) -> np.ndarray:
 def drufmc_modulate(x_dd: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     """Delay-Doppler grid to serialized signal of length K*O_s*N (no CP)."""
     return ufmc_modulate_ft(isfft(x_dd), cfg)
-
-
-def drufmc_apply_channel(
-    s: np.ndarray,
-    chan: ChannelMatrixSet,
-    p_t: float,
-    noise_var: float,
-    seed=None,
-) -> np.ndarray:
-    """Received signal through the CP-less per-symbol channel blocks."""
-    return apply_channel(s, chan, p_t, noise_var, seed)
 
 
 def drufmc_demodulate(r: np.ndarray, cfg: ModemConfig) -> np.ndarray:
@@ -132,19 +110,21 @@ def dd_to_ft_kron(cfg: ModemConfig) -> np.ndarray:
 def _delay_domain_blocks(chan: ChannelMatrixSet, cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
     """(N, K, K) stacks C_m, D_m: symbol m's head and overlap-tail maps, delay domain in and out.
 
-    C_m = F_K^H W (R_tail M_m) head F_K carries symbol m into its own block;
-    D_m, built from the tail, carries symbol m - 1 into block m.  TX guard
-    nulling is applied to the frequency-time inputs.
+    C_m = F_K^H W (R_tail M_m) head F_K carries symbol m into its own block,
+    with head the first K*O_s precoder rows; D_m carries symbol m - 1's L - 1
+    tail rows into the first L - 1 samples of block m.  TX guard nulling is
+    applied to the frequency-time inputs.
     """
     f_k = dft_matrix(cfg.k)
     fkh_w = f_k.conj().T @ oversampled_dft(cfg.k, cfg.o_s)
     null = _tx_null(cfg)
-    head, tail = _precoder_parts(cfg)
+    p = ufmc_precoder(cfg)
+    ko = cfg.k * cfg.o_s
     bt = chan.left_multiply(fkh_w, 0)         # F_K^H W (R_tail M_m) for every m
-    return bt @ (head * null @ f_k), bt @ (tail * null @ f_k)
+    return bt @ (p[:ko] * null @ f_k), bt[..., :cfg.filter_len - 1] @ (p[ko:] * null @ f_k)
 
 
-def drufmc_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> EffectiveChannel:
+def drufmc_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarray:
     """Dense KN x KN delay-Doppler map of the filtered CP-less chain.
 
     Exploits the chain structure instead of forming the KN x (K*O_s*N)
@@ -164,8 +144,7 @@ def drufmc_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> Effect
         np.einsum("rm,mc,mkl->rckl", theta, phi, cf, optimize=True)
         + np.einsum("rm,mc,mkl->rckl", theta, phi_shift, df, optimize=True)
     )
-    out = blocks.transpose(0, 2, 1, 3).reshape(k * n, k * n) * (np.sqrt(cfg.p_t) / n)
-    return EffectiveChannel(matrix=out, p_t=cfg.p_t)
+    return blocks.transpose(0, 2, 1, 3).reshape(k * n, k * n) * (np.sqrt(cfg.p_t) / n)
 
 
 def drufmc_mmse(
@@ -186,3 +165,13 @@ def drufmc_mmse(
     u = (np.asarray(y_dd) @ f_n.conj()).T          # U = Y_dd F_N^H, one row per symbol
     mse, a_hat = bidiagonal_mmse(scale * cf, scale * df, u, sigma2, f_n)
     return mmse_sinr(mse.T, sigma2), a_hat.T @ f_n
+
+
+def drufmc_link(x_dd: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigma2: float,
+                seed=None) -> tuple[np.ndarray, np.ndarray]:
+    """Send ``x_dd`` over the CP-less ``chan`` with noise variance sigma^2 and MMSE-detect it.
+
+    Returns the (K, N) SINR and delay-Doppler estimate grids of :func:`drufmc_mmse`.
+    """
+    r = apply_channel(drufmc_modulate(x_dd, cfg), chan, cfg.p_t, sigma2, seed)
+    return drufmc_mmse(drufmc_demodulate(r, cfg), chan, cfg, sigma2)

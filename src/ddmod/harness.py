@@ -1,10 +1,12 @@
 """Experiment runner: config parsing, seeded SNR x speed x waveform sweeps,
 PSD / guard-band experiments, and the ``ddmod`` command line interface.
 
-Waveforms at the same (speed, SNR, trial) grid point are evaluated on the
-same channel realization, so waveform comparisons are paired and free of
-Monte-Carlo noise.  Output rows are sorted deterministically before writing;
-rerunning an identical config and seed reproduces the CSV byte for byte.
+The compared waveforms are the rows of :data:`WAVEFORMS`; each module owns
+its link from symbols to SINR grid and estimates.  Waveforms at the same
+(speed, SNR, trial) grid point are evaluated on the same channel realization,
+so waveform comparisons are paired and free of Monte-Carlo noise.  Output
+rows are sorted deterministically before writing; rerunning an identical
+config and seed reproduces the CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from . import channel as ch
 from . import drufmc, ofdm, otfs
 from .config import ConfigError, ModemConfig, desk_config
 from .metrics import (
-    MetricsReport,
     avg_spectral_efficiency,
     mmse_detect,
     net_sinr,
@@ -36,27 +37,34 @@ from .metrics import (
 )
 from .transforms import invec, isfft, vec
 
-WAVEFORMS = ("otfs", "drufmc", "ofdm-full", "ofdm-onetap")
+#: Waveform name -> (CP-bearing, link).  A link maps (x_dd, chan, cfg, sigma2,
+#: seed) to the (K, N) SINR and estimate grids.  The CP flag picks the
+#: realization, the air-time efficiency (``cp_efficiency()`` or 1) and the PSD
+#: family: the CP-OFDM transmitter ("otfs") or the filtered one ("drufmc").
+#: The order fixes each waveform's cell seed.
+WAVEFORMS = {
+    "otfs": (True, otfs.otfs_link),
+    "drufmc": (False, drufmc.drufmc_link),
+    "ofdm-full": (True, ofdm.ofdm_full_link),
+    "ofdm-onetap": (True, ofdm.ofdm_onetap_link),
+}
 
 CSV_HEADER = "waveform,speed_kmh,snr_db,trial,net_sinr_db,avg_se_bps_hz,nmse,runtime_s"
 
-#: Modem keys that the run subcommand swaps for the desk preset unless --full
-#: is given or the config file sets them explicitly.
+#: Config keys that set a ModemConfig field.
 _MODEM_KEYS = (
     "k", "n", "o_s", "b", "d", "filter_len", "filter_att_db", "n_cp",
     "delta_f_hz", "f_c_hz", "p_t", "n_guard", "delta_oob_db", "pulse",
     "guard_nulling", "onetap",
 )
 
-_DESK_PRESET = dict(k=32, n=8, o_s=4, b=4, d=8, filter_len=16)
 
-
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Sweep description: modem parameters plus experiment axes and seeds."""
 
     modem: ModemConfig = field(default_factory=ModemConfig)
-    waveforms: tuple = WAVEFORMS
+    waveforms: tuple = tuple(WAVEFORMS)
     snr_db: tuple = (0.0, 10.0, 20.0, 30.0)
     speeds_kmh: tuple = (50.0, 500.0)
     trials: int = 50
@@ -64,7 +72,6 @@ class ExperimentConfig:
     channel_model: str = "eva"       # "eva" or "ideal" (debug)
     psd_trials: int = 100
     n_guard_by_waveform: dict = field(default_factory=dict)
-    explicit_keys: frozenset = frozenset()
     out: str | None = None
     timing: bool = False
 
@@ -73,9 +80,20 @@ class ExperimentConfig:
             raise ConfigError("SNR grid must be non-empty")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.psd_trials < 1:
+            raise ConfigError(f"psd_trials must be >= 1, got {self.psd_trials}")
         for wf in self.waveforms:
             if wf not in WAVEFORMS:
-                raise ConfigError(f"unknown waveform {wf!r}; expected one of {WAVEFORMS}")
+                raise ConfigError(f"unknown waveform {wf!r}; expected one of {tuple(WAVEFORMS)}")
+        for wf, n_guard in self.n_guard_by_waveform.items():
+            if wf not in WAVEFORMS:
+                raise ConfigError(
+                    f"guard override for unknown waveform {wf!r}; expected one of {tuple(WAVEFORMS)}"
+                )
+            if n_guard < 0 or 2 * n_guard >= self.modem.k:
+                raise ConfigError(
+                    f"guard override for {wf} must satisfy 0 <= 2*N_G < K={self.modem.k}, got {n_guard}"
+                )
         if self.channel_model not in ("eva", "ideal"):
             raise ConfigError(f"channel must be 'eva' or 'ideal', got {self.channel_model!r}")
 
@@ -88,11 +106,12 @@ _FLOAT_KEYS = {"filter_att_db", "delta_f_hz", "f_c_hz", "p_t", "delta_oob_db"}
 _LIST_KEYS = {"waveforms", "snr_db", "speeds_kmh"}
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, desk: bool = False) -> ExperimentConfig:
     """Parse a flat ``key = value`` config file with ``#`` comments.
 
-    Unset keys fall back to the full-scale defaults; all invariants are
-    validated and violations name the offending constraint.
+    Unset modem keys fall back to the full-scale defaults, or to the
+    :func:`~ddmod.config.desk_config` preset if ``desk`` is set; all invariants
+    are validated and violations name the offending constraint.
     """
     raw: dict[str, str] = {}
     try:
@@ -111,11 +130,15 @@ def load_config(path: str) -> ExperimentConfig:
         if not key or not value:
             raise ConfigError(f"{path}:{lineno}: empty key or value")
         raw[key] = value
-    return config_from_dict(raw, origin=path)
+    return config_from_dict(raw, origin=path, desk=desk)
 
 
-def config_from_dict(raw: dict, origin: str = "<dict>") -> ExperimentConfig:
-    """Build and validate an :class:`ExperimentConfig` from string key/values."""
+def config_from_dict(raw: dict, origin: str = "<dict>", desk: bool = False) -> ExperimentConfig:
+    """Build and validate an :class:`ExperimentConfig` from string key/values.
+
+    The modem is ``desk_config(**modem keys)`` if ``desk`` is set, else
+    ``ModemConfig(**modem keys)``.
+    """
     modem_kwargs = {}
     exp_kwargs: dict = {}
     guard_over = {}
@@ -150,24 +173,8 @@ def config_from_dict(raw: dict, origin: str = "<dict>") -> ExperimentConfig:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"{origin}: bad value for {key!r}: {exc}") from exc
-    modem = ModemConfig(**modem_kwargs)
-    return ExperimentConfig(
-        modem=modem,
-        n_guard_by_waveform=guard_over,
-        explicit_keys=frozenset(raw.keys()),
-        **exp_kwargs,
-    )
-
-
-def _apply_desk_preset(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Swap unset modem dimensions for the desk preset (non --full runs)."""
-    changes = {k: v for k, v in _DESK_PRESET.items() if k not in cfg.explicit_keys}
-    if "n_cp" not in cfg.explicit_keys:
-        changes["n_cp"] = None
-    if not changes:
-        return cfg
-    cfg.modem = cfg.modem.with_(**changes)
-    return cfg
+    modem = (desk_config if desk else ModemConfig)(**modem_kwargs)
+    return ExperimentConfig(modem=modem, n_guard_by_waveform=guard_over, **exp_kwargs)
 
 
 @dataclass(frozen=True)
@@ -213,69 +220,36 @@ def evaluate_point(
 ) -> ResultRow:
     """Metrics for one (waveform, speed, SNR, trial) grid cell.
 
-    The MMSE waveforms use the structured routes (``ofdm_full_mmse``,
-    ``otfs_mmse``, ``drufmc_mmse``); no KN x KN effective channel is built.
+    The waveform's link runs on the trial's realization; the MMSE links use
+    the structured routes, so no KN x KN effective channel is built.
     """
     start = time.perf_counter()
     modem = cfg.modem
     snr_db = cfg.snr_db[snr_index]
     sigma2 = modem.p_t / 10.0 ** (snr_db / 10.0)
-    n_guard = cfg.n_guard_for(waveform)
-    paths = _trial_paths(cfg, speed_kmh, snr_index, trial)
-    with_cp = waveform != "drufmc"
-    chan = ch.realize(paths, modem, with_cp=with_cp)
+    with_cp, link = WAVEFORMS[waveform]
+    chan = ch.realize(_trial_paths(cfg, speed_kmh, snr_index, trial), modem, with_cp=with_cp)
 
     # deterministic per-cell stream for symbols and noise
     sym_rng, noise_ss = _cell_streams(cfg, waveform, speed_kmh, snr_index, trial)
     x_dd = qpsk_grid(sym_rng, modem.k, modem.n)
-    x = vec(x_dd)
-
-    if waveform == "drufmc":
-        s = drufmc.drufmc_modulate(x_dd, modem)
-        r = drufmc.drufmc_apply_channel(s, chan, modem.p_t, sigma2, noise_ss)
-        y_dd = drufmc.drufmc_demodulate(r, modem)
-        sinr, x_hat = drufmc.drufmc_mmse(y_dd, chan, modem, sigma2)
-        efficiency = 1.0
-    else:
-        ft = ofdm.per_symbol_ft_channel(chan, modem)
-        efficiency = modem.cp_efficiency()
-        if waveform == "otfs":
-            s = otfs.otfs_modulate(x_dd, modem)
-            r = otfs.otfs_apply_channel(s, chan, modem.p_t, sigma2, noise_ss)
-            sinr, x_hat = otfs.otfs_mmse(otfs.otfs_demodulate(r, modem), ft, modem, sigma2)
-        else:
-            s = ofdm.ofdm_modulate(invec(x, modem.k), modem)
-            r = ofdm.apply_channel(s, chan, modem.p_t, sigma2, noise_ss)
-            y_ft = ofdm.ofdm_demodulate(r, modem)
-            if waveform == "ofdm-full":
-                sinr, x_hat = ofdm.ofdm_full_mmse(y_ft, ft, modem, sigma2)
-            else:
-                sinr = ofdm.ofdm_onetap_sinr(ft, modem, sigma2)
-                x_hat = ofdm.ofdm_onetap_fde(y_ft, ft, modem, sigma2)
-    smap = sinr_map_from_values(sinr, n_guard)
-
-    report = MetricsReport(
-        net_sinr_db=net_sinr(smap),
-        avg_se_bps_hz=avg_spectral_efficiency(smap, efficiency),
-        nmse=normalized_mse(vec(x_hat), x),
-        efficiency=efficiency,
-        n_guard=n_guard,
-    )
+    sinr, x_hat = link(x_dd, chan, modem, sigma2, noise_ss)
+    smap = sinr_map_from_values(sinr, cfg.n_guard_for(waveform))
     return ResultRow(
         waveform=waveform,
         speed_kmh=speed_kmh,
         snr_db=snr_db,
         trial=trial,
-        net_sinr_db=report.net_sinr_db,
-        avg_se_bps_hz=report.avg_se_bps_hz,
-        nmse=report.nmse,
+        net_sinr_db=net_sinr(smap),
+        avg_se_bps_hz=avg_spectral_efficiency(smap, modem.cp_efficiency() if with_cp else 1.0),
+        nmse=normalized_mse(vec(x_hat), vec(x_dd)),
         runtime_s=(time.perf_counter() - start) if cfg.timing else 0.0,
     )
 
 
 def _cell_streams(cfg, waveform, speed_kmh, snr_index, trial):
     ss = np.random.SeedSequence(
-        (int(cfg.seed), 0x5EED, WAVEFORMS.index(waveform),
+        (int(cfg.seed), 0x5EED, list(WAVEFORMS).index(waveform),
          int(round(speed_kmh * 1000)), int(snr_index), int(trial))
     )
     sym_ss, noise_ss = ss.spawn(2)
@@ -339,32 +313,6 @@ def run_sweep(cfg: ExperimentConfig, out_path: str | None = None):
     return rows, failures
 
 
-# Matrix text export ----------------------------------------------------------
-
-def export_matrix_text(matrix: np.ndarray, label: str = "matrix") -> str:
-    """Self-describing text dump of a complex matrix, one row per line."""
-    m = np.asarray(matrix)
-    lines = [f"# ddmod-matrix v1 label={label} rows={m.shape[0]} cols={m.shape[1]}"]
-    for row in m:
-        lines.append(" ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row))
-    return "\n".join(lines) + "\n"
-
-
-def parse_matrix_text(text: str) -> np.ndarray:
-    """Inverse of :func:`export_matrix_text`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0]
-    if not header.startswith("# ddmod-matrix"):
-        raise ValueError("missing matrix header")
-    fields = dict(p.split("=") for p in header.lstrip("# ").split() if "=" in p)
-    rows, cols = int(fields["rows"]), int(fields["cols"])
-    out = np.empty((rows, cols), dtype=complex)
-    for i, line in enumerate(lines[1:rows + 1]):
-        vals = np.array([float(v) for v in line.split()])
-        out[i] = vals[0::2] + 1j * vals[1::2]
-    return out
-
-
 # PSD / guard-band experiment -------------------------------------------------
 
 def _null_rows(x_ft: np.ndarray, n_guard: int) -> np.ndarray:
@@ -379,13 +327,11 @@ def _null_rows(x_ft: np.ndarray, n_guard: int) -> np.ndarray:
 def frame_generator(cfg: ExperimentConfig, waveform: str, n_guard: int):
     """Seedable transmit-frame factory with 2*n_guard edge subcarriers nulled."""
     modem = cfg.modem
+    with_cp = WAVEFORMS[waveform][0]
 
     def fn(rng):
-        x_ft = isfft(qpsk_grid(rng, modem.k, modem.n))
-        x_ft = _null_rows(x_ft, n_guard)
-        if waveform == "drufmc":
-            return drufmc.ufmc_modulate_ft(x_ft, modem)
-        return ofdm.ofdm_modulate(x_ft, modem)
+        x_ft = _null_rows(isfft(qpsk_grid(rng, modem.k, modem.n)), n_guard)
+        return ofdm.ofdm_modulate(x_ft, modem) if with_cp else drufmc.ufmc_modulate_ft(x_ft, modem)
 
     return fn
 
@@ -396,11 +342,7 @@ def run_psd(cfg: ExperimentConfig, out_path: str | None = None):
     Returns {waveform: (PsdEstimate, n_guard)} and optionally writes a
     ``waveform,freq_hz,power_db`` CSV of the unnulled spectra.
     """
-    families = []
-    for wf in cfg.waveforms:
-        fam = "drufmc" if wf == "drufmc" else "otfs"
-        if fam not in families:
-            families.append(fam)
+    families = dict.fromkeys("otfs" if WAVEFORMS[wf][0] else "drufmc" for wf in cfg.waveforms)
     out = {}
     for wf in families:
         est = psd_estimate(frame_generator(cfg, wf, 0), cfg.modem, cfg.psd_trials, cfg.seed)
@@ -447,9 +389,7 @@ def selftest() -> int:
     paths = ch.ideal_path()
     chan = ch.realize(paths, cfg, with_cp=True)
     x_dd = qpsk_grid(rng, cfg.k, cfg.n)
-    y = otfs.otfs_demodulate(
-        otfs.otfs_apply_channel(otfs.otfs_modulate(x_dd, cfg), chan, 1.0, 0.0), cfg
-    )
+    y = otfs.otfs_demodulate(ofdm.apply_channel(otfs.otfs_modulate(x_dd, cfg), chan, 1.0, 0.0), cfg)
     check("OTFS ideal-channel loopback", np.abs(y - x_dd).max() < 1e-10)
 
     paths = ch.sample_eva_paths(3, 500 / 3.6, cfg.f_c_hz)
@@ -459,18 +399,17 @@ def selftest() -> int:
     e = np.zeros(cfg.k * cfg.n)
     e[j] = 1.0
     probe = vec(otfs.otfs_demodulate(
-        otfs.otfs_apply_channel(otfs.otfs_modulate(invec(e, cfg.k), cfg), chan, 1.0, 0.0), cfg
+        ofdm.apply_channel(otfs.otfs_modulate(invec(e, cfg.k), cfg), chan, 1.0, 0.0), cfg
     ))
-    rel = np.linalg.norm(probe - eff.matrix[:, j]) / np.linalg.norm(eff.matrix[:, j])
+    rel = np.linalg.norm(probe - eff[:, j]) / np.linalg.norm(eff[:, j])
     check("OTFS chain/matrix probe", rel < 1e-9)
 
     chan_no = ch.realize(paths, cfg, with_cp=False)
     effu = drufmc.drufmc_effective_channel(chan_no, cfg)
     probe = vec(drufmc.drufmc_demodulate(
-        drufmc.drufmc_apply_channel(drufmc.drufmc_modulate(invec(e, cfg.k), cfg), chan_no, 1.0, 0.0),
-        cfg,
+        ofdm.apply_channel(drufmc.drufmc_modulate(invec(e, cfg.k), cfg), chan_no, 1.0, 0.0), cfg
     ))
-    rel = np.linalg.norm(probe - effu.matrix[:, j]) / np.linalg.norm(effu.matrix[:, j])
+    rel = np.linalg.norm(probe - effu[:, j]) / np.linalg.norm(effu[:, j])
     check("DR-UFMC chain/matrix probe", rel < 1e-9)
 
     sigma2 = 1e-2
@@ -532,16 +471,18 @@ def main(argv=None) -> int:
         print("selftest:", "ok" if failures == 0 else f"{failures} failures")
         return 0 if failures == 0 else 1
 
+    run = args.command == "run"
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, desk=run and not args.full)
+        if run:
+            cfg = replace(cfg, timing=args.timing)
+        elif args.trials is not None:
+            cfg = replace(cfg, psd_trials=args.trials)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "run":
-        if not args.full:
-            cfg = _apply_desk_preset(cfg)
-        cfg.timing = args.timing
+    if run:
         try:
             rows, failures = run_sweep(cfg, out_path=args.out)
         except ConfigError as exc:
@@ -552,20 +493,15 @@ def main(argv=None) -> int:
         print(f"{len(rows)} rows" + (f" -> {args.out or cfg.out}" if (args.out or cfg.out) else ""))
         return 1 if failures else 0
 
-    if args.command == "psd":
-        if args.trials is not None:
-            cfg.psd_trials = args.trials
-        try:
-            summary = run_psd(cfg, out_path=args.out)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        for wf, (_, n_guard) in summary.items():
-            print(f"{wf}: 2N_G = {2 * n_guard} nulled subcarriers for "
-                  f"{cfg.modem.delta_oob_db:g} dB out-of-band threshold")
-        return 0
-
-    return 2
+    try:
+        summary = run_psd(cfg, out_path=args.out)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    for wf, (_, n_guard) in summary.items():
+        print(f"{wf}: 2N_G = {2 * n_guard} nulled subcarriers for "
+              f"{cfg.modem.delta_oob_db:g} dB out-of-band threshold")
+    return 0
 
 
 if __name__ == "__main__":

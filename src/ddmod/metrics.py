@@ -16,15 +16,10 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .config import ModemConfig
 from .mmse import IllConditionedError
-from .otfs import EffectiveChannel
 
 
 class GuardSearchError(RuntimeError):
     """No guard count meets the out-of-band threshold."""
-
-
-def _as_matrix(c) -> np.ndarray:
-    return c.matrix if isinstance(c, EffectiveChannel) else np.asarray(c)
 
 
 @dataclass(frozen=True)
@@ -51,18 +46,6 @@ class SinrMap:
         return mask
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    """Aggregated link metrics for one (waveform, channel, noise) evaluation."""
-
-    net_sinr_db: float
-    avg_se_bps_hz: float
-    nmse: float
-    efficiency: float
-    n_guard: int
-    psd: tuple | None = None   # optional (freq_hz, power_db) samples
-
-
 def _normal_solve(c: np.ndarray, sigma2: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (C C^H + sigma^2 I) X = rhs for Hermitian positive (semi)definite systems."""
     a = c @ c.conj().T
@@ -75,7 +58,7 @@ def _normal_solve(c: np.ndarray, sigma2: float, rhs: np.ndarray) -> np.ndarray:
 
 def mmse_detect(c, y: np.ndarray, sigma2: float) -> np.ndarray:
     """Linear MMSE symbol estimates C^H (C C^H + sigma^2 I)^{-1} y."""
-    cm = _as_matrix(c)
+    cm = np.asarray(c)
     y = np.asarray(y)
     if y.shape[0] != cm.shape[0]:
         raise ValueError(f"dimension mismatch: y has {y.shape[0]} rows, C has {cm.shape[0]}")
@@ -89,7 +72,7 @@ def sinr_map(c, sigma2: float, cfg: ModemConfig | None = None, n_guard: int = 0)
     |d_j^H C_j|^2 / (sum_{l != j} |d_j^H C_l|^2 + sigma^2 ||d_j||^2).
     Bins whose column is exactly zero (TX-nulled guards) report SINR 0.
     """
-    cm = _as_matrix(c)
+    cm = np.asarray(c)
     dim = cm.shape[0]
     t = _normal_solve(cm, sigma2, cm)          # column j = d_j
     g = t.conj().T @ cm                        # g[j, l] = d_j^H C_l

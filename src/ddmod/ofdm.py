@@ -9,8 +9,9 @@ The channel is block-diagonal per symbol, so full MMSE needs no KN x KN
 matrix: with C_i = sqrt(P_T) * B_i * diag(null) the K x K frequency-time
 block of symbol i, the MMSE SINR of bin (k, i) is 1 / (sigma^2 [G_i]_kk) - 1
 and the estimate of column i is G_i C_i^H y_i, G_i = (C_i^H C_i + sigma^2 I)^{-1}
-(:func:`ofdm_full_mmse`).  :func:`ofdm_full_effective_channel` builds the dense
-block-diagonal matrix as the reference.
+(:func:`ofdm_full_mmse`).  :func:`ofdm_full_link` and :func:`ofdm_onetap_link`
+run each receiver's whole link.  :func:`ofdm_full_effective_channel` builds
+the dense block-diagonal matrix as the reference.
 """
 
 from __future__ import annotations
@@ -97,20 +98,18 @@ def per_symbol_ft_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarra
     return chan.left_multiply(w, cfg.n_cp) @ np.concatenate((wh[ko - cfg.n_cp:], wh))
 
 
-def ofdm_full_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> "EffectiveChannel":
+def ofdm_full_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarray:
     """Block-diagonal KN x KN input/output map on the frequency-time grid.
 
     Symbol blocks are sqrt(P_T) * W @ H_i @ W^H; the block-diagonal channel
     model mixes nothing across symbols in this domain.
     """
-    from .otfs import EffectiveChannel  # shared container
-
     k, n = cfg.k, cfg.n
     blocks = per_symbol_ft_channel(chan, cfg) * _tx_null(cfg)
     out = np.zeros((k * n, k * n), dtype=complex)
     for i in range(n):
         out[i * k:(i + 1) * k, i * k:(i + 1) * k] = np.sqrt(cfg.p_t) * blocks[i]
-    return EffectiveChannel(matrix=out, p_t=cfg.p_t)
+    return out
 
 
 def ofdm_full_mmse(
@@ -170,3 +169,31 @@ def ofdm_onetap_sinr(
     sig = np.abs(np.diagonal(blk, axis1=1, axis2=2)) ** 2
     interference = np.sum(np.abs(blk) ** 2, axis=2) - sig
     return (sig / (interference + noise_var)).T
+
+
+def _receive(x_ft: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigma2: float,
+             seed) -> tuple[np.ndarray, np.ndarray]:
+    """Received frequency-time grid of ``x_ft`` and the (N, K, K) channel stack."""
+    r = apply_channel(ofdm_modulate(x_ft, cfg), chan, cfg.p_t, sigma2, seed)
+    return ofdm_demodulate(r, cfg), per_symbol_ft_channel(chan, cfg)
+
+
+def ofdm_full_link(x_ft: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigma2: float,
+                   seed=None) -> tuple[np.ndarray, np.ndarray]:
+    """Send ``x_ft`` over ``chan`` with noise variance sigma^2 and full-MMSE-detect it.
+
+    Returns the (K, N) SINR and estimate grids of :func:`ofdm_full_mmse`.
+    """
+    y_ft, ft = _receive(x_ft, chan, cfg, sigma2, seed)
+    return ofdm_full_mmse(y_ft, ft, cfg, sigma2)
+
+
+def ofdm_onetap_link(x_ft: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigma2: float,
+                     seed=None) -> tuple[np.ndarray, np.ndarray]:
+    """Send ``x_ft`` over ``chan`` with noise variance sigma^2 and one-tap-equalize it.
+
+    Returns the (K, N) SINR grid of :func:`ofdm_onetap_sinr` and the
+    estimates of :func:`ofdm_onetap_fde`.
+    """
+    y_ft, ft = _receive(x_ft, chan, cfg, sigma2, seed)
+    return ofdm_onetap_sinr(ft, cfg, sigma2), ofdm_onetap_fde(y_ft, ft, cfg, sigma2)

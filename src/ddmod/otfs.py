@@ -9,14 +9,13 @@ conjugated by the unitary Q = F_N^* (x) F_K (vec(isfft(X)) = Q vec(X)), so
 G = (C^H C + sigma^2 I)^{-1} is Q^H blockdiag(G_i) Q.  Its diagonal at
 delay k is mean_i [F_K^H G_i F_K]_kk for every Doppler bin, and the MMSE
 estimate is sfft of the per-symbol MMSE estimate of isfft(y)
-(:func:`otfs_mmse`).  :func:`otfs_effective_channel` builds the dense matrix
-as the reference.
+(:func:`otfs_mmse`; :func:`otfs_link` runs the whole link).
+:func:`otfs_effective_channel` builds the dense matrix as the reference.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,18 +24,6 @@ from .config import ModemConfig
 from .mmse import mmse_sinr, per_symbol_mmse
 from .ofdm import _tx_null, apply_channel, ofdm_demodulate, ofdm_modulate, per_symbol_ft_channel
 from .transforms import dft_matrix, isfft, sfft
-
-
-@dataclass(frozen=True)
-class EffectiveChannel:
-    """Dense KN x KN map from vectorized input symbols to vectorized outputs."""
-
-    matrix: np.ndarray
-    p_t: float
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def otfs_modulate(x_dd: np.ndarray, cfg: ModemConfig, chan: ChannelMatrixSet | None = None) -> np.ndarray:
@@ -54,23 +41,12 @@ def otfs_modulate(x_dd: np.ndarray, cfg: ModemConfig, chan: ChannelMatrixSet | N
     return ofdm_modulate(isfft(x_dd), cfg)
 
 
-def otfs_apply_channel(
-    s: np.ndarray,
-    chan: ChannelMatrixSet,
-    p_t: float,
-    noise_var: float,
-    seed=None,
-) -> np.ndarray:
-    """Received serialized signal sqrt(P_T) * M_blockdiag @ s + noise."""
-    return apply_channel(s, chan, p_t, noise_var, seed)
-
-
 def otfs_demodulate(r: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     """Recover the delay-Doppler grid: CP/tail removal, oversampled FFT, SFFT."""
     return sfft(ofdm_demodulate(r, cfg))
 
 
-def otfs_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> EffectiveChannel:
+def otfs_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarray:
     """Dense KN x KN delay-Doppler channel matrix.
 
     Per-symbol frequency-time maps B_i are conjugated into the delay domain,
@@ -89,7 +65,7 @@ def otfs_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> Effectiv
     for row in range(n):
         for col in range(n):
             out[row * k:(row + 1) * k, col * k:(col + 1) * k] = scale * b_dd[(row - col) % n]
-    return EffectiveChannel(matrix=out, p_t=cfg.p_t)
+    return out
 
 
 def otfs_mmse(
@@ -108,3 +84,13 @@ def otfs_mmse(
     mse, x_ft = per_symbol_mmse(c, isfft(y_dd), sigma2, basis=dft_matrix(cfg.k))
     sinr = mmse_sinr(mse.mean(axis=0), sigma2)
     return np.repeat(sinr[:, np.newaxis], cfg.n, axis=1), sfft(x_ft)
+
+
+def otfs_link(x_dd: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigma2: float,
+              seed=None) -> tuple[np.ndarray, np.ndarray]:
+    """Send ``x_dd`` over ``chan`` with noise variance sigma^2 and MMSE-detect it.
+
+    Returns the (K, N) SINR and delay-Doppler estimate grids of :func:`otfs_mmse`.
+    """
+    r = apply_channel(otfs_modulate(x_dd, cfg), chan, cfg.p_t, sigma2, seed)
+    return otfs_mmse(otfs_demodulate(r, cfg), per_symbol_ft_channel(chan, cfg), cfg, sigma2)

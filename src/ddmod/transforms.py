@@ -164,15 +164,6 @@ def chebyshev_window(length: int, attenuation_db: float) -> PrototypeFilter:
     return filt
 
 
-def selection_matrix(i: int, b: int, d: int) -> np.ndarray:
-    """Diagonal 0/1 matrix selecting subband i (rows i*D .. (i+1)*D-1) out of K = B*D."""
-    if not 0 <= i < b:
-        raise IndexError(f"subband index {i} out of range for B={b}")
-    diag = np.zeros(b * d)
-    diag[i * d:(i + 1) * d] = 1.0
-    return np.diag(diag)
-
-
 def modulated_filter_taps(filt: PrototypeFilter, i: int, k: int, o_s: int, d: int) -> np.ndarray:
     """Prototype taps shifted to the centre of subband i.
 
@@ -182,22 +173,6 @@ def modulated_filter_taps(filt: PrototypeFilter, i: int, k: int, o_s: int, d: in
     f_i = (d - 1) / 2.0 + i * d - k / 2.0
     ell = np.arange(filt.length)
     return filt.taps * np.exp(2j * np.pi * f_i * ell / (k * o_s))
-
-
-def subband_conv_matrix(filt: PrototypeFilter, i: int, k: int, o_s: int, d: int) -> np.ndarray:
-    """Tall Toeplitz matrix convolving a K*O_s block with the subband-i filter.
-
-    Output length K*O_s + L - 1; column c carries the modulated taps in rows
-    c .. c+L-1.
-    """
-    if not 0 <= i * d < k:
-        raise IndexError(f"subband index {i} out of range")
-    taps = modulated_filter_taps(filt, i, k, o_s, d)
-    n_in = k * o_s
-    mat = np.zeros((n_in + filt.length - 1, n_in), dtype=complex)
-    for ell in range(filt.length):
-        mat[np.arange(n_in) + ell, np.arange(n_in)] = taps[ell]
-    return mat
 
 
 def prototype_filter(cfg: ModemConfig) -> PrototypeFilter:
@@ -232,29 +207,7 @@ def ufmc_precoder(cfg: ModemConfig) -> np.ndarray:
     )
 
 
-# Cyclic prefix and tail bookkeeping matrices -------------------------------
-
-def cp_insert_matrix(n_cp: int, block: int) -> np.ndarray:
-    """(block + N_CP) x block matrix prepending the last N_CP samples of a block."""
-    if n_cp > block:
-        raise ValueError(f"dimension mismatch: N_CP={n_cp} longer than block={block}")
-    eye = np.eye(block)
-    return np.vstack((eye[block - n_cp:, :], eye))
-
-
-def cp_removal_matrix(n_cp: int, k_o_s: int, l_ch: int) -> np.ndarray:
-    """K*O_s x (N_CP + K*O_s + L_ch - 1) matrix dropping the CP and the channel tail."""
-    out = np.zeros((k_o_s, n_cp + k_o_s + l_ch - 1))
-    out[:, n_cp:n_cp + k_o_s] = np.eye(k_o_s)
-    return out
-
-
-def tail_removal_matrix(k_o_s: int, l_ch: int) -> np.ndarray:
-    """K*O_s x (K*O_s + L_ch - 1) matrix dropping the last L_ch - 1 received samples."""
-    out = np.zeros((k_o_s, k_o_s + l_ch - 1))
-    out[:, :k_o_s] = np.eye(k_o_s)
-    return out
-
+# Serialized-frame bookkeeping ----------------------------------------------
 
 def tail_truncation_matrix(n_keep: int, l: int) -> np.ndarray:
     """n_keep x (n_keep + L - 1) matrix dropping the final L - 1 serialized samples."""

@@ -4,13 +4,15 @@ The library stores only the active tap columns of a realization and applies
 them with banded kernels batched over symbols.  The literal dense routes they
 replaced live here as test oracles: the full (N, rows, L_ch) tap tensor, the
 per-symbol CP core R_cp @ M_i @ A_cp, its frequency-time block, and the v1
-text dump that wrote every tap column.
+text dump that wrote every tap column.  The literal subband and CP/tail
+bookkeeping matrices that the chains apply by slicing and convolution are
+here too.
 """
 
 import numpy as np
 
 from ddmod import channel as ch
-from ddmod.transforms import oversampled_dft
+from ddmod.transforms import modulated_filter_taps, oversampled_dft
 
 
 def dense_materialize_taps(paths, cfg, rows, n_symbols=None, l_ch=None) -> np.ndarray:
@@ -69,3 +71,50 @@ def export_dense_v1(taps: np.ndarray, sample_period_s: float) -> str:
             vals = " ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in taps[i, :, ell])
             lines.append(f"{i + 1} {ell + 1} {vals}")
     return "\n".join(lines) + "\n"
+
+
+def selection_matrix(i: int, b: int, d: int) -> np.ndarray:
+    """Diagonal 0/1 matrix selecting subband i (rows i*D .. (i+1)*D-1) out of K = B*D."""
+    if not 0 <= i < b:
+        raise IndexError(f"subband index {i} out of range for B={b}")
+    diag = np.zeros(b * d)
+    diag[i * d:(i + 1) * d] = 1.0
+    return np.diag(diag)
+
+
+def subband_conv_matrix(filt, i: int, k: int, o_s: int, d: int) -> np.ndarray:
+    """Tall Toeplitz matrix convolving a K*O_s block with the subband-i filter.
+
+    Output length K*O_s + L - 1; column c carries the modulated taps in rows
+    c .. c+L-1.
+    """
+    if not 0 <= i * d < k:
+        raise IndexError(f"subband index {i} out of range")
+    taps = modulated_filter_taps(filt, i, k, o_s, d)
+    n_in = k * o_s
+    mat = np.zeros((n_in + filt.length - 1, n_in), dtype=complex)
+    for ell in range(filt.length):
+        mat[np.arange(n_in) + ell, np.arange(n_in)] = taps[ell]
+    return mat
+
+
+def cp_insert_matrix(n_cp: int, block: int) -> np.ndarray:
+    """(block + N_CP) x block matrix prepending the last N_CP samples of a block."""
+    if n_cp > block:
+        raise ValueError(f"dimension mismatch: N_CP={n_cp} longer than block={block}")
+    eye = np.eye(block)
+    return np.vstack((eye[block - n_cp:, :], eye))
+
+
+def cp_removal_matrix(n_cp: int, k_o_s: int, l_ch: int) -> np.ndarray:
+    """K*O_s x (N_CP + K*O_s + L_ch - 1) matrix dropping the CP and the channel tail."""
+    out = np.zeros((k_o_s, n_cp + k_o_s + l_ch - 1))
+    out[:, n_cp:n_cp + k_o_s] = np.eye(k_o_s)
+    return out
+
+
+def tail_removal_matrix(k_o_s: int, l_ch: int) -> np.ndarray:
+    """K*O_s x (K*O_s + L_ch - 1) matrix dropping the last L_ch - 1 received samples."""
+    out = np.zeros((k_o_s, k_o_s + l_ch - 1))
+    out[:, :k_o_s] = np.eye(k_o_s)
+    return out

@@ -42,7 +42,7 @@ def test_criterion_1_perfect_reconstruction():
     chan = ch.realize(ch.ideal_path(), cfg, with_cp=True)
     x = qpsk_grid(rng, cfg.k, cfg.n)
     y = otfs.otfs_demodulate(
-        otfs.otfs_apply_channel(otfs.otfs_modulate(x, cfg), chan, cfg.p_t, 0.0), cfg
+        otfs.apply_channel(otfs.otfs_modulate(x, cfg), chan, cfg.p_t, 0.0), cfg
     )
     err = np.abs(y - x).max()
     elapsed = time.perf_counter() - start
@@ -63,17 +63,17 @@ def test_criterion_2_chain_matrix_probing():
         paths = ch.sample_eva_paths((500, seed), 500 / 3.6, cfg.f_c_hz)
         chan_cp = ch.realize(paths, cfg, with_cp=True)
         chan_no = ch.realize(paths, cfg, with_cp=False)
-        eff_o = otfs.otfs_effective_channel(chan_cp, cfg).matrix
-        eff_u = drufmc.drufmc_effective_channel(chan_no, cfg).matrix
+        eff_o = otfs.otfs_effective_channel(chan_cp, cfg)
+        eff_u = drufmc.drufmc_effective_channel(chan_no, cfg)
         for j in rng.choice(cfg.k * cfg.n, 10, replace=False):
             e = np.zeros(cfg.k * cfg.n)
             e[j] = 1.0
             x = invec(e, cfg.k)
             col = vec(otfs.otfs_demodulate(
-                otfs.otfs_apply_channel(otfs.otfs_modulate(x, cfg), chan_cp, cfg.p_t, 0.0), cfg))
+                otfs.apply_channel(otfs.otfs_modulate(x, cfg), chan_cp, cfg.p_t, 0.0), cfg))
             worst = max(worst, np.linalg.norm(col - eff_o[:, j]) / np.linalg.norm(eff_o[:, j]))
             col = vec(drufmc.drufmc_demodulate(
-                drufmc.drufmc_apply_channel(drufmc.drufmc_modulate(x, cfg), chan_no, cfg.p_t, 0.0), cfg))
+                drufmc.apply_channel(drufmc.drufmc_modulate(x, cfg), chan_no, cfg.p_t, 0.0), cfg))
             worst = max(worst, np.linalg.norm(col - eff_u[:, j]) / np.linalg.norm(eff_u[:, j]))
     elapsed = time.perf_counter() - start
     report(2, worst < 1e-9 and elapsed < 30, f"worst rel err {worst:.2e}, {elapsed:.1f} s")

@@ -25,7 +25,7 @@ def crandn(rng, *shape):
 
 def chain(cfg, chan, x_dd, p_t=1.0):
     s = drufmc.drufmc_modulate(x_dd, cfg)
-    r = drufmc.drufmc_apply_channel(s, chan, p_t, 0.0)
+    r = drufmc.apply_channel(s, chan, p_t, 0.0)
     return drufmc.drufmc_demodulate(r, cfg)
 
 
@@ -82,7 +82,7 @@ class TestApplyChannel:
         )
         chan = ch.realize(paths, cfg, with_cp=False)
         s = drufmc.drufmc_modulate(qpsk_grid(rng, cfg.k, cfg.n), cfg)
-        r = drufmc.drufmc_apply_channel(s, chan, 1.0, 0.0)
+        r = drufmc.apply_channel(s, chan, 1.0, 0.0)
         ko = cfg.k * cfg.o_s
         blocks = invec(r, ko + chan.realization.l_ch - 1)
         assert np.abs(blocks[:ko, :] - invec(s, ko)).max() < 1e-12
@@ -95,7 +95,7 @@ class TestApplyChannel:
         chan = ch.realize(paths, cfg, with_cp=False, n_symbols=4)
         x = qpsk_grid(rng, cfg.k, 4)
         s = drufmc.drufmc_modulate(x, cfg)
-        r = drufmc.drufmc_apply_channel(s, chan, p_t=2.5, noise_var=0.0)
+        r = drufmc.apply_channel(s, chan, p_t=2.5, noise_var=0.0)
         ko = cfg.k * cfg.o_s
         s_blocks = invec(s, ko)
         r_blocks = invec(r, ko + chan.realization.l_ch - 1)
@@ -128,7 +128,7 @@ class TestDemodulate:
         eff = drufmc.drufmc_effective_channel(chan, cfg)
         x = qpsk_grid(rng, cfg.k, 4)
         y = chain(cfg, chan, x)
-        assert np.abs(vec(y) - eff.matrix @ vec(x)).max() < 1e-10
+        assert np.abs(vec(y) - eff @ vec(x)).max() < 1e-10
 
     def test_ideal_loopback_golden(self):
         # Full-scale ideal-channel loopback is NOT transparent: the prototype's
@@ -140,8 +140,8 @@ class TestDemodulate:
         cfg = table1_config()
         chan = ch.realize(ch.ideal_path(), cfg, with_cp=False)
         eff = drufmc.drufmc_effective_channel(chan, cfg)
-        d = np.diag(eff.matrix)
-        err = np.abs(1.0 - d) ** 2 + (np.sum(np.abs(eff.matrix) ** 2, axis=1) - np.abs(d) ** 2)
+        d = np.diag(eff)
+        err = np.abs(1.0 - d) ** 2 + (np.sum(np.abs(eff) ** 2, axis=1) - np.abs(d) ** 2)
         raw_recon_db = -10 * np.log10(err)
         assert raw_recon_db.min() > -6.0
         smap = sinr_map(eff, 1e-3, cfg)
@@ -155,14 +155,14 @@ class TestEffectiveChannel:
         cfg = desk_config(b=1, d=32, filter_len=1)
         chan = ch.realize(ch.ideal_path(), cfg, with_cp=False)
         eff = drufmc.drufmc_effective_channel(chan, cfg)
-        assert np.abs(eff.matrix - np.eye(cfg.k * cfg.n)).max() < 1e-10
+        assert np.abs(eff - np.eye(cfg.k * cfg.n)).max() < 1e-10
 
     def test_power_scaling(self):
         cfg = desk_config(n=2)
         chan = ch.realize(ch.sample_eva_paths(7, 50 / 3.6, cfg.f_c_hz), cfg,
                           with_cp=False, n_symbols=2)
-        m1 = drufmc.drufmc_effective_channel(chan, cfg.with_(p_t=1.0)).matrix
-        m4 = drufmc.drufmc_effective_channel(chan, cfg.with_(p_t=4.0)).matrix
+        m1 = drufmc.drufmc_effective_channel(chan, cfg.with_(p_t=1.0))
+        m4 = drufmc.drufmc_effective_channel(chan, cfg.with_(p_t=4.0))
         assert np.abs(m4 - 2.0 * m1).max() < 1e-12
 
     def test_probing_oracle(self):
@@ -174,7 +174,7 @@ class TestEffectiveChannel:
             e = np.zeros(cfg.k * cfg.n)
             e[j] = 1.0
             col = vec(chain(cfg, chan, invec(e, cfg.k)))
-            rel = np.linalg.norm(col - eff.matrix[:, j]) / np.linalg.norm(eff.matrix[:, j])
+            rel = np.linalg.norm(col - eff[:, j]) / np.linalg.norm(eff[:, j])
             assert rel < 1e-9
 
     def test_matches_literal_block_definition(self):
@@ -196,7 +196,7 @@ class TestEffectiveChannel:
                 )
         literal = psi_ufmc @ drufmc.ufmc_stacked_precoder(cfg) @ drufmc.dd_to_ft_kron(cfg)
         eff = drufmc.drufmc_effective_channel(chan, cfg)
-        assert np.abs(eff.matrix - literal).max() < 1e-10
+        assert np.abs(eff - literal).max() < 1e-10
 
 
 class TestSpectralConfinement:

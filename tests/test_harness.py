@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ddmod import channel as ch
-from ddmod.config import ConfigError
+from ddmod.config import ConfigError, ModemConfig, desk_config
 from ddmod.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -71,6 +71,39 @@ class TestLoadConfig:
     def test_empty_snr_grid_rejected(self):
         with pytest.raises(ConfigError, match="non-empty"):
             ExperimentConfig(snr_db=())
+
+    def test_desk_step_fills_unset_modem_keys(self, tmp_path):
+        path = write_config(tmp_path, "n = 4\npulse = rrc\n")
+        assert load_config(path).modem == ModemConfig(n=4, pulse="rrc")
+        assert load_config(path, desk=True).modem == desk_config(n=4, pulse="rrc")
+
+    @pytest.mark.parametrize("line, match", [
+        ("n_guard_otfs = -1", "0 <= 2\\*N_G < K=32, got -1"),
+        ("n_guard_otfs = 16", "0 <= 2\\*N_G < K=32, got 16"),
+        ("n_guard_otfss = 3", "unknown waveform 'otfss'"),
+    ], ids=["negative", "half_of_k", "misspelled_waveform"])
+    def test_bad_guard_override_is_a_config_error(self, tmp_path, capsys, line, match):
+        path = write_config(tmp_path, DESK_LINES + line + "\n")
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
+        assert main(["run", "--config", path]) == 2
+        assert "config error: guard override" in capsys.readouterr().err
+
+    def test_guard_override_checked_against_the_k_that_runs(self, tmp_path, capsys):
+        path = write_config(tmp_path, "waveforms = drufmc\nn_guard_drufmc = 20\n")
+        assert load_config(path).n_guard_for("drufmc") == 20     # 2*20 < K=128
+        with pytest.raises(ConfigError, match="K=32, got 20"):
+            load_config(path, desk=True)
+        assert main(["run", "--config", path]) == 2
+        assert "config error: guard override for drufmc" in capsys.readouterr().err
+
+    def test_psd_trials_below_one_is_a_config_error(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="psd_trials must be >= 1, got 0"):
+            load_config(write_config(tmp_path, "psd_trials = 0\n"))
+        path = write_config(tmp_path, DESK_LINES + "waveforms = otfs\n", name="ok.cfg")
+        out = str(tmp_path / "psd.csv")
+        assert main(["psd", "--config", path, "--out", out, "--trials", "0"]) == 2
+        assert "config error: psd_trials must be >= 1" in capsys.readouterr().err
 
 
 class TestSeeding:
@@ -164,17 +197,6 @@ class TestRunSweep:
         p2 = ch.sample_eva_paths(channel_seed(cfg.seed, 500.0, 0, 0), 500 / 3.6, cfg.modem.f_c_hz)
         assert np.array_equal(p1.gains, p2.gains)
         assert r_otfs.trial == r_ofdm.trial
-
-
-class TestMatrixExport:
-    def test_round_trip(self):
-        from ddmod.harness import export_matrix_text, parse_matrix_text
-
-        rng = np.random.default_rng(0)
-        m = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        text = export_matrix_text(m, label="psi")
-        assert text.startswith("# ddmod-matrix v1 label=psi rows=4 cols=6")
-        assert np.array_equal(parse_matrix_text(text), m)
 
 
 class TestWorkerCount:

@@ -27,7 +27,7 @@ class TestFullEffectiveChannel:
         cfg = desk_config()
         chan = ch.realize(ch.ideal_path(), cfg, with_cp=True)
         eff = ofdm.ofdm_full_effective_channel(chan, cfg)
-        assert np.abs(eff.matrix - np.eye(cfg.k * cfg.n)).max() < 1e-10
+        assert np.abs(eff - np.eye(cfg.k * cfg.n)).max() < 1e-10
 
     def test_probing_oracle(self):
         cfg = desk_config()
@@ -40,14 +40,14 @@ class TestFullEffectiveChannel:
             s = ofdm.ofdm_modulate(invec(e, cfg.k), cfg)
             r = ofdm.apply_channel(s, chan, cfg.p_t, 0.0)
             col = vec(ofdm.ofdm_demodulate(r, cfg))
-            rel = np.linalg.norm(col - eff.matrix[:, j]) / np.linalg.norm(eff.matrix[:, j])
+            rel = np.linalg.norm(col - eff[:, j]) / np.linalg.norm(eff[:, j])
             assert rel < 1e-9
 
     def test_block_diagonal_structure(self):
         cfg = desk_config(n=4)
         chan = ch.realize(ch.sample_eva_paths(4, 500 / 3.6, cfg.f_c_hz), cfg,
                           with_cp=True, n_symbols=4)
-        eff = ofdm.ofdm_full_effective_channel(chan, cfg).matrix
+        eff = ofdm.ofdm_full_effective_channel(chan, cfg)
         k = cfg.k
         for i in range(4):
             for j in range(4):
