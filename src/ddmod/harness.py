@@ -25,10 +25,12 @@ from . import channel as ch
 from . import drufmc, ofdm, otfs
 from .config import ConfigError, ModemConfig, desk_config
 from .metrics import (
+    GuardSearchError,
     avg_spectral_efficiency,
     mmse_detect,
     net_sinr,
     normalized_mse,
+    oob_level_db,
     psd_estimate,
     qpsk_grid,
     sinr_map,
@@ -340,19 +342,22 @@ def run_psd(cfg: ExperimentConfig, out_path: str | None = None):
     """PSD and guard-count summary per waveform family.
 
     Returns {waveform: (PsdEstimate, n_guard)} and optionally writes a
-    ``waveform,freq_hz,power_db`` CSV of the unnulled spectra.
+    ``waveform,freq_hz,power_db`` CSV of the unnulled spectra.  The unnulled
+    spectrum is the guard search's own first estimate, so no (family, guard
+    count) is estimated twice.
     """
     families = dict.fromkeys("otfs" if WAVEFORMS[wf][0] else "drufmc" for wf in cfg.waveforms)
     out = {}
     for wf in families:
-        est = psd_estimate(frame_generator(cfg, wf, 0), cfg.modem, cfg.psd_trials, cfg.seed)
+        spectra = {}
         n_guard = guard_count_for_threshold(
             lambda ng, wf=wf: frame_generator(cfg, wf, ng),
             cfg.modem,
             trials=cfg.psd_trials,
             seed=cfg.seed,
+            _spectra=spectra,
         )
-        out[wf] = (est, n_guard)
+        out[wf] = (spectra[0], n_guard)
     target = out_path or cfg.out
     if target:
         with open(target, "w", encoding="utf-8", newline="\n") as fh:
@@ -435,6 +440,35 @@ def selftest() -> int:
     a_inv = np.linalg.inv(c @ c.conj().T + 0.3 * np.eye(4))
     check("MMSE dense-inverse oracle",
           np.abs(mmse_detect(c, yv, 0.3) - c.conj().T @ a_inv @ yv).max() < 1e-10)
+
+    from scipy import signal as sp_signal   # reference only; the library does not use it
+
+    sig = rng.standard_normal(1001) + 1j * rng.standard_normal(1001)
+    nper = 4 * cfg.k * cfg.o_s
+    _, ref = sp_signal.welch(sig, fs=cfg.sample_rate_hz, window="hann", nperseg=nper,
+                             noverlap=nper // 2, detrend=False, return_onesided=False)
+    est = psd_estimate(lambda _: sig, cfg, 1, 0)
+    check("Welch PSD equals scipy reference",
+          np.abs(est.density - np.fft.fftshift(ref)).max() < 1e-12 * ref.max())
+
+    # the desk OOB curves (10 frames, seed 1) fall strictly with the guard count
+    exp = ExperimentConfig(modem=cfg)
+    agree = True
+    for wf in ("otfs", "drufmc"):
+        def gen(ng, wf=wf):
+            return frame_generator(exp, wf, ng)
+
+        levels = [oob_level_db(psd_estimate(gen(ng), cfg, 10, 1), cfg.bandwidth_hz)
+                  for ng in range(cfg.k // 2)]
+        between = [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+        for thr in (levels[0] + 1.0, *between, levels[-1] - 1.0):
+            scan = next((ng for ng, level in enumerate(levels) if level <= thr), None)
+            try:
+                bisected = guard_count_for_threshold(gen, cfg, thr, 10, 1)
+            except GuardSearchError:
+                bisected = None
+            agree = agree and bisected == scan
+    check("guard bisection equals linear scan (desk scale)", agree)
     return failures
 
 

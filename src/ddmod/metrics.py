@@ -3,7 +3,8 @@ and the guard-subcarrier search against an out-of-band emission threshold.
 
 ``sinr_map`` and ``mmse_detect`` work on any dense effective channel; they are
 the reference for the structured per-waveform routes built on
-:mod:`ddmod.mmse`, which the sweep uses.
+:mod:`ddmod.mmse`, which the sweep uses.  The Welch PSD is plain numpy
+(``scipy.signal.welch`` is its test reference) and the guard search bisects.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 from scipy.linalg import cho_factor, cho_solve
 
 from .config import ModemConfig
@@ -95,8 +95,8 @@ def sinr_map_from_values(values: np.ndarray, n_guard: int = 0) -> SinrMap:
 
 def _interior(map_: SinrMap, n_guard: int | None) -> np.ndarray:
     ng = map_.n_guard if n_guard is None else n_guard
-    if 2 * ng >= map_.k:
-        raise ValueError(f"invalid guard count: 2*{ng} >= K={map_.k}")
+    if ng < 0 or 2 * ng >= map_.k:
+        raise ValueError(f"invalid guard count: need 0 <= 2*N_G < K={map_.k}, got N_G={ng}")
     return map_.values[ng:map_.k - ng, :]
 
 
@@ -151,33 +151,41 @@ def qpsk_grid(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
     return ((2 * bits[0] - 1) + 1j * (2 * bits[1] - 1)) / np.sqrt(2)
 
 
+#: Bytes of windowed segments transformed per batch in :func:`psd_estimate`.
+_WELCH_BATCH_BYTES = 4 << 20
+
+
 def psd_estimate(frame_fn, cfg: ModemConfig, trials: int, seed) -> PsdEstimate:
     """Welch-averaged PSD of seeded random frames from ``frame_fn(rng)``.
 
-    Frames are concatenated and analysed with Hann-windowed segments of
-    length 4*K*O_s at 50 percent overlap; the frequency axis spans
-    +-K*O_s*delta_f/2.
+    Frames are concatenated and analysed with periodic-Hann-windowed segments
+    of length nper = 4*K*O_s (at most the signal length) starting every
+    hop = nper - nper//2 samples; the two-sided density is the mean |FFT|^2
+    over segments scaled by 1/(fs * sum(w^2)), on a frequency axis spanning
+    +-K*O_s*delta_f/2.  This is ``scipy.signal.welch`` with a Hann window,
+    ``noverlap=nper//2``, no detrending and two-sided output.  Segments are
+    strided views transformed in batches of a few MB, so no
+    (segments, nper) array is built.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    frames = [np.asarray(frame_fn(rng)) for _ in range(trials)]
-    x = np.concatenate(frames)
+    x = np.concatenate([np.asarray(frame_fn(rng)) for _ in range(trials)])
     fs = cfg.sample_rate_hz
     nper = min(4 * cfg.k * cfg.o_s, x.size)
-    freqs, dens = sp_signal.welch(
-        x,
-        fs=fs,
-        window="hann",
-        nperseg=nper,
-        noverlap=nper // 2,
-        detrend=False,
-        return_onesided=False,
-        scaling="density",
-    )
+    hop = nper - nper // 2
+    # starts 0, hop, ... <= x.size - nper: scipy's (x.size - nper // 2) // hop segments
+    segments = np.lib.stride_tricks.sliding_window_view(x, nper)[::hop]
+    window = np.hanning(nper + 1)[:-1] if nper > 1 else np.ones(1)
+    batch = max(1, _WELCH_BATCH_BYTES // (16 * nper))
+    power = np.zeros(nper)
+    for start in range(0, len(segments), batch):
+        spec = np.fft.fft(segments[start:start + batch] * window, axis=-1)
+        power += np.sum(spec.real ** 2 + spec.imag ** 2, axis=0)
+    density = power / (len(segments) * fs * np.sum(window ** 2))
     return PsdEstimate(
-        freqs_hz=np.fft.fftshift(freqs),
-        density=np.fft.fftshift(dens),
+        freqs_hz=np.fft.fftshift(np.fft.fftfreq(nper, 1.0 / fs)),
+        density=np.fft.fftshift(density),
         sample_rate_hz=fs,
     )
 
@@ -198,20 +206,39 @@ def guard_count_for_threshold(
     trials: int = 100,
     seed=0,
     band_hz: float | None = None,
+    *,
+    _spectra: dict | None = None,
 ) -> int:
     """Smallest per-edge guard count whose PSD meets the out-of-band threshold.
 
     ``frame_fn_for_guard(n_guard)`` must return a frame generator with 2*n_guard
-    edge subcarriers nulled on the frequency-time grid.  The out-of-band level
-    is non-increasing in the guard count, so the first passing count is
-    returned; raises :class:`GuardSearchError` when even maximal nulling fails.
+    edge subcarriers nulled on the frequency-time grid.  Nulling more edge
+    subcarriers only lowers the out-of-band level, so the first passing count
+    is found by bisection: count 0 is estimated first and returned if it
+    passes, then (0, K/2] is bisected with K/2 standing for "none passes",
+    about log2(K) estimates in all.  Raises :class:`GuardSearchError` when
+    even maximal nulling fails.  ``_spectra``, if given, receives
+    {n_guard: PsdEstimate} for every count estimated.
     """
     threshold = cfg.delta_oob_db if delta_oob_db is None else delta_oob_db
     band = cfg.bandwidth_hz if band_hz is None else band_hz
-    for n_guard in range(cfg.k // 2):
-        est = psd_estimate(frame_fn_for_guard(n_guard), cfg, trials, seed)
-        if oob_level_db(est, band) <= threshold:
-            return n_guard
-    raise GuardSearchError(
-        f"not achievable: out-of-band level above {threshold} dB at every guard count"
-    )
+    spectra = {} if _spectra is None else _spectra
+
+    def passes(n_guard):
+        spectra[n_guard] = psd_estimate(frame_fn_for_guard(n_guard), cfg, trials, seed)
+        return oob_level_db(spectra[n_guard], band) <= threshold
+
+    if passes(0):
+        return 0
+    fails, first_pass = 0, cfg.k // 2
+    while first_pass - fails > 1:
+        mid = (fails + first_pass) // 2
+        if passes(mid):
+            first_pass = mid
+        else:
+            fails = mid
+    if first_pass == cfg.k // 2:
+        raise GuardSearchError(
+            f"not achievable: out-of-band level above {threshold} dB at every guard count"
+        )
+    return first_pass

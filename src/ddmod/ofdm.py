@@ -21,7 +21,7 @@ import numpy as np
 from .channel import ChannelMatrixSet
 from .config import ModemConfig
 from .mmse import mmse_sinr, per_symbol_mmse
-from .transforms import invec, oversampled_dft, vec
+from .transforms import invec, oversampled_dft, oversampled_idft, vec
 
 
 def _tx_null(cfg: ModemConfig) -> np.ndarray:
@@ -38,8 +38,7 @@ def ofdm_modulate(x_ft: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     x_ft = np.asarray(x_ft)
     if x_ft.shape != (cfg.k, cfg.n):
         raise ValueError(f"dimension mismatch: expected {(cfg.k, cfg.n)}, got {x_ft.shape}")
-    w = oversampled_dft(cfg.k, cfg.o_s)
-    s = w.conj().T @ x_ft
+    s = oversampled_idft(cfg.k, cfg.o_s) @ x_ft
     if cfg.n_cp > 0:
         s = np.concatenate((s[-cfg.n_cp:, :], s), axis=0)   # A_cp @ s
     return vec(s)
@@ -94,7 +93,7 @@ def per_symbol_ft_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarra
     """
     ko = cfg.k * cfg.o_s
     w = oversampled_dft(cfg.k, cfg.o_s)
-    wh = w.conj().T
+    wh = oversampled_idft(cfg.k, cfg.o_s)
     return chan.left_multiply(w, cfg.n_cp) @ np.concatenate((wh[ko - cfg.n_cp:], wh))
 
 

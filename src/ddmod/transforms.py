@@ -61,6 +61,15 @@ def oversampled_dft(k: int, o_s: int) -> np.ndarray:
     return _cached(("wbar", k, o_s), build)
 
 
+def oversampled_idft(k: int, o_s: int) -> np.ndarray:
+    """(K*O_s) x K oversampled IFFT W^H, the conjugate transpose of :func:`oversampled_dft`.
+
+    Memoized as the transposed (Fortran-ordered) view, the operand layout of
+    ``oversampled_dft(k, o_s).conj().T``.
+    """
+    return _cached(("wbar_h", k, o_s), lambda: oversampled_dft(k, o_s).conj().T)
+
+
 def isfft(x_dd: np.ndarray) -> np.ndarray:
     """Delay-Doppler grid to frequency-time grid: F_K @ X @ F_N^H."""
     x_dd = np.asarray(x_dd)
@@ -192,7 +201,7 @@ def ufmc_precoder(cfg: ModemConfig) -> np.ndarray:
     """
 
     def build():
-        w_h = oversampled_dft(cfg.k, cfg.o_s).conj().T
+        w_h = oversampled_idft(cfg.k, cfg.o_s)
         filt = prototype_filter(cfg)
         out = np.zeros((cfg.k * cfg.o_s + cfg.filter_len - 1, cfg.k), dtype=complex)
         for i in range(cfg.b):

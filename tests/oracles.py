@@ -6,12 +6,13 @@ replaced live here as test oracles: the full (N, rows, L_ch) tap tensor, the
 per-symbol CP core R_cp @ M_i @ A_cp, its frequency-time block, and the v1
 text dump that wrote every tap column.  The literal subband and CP/tail
 bookkeeping matrices that the chains apply by slicing and convolution are
-here too.
+here too, as is the linear guard-count scan that the bisected search replaced.
 """
 
 import numpy as np
 
 from ddmod import channel as ch
+from ddmod.metrics import GuardSearchError, oob_level_db, psd_estimate
 from ddmod.transforms import modulated_filter_taps, oversampled_dft
 
 
@@ -118,3 +119,14 @@ def tail_removal_matrix(k_o_s: int, l_ch: int) -> np.ndarray:
     out = np.zeros((k_o_s, k_o_s + l_ch - 1))
     out[:, :k_o_s] = np.eye(k_o_s)
     return out
+
+
+def linear_guard_scan(frame_fn_for_guard, cfg, delta_oob_db, trials, seed) -> int:
+    """First guard count, scanning 0, 1, ..., K/2 - 1, whose PSD meets the threshold."""
+    for n_guard in range(cfg.k // 2):
+        est = psd_estimate(frame_fn_for_guard(n_guard), cfg, trials, seed)
+        if oob_level_db(est, cfg.bandwidth_hz) <= delta_oob_db:
+            return n_guard
+    raise GuardSearchError(
+        f"not achievable: out-of-band level above {delta_oob_db} dB at every guard count"
+    )

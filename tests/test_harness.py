@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from ddmod import channel as ch
-from ddmod.config import ConfigError, ModemConfig, desk_config
+from ddmod import harness, metrics
+from ddmod.config import ConfigError, ModemConfig, desk_config, table1_config
 from ddmod.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -233,6 +234,32 @@ class TestRunPsd:
         assert lines[0] == "waveform,freq_hz,power_db"
         assert len(lines) > 10
 
+    def test_each_guard_count_estimated_once(self, monkeypatch):
+        # table-1 K = 128: count 0, then at most log2(64) = 6 bisection steps
+        cfg = ExperimentConfig(modem=table1_config(), waveforms=("otfs", "drufmc"), psd_trials=2)
+        make_frames, estimate = harness.frame_generator, metrics.psd_estimate
+        estimates = []
+
+        def tagged(cfg, waveform, n_guard):
+            fn = make_frames(cfg, waveform, n_guard)
+            fn.tag = (waveform, n_guard)
+            return fn
+
+        def recorded(frame_fn, *args):
+            est = estimate(frame_fn, *args)
+            estimates.append((frame_fn.tag, est))
+            return est
+
+        monkeypatch.setattr(harness, "frame_generator", tagged)
+        monkeypatch.setattr(metrics, "psd_estimate", recorded)
+        summary = run_psd(cfg)
+        tags = [tag for tag, _ in estimates]
+        assert len(set(tags)) == len(tags)
+        for wf in ("otfs", "drufmc"):
+            assert 1 <= sum(t[0] == wf for t in tags) <= 8
+            # the spectrum returned (and written) is the search's own estimate
+            assert summary[wf][0] is dict(estimates)[(wf, 0)]
+
 
 class TestCli:
     def _run(self, *args):
@@ -260,6 +287,14 @@ class TestCli:
     def test_missing_file_exit_code(self):
         r = self._run("run", "--config", "/nonexistent/exp.cfg")
         assert r.returncode == 2
+
+    def test_import_leaves_scipy_signal_out(self):
+        r = subprocess.run(
+            [sys.executable, "-c", "import sys, ddmod; print('scipy.signal' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"
 
     def test_selftest_passes(self):
         r = self._run("selftest")

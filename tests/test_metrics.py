@@ -1,11 +1,17 @@
 """MMSE detection, SINR/SE accounting, PSD estimation and guard search."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import signal as sp_signal
 
 from ddmod import channel as ch
-from ddmod import drufmc, ofdm
+from ddmod import drufmc, metrics, ofdm
 from ddmod.config import desk_config, table1_config
+from ddmod.harness import ExperimentConfig, frame_generator
 from ddmod.metrics import (
     GuardSearchError,
     avg_spectral_efficiency,
@@ -21,9 +27,35 @@ from ddmod.metrics import (
 )
 from ddmod.transforms import isfft
 
+from oracles import linear_guard_scan
+
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def scipy_welch(x, cfg):
+    """The reference Welch estimate, fftshifted like :class:`PsdEstimate`."""
+    nper = min(4 * cfg.k * cfg.o_s, x.size)
+    freqs, dens = sp_signal.welch(
+        x, fs=cfg.sample_rate_hz, window="hann", nperseg=nper, noverlap=nper // 2,
+        detrend=False, return_onesided=False, scaling="density",
+    )
+    return np.fft.fftshift(freqs), np.fft.fftshift(dens)
+
+
+def guard_frames(cfg, family):
+    """frame_fn_for_guard of one PSD family ("otfs" or "drufmc")."""
+    exp = ExperimentConfig(modem=cfg)
+    return lambda n_guard: frame_generator(exp, family, n_guard)
+
+
+def search_outcome(search, *args):
+    """Guard count of a search, or None where it raises GuardSearchError."""
+    try:
+        return search(*args)
+    except GuardSearchError:
+        return None
 
 
 class TestMmseDetect:
@@ -123,6 +155,18 @@ class TestNetSinr:
         with pytest.raises(ValueError, match="guard"):
             net_sinr(m, 4)
 
+    def test_negative_guard_refused(self):
+        # a negative count would slice values[-1:K+1], the last row only
+        vals = np.ones((8, 2))
+        vals[-1] = 100.0
+        m = sinr_map_from_values(vals)
+        with pytest.raises(ValueError, match="0 <= 2\\*N_G < K=8, got N_G=-1"):
+            net_sinr(m, -1)
+        with pytest.raises(ValueError, match="got N_G=-1"):
+            avg_spectral_efficiency(m, 1.0, -1)
+        with pytest.raises(ValueError, match="got N_G=-2"):
+            net_sinr(sinr_map_from_values(vals, n_guard=-2))
+
 
 class TestSpectralEfficiency:
     def test_cp_efficiency_from_reference_timing(self):
@@ -174,6 +218,38 @@ class TestNormalizedMse:
 
 
 class TestPsd:
+    # segment length 4*K*O_s = 64: lengths up to 200 give one to five segments,
+    # and a 1-, 3- or 4096-segment batch (the default cap) splits them differently
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 200), st.integers(1, 3), st.integers(0, 2**32 - 1),
+           st.sampled_from([1, 3 * 16 * 64, metrics._WELCH_BATCH_BYTES]))
+    @example(1, 1, 0, metrics._WELCH_BATCH_BYTES)
+    @example(63, 1, 0, metrics._WELCH_BATCH_BYTES)
+    @example(64, 1, 0, metrics._WELCH_BATCH_BYTES)
+    @example(65, 1, 0, metrics._WELCH_BATCH_BYTES)
+    def test_matches_scipy_welch(self, length, trials, seed, batch_bytes):
+        cfg = desk_config(k=8, o_s=2, b=1, d=8, n=2, filter_len=1)
+
+        def frame(rng):
+            return crandn(rng, length)
+
+        with mock.patch.object(metrics, "_WELCH_BATCH_BYTES", batch_bytes):
+            est = psd_estimate(frame, cfg, trials, seed)
+        rng = np.random.default_rng(seed)
+        freqs, dens = scipy_welch(np.concatenate([frame(rng) for _ in range(trials)]), cfg)
+        np.testing.assert_allclose(est.freqs_hz, freqs, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(est.density, dens, rtol=1e-12, atol=1e-12 * dens.max())
+
+    def test_matches_scipy_welch_at_full_scale(self):
+        # about 170 segments of 5120 samples, in four batches
+        cfg = table1_config()
+        gen = guard_frames(cfg, "otfs")(0)
+        est = psd_estimate(gen, cfg, trials=20, seed=0)
+        rng = np.random.default_rng(0)
+        freqs, dens = scipy_welch(np.concatenate([gen(rng) for _ in range(20)]), cfg)
+        assert np.array_equal(est.freqs_hz, freqs)
+        np.testing.assert_allclose(est.density, dens, rtol=1e-12, atol=1e-12 * dens.max())
+
     def test_constant_signal_is_dc_line(self):
         cfg = desk_config(k=8, o_s=2, b=1, d=8, n=2, filter_len=1)
         est = psd_estimate(lambda rng: np.ones(512, dtype=complex), cfg, trials=1, seed=0)
@@ -253,6 +329,44 @@ class TestGuardSearch:
             for ng in [0, 2, 4, 8]
         ]
         assert all(b <= a + 0.1 for a, b in zip(levels, levels[1:]))
+
+    # desk configs whose estimated OOB curve (trials=10, seed=1) falls strictly
+    # with the guard count for both families
+    @pytest.mark.parametrize("family", ["otfs", "drufmc"])
+    @pytest.mark.parametrize("kw", [{}, dict(k=16, o_s=2, b=4, d=4, filter_len=5, n=4)],
+                             ids=["k32", "k16"])
+    def test_bisection_equals_linear_scan(self, kw, family):
+        cfg = desk_config(**kw)
+        gen = guard_frames(cfg, family)
+        levels = [oob_level_db(psd_estimate(gen(ng), cfg, 10, 1), cfg.bandwidth_hz)
+                  for ng in range(cfg.k // 2)]
+        assert np.all(np.diff(levels) < 0), "bisection presumes a falling OOB curve"
+        # above the unnulled level (pass at 0), between every pair of
+        # neighbours, on a level exactly, and below them all (not achievable)
+        between = [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+        thresholds = [levels[0] + 1.0, *between, levels[cfg.k // 4], levels[-1] - 1.0]
+        outcomes = []
+        for thr in thresholds:
+            want = search_outcome(linear_guard_scan, gen, cfg, thr, 10, 1)
+            got = search_outcome(guard_count_for_threshold, gen, cfg, thr, 10, 1)
+            assert got == want, f"threshold {thr:.3f} dB"
+            outcomes.append(got)
+        assert outcomes[0] == 0 and outcomes[-1] is None
+
+    def test_non_monotone_curve_gives_a_crossing(self):
+        # with 5 trials the desk OTFS curve for seed 2 rises between some
+        # neighbouring counts; bisection then returns a passing count whose
+        # predecessor fails, not necessarily the first passing one
+        cfg = desk_config()
+        gen = guard_frames(cfg, "otfs")
+        levels = np.array([oob_level_db(psd_estimate(gen(ng), cfg, 5, 2), cfg.bandwidth_hz)
+                           for ng in range(cfg.k // 2)])
+        assert np.any(np.diff(levels) > 0)
+        edges = np.sort(levels)
+        for thr in (edges[:-1] + edges[1:]) / 2:
+            got = guard_count_for_threshold(gen, cfg, thr, 5, 2)
+            assert levels[got] <= thr
+            assert got == 0 or levels[got - 1] > thr
 
     def test_unachievable_threshold_raises(self):
         cfg = desk_config(k=8, o_s=2, b=1, d=8, n=2, filter_len=1)
