@@ -26,7 +26,7 @@ import numpy as np
 from .channel import ChannelMatrixSet
 from .config import ConfigError, ModemConfig
 from .mmse import bidiagonal_mmse, mmse_sinr
-from .ofdm import _tx_null, apply_channel
+from .ofdm import _live_rows, _tx_null, apply_channel
 from .transforms import (
     dft_matrix,
     invec,
@@ -43,28 +43,35 @@ def overlap_add(x_tilde: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     """Continuous-packet overlap of per-symbol filtered blocks.
 
     Column n keeps its first K*O_s rows and absorbs the previous column's
-    tail into its first L - 1 rows; the last column's tail is dropped.
+    tail into its first L - 1 rows; the last column's tail is dropped.  A
+    (..., rows, N) stack overlaps each matrix.
     """
     ko = cfg.k * cfg.o_s
-    if x_tilde.shape[0] != ko + cfg.filter_len - 1:
+    if x_tilde.shape[-2] != ko + cfg.filter_len - 1:
         raise ValueError(
-            f"dimension mismatch: expected {ko + cfg.filter_len - 1} rows, got {x_tilde.shape[0]}"
+            f"dimension mismatch: expected {ko + cfg.filter_len - 1} rows, got {x_tilde.shape[-2]}"
         )
-    n = x_tilde.shape[1]
-    out = x_tilde[:ko, :].copy()
+    n = x_tilde.shape[-1]
+    out = x_tilde[..., :ko, :].copy()
     if cfg.filter_len > 1 and n > 1:
-        out[:cfg.filter_len - 1, 1:] += x_tilde[ko:, :n - 1]
+        out[..., :cfg.filter_len - 1, 1:] += x_tilde[..., ko:, :n - 1]
     return out
 
 
-def ufmc_modulate_ft(x_ft: np.ndarray, cfg: ModemConfig) -> np.ndarray:
-    """Serialize a frequency-time grid through the filtered-subband transmitter."""
+def ufmc_modulate_ft(x_ft: np.ndarray, cfg: ModemConfig, n_guard: int = 0) -> np.ndarray:
+    """Serialize a frequency-time grid through the filtered-subband transmitter.
+
+    A (..., K, N) stack of grids gives a (..., K*O_s*N) stack of frames.  The
+    2*n_guard edge subcarriers are not transmitted: only the live rows enter
+    the precoder, as if the edge rows were zero.
+    """
     x_ft = np.asarray(x_ft)
-    if x_ft.shape != (cfg.k, cfg.n):
+    if x_ft.shape[-2:] != (cfg.k, cfg.n):
         raise ValueError(f"dimension mismatch: expected {(cfg.k, cfg.n)}, got {x_ft.shape}")
     if cfg.b * cfg.d != cfg.k:
         raise ConfigError(f"K = B*D violated: K={cfg.k}, B={cfg.b}, D={cfg.d}")
-    x_tilde = ufmc_precoder(cfg) @ x_ft
+    live = _live_rows(cfg, n_guard)
+    x_tilde = ufmc_precoder(cfg)[:, live] @ x_ft[..., live, :]
     return vec(overlap_add(x_tilde, cfg))
 
 

@@ -4,20 +4,24 @@ PSD / guard-band experiments, and the ``ddmod`` command line interface.
 The compared waveforms are the rows of :data:`WAVEFORMS`; each module owns
 its link from symbols to SINR grid and estimates.  Waveforms at the same
 (speed, SNR, trial) grid point are evaluated on the same channel realization,
-so waveform comparisons are paired and free of Monte-Carlo noise.  Output
-rows are sorted deterministically before writing; rerunning an identical
-config and seed reproduces the CSV byte for byte.
+so waveform comparisons are paired and free of Monte-Carlo noise; the sweep
+builds that realization and its frequency-time stack once per point
+(:class:`GridPoint`).  Output rows are sorted deterministically before
+writing; rerunning an identical config and seed reproduces the CSV byte for
+byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +47,9 @@ from .transforms import invec, isfft, vec
 #: seed) to the (K, N) SINR and estimate grids.  The CP flag picks the
 #: realization, the air-time efficiency (``cp_efficiency()`` or 1) and the PSD
 #: family: the CP-OFDM transmitter ("otfs") or the filtered one ("drufmc").
-#: The order fixes each waveform's cell seed.
+#: CP-bearing links also take the channel's (N, K, K) stack
+#: ``ofdm.per_symbol_ft_channel(chan, cfg)`` as ``ft``.  The order fixes each
+#: waveform's cell seed.
 WAVEFORMS = {
     "otfs": (True, otfs.otfs_link),
     "drufmc": (False, drufmc.drufmc_link),
@@ -78,8 +84,15 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
-        if len(self.snr_db) == 0:
-            raise ConfigError("SNR grid must be non-empty")
+        for name in ("waveforms", "snr_db", "speeds_kmh"):
+            axis = getattr(self, name)
+            if len(axis) == 0:
+                raise ConfigError(f"{name} must be non-empty")
+            if len(set(axis)) != len(axis):
+                raise ConfigError(f"{name} lists a value twice: {axis}")
+        for speed in self.speeds_kmh:
+            if not (np.isfinite(speed) and speed >= 0):
+                raise ConfigError(f"speeds_kmh must be finite and >= 0, got {speed}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.psd_trials < 1:
@@ -217,25 +230,59 @@ def _trial_paths(cfg: ExperimentConfig, speed_kmh: float, snr_index: int, trial:
     return ch.sample_eva_paths(seed, speed_kmh / 3.6, cfg.modem.f_c_hz)
 
 
+@dataclass
+class GridPoint:
+    """Channel work shared by the cells of one (speed, SNR, trial) grid point.
+
+    The taps are materialized once, with the CP-bearing row count; the
+    CP-less set is the same realization with K*O_s columns.  The (N, K, K)
+    frequency-time stack of the CP-bearing set serves every CP link.  Each
+    is built on first use and lives as long as the point.
+    """
+
+    cfg: ExperimentConfig
+    speed_kmh: float
+    snr_index: int
+    trial: int
+
+    @cached_property
+    def cp_channel(self) -> ch.ChannelMatrixSet:
+        paths = _trial_paths(self.cfg, self.speed_kmh, self.snr_index, self.trial)
+        return ch.realize(paths, self.cfg.modem, with_cp=True)
+
+    def channel(self, with_cp: bool) -> ch.ChannelMatrixSet:
+        if with_cp:
+            return self.cp_channel
+        return ch.channel_matrices(self.cp_channel.realization, self.cfg.modem, with_cp=False)
+
+    @cached_property
+    def ft(self) -> np.ndarray:
+        return ofdm.per_symbol_ft_channel(self.cp_channel, self.cfg.modem)
+
+
 def evaluate_point(
-    cfg: ExperimentConfig, waveform: str, speed_kmh: float, snr_index: int, trial: int
+    cfg: ExperimentConfig, waveform: str, speed_kmh: float, snr_index: int, trial: int,
+    point: GridPoint | None = None,
 ) -> ResultRow:
     """Metrics for one (waveform, speed, SNR, trial) grid cell.
 
-    The waveform's link runs on the trial's realization; the MMSE links use
-    the structured routes, so no KN x KN effective channel is built.
+    The waveform's link runs on the trial's realization, taken from
+    ``point`` (a fresh :class:`GridPoint` if None); the MMSE links use the
+    structured routes, so no KN x KN effective channel is built.
     """
     start = time.perf_counter()
     modem = cfg.modem
     snr_db = cfg.snr_db[snr_index]
     sigma2 = modem.p_t / 10.0 ** (snr_db / 10.0)
     with_cp, link = WAVEFORMS[waveform]
-    chan = ch.realize(_trial_paths(cfg, speed_kmh, snr_index, trial), modem, with_cp=with_cp)
+    if point is None:
+        point = GridPoint(cfg, speed_kmh, snr_index, trial)
+    stack = {"ft": point.ft} if with_cp else {}
 
     # deterministic per-cell stream for symbols and noise
     sym_rng, noise_ss = _cell_streams(cfg, waveform, speed_kmh, snr_index, trial)
     x_dd = qpsk_grid(sym_rng, modem.k, modem.n)
-    sinr, x_hat = link(x_dd, chan, modem, sigma2, noise_ss)
+    sinr, x_hat = link(x_dd, point.channel(with_cp), modem, sigma2, noise_ss, **stack)
     smap = sinr_map_from_values(sinr, cfg.n_guard_for(waveform))
     return ResultRow(
         waveform=waveform,
@@ -258,13 +305,48 @@ def _cell_streams(cfg, waveform, speed_kmh, snr_index, trial):
     return np.random.default_rng(sym_ss), noise_ss
 
 
-def _worker(args):
-    cfg, cell = args
-    waveform, speed, snr_index, trial = cell
+def _point_worker(args):
+    """(row, None) or (None, (cell, traceback)) for each waveform at one grid point."""
+    cfg, (speed, snr_index, trial) = args
+    point = GridPoint(cfg, speed, snr_index, trial)
+    results = []
+    for waveform in cfg.waveforms:
+        try:
+            results.append((evaluate_point(cfg, waveform, speed, snr_index, trial, point), None))
+        except Exception:  # recorded with its traceback, not fatal for the sweep
+            results.append((None, ((waveform, speed, snr_index, trial), traceback.format_exc())))
+    return results
+
+
+#: Variables through which a user chooses BLAS threads; if one is set, BLAS is left alone.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+#: Thread-count setters of the OpenBLAS builds numpy (64-bit ints) and scipy ship.
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                 "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _pin_blas() -> None:
+    """Set every loaded OpenBLAS to one thread unless the user chose a count.
+
+    The sweep's BLAS calls are small, and a second thread spins longer than
+    it helps; ``DDMOD_THREADS`` spreads grid points over processes instead.
+    numpy and scipy each load their own OpenBLAS, found in /proc/self/maps
+    (a no-op where that file does not exist).  Called by :func:`main` and by
+    the pool's worker initializer, never at import.
+    """
+    if any(var in os.environ for var in _BLAS_THREAD_VARS):
+        return
     try:
-        return evaluate_point(cfg, waveform, speed, snr_index, trial), None
-    except Exception:  # recorded with its traceback, not fatal for the sweep
-        return None, (cell, traceback.format_exc())
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
+    except OSError:
+        return
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        for name in _BLAS_SETTERS:
+            if hasattr(handle, name):
+                getattr(handle, name)(1)
+                break
 
 
 def _worker_count(value: str | None) -> int:
@@ -283,24 +365,24 @@ def _worker_count(value: str | None) -> int:
 def run_sweep(cfg: ExperimentConfig, out_path: str | None = None):
     """Run the full grid; returns (rows, failures) and optionally writes CSV.
 
-    Rows are sorted by (waveform, speed, SNR, trial) before writing so the
-    output is independent of execution order; DDMOD_THREADS > 1 enables a
-    process pool over grid cells.  A failure is (cell, formatted traceback).
+    Each (speed, SNR, trial) point evaluates all its waveforms on one
+    :class:`GridPoint`.  Rows are sorted by (waveform, speed, SNR, trial)
+    before writing so the output is independent of execution order;
+    DDMOD_THREADS > 1 enables a process pool over grid points, each worker
+    on one BLAS thread.  A failure is (cell, formatted traceback).
     """
     workers = _worker_count(os.environ.get("DDMOD_THREADS"))
-    cells = [
-        (wf, speed, si, t)
-        for wf in cfg.waveforms
+    tasks = [
+        (cfg, (speed, si, t))
         for speed in cfg.speeds_kmh
         for si in range(len(cfg.snr_db))
         for t in range(cfg.trials)
     ]
-    results = []
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_worker, [(cfg, c) for c in cells], chunksize=4))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
+            results = [r for point in pool.map(_point_worker, tasks) for r in point]
     else:
-        results = [_worker((cfg, c)) for c in cells]
+        results = [r for task in tasks for r in _point_worker(task)]
 
     rows = [r for r, err in results if r is not None]
     failures = [err for r, err in results if err is not None]
@@ -317,45 +399,57 @@ def run_sweep(cfg: ExperimentConfig, out_path: str | None = None):
 
 # PSD / guard-band experiment -------------------------------------------------
 
-def _null_rows(x_ft: np.ndarray, n_guard: int) -> np.ndarray:
-    if n_guard == 0:
-        return x_ft
-    out = x_ft.copy()
-    out[:n_guard, :] = 0.0
-    out[x_ft.shape[0] - n_guard:, :] = 0.0
-    return out
+#: Bytes of frames modulated per batch by :func:`psd_signal`.
+_PSD_CHUNK_BYTES = 2 << 20
 
 
-def frame_generator(cfg: ExperimentConfig, waveform: str, n_guard: int):
-    """Seedable transmit-frame factory with 2*n_guard edge subcarriers nulled."""
+def psd_signal(cfg: ExperimentConfig, waveform: str):
+    """Transmit signals of one PSD family for the guard search, one per guard count.
+
+    Returns ``frames(n_guard)``, a frame function whose single frame is the
+    whole ``psd_trials``-frame signal with 2*n_guard edge subcarriers nulled,
+    so ``psd_estimate(frames(n_guard), modem, 1, seed)`` is the per-frame
+    estimate over ``psd_trials`` frames.  The seeded QPSK grids are drawn and
+    isfft'ed once, from the ``default_rng(cfg.seed)`` stream a per-frame
+    estimate reads.  Each call of a frame function modulates them, a chunk
+    of frames at a time, into one signal buffer, which the next call
+    overwrites.
+    """
     modem = cfg.modem
     with_cp = WAVEFORMS[waveform][0]
+    modulate = ofdm.ofdm_modulate if with_cp else drufmc.ufmc_modulate_ft
+    rng = np.random.default_rng(cfg.seed)
+    grids = np.stack([isfft(qpsk_grid(rng, modem.k, modem.n)) for _ in range(cfg.psd_trials)])
+    frame_len = modem.n * (modem.block_len if with_cp else modem.k * modem.o_s)
+    signal = np.empty((cfg.psd_trials, frame_len), dtype=complex)
+    chunk = max(1, _PSD_CHUNK_BYTES // signal[0].nbytes)
 
-    def fn(rng):
-        x_ft = _null_rows(isfft(qpsk_grid(rng, modem.k, modem.n)), n_guard)
-        return ofdm.ofdm_modulate(x_ft, modem) if with_cp else drufmc.ufmc_modulate_ft(x_ft, modem)
+    def frames(n_guard):
+        def frame(_rng):
+            for start in range(0, len(grids), chunk):
+                signal[start:start + chunk] = modulate(grids[start:start + chunk], modem, n_guard)
+            return signal.reshape(-1)
 
-    return fn
+        return frame
+
+    return frames
 
 
 def run_psd(cfg: ExperimentConfig, out_path: str | None = None):
     """PSD and guard-count summary per waveform family.
 
     Returns {waveform: (PsdEstimate, n_guard)} and optionally writes a
-    ``waveform,freq_hz,power_db`` CSV of the unnulled spectra.  The unnulled
-    spectrum is the guard search's own first estimate, so no (family, guard
-    count) is estimated twice.
+    ``waveform,freq_hz,power_db`` CSV of the unnulled spectra.  Each family's
+    frames come from one :func:`psd_signal`, and the unnulled spectrum is the
+    guard search's own first estimate, so no (family, guard count) is
+    estimated twice.
     """
     families = dict.fromkeys("otfs" if WAVEFORMS[wf][0] else "drufmc" for wf in cfg.waveforms)
     out = {}
     for wf in families:
         spectra = {}
         n_guard = guard_count_for_threshold(
-            lambda ng, wf=wf: frame_generator(cfg, wf, ng),
-            cfg.modem,
-            trials=cfg.psd_trials,
-            seed=cfg.seed,
-            _spectra=spectra,
+            psd_signal(cfg, wf), cfg.modem, trials=1, seed=cfg.seed, _spectra=spectra
         )
         out[wf] = (spectra[0], n_guard)
     target = out_path or cfg.out
@@ -451,20 +545,45 @@ def selftest() -> int:
     check("Welch PSD equals scipy reference",
           np.abs(est.density - np.fft.fftshift(ref)).max() < 1e-12 * ref.max())
 
+    # each link on the point's shared channel and stack, and on a fresh realization
+    exp = ExperimentConfig(modem=cfg, psd_trials=10, seed=1)
+    point = GridPoint(exp, 500.0, 2, 0)
+    x_dd = qpsk_grid(rng, cfg.k, cfg.n)
+    same = True
+    for with_cp, link in WAVEFORMS.values():
+        chan = ch.realize(_trial_paths(exp, 500.0, 2, 0), cfg, with_cp)
+        stack = {"ft": ofdm.per_symbol_ft_channel(chan, cfg)} if with_cp else {}
+        fresh = link(x_dd, chan, cfg, sigma2, 5, **stack)
+        stack = {"ft": point.ft} if with_cp else {}
+        shared = link(x_dd, point.channel(with_cp), cfg, sigma2, 5, **stack)
+        same = same and all(np.array_equal(a, b) for a, b in zip(fresh, shared))
+    check("shared grid point equals per-cell evaluation", same)
+
+    # the per-frame route: draw, isfft and null each frame, then concatenate
+    same = True
+    for wf, modulate in (("otfs", ofdm.ofdm_modulate), ("drufmc", drufmc.ufmc_modulate_ft)):
+        frames = psd_signal(exp, wf)
+        for ng in (0, 5, cfg.k // 2 - 1):
+            frame_rng = np.random.default_rng(exp.seed)
+            per_frame = []
+            for _ in range(exp.psd_trials):
+                x_ft = isfft(qpsk_grid(frame_rng, cfg.k, cfg.n))
+                x_ft[:ng] = x_ft[cfg.k - ng:] = 0.0
+                per_frame.append(modulate(x_ft, cfg))
+            same = same and np.array_equal(frames(ng)(None), np.concatenate(per_frame))
+    check("batched PSD frames equal per-frame frames", same)
+
     # the desk OOB curves (10 frames, seed 1) fall strictly with the guard count
-    exp = ExperimentConfig(modem=cfg)
     agree = True
     for wf in ("otfs", "drufmc"):
-        def gen(ng, wf=wf):
-            return frame_generator(exp, wf, ng)
-
-        levels = [oob_level_db(psd_estimate(gen(ng), cfg, 10, 1), cfg.bandwidth_hz)
+        gen = psd_signal(exp, wf)
+        levels = [oob_level_db(psd_estimate(gen(ng), cfg, 1, 1), cfg.bandwidth_hz)
                   for ng in range(cfg.k // 2)]
         between = [(a + b) / 2 for a, b in zip(levels, levels[1:])]
         for thr in (levels[0] + 1.0, *between, levels[-1] - 1.0):
             scan = next((ng for ng, level in enumerate(levels) if level <= thr), None)
             try:
-                bisected = guard_count_for_threshold(gen, cfg, thr, 10, 1)
+                bisected = guard_count_for_threshold(gen, cfg, thr, 1, 1)
             except GuardSearchError:
                 bisected = None
             agree = agree and bisected == scan
@@ -500,6 +619,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _pin_blas()
     if args.command == "selftest":
         failures = selftest()
         print("selftest:", "ok" if failures == 0 else f"{failures} failures")

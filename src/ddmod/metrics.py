@@ -158,19 +158,29 @@ _WELCH_BATCH_BYTES = 4 << 20
 def psd_estimate(frame_fn, cfg: ModemConfig, trials: int, seed) -> PsdEstimate:
     """Welch-averaged PSD of seeded random frames from ``frame_fn(rng)``.
 
-    Frames are concatenated and analysed with periodic-Hann-windowed segments
-    of length nper = 4*K*O_s (at most the signal length) starting every
-    hop = nper - nper//2 samples; the two-sided density is the mean |FFT|^2
-    over segments scaled by 1/(fs * sum(w^2)), on a frequency axis spanning
-    +-K*O_s*delta_f/2.  This is ``scipy.signal.welch`` with a Hann window,
-    ``noverlap=nper//2``, no detrending and two-sided output.  Segments are
-    strided views transformed in batches of a few MB, so no
-    (segments, nper) array is built.
+    The ``trials`` frames, of equal length, are written one after another
+    into one signal (a single frame is used as it is) and analysed with
+    periodic-Hann-windowed segments of length nper = 4*K*O_s (at most the
+    signal length) starting every hop = nper - nper//2 samples; the
+    two-sided density is the mean |FFT|^2 over segments scaled by
+    1/(fs * sum(w^2)), on a frequency axis spanning +-K*O_s*delta_f/2.  This
+    is ``scipy.signal.welch`` with a Hann window, ``noverlap=nper//2``, no
+    detrending and two-sided output.  Segments are strided views transformed
+    in batches of a few MB, so no (segments, nper) array is built.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    x = np.concatenate([np.asarray(frame_fn(rng)) for _ in range(trials)])
+    x = np.asarray(frame_fn(rng))
+    if trials > 1:
+        frames = np.empty((trials, x.size), dtype=x.dtype)
+        frames[0] = x
+        for t in range(1, trials):
+            frame = np.asarray(frame_fn(rng))
+            if frame.size != x.size:
+                raise ValueError(f"frames differ in length: {frame.size} vs {x.size}")
+            frames[t] = frame
+        x = frames.reshape(-1)
     fs = cfg.sample_rate_hz
     nper = min(4 * cfg.k * cfg.o_s, x.size)
     hop = nper - nper // 2

@@ -33,14 +33,28 @@ def _tx_null(cfg: ModemConfig) -> np.ndarray:
     return mask
 
 
-def ofdm_modulate(x_ft: np.ndarray, cfg: ModemConfig) -> np.ndarray:
-    """Serialize a K x N frequency-time grid: oversampled IFFT, CP, columnwise vec."""
+def _live_rows(cfg: ModemConfig, n_guard: int) -> slice:
+    """Grid rows [n_guard, K - n_guard): every subcarrier but the 2*n_guard edge ones."""
+    if not 0 <= 2 * n_guard < cfg.k:
+        raise ValueError(f"invalid guard count: need 0 <= 2*N_G < K={cfg.k}, got N_G={n_guard}")
+    return slice(n_guard, cfg.k - n_guard)
+
+
+def ofdm_modulate(x_ft: np.ndarray, cfg: ModemConfig, n_guard: int = 0) -> np.ndarray:
+    """Serialize a K x N frequency-time grid: oversampled IFFT, CP, columnwise vec.
+
+    A (..., K, N) stack of grids gives a (..., N*(K*O_s + N_CP)) stack of
+    frames.  The 2*n_guard edge subcarriers are not transmitted: only the
+    live rows enter the IFFT, as if the edge rows were zero.
+    """
     x_ft = np.asarray(x_ft)
-    if x_ft.shape != (cfg.k, cfg.n):
+    if x_ft.shape[-2:] != (cfg.k, cfg.n):
         raise ValueError(f"dimension mismatch: expected {(cfg.k, cfg.n)}, got {x_ft.shape}")
-    s = oversampled_idft(cfg.k, cfg.o_s) @ x_ft
-    if cfg.n_cp > 0:
-        s = np.concatenate((s[-cfg.n_cp:, :], s), axis=0)   # A_cp @ s
+    live = _live_rows(cfg, n_guard)
+    s = np.empty((*x_ft.shape[:-2], cfg.block_len, cfg.n), dtype=complex)
+    w_h = oversampled_idft(cfg.k, cfg.o_s)[:, live]
+    np.matmul(w_h, x_ft[..., live, :], out=s[..., cfg.n_cp:, :])
+    s[..., :cfg.n_cp, :] = s[..., cfg.k * cfg.o_s:, :]      # A_cp: the last N_CP samples lead
     return vec(s)
 
 
@@ -171,28 +185,29 @@ def ofdm_onetap_sinr(
 
 
 def _receive(x_ft: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigma2: float,
-             seed) -> tuple[np.ndarray, np.ndarray]:
-    """Received frequency-time grid of ``x_ft`` and the (N, K, K) channel stack."""
+             seed) -> np.ndarray:
+    """Received frequency-time grid of ``x_ft``."""
     r = apply_channel(ofdm_modulate(x_ft, cfg), chan, cfg.p_t, sigma2, seed)
-    return ofdm_demodulate(r, cfg), per_symbol_ft_channel(chan, cfg)
+    return ofdm_demodulate(r, cfg)
 
 
 def ofdm_full_link(x_ft: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigma2: float,
-                   seed=None) -> tuple[np.ndarray, np.ndarray]:
+                   seed=None, *, ft: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Send ``x_ft`` over ``chan`` with noise variance sigma^2 and full-MMSE-detect it.
 
+    ``ft`` is the channel's stack ``per_symbol_ft_channel(chan, cfg)``.
     Returns the (K, N) SINR and estimate grids of :func:`ofdm_full_mmse`.
     """
-    y_ft, ft = _receive(x_ft, chan, cfg, sigma2, seed)
-    return ofdm_full_mmse(y_ft, ft, cfg, sigma2)
+    return ofdm_full_mmse(_receive(x_ft, chan, cfg, sigma2, seed), ft, cfg, sigma2)
 
 
 def ofdm_onetap_link(x_ft: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigma2: float,
-                     seed=None) -> tuple[np.ndarray, np.ndarray]:
+                     seed=None, *, ft: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Send ``x_ft`` over ``chan`` with noise variance sigma^2 and one-tap-equalize it.
 
+    ``ft`` is the channel's stack ``per_symbol_ft_channel(chan, cfg)``.
     Returns the (K, N) SINR grid of :func:`ofdm_onetap_sinr` and the
     estimates of :func:`ofdm_onetap_fde`.
     """
-    y_ft, ft = _receive(x_ft, chan, cfg, sigma2, seed)
+    y_ft = _receive(x_ft, chan, cfg, sigma2, seed)
     return ofdm_onetap_sinr(ft, cfg, sigma2), ofdm_onetap_fde(y_ft, ft, cfg, sigma2)

@@ -87,10 +87,11 @@ def otfs_mmse(
 
 
 def otfs_link(x_dd: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigma2: float,
-              seed=None) -> tuple[np.ndarray, np.ndarray]:
+              seed=None, *, ft: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Send ``x_dd`` over ``chan`` with noise variance sigma^2 and MMSE-detect it.
 
+    ``ft`` is the channel's stack ``per_symbol_ft_channel(chan, cfg)``.
     Returns the (K, N) SINR and delay-Doppler estimate grids of :func:`otfs_mmse`.
     """
     r = apply_channel(otfs_modulate(x_dd, cfg), chan, cfg.p_t, sigma2, seed)
-    return otfs_mmse(otfs_demodulate(r, cfg), per_symbol_ft_channel(chan, cfg), cfg, sigma2)
+    return otfs_mmse(otfs_demodulate(r, cfg), ft, cfg, sigma2)

@@ -93,8 +93,11 @@ def sfft(y_ft: np.ndarray) -> np.ndarray:
 
 
 def vec(x: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(x).flatten(order="F")
+    """Column-stacking vectorization; a (..., rows, cols) stack vectorizes each matrix."""
+    x = np.asarray(x)
+    if x.ndim <= 2:
+        return x.flatten(order="F")
+    return np.swapaxes(x, -1, -2).reshape(*x.shape[:-2], -1)
 
 
 def invec(v: np.ndarray, rows: int) -> np.ndarray:

@@ -6,14 +6,26 @@ replaced live here as test oracles: the full (N, rows, L_ch) tap tensor, the
 per-symbol CP core R_cp @ M_i @ A_cp, its frequency-time block, and the v1
 text dump that wrote every tap column.  The literal subband and CP/tail
 bookkeeping matrices that the chains apply by slicing and convolution are
-here too, as is the linear guard-count scan that the bisected search replaced.
+here too, as are the linear guard-count scan that the bisected search
+replaced, the per-frame PSD transmitter that ``harness.psd_signal`` batches,
+and the sweep cell that realized its own channel before grid points shared one.
 """
 
 import numpy as np
 
 from ddmod import channel as ch
-from ddmod.metrics import GuardSearchError, oob_level_db, psd_estimate
-from ddmod.transforms import modulated_filter_taps, oversampled_dft
+from ddmod import drufmc, harness, ofdm
+from ddmod.metrics import (
+    GuardSearchError,
+    avg_spectral_efficiency,
+    net_sinr,
+    normalized_mse,
+    oob_level_db,
+    psd_estimate,
+    qpsk_grid,
+    sinr_map_from_values,
+)
+from ddmod.transforms import isfft, modulated_filter_taps, oversampled_dft, vec
 
 
 def dense_materialize_taps(paths, cfg, rows, n_symbols=None, l_ch=None) -> np.ndarray:
@@ -129,4 +141,54 @@ def linear_guard_scan(frame_fn_for_guard, cfg, delta_oob_db, trials, seed) -> in
             return n_guard
     raise GuardSearchError(
         f"not achievable: out-of-band level above {delta_oob_db} dB at every guard count"
+    )
+
+
+def frame_generator(cfg, waveform: str, n_guard: int):
+    """Seedable per-frame transmitter of a PSD family with 2*n_guard edge subcarriers nulled."""
+    modem = cfg.modem
+    with_cp = harness.WAVEFORMS[waveform][0]
+
+    def fn(rng):
+        x_ft = isfft(qpsk_grid(rng, modem.k, modem.n))
+        x_ft[:n_guard, :] = 0.0
+        x_ft[modem.k - n_guard:, :] = 0.0
+        return ofdm.ofdm_modulate(x_ft, modem) if with_cp else drufmc.ufmc_modulate_ft(x_ft, modem)
+
+    return fn
+
+
+def per_frame_signal(cfg, waveform: str, n_guard: int) -> np.ndarray:
+    """The ``psd_trials`` frames of :func:`frame_generator`, drawn one by one and concatenated."""
+    fn = frame_generator(cfg, waveform, n_guard)
+    rng = np.random.default_rng(cfg.seed)
+    return np.concatenate([fn(rng) for _ in range(cfg.psd_trials)])
+
+
+def per_cell_row(cfg, waveform: str, speed_kmh: float, snr_index: int, trial: int):
+    """One sweep cell on its own realization and frequency-time stack.
+
+    The CP-less chain gets a CP-less realization, as every cell did before
+    grid points shared them.
+    """
+    modem = cfg.modem
+    snr_db = cfg.snr_db[snr_index]
+    sigma2 = modem.p_t / 10.0 ** (snr_db / 10.0)
+    with_cp, link = harness.WAVEFORMS[waveform]
+    paths = harness._trial_paths(cfg, speed_kmh, snr_index, trial)
+    chan = ch.realize(paths, modem, with_cp=with_cp)
+    stack = {"ft": ofdm.per_symbol_ft_channel(chan, modem)} if with_cp else {}
+    sym_rng, noise_ss = harness._cell_streams(cfg, waveform, speed_kmh, snr_index, trial)
+    x_dd = qpsk_grid(sym_rng, modem.k, modem.n)
+    sinr, x_hat = link(x_dd, chan, modem, sigma2, noise_ss, **stack)
+    smap = sinr_map_from_values(sinr, cfg.n_guard_for(waveform))
+    return harness.ResultRow(
+        waveform=waveform,
+        speed_kmh=speed_kmh,
+        snr_db=snr_db,
+        trial=trial,
+        net_sinr_db=net_sinr(smap),
+        avg_se_bps_hz=avg_spectral_efficiency(smap, modem.cp_efficiency() if with_cp else 1.0),
+        nmse=normalized_mse(vec(x_hat), vec(x_dd)),
+        runtime_s=0.0,
     )

@@ -106,6 +106,26 @@ class TestLoadConfig:
         assert main(["psd", "--config", path, "--out", out, "--trials", "0"]) == 2
         assert "config error: psd_trials must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, match", [
+        ("speeds_kmh = ,", "speeds_kmh must be non-empty"),
+        ("waveforms = ,", "waveforms must be non-empty"),
+        ("waveforms = otfs, otfs", "waveforms lists a value twice"),
+        ("speeds_kmh = 50, 50.0", "speeds_kmh lists a value twice"),
+        ("snr_db = 10, 10", "snr_db lists a value twice"),
+        ("speeds_kmh = -50", "speeds_kmh must be finite and >= 0, got -50"),
+    ], ids=["empty_speeds", "empty_waveforms", "duplicate_waveform", "duplicate_speed",
+            "duplicate_snr", "negative_speed"])
+    def test_bad_sweep_axis_is_a_config_error(self, tmp_path, capsys, line, match):
+        # each once gave 0 rows, duplicated rows or a traceback per cell
+        path = write_config(tmp_path, DESK_LINES + "trials = 1\n" + line + "\n")
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
+        out = str(tmp_path / "out.csv")
+        assert main(["run", "--config", path, "--out", out]) == 2
+        assert main(["psd", "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"config error: {match.split(',')[0]}") == 2
+
 
 class TestSeeding:
     def test_channel_seed_excludes_waveform(self):
@@ -237,20 +257,25 @@ class TestRunPsd:
     def test_each_guard_count_estimated_once(self, monkeypatch):
         # table-1 K = 128: count 0, then at most log2(64) = 6 bisection steps
         cfg = ExperimentConfig(modem=table1_config(), waveforms=("otfs", "drufmc"), psd_trials=2)
-        make_frames, estimate = harness.frame_generator, metrics.psd_estimate
+        make_signal, estimate = harness.psd_signal, metrics.psd_estimate
         estimates = []
 
-        def tagged(cfg, waveform, n_guard):
-            fn = make_frames(cfg, waveform, n_guard)
-            fn.tag = (waveform, n_guard)
-            return fn
+        def tagged(cfg, waveform):
+            frames = make_signal(cfg, waveform)
+
+            def tagged_frames(n_guard):
+                fn = frames(n_guard)
+                fn.tag = (waveform, n_guard)
+                return fn
+
+            return tagged_frames
 
         def recorded(frame_fn, *args):
             est = estimate(frame_fn, *args)
             estimates.append((frame_fn.tag, est))
             return est
 
-        monkeypatch.setattr(harness, "frame_generator", tagged)
+        monkeypatch.setattr(harness, "psd_signal", tagged)
         monkeypatch.setattr(metrics, "psd_estimate", recorded)
         summary = run_psd(cfg)
         tags = [tag for tag, _ in estimates]
@@ -259,6 +284,104 @@ class TestRunPsd:
             assert 1 <= sum(t[0] == wf for t in tags) <= 8
             # the spectrum returned (and written) is the search's own estimate
             assert summary[wf][0] is dict(estimates)[(wf, 0)]
+
+
+BLAS_PROBE = '''
+import ctypes, json, os
+
+
+def blas_threads():
+    """{library file: thread count} of every loaded OpenBLAS."""
+    with open("/proc/self/maps") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]})
+    counts = {}
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(handle, name):
+                counts[os.path.basename(lib)] = getattr(handle, name)()
+                break
+    return counts
+
+
+def report_point(args):
+    """Stands in for harness._point_worker: a failure carrying the worker's counts."""
+    return [(None, (os.getpid(), json.dumps(blas_threads())))]
+'''
+
+IN_MAIN = """
+import json, sys, blas_probe
+from ddmod import harness
+def report(cfg, out_path=None):
+    print(json.dumps(blas_probe.blas_threads()))
+    return [], []
+harness.run_sweep = report
+harness.main(["run", "--config", sys.argv[1]])
+"""
+
+IN_POOL = """
+import json, sys, blas_probe
+from ddmod import harness
+harness._point_worker = blas_probe.report_point
+_, failures = harness.run_sweep(harness.load_config(sys.argv[1], desk=True))
+print(json.dumps([json.loads(counts) for _, counts in failures]))
+"""
+
+AT_IMPORT = """
+import json, numpy, scipy.linalg, blas_probe
+before = blas_probe.blas_threads()
+import ddmod, ddmod.harness
+print(json.dumps([before, blas_probe.blas_threads()]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+class TestBlasThreads:
+    """The CLI and its pool workers run every loaded OpenBLAS on one thread.
+
+    On a 1-CPU machine OpenBLAS already defaults to one thread, so these
+    tests pass there without showing anything.
+    """
+
+    def _probe(self, tmp_path, code, **env):
+        import json
+        import os
+        from pathlib import Path
+
+        import ddmod
+
+        (tmp_path / "blas_probe.py").write_text(BLAS_PROBE)
+        cfg = write_config(tmp_path, DESK_LINES + "waveforms = otfs\ntrials = 4\n"
+                                                  "speeds_kmh = 500\nsnr_db = 10\n")
+        src = str(Path(ddmod.__file__).resolve().parents[1])
+        child_env = {k: v for k, v in os.environ.items()
+                     if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "DDMOD_THREADS")}
+        child_env.update(env, PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
+        r = subprocess.run([sys.executable, "-c", code, cfg], capture_output=True, text=True,
+                           timeout=300, env=child_env, cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        return json.loads(r.stdout.splitlines()[0])
+
+    def test_main_pins_every_openblas(self, tmp_path):
+        counts = self._probe(tmp_path, IN_MAIN)
+        assert len(counts) == 2          # numpy's and scipy's own builds
+        assert set(counts.values()) == {1}
+
+    def test_pool_workers_pin_every_openblas(self, tmp_path):
+        per_point = self._probe(tmp_path, IN_POOL, DDMOD_THREADS="2")
+        assert len(per_point) == 4
+        assert all(len(counts) == 2 and set(counts.values()) == {1} for counts in per_point)
+
+    def test_explicit_thread_count_is_left_as_set(self, tmp_path):
+        default = self._probe(tmp_path, AT_IMPORT)[0]
+        chosen = self._probe(tmp_path, AT_IMPORT, OPENBLAS_NUM_THREADS="2")[0]
+        assert set(chosen.values()) == {min(2, max(default.values()))}
+        assert self._probe(tmp_path, IN_MAIN, OPENBLAS_NUM_THREADS="2") == chosen
+
+    def test_import_leaves_the_library_default(self, tmp_path):
+        before, after = self._probe(tmp_path, AT_IMPORT)
+        assert len(before) == 2 and after == before
 
 
 class TestCli:

@@ -11,7 +11,7 @@ from scipy import signal as sp_signal
 from ddmod import channel as ch
 from ddmod import drufmc, metrics, ofdm
 from ddmod.config import desk_config, table1_config
-from ddmod.harness import ExperimentConfig, frame_generator
+from ddmod.harness import ExperimentConfig
 from ddmod.metrics import (
     GuardSearchError,
     avg_spectral_efficiency,
@@ -27,7 +27,7 @@ from ddmod.metrics import (
 )
 from ddmod.transforms import isfft
 
-from oracles import linear_guard_scan
+from oracles import frame_generator, linear_guard_scan
 
 
 def crandn(rng, *shape):

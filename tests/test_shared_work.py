@@ -1,0 +1,154 @@
+"""Work shared across the cells of a sweep point and across a PSD family's guard counts.
+
+A grid point materializes one channel and one frequency-time stack for all
+its waveforms (``harness.GridPoint``), and the guard search modulates one set
+of seeded grids per PSD family (``harness.psd_signal``).  Both must give
+exactly what a fresh realization per cell and the per-frame transmitter give
+(``tests/oracles.py``), and a failure must stay in the cells it belongs to.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ddmod import channel as ch
+from ddmod import harness, ofdm
+from ddmod.config import ModemConfig, desk_config, table1_config
+from ddmod.harness import WAVEFORMS, ExperimentConfig, GridPoint, evaluate_point, psd_signal
+from ddmod.harness import run_psd, run_sweep
+from ddmod.metrics import psd_estimate
+
+from oracles import frame_generator, per_cell_row, per_frame_signal
+
+examples = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def sweep_configs(draw):
+    k = draw(st.sampled_from([4, 8, 16]))
+    d = draw(st.sampled_from([x for x in range(1, k + 1) if k % x == 0]))
+    o_s = draw(st.integers(1, 4))
+    ko = k * o_s
+    modem = ModemConfig(
+        k=k, n=draw(st.integers(1, 6)), o_s=o_s, b=k // d, d=d,
+        filter_len=draw(st.integers(1, min(ko, 8))), filter_att_db=40.0,
+        n_cp=draw(st.one_of(st.just(0), st.integers(1, ko))),
+        n_guard=draw(st.integers(0, k // 2 - 1)),
+        guard_nulling=draw(st.sampled_from(["tx", "accounting"])),
+        pulse=draw(st.sampled_from(["ideal", "rrc"])),
+    )
+    return ExperimentConfig(
+        modem=modem,
+        snr_db=(draw(st.sampled_from([0.0, 15.0, 30.0])),),
+        speeds_kmh=(draw(st.sampled_from([0.0, 50.0, 500.0])),),
+        trials=1,
+        seed=draw(st.integers(0, 2**16)),
+        channel_model=draw(st.sampled_from(["eva", "ideal"])),
+    )
+
+
+def outcome(fn, *args):
+    """repr of a cell's row (exact floats, NaN equal to NaN), or its exception."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # an ill-conditioned cell must fail the same way
+        return f"{type(exc).__name__}: {exc}"
+
+
+@examples
+@given(cfg=sweep_configs())
+def test_shared_point_equals_a_fresh_realization_per_cell(cfg):
+    speed = cfg.speeds_kmh[0]
+    point = GridPoint(cfg, speed, 0, 0)
+    for wf in WAVEFORMS:
+        shared = outcome(evaluate_point, cfg, wf, speed, 0, 0, point)
+        assert shared == outcome(per_cell_row, cfg, wf, speed, 0, 0), wf
+
+
+def desk_sweep(trials=1):
+    return ExperimentConfig(modem=desk_config(pulse="rrc"), speeds_kmh=(500.0,),
+                            snr_db=(10.0, 20.0), trials=trials, seed=4)
+
+
+def test_each_point_realizes_and_builds_its_stack_once(monkeypatch):
+    calls = {"realize": 0, "ft": 0}
+    realize, stack = ch.realize, ofdm.per_symbol_ft_channel
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ch, "realize", counted("realize", realize))
+    monkeypatch.setattr(ofdm, "per_symbol_ft_channel", counted("ft", stack))
+    cfg = desk_sweep(trials=2)
+    rows, failures = run_sweep(cfg)
+    assert not failures and len(rows) == 4 * 2 * 2
+    assert calls == {"realize": 2 * 2, "ft": 2 * 2}
+
+
+def test_raising_link_fails_only_its_own_cell(monkeypatch):
+    cfg = desk_sweep()
+    clean, _ = run_sweep(cfg)
+
+    def exploding_link(*args, **kwargs):
+        raise RuntimeError("link down")
+
+    monkeypatch.setitem(harness.WAVEFORMS, "otfs", (True, exploding_link))
+    rows, failures = run_sweep(cfg)
+    assert [cell for cell, _ in failures] == [("otfs", 500.0, 0, 0), ("otfs", 500.0, 1, 0)]
+    for _, tb in failures:
+        assert "Traceback (most recent call last)" in tb
+        assert "in exploding_link" in tb and "RuntimeError: link down" in tb
+    assert rows == [r for r in clean if r.waveform != "otfs"]
+
+
+def test_raising_realization_fails_every_cell_of_its_point(monkeypatch):
+    cfg = desk_sweep()
+    clean, _ = run_sweep(cfg)
+    target = harness._trial_paths(cfg, 500.0, 1, 0)
+    realize = ch.realize
+
+    def failing_realize(paths, *args, **kwargs):
+        if np.array_equal(paths.gains, target.gains):
+            raise RuntimeError("no taps for this point")
+        return realize(paths, *args, **kwargs)
+
+    monkeypatch.setattr(ch, "realize", failing_realize)
+    rows, failures = run_sweep(cfg)
+    assert [cell for cell, _ in failures] == [(wf, 500.0, 1, 0) for wf in cfg.waveforms]
+    assert all("RuntimeError: no taps for this point" in tb for _, tb in failures)
+    assert rows == [r for r in clean if r.snr_db == 10.0]
+
+
+@pytest.mark.parametrize("family", ["otfs", "drufmc"])
+@pytest.mark.parametrize("modem_kw, psd_trials, chunk_bytes", [
+    ({}, 4, harness._PSD_CHUNK_BYTES),
+    ({"n_cp": 0}, 4, harness._PSD_CHUNK_BYTES),
+    ({"filter_len": 1}, 4, harness._PSD_CHUNK_BYTES),
+    ({}, 1, harness._PSD_CHUNK_BYTES),
+    ({}, 5, 1),
+], ids=["desk", "n_cp_0", "filter_len_1", "one_trial", "one_frame_chunks"])
+def test_batched_signal_equals_per_frame_frames(monkeypatch, family, modem_kw, psd_trials,
+                                                chunk_bytes):
+    monkeypatch.setattr(harness, "_PSD_CHUNK_BYTES", chunk_bytes)
+    cfg = ExperimentConfig(modem=desk_config(**modem_kw), psd_trials=psd_trials, seed=3)
+    frames = psd_signal(cfg, family)
+    # counts in the order a search may ask them, so the shared buffer is rewritten
+    for n_guard in (0, cfg.modem.k // 2 - 1, 3, 0):
+        assert np.array_equal(frames(n_guard)(None), per_frame_signal(cfg, family, n_guard))
+        est = psd_estimate(frames(n_guard), cfg.modem, 1, cfg.seed)
+        ref = psd_estimate(frame_generator(cfg, family, n_guard), cfg.modem, psd_trials, cfg.seed)
+        assert np.array_equal(est.freqs_hz, ref.freqs_hz)
+        assert np.array_equal(est.density, ref.density)
+
+
+def test_run_psd_draws_each_familys_grids_once(monkeypatch):
+    calls = []
+    draw = harness.qpsk_grid
+    monkeypatch.setattr(harness, "qpsk_grid", lambda *args: calls.append(args) or draw(*args))
+    cfg = ExperimentConfig(modem=table1_config(), waveforms=("otfs", "drufmc"), psd_trials=3)
+    run_psd(cfg)
+    assert len(calls) == 2 * 3      # once per estimate it was 2 families x 7 estimates x 3
