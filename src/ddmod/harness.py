@@ -9,6 +9,11 @@ builds that realization and its frequency-time stack once per point
 (:class:`GridPoint`).  Output rows are sorted deterministically before
 writing; rerunning an identical config and seed reproduces the CSV byte for
 byte.
+
+The PSD experiment hands the guard search a ``spectrum(n_guard)`` function:
+the Welch estimate of one family's whole ``psd_trials``-frame signal
+(:func:`psd_signal`), computed at most once per guard count.  The oracles
+these routes are checked against live in ``tests/``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -29,19 +34,16 @@ from . import channel as ch
 from . import drufmc, ofdm, otfs
 from .config import ConfigError, ModemConfig, desk_config
 from .metrics import (
-    GuardSearchError,
     avg_spectral_efficiency,
-    mmse_detect,
+    guard_count_for_threshold,
     net_sinr,
     normalized_mse,
-    oob_level_db,
     psd_estimate,
     qpsk_grid,
-    sinr_map,
+    sinr_map,  # unused here; perfbench/test_perfbench.py checks that its tracer rebinds it
     sinr_map_from_values,
-    guard_count_for_threshold,
 )
-from .transforms import invec, isfft, vec
+from .transforms import isfft, vec
 
 #: Waveform name -> (CP-bearing, link).  A link maps (x_dd, chan, cfg, sigma2,
 #: seed) to the (K, N) SINR and estimate grids.  The CP flag picks the
@@ -95,6 +97,8 @@ class ExperimentConfig:
                 raise ConfigError(f"speeds_kmh must be finite and >= 0, got {speed}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.psd_trials < 1:
             raise ConfigError(f"psd_trials must be >= 1, got {self.psd_trials}")
         for wf in self.waveforms:
@@ -170,8 +174,6 @@ def config_from_dict(raw: dict, origin: str = "<dict>", desk: bool = False) -> E
                 modem_kwargs[key] = str(value)
             elif key in _INT_KEYS:
                 exp_kwargs[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                exp_kwargs[key] = float(value)
             elif key == "channel":
                 exp_kwargs["channel_model"] = value
             elif key == "out":
@@ -331,8 +333,8 @@ def _pin_blas() -> None:
     The sweep's BLAS calls are small, and a second thread spins longer than
     it helps; ``DDMOD_THREADS`` spreads grid points over processes instead.
     numpy and scipy each load their own OpenBLAS, found in /proc/self/maps
-    (a no-op where that file does not exist).  Called by :func:`main` and by
-    the pool's worker initializer, never at import.
+    (a no-op where that file does not exist).  Called by :func:`main`, by
+    the pool's worker initializer and once per test session, never at import.
     """
     if any(var in os.environ for var in _BLAS_THREAD_VARS):
         return
@@ -406,14 +408,11 @@ _PSD_CHUNK_BYTES = 2 << 20
 def psd_signal(cfg: ExperimentConfig, waveform: str):
     """Transmit signals of one PSD family for the guard search, one per guard count.
 
-    Returns ``frames(n_guard)``, a frame function whose single frame is the
-    whole ``psd_trials``-frame signal with 2*n_guard edge subcarriers nulled,
-    so ``psd_estimate(frames(n_guard), modem, 1, seed)`` is the per-frame
-    estimate over ``psd_trials`` frames.  The seeded QPSK grids are drawn and
-    isfft'ed once, from the ``default_rng(cfg.seed)`` stream a per-frame
-    estimate reads.  Each call of a frame function modulates them, a chunk
-    of frames at a time, into one signal buffer, which the next call
-    overwrites.
+    Returns ``signal(n_guard)``: the ``psd_trials`` frames with 2*n_guard
+    edge subcarriers nulled, one after another.  The seeded QPSK grids are
+    drawn in frame order from ``default_rng(cfg.seed)`` and isfft'ed once.
+    Each call modulates them, a chunk of frames at a time, into one buffer,
+    which the next call overwrites.
     """
     modem = cfg.modem
     with_cp = WAVEFORMS[waveform][0]
@@ -421,18 +420,15 @@ def psd_signal(cfg: ExperimentConfig, waveform: str):
     rng = np.random.default_rng(cfg.seed)
     grids = np.stack([isfft(qpsk_grid(rng, modem.k, modem.n)) for _ in range(cfg.psd_trials)])
     frame_len = modem.n * (modem.block_len if with_cp else modem.k * modem.o_s)
-    signal = np.empty((cfg.psd_trials, frame_len), dtype=complex)
-    chunk = max(1, _PSD_CHUNK_BYTES // signal[0].nbytes)
+    buf = np.empty((cfg.psd_trials, frame_len), dtype=complex)
+    chunk = max(1, _PSD_CHUNK_BYTES // buf[0].nbytes)
 
-    def frames(n_guard):
-        def frame(_rng):
-            for start in range(0, len(grids), chunk):
-                signal[start:start + chunk] = modulate(grids[start:start + chunk], modem, n_guard)
-            return signal.reshape(-1)
+    def signal(n_guard):
+        for start in range(0, len(grids), chunk):
+            buf[start:start + chunk] = modulate(grids[start:start + chunk], modem, n_guard)
+        return buf.reshape(-1)
 
-        return frame
-
-    return frames
+    return signal
 
 
 def run_psd(cfg: ExperimentConfig, out_path: str | None = None):
@@ -440,18 +436,17 @@ def run_psd(cfg: ExperimentConfig, out_path: str | None = None):
 
     Returns {waveform: (PsdEstimate, n_guard)} and optionally writes a
     ``waveform,freq_hz,power_db`` CSV of the unnulled spectra.  Each family's
-    frames come from one :func:`psd_signal`, and the unnulled spectrum is the
-    guard search's own first estimate, so no (family, guard count) is
-    estimated twice.
+    spectra are estimated from one :func:`psd_signal` and cached per guard
+    count, so the unnulled spectrum is the guard search's own first estimate
+    and no (family, guard count) is estimated twice.
     """
     families = dict.fromkeys("otfs" if WAVEFORMS[wf][0] else "drufmc" for wf in cfg.waveforms)
     out = {}
     for wf in families:
-        spectra = {}
-        n_guard = guard_count_for_threshold(
-            psd_signal(cfg, wf), cfg.modem, trials=1, seed=cfg.seed, _spectra=spectra
-        )
-        out[wf] = (spectra[0], n_guard)
+        signal = psd_signal(cfg, wf)
+        spectrum = cache(lambda n_guard: psd_estimate(signal(n_guard), cfg.modem))
+        n_guard = guard_count_for_threshold(spectrum, cfg.modem)
+        out[wf] = (spectrum(0), n_guard)
     target = out_path or cfg.out
     if target:
         with open(target, "w", encoding="utf-8", newline="\n") as fh:
@@ -460,135 +455,6 @@ def run_psd(cfg: ExperimentConfig, out_path: str | None = None):
                 for f, p in zip(est.freqs_hz, est.db_rel_peak()):
                     fh.write(f"{wf},{f:.10g},{p:.10g}\n")
     return out
-
-
-# Self test -------------------------------------------------------------------
-
-def selftest() -> int:
-    """Fast built-in oracle suite; returns the number of failed checks."""
-    failures = 0
-
-    def check(name, ok):
-        nonlocal failures
-        print(f"  [{'ok' if ok else 'FAIL'}] {name}")
-        if not ok:
-            failures += 1
-
-    from .transforms import dft_matrix, oversampled_dft, sfft
-
-    rng = np.random.default_rng(1)
-    f8 = dft_matrix(8)
-    check("DFT unitarity", np.abs(f8 @ f8.conj().T - np.eye(8)).max() < 1e-12)
-    w = oversampled_dft(8, 4)
-    check("oversampled DFT row orthonormality", np.abs(w @ w.conj().T - np.eye(8)).max() < 1e-12)
-    x = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
-    check("sfft(isfft) round trip", np.abs(sfft(isfft(x)) - x).max() < 1e-10)
-
-    cfg = desk_config()
-    paths = ch.ideal_path()
-    chan = ch.realize(paths, cfg, with_cp=True)
-    x_dd = qpsk_grid(rng, cfg.k, cfg.n)
-    y = otfs.otfs_demodulate(ofdm.apply_channel(otfs.otfs_modulate(x_dd, cfg), chan, 1.0, 0.0), cfg)
-    check("OTFS ideal-channel loopback", np.abs(y - x_dd).max() < 1e-10)
-
-    paths = ch.sample_eva_paths(3, 500 / 3.6, cfg.f_c_hz)
-    chan = ch.realize(paths, cfg, with_cp=True)
-    eff = otfs.otfs_effective_channel(chan, cfg)
-    j = 17
-    e = np.zeros(cfg.k * cfg.n)
-    e[j] = 1.0
-    probe = vec(otfs.otfs_demodulate(
-        ofdm.apply_channel(otfs.otfs_modulate(invec(e, cfg.k), cfg), chan, 1.0, 0.0), cfg
-    ))
-    rel = np.linalg.norm(probe - eff[:, j]) / np.linalg.norm(eff[:, j])
-    check("OTFS chain/matrix probe", rel < 1e-9)
-
-    chan_no = ch.realize(paths, cfg, with_cp=False)
-    effu = drufmc.drufmc_effective_channel(chan_no, cfg)
-    probe = vec(drufmc.drufmc_demodulate(
-        ofdm.apply_channel(drufmc.drufmc_modulate(invec(e, cfg.k), cfg), chan_no, 1.0, 0.0), cfg
-    ))
-    rel = np.linalg.norm(probe - effu[:, j]) / np.linalg.norm(effu[:, j])
-    check("DR-UFMC chain/matrix probe", rel < 1e-9)
-
-    sigma2 = 1e-2
-    y_dd = rng.standard_normal((cfg.k, cfg.n)) + 1j * rng.standard_normal((cfg.k, cfg.n))
-    for name, dense, (sinr, x_hat) in (
-        ("OTFS", eff, otfs.otfs_mmse(y_dd, ofdm.per_symbol_ft_channel(chan, cfg), cfg, sigma2)),
-        ("DR-UFMC", effu, drufmc.drufmc_mmse(y_dd, chan_no, cfg, sigma2)),
-    ):
-        ref_sinr = sinr_map(dense, sigma2, cfg).values
-        ref_x = mmse_detect(dense, vec(y_dd), sigma2)
-        check(f"{name} structured MMSE equals dense route",
-              np.abs(sinr - ref_sinr).max() < 1e-9 * np.abs(ref_sinr).max()
-              and np.abs(vec(x_hat) - ref_x).max() < 1e-9 * np.abs(ref_x).max())
-
-    small = desk_config(k=16, o_s=2, b=4, d=4, filter_len=5, n=4)
-    x_dd = qpsk_grid(rng, small.k, small.n)
-    s1 = drufmc.drufmc_modulate(x_dd, small)
-    s2 = drufmc.ufmc_stacked_precoder(small) @ drufmc.dd_to_ft_kron(small) @ vec(x_dd)
-    check("DR-UFMC dual construction", np.abs(s1 - s2).max() < 1e-12)
-
-    c = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    yv = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    a_inv = np.linalg.inv(c @ c.conj().T + 0.3 * np.eye(4))
-    check("MMSE dense-inverse oracle",
-          np.abs(mmse_detect(c, yv, 0.3) - c.conj().T @ a_inv @ yv).max() < 1e-10)
-
-    from scipy import signal as sp_signal   # reference only; the library does not use it
-
-    sig = rng.standard_normal(1001) + 1j * rng.standard_normal(1001)
-    nper = 4 * cfg.k * cfg.o_s
-    _, ref = sp_signal.welch(sig, fs=cfg.sample_rate_hz, window="hann", nperseg=nper,
-                             noverlap=nper // 2, detrend=False, return_onesided=False)
-    est = psd_estimate(lambda _: sig, cfg, 1, 0)
-    check("Welch PSD equals scipy reference",
-          np.abs(est.density - np.fft.fftshift(ref)).max() < 1e-12 * ref.max())
-
-    # each link on the point's shared channel and stack, and on a fresh realization
-    exp = ExperimentConfig(modem=cfg, psd_trials=10, seed=1)
-    point = GridPoint(exp, 500.0, 2, 0)
-    x_dd = qpsk_grid(rng, cfg.k, cfg.n)
-    same = True
-    for with_cp, link in WAVEFORMS.values():
-        chan = ch.realize(_trial_paths(exp, 500.0, 2, 0), cfg, with_cp)
-        stack = {"ft": ofdm.per_symbol_ft_channel(chan, cfg)} if with_cp else {}
-        fresh = link(x_dd, chan, cfg, sigma2, 5, **stack)
-        stack = {"ft": point.ft} if with_cp else {}
-        shared = link(x_dd, point.channel(with_cp), cfg, sigma2, 5, **stack)
-        same = same and all(np.array_equal(a, b) for a, b in zip(fresh, shared))
-    check("shared grid point equals per-cell evaluation", same)
-
-    # the per-frame route: draw, isfft and null each frame, then concatenate
-    same = True
-    for wf, modulate in (("otfs", ofdm.ofdm_modulate), ("drufmc", drufmc.ufmc_modulate_ft)):
-        frames = psd_signal(exp, wf)
-        for ng in (0, 5, cfg.k // 2 - 1):
-            frame_rng = np.random.default_rng(exp.seed)
-            per_frame = []
-            for _ in range(exp.psd_trials):
-                x_ft = isfft(qpsk_grid(frame_rng, cfg.k, cfg.n))
-                x_ft[:ng] = x_ft[cfg.k - ng:] = 0.0
-                per_frame.append(modulate(x_ft, cfg))
-            same = same and np.array_equal(frames(ng)(None), np.concatenate(per_frame))
-    check("batched PSD frames equal per-frame frames", same)
-
-    # the desk OOB curves (10 frames, seed 1) fall strictly with the guard count
-    agree = True
-    for wf in ("otfs", "drufmc"):
-        gen = psd_signal(exp, wf)
-        levels = [oob_level_db(psd_estimate(gen(ng), cfg, 1, 1), cfg.bandwidth_hz)
-                  for ng in range(cfg.k // 2)]
-        between = [(a + b) / 2 for a, b in zip(levels, levels[1:])]
-        for thr in (levels[0] + 1.0, *between, levels[-1] - 1.0):
-            scan = next((ng for ng, level in enumerate(levels) if level <= thr), None)
-            try:
-                bisected = guard_count_for_threshold(gen, cfg, thr, 1, 1)
-            except GuardSearchError:
-                bisected = None
-            agree = agree and bisected == scan
-    check("guard bisection equals linear scan (desk scale)", agree)
-    return failures
 
 
 # CLI -------------------------------------------------------------------------
@@ -612,19 +478,12 @@ def _build_parser() -> argparse.ArgumentParser:
     psd_p.add_argument("--config", required=True)
     psd_p.add_argument("--out", required=True, help="CSV output path")
     psd_p.add_argument("--trials", type=int, default=None)
-
-    sub.add_parser("selftest", help="run the built-in oracle suite")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     _pin_blas()
-    if args.command == "selftest":
-        failures = selftest()
-        print("selftest:", "ok" if failures == 0 else f"{failures} failures")
-        return 0 if failures == 0 else 1
-
     run = args.command == "run"
     try:
         cfg = load_config(args.config, desk=run and not args.full)

@@ -4,7 +4,8 @@ and the guard-subcarrier search against an out-of-band emission threshold.
 ``sinr_map`` and ``mmse_detect`` work on any dense effective channel; they are
 the reference for the structured per-waveform routes built on
 :mod:`ddmod.mmse`, which the sweep uses.  The Welch PSD is plain numpy
-(``scipy.signal.welch`` is its test reference) and the guard search bisects.
+(``scipy.signal.welch`` is its test reference) and takes the signal itself;
+the guard search bisects over a caller's ``spectrum(n_guard)``.
 """
 
 from __future__ import annotations
@@ -32,18 +33,6 @@ class SinrMap:
     @property
     def k(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
-
-    def guard_mask(self) -> np.ndarray:
-        """Boolean (K, N) mask, True on guard bins."""
-        mask = np.zeros(self.values.shape, dtype=bool)
-        if self.n_guard > 0:
-            mask[:self.n_guard, :] = True
-            mask[self.k - self.n_guard:, :] = True
-        return mask
 
 
 def _normal_solve(c: np.ndarray, sigma2: float, rhs: np.ndarray) -> np.ndarray:
@@ -155,32 +144,18 @@ def qpsk_grid(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
 _WELCH_BATCH_BYTES = 4 << 20
 
 
-def psd_estimate(frame_fn, cfg: ModemConfig, trials: int, seed) -> PsdEstimate:
-    """Welch-averaged PSD of seeded random frames from ``frame_fn(rng)``.
+def psd_estimate(x: np.ndarray, cfg: ModemConfig) -> PsdEstimate:
+    """Welch-averaged two-sided PSD of the signal ``x``.
 
-    The ``trials`` frames, of equal length, are written one after another
-    into one signal (a single frame is used as it is) and analysed with
-    periodic-Hann-windowed segments of length nper = 4*K*O_s (at most the
-    signal length) starting every hop = nper - nper//2 samples; the
-    two-sided density is the mean |FFT|^2 over segments scaled by
-    1/(fs * sum(w^2)), on a frequency axis spanning +-K*O_s*delta_f/2.  This
-    is ``scipy.signal.welch`` with a Hann window, ``noverlap=nper//2``, no
+    Periodic-Hann-windowed segments of length nper = 4*K*O_s (at most the
+    signal length) start every hop = nper - nper//2 samples; the density is
+    the mean |FFT|^2 over segments scaled by 1/(fs * sum(w^2)), on a
+    frequency axis spanning +-K*O_s*delta_f/2.  This is
+    ``scipy.signal.welch`` with a Hann window, ``noverlap=nper//2``, no
     detrending and two-sided output.  Segments are strided views transformed
     in batches of a few MB, so no (segments, nper) array is built.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    x = np.asarray(frame_fn(rng))
-    if trials > 1:
-        frames = np.empty((trials, x.size), dtype=x.dtype)
-        frames[0] = x
-        for t in range(1, trials):
-            frame = np.asarray(frame_fn(rng))
-            if frame.size != x.size:
-                raise ValueError(f"frames differ in length: {frame.size} vs {x.size}")
-            frames[t] = frame
-        x = frames.reshape(-1)
+    x = np.asarray(x)
     fs = cfg.sample_rate_hz
     nper = min(4 * cfg.k * cfg.o_s, x.size)
     hop = nper - nper // 2
@@ -209,34 +184,21 @@ def oob_level_db(psd: PsdEstimate, band_hz: float) -> float:
     return 10.0 * np.log10(psd.density[~inband].max() / peak)
 
 
-def guard_count_for_threshold(
-    frame_fn_for_guard,
-    cfg: ModemConfig,
-    delta_oob_db: float | None = None,
-    trials: int = 100,
-    seed=0,
-    band_hz: float | None = None,
-    *,
-    _spectra: dict | None = None,
-) -> int:
+def guard_count_for_threshold(spectrum, cfg: ModemConfig, delta_oob_db: float | None = None) -> int:
     """Smallest per-edge guard count whose PSD meets the out-of-band threshold.
 
-    ``frame_fn_for_guard(n_guard)`` must return a frame generator with 2*n_guard
-    edge subcarriers nulled on the frequency-time grid.  Nulling more edge
-    subcarriers only lowers the out-of-band level, so the first passing count
-    is found by bisection: count 0 is estimated first and returned if it
-    passes, then (0, K/2] is bisected with K/2 standing for "none passes",
-    about log2(K) estimates in all.  Raises :class:`GuardSearchError` when
-    even maximal nulling fails.  ``_spectra``, if given, receives
-    {n_guard: PsdEstimate} for every count estimated.
+    ``spectrum(n_guard)`` must return the :class:`PsdEstimate` of the signal
+    with 2*n_guard edge subcarriers nulled on the frequency-time grid.
+    Nulling more edge subcarriers only lowers the out-of-band level, so the
+    first passing count is found by bisection: count 0 is estimated first and
+    returned if it passes, then (0, K/2] is bisected with K/2 standing for
+    "none passes", about log2(K) estimates in all, each count at most once.
+    Raises :class:`GuardSearchError` when even maximal nulling fails.
     """
     threshold = cfg.delta_oob_db if delta_oob_db is None else delta_oob_db
-    band = cfg.bandwidth_hz if band_hz is None else band_hz
-    spectra = {} if _spectra is None else _spectra
 
     def passes(n_guard):
-        spectra[n_guard] = psd_estimate(frame_fn_for_guard(n_guard), cfg, trials, seed)
-        return oob_level_db(spectra[n_guard], band) <= threshold
+        return oob_level_db(spectrum(n_guard), cfg.bandwidth_hz) <= threshold
 
     if passes(0):
         return 0

@@ -166,18 +166,13 @@ def ofdm_onetap_fde(
     return np.conj(c) * y / (np.abs(c) ** 2 + noise_var / cfg.p_t)
 
 
-def ofdm_onetap_sinr(
-    ft: np.ndarray | ChannelMatrixSet, cfg: ModemConfig, noise_var: float
-) -> np.ndarray:
+def ofdm_onetap_sinr(ft: np.ndarray, cfg: ModemConfig, noise_var: float) -> np.ndarray:
     """Per-bin SINR of one-tap FDE: diagonal power over row residual plus noise.
 
-    ``ft`` is the (N, K, K) stack from :func:`per_symbol_ft_channel`; a
-    ``ChannelMatrixSet`` is also accepted and built into that stack, the form
-    ``tests/test_acceptance.py`` uses.  Scalar equalization rescales the whole
-    observation row, so the SINR does not depend on the MMSE/ZF choice.
+    ``ft`` is the (N, K, K) stack from :func:`per_symbol_ft_channel`.  Scalar
+    equalization rescales the whole observation row, so the SINR does not
+    depend on the MMSE/ZF choice.
     """
-    if isinstance(ft, ChannelMatrixSet):
-        ft = per_symbol_ft_channel(ft, cfg)
     blk = np.sqrt(cfg.p_t) * ft
     sig = np.abs(np.diagonal(blk, axis1=1, axis2=2)) ** 2
     interference = np.sum(np.abs(blk) ** 2, axis=2) - sig

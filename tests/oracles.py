@@ -7,8 +7,9 @@ per-symbol CP core R_cp @ M_i @ A_cp, its frequency-time block, and the v1
 text dump that wrote every tap column.  The literal subband and CP/tail
 bookkeeping matrices that the chains apply by slicing and convolution are
 here too, as are the linear guard-count scan that the bisected search
-replaced, the per-frame PSD transmitter that ``harness.psd_signal`` batches,
-and the sweep cell that realized its own channel before grid points shared one.
+replaced, the per-frame PSD transmitter that ``harness.psd_signal`` batches
+(with the seeded frame loop that builds a multi-frame signal from it), and
+the sweep cell that realized its own channel before grid points shared one.
 """
 
 import numpy as np
@@ -133,10 +134,16 @@ def tail_removal_matrix(k_o_s: int, l_ch: int) -> np.ndarray:
     return out
 
 
+def seeded_frames(frame_fn, trials: int, seed) -> np.ndarray:
+    """``trials`` frames ``frame_fn(rng)``, drawn in order from ``default_rng(seed)``, concatenated."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([np.asarray(frame_fn(rng)) for _ in range(trials)])
+
+
 def linear_guard_scan(frame_fn_for_guard, cfg, delta_oob_db, trials, seed) -> int:
     """First guard count, scanning 0, 1, ..., K/2 - 1, whose PSD meets the threshold."""
     for n_guard in range(cfg.k // 2):
-        est = psd_estimate(frame_fn_for_guard(n_guard), cfg, trials, seed)
+        est = psd_estimate(seeded_frames(frame_fn_for_guard(n_guard), trials, seed), cfg)
         if oob_level_db(est, cfg.bandwidth_hz) <= delta_oob_db:
             return n_guard
     raise GuardSearchError(
@@ -160,9 +167,7 @@ def frame_generator(cfg, waveform: str, n_guard: int):
 
 def per_frame_signal(cfg, waveform: str, n_guard: int) -> np.ndarray:
     """The ``psd_trials`` frames of :func:`frame_generator`, drawn one by one and concatenated."""
-    fn = frame_generator(cfg, waveform, n_guard)
-    rng = np.random.default_rng(cfg.seed)
-    return np.concatenate([fn(rng) for _ in range(cfg.psd_trials)])
+    return seeded_frames(frame_generator(cfg, waveform, n_guard), cfg.psd_trials, cfg.seed)
 
 
 def per_cell_row(cfg, waveform: str, speed_kmh: float, snr_index: int, trial: int):

@@ -21,11 +21,14 @@ from ddmod.metrics import (
     avg_spectral_efficiency,
     guard_count_for_threshold,
     mmse_detect,
+    psd_estimate,
     qpsk_grid,
     sinr_map,
     sinr_map_from_values,
 )
 from ddmod.transforms import invec, isfft, vec
+
+from oracles import seeded_frames
 
 
 def report(criterion, ok, detail):
@@ -127,7 +130,11 @@ def test_criterion_4_guard_count_reproduction():
 
     two_ng = {}
     for wf in ("otfs", "drufmc"):
-        two_ng[wf] = 2 * guard_count_for_threshold(gen(wf), cfg, trials=100, seed=1234)
+        for_guard = gen(wf)
+        two_ng[wf] = 2 * guard_count_for_threshold(
+            lambda n_guard: psd_estimate(seeded_frames(for_guard(n_guard), trials=100, seed=1234), cfg),
+            cfg,
+        )
     elapsed = time.perf_counter() - start
     ok = abs(two_ng["otfs"] - 60) <= 4 and abs(two_ng["drufmc"] - 36) <= 4 and elapsed < 300
     report(4, ok, f"2N_G otfs {two_ng['otfs']} (target 60+-4), "
@@ -170,7 +177,9 @@ def paired_sweep():
                     "otfs": sinr_map(otfs.otfs_effective_channel(chan_cp, cfg), sigma2, cfg),
                     "drufmc": sinr_map(drufmc.drufmc_effective_channel(chan_no, cfg), sigma2, cfg),
                     "ofdm-full": sinr_map(ofdm.ofdm_full_effective_channel(chan_cp, cfg), sigma2, cfg),
-                    "ofdm-onetap": sinr_map_from_values(ofdm.ofdm_onetap_sinr(chan_cp, cfg, sigma2)),
+                    "ofdm-onetap": sinr_map_from_values(
+                        ofdm.ofdm_onetap_sinr(ofdm.per_symbol_ft_channel(chan_cp, cfg), cfg, sigma2)
+                    ),
                 }
                 for wf, smap in maps.items():
                     key = (wf, speed, snr)

@@ -18,6 +18,8 @@ from ddmod.transforms import (
     vec,
 )
 
+from oracles import seeded_frames
+
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -222,7 +224,7 @@ class TestSpectralConfinement:
             x_ft[(target + 1) * cfg.d:, :] = 0
             return drufmc.ufmc_modulate_ft(x_ft, cfg)
 
-        est = psd_estimate(frame, cfg, trials=60, seed=seed)
+        est = psd_estimate(seeded_frames(frame, trials=60, seed=seed), cfg)
         psd_db = est.db_rel_peak()
         outside = (est.freqs_hz < lo - trans_hz) | (est.freqs_hz > hi + trans_hz)
         return psd_db[outside].max(), floor

@@ -27,7 +27,7 @@ from ddmod.metrics import (
 )
 from ddmod.transforms import isfft
 
-from oracles import frame_generator, linear_guard_scan
+from oracles import frame_generator, linear_guard_scan, seeded_frames
 
 
 def crandn(rng, *shape):
@@ -48,6 +48,11 @@ def guard_frames(cfg, family):
     """frame_fn_for_guard of one PSD family ("otfs" or "drufmc")."""
     exp = ExperimentConfig(modem=cfg)
     return lambda n_guard: frame_generator(exp, family, n_guard)
+
+
+def guard_spectra(frame_fn_for_guard, cfg, trials, seed):
+    """spectrum(n_guard): the PSD of ``trials`` seeded frames of ``frame_fn_for_guard(n_guard)``."""
+    return lambda n_guard: psd_estimate(seeded_frames(frame_fn_for_guard(n_guard), trials, seed), cfg)
 
 
 def search_outcome(search, *args):
@@ -233,26 +238,25 @@ class TestPsd:
         def frame(rng):
             return crandn(rng, length)
 
+        x = seeded_frames(frame, trials, seed)
         with mock.patch.object(metrics, "_WELCH_BATCH_BYTES", batch_bytes):
-            est = psd_estimate(frame, cfg, trials, seed)
-        rng = np.random.default_rng(seed)
-        freqs, dens = scipy_welch(np.concatenate([frame(rng) for _ in range(trials)]), cfg)
+            est = psd_estimate(x, cfg)
+        freqs, dens = scipy_welch(x, cfg)
         np.testing.assert_allclose(est.freqs_hz, freqs, rtol=1e-12, atol=0)
         np.testing.assert_allclose(est.density, dens, rtol=1e-12, atol=1e-12 * dens.max())
 
     def test_matches_scipy_welch_at_full_scale(self):
         # about 170 segments of 5120 samples, in four batches
         cfg = table1_config()
-        gen = guard_frames(cfg, "otfs")(0)
-        est = psd_estimate(gen, cfg, trials=20, seed=0)
-        rng = np.random.default_rng(0)
-        freqs, dens = scipy_welch(np.concatenate([gen(rng) for _ in range(20)]), cfg)
+        x = seeded_frames(guard_frames(cfg, "otfs")(0), trials=20, seed=0)
+        est = psd_estimate(x, cfg)
+        freqs, dens = scipy_welch(x, cfg)
         assert np.array_equal(est.freqs_hz, freqs)
         np.testing.assert_allclose(est.density, dens, rtol=1e-12, atol=1e-12 * dens.max())
 
     def test_constant_signal_is_dc_line(self):
         cfg = desk_config(k=8, o_s=2, b=1, d=8, n=2, filter_len=1)
-        est = psd_estimate(lambda rng: np.ones(512, dtype=complex), cfg, trials=1, seed=0)
+        est = psd_estimate(np.ones(512, dtype=complex), cfg)
         center = np.argmax(est.density)
         assert abs(est.freqs_hz[center]) < est.sample_rate_hz / 256
         away = np.abs(est.freqs_hz - est.freqs_hz[center]) > 3 * (est.freqs_hz[1] - est.freqs_hz[0])
@@ -267,7 +271,7 @@ class TestPsd:
             frames.append(f)
             return f
 
-        est = psd_estimate(frame, cfg, trials=50, seed=7)
+        est = psd_estimate(seeded_frames(frame, trials=50, seed=7), cfg)
         df = est.freqs_hz[1] - est.freqs_hz[0]
         integral = est.density.sum() * df
         power = np.mean(np.abs(np.concatenate(frames)) ** 2)
@@ -287,8 +291,8 @@ class TestPsd:
                 return ofdm.ofdm_modulate(x_ft, cfg)
             return fn
 
-        eo = psd_estimate(gen("otfs"), cfg, trials=40, seed=5)
-        ed = psd_estimate(gen("drufmc"), cfg, trials=40, seed=5)
+        eo = psd_estimate(seeded_frames(gen("otfs"), trials=40, seed=5), cfg)
+        ed = psd_estimate(seeded_frames(gen("drufmc"), trials=40, seed=5), cfg)
         sel = np.abs(eo.freqs_hz) > cfg.bandwidth_hz / 2 + 10 * cfg.delta_f_hz
         assert np.all(ed.db_rel_peak()[sel] < eo.db_rel_peak()[sel])
         # the filtered spectrum reaches depths the rectangular pulse never does
@@ -310,7 +314,7 @@ class TestGuardSearch:
                 return ofdm.ofdm_modulate(x_ft, cfg)
             return fn
 
-        assert guard_count_for_threshold(gen, cfg, delta_oob_db=0.0, trials=3, seed=1) == 0
+        assert guard_count_for_threshold(guard_spectra(gen, cfg, 3, 1), cfg, delta_oob_db=0.0) == 0
 
     def test_oob_level_monotone_in_guard_count(self):
         cfg = desk_config()
@@ -325,7 +329,8 @@ class TestGuardSearch:
             return fn
 
         levels = [
-            oob_level_db(psd_estimate(gen(ng), cfg, trials=30, seed=3), cfg.bandwidth_hz)
+            oob_level_db(psd_estimate(seeded_frames(gen(ng), trials=30, seed=3), cfg),
+                         cfg.bandwidth_hz)
             for ng in [0, 2, 4, 8]
         ]
         assert all(b <= a + 0.1 for a, b in zip(levels, levels[1:]))
@@ -338,8 +343,8 @@ class TestGuardSearch:
     def test_bisection_equals_linear_scan(self, kw, family):
         cfg = desk_config(**kw)
         gen = guard_frames(cfg, family)
-        levels = [oob_level_db(psd_estimate(gen(ng), cfg, 10, 1), cfg.bandwidth_hz)
-                  for ng in range(cfg.k // 2)]
+        spectrum = guard_spectra(gen, cfg, 10, 1)
+        levels = [oob_level_db(spectrum(ng), cfg.bandwidth_hz) for ng in range(cfg.k // 2)]
         assert np.all(np.diff(levels) < 0), "bisection presumes a falling OOB curve"
         # above the unnulled level (pass at 0), between every pair of
         # neighbours, on a level exactly, and below them all (not achievable)
@@ -348,7 +353,7 @@ class TestGuardSearch:
         outcomes = []
         for thr in thresholds:
             want = search_outcome(linear_guard_scan, gen, cfg, thr, 10, 1)
-            got = search_outcome(guard_count_for_threshold, gen, cfg, thr, 10, 1)
+            got = search_outcome(guard_count_for_threshold, spectrum, cfg, thr)
             assert got == want, f"threshold {thr:.3f} dB"
             outcomes.append(got)
         assert outcomes[0] == 0 and outcomes[-1] is None
@@ -358,13 +363,13 @@ class TestGuardSearch:
         # neighbouring counts; bisection then returns a passing count whose
         # predecessor fails, not necessarily the first passing one
         cfg = desk_config()
-        gen = guard_frames(cfg, "otfs")
-        levels = np.array([oob_level_db(psd_estimate(gen(ng), cfg, 5, 2), cfg.bandwidth_hz)
+        spectrum = guard_spectra(guard_frames(cfg, "otfs"), cfg, 5, 2)
+        levels = np.array([oob_level_db(spectrum(ng), cfg.bandwidth_hz)
                            for ng in range(cfg.k // 2)])
         assert np.any(np.diff(levels) > 0)
         edges = np.sort(levels)
         for thr in (edges[:-1] + edges[1:]) / 2:
-            got = guard_count_for_threshold(gen, cfg, thr, 5, 2)
+            got = guard_count_for_threshold(spectrum, cfg, thr)
             assert levels[got] <= thr
             assert got == 0 or levels[got - 1] > thr
 
@@ -375,4 +380,4 @@ class TestGuardSearch:
             return lambda rng: crandn(rng, 256)   # white noise fills the band
 
         with pytest.raises(GuardSearchError, match="not achievable"):
-            guard_count_for_threshold(gen, cfg, delta_oob_db=-40.0, trials=2, seed=0)
+            guard_count_for_threshold(guard_spectra(gen, cfg, 2, 0), cfg, delta_oob_db=-40.0)

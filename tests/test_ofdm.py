@@ -75,12 +75,6 @@ class TestOneTapFde:
         est = ofdm.ofdm_onetap_fde(y, ofdm.per_symbol_ft_channel(chan, cfg), cfg, noise_var=1e9)
         assert np.abs(est).max() < 1e-6
 
-    def test_sinr_from_channel_set_equals_sinr_from_stack(self):
-        cfg = desk_config()
-        chan = ch.realize(ch.sample_eva_paths(2, 500 / 3.6, cfg.f_c_hz), cfg, with_cp=True)
-        ft = ofdm.per_symbol_ft_channel(chan, cfg)
-        assert np.array_equal(ofdm.ofdm_onetap_sinr(chan, cfg, 0.1), ofdm.ofdm_onetap_sinr(ft, cfg, 0.1))
-
     def test_onetap_sinr_never_beats_full_mmse(self):
         cfg = desk_config()
         sigma2 = 1e-2

@@ -19,7 +19,7 @@ from ddmod.harness import WAVEFORMS, ExperimentConfig, GridPoint, evaluate_point
 from ddmod.harness import run_psd, run_sweep
 from ddmod.metrics import psd_estimate
 
-from oracles import frame_generator, per_cell_row, per_frame_signal
+from oracles import per_cell_row, per_frame_signal
 
 examples = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -135,12 +135,13 @@ def test_batched_signal_equals_per_frame_frames(monkeypatch, family, modem_kw, p
                                                 chunk_bytes):
     monkeypatch.setattr(harness, "_PSD_CHUNK_BYTES", chunk_bytes)
     cfg = ExperimentConfig(modem=desk_config(**modem_kw), psd_trials=psd_trials, seed=3)
-    frames = psd_signal(cfg, family)
+    signal = psd_signal(cfg, family)
     # counts in the order a search may ask them, so the shared buffer is rewritten
     for n_guard in (0, cfg.modem.k // 2 - 1, 3, 0):
-        assert np.array_equal(frames(n_guard)(None), per_frame_signal(cfg, family, n_guard))
-        est = psd_estimate(frames(n_guard), cfg.modem, 1, cfg.seed)
-        ref = psd_estimate(frame_generator(cfg, family, n_guard), cfg.modem, psd_trials, cfg.seed)
+        per_frame = per_frame_signal(cfg, family, n_guard)
+        assert np.array_equal(signal(n_guard), per_frame)
+        est = psd_estimate(signal(n_guard), cfg.modem)
+        ref = psd_estimate(per_frame, cfg.modem)
         assert np.array_equal(est.freqs_hz, ref.freqs_hz)
         assert np.array_equal(est.density, ref.density)
 

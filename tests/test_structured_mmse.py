@@ -123,8 +123,10 @@ def test_sweep_never_builds_the_dense_channel(monkeypatch, waveform):
 
     for module, name in [(ofdm, "ofdm_full_effective_channel"), (otfs, "otfs_effective_channel"),
                          (drufmc, "drufmc_effective_channel"), (metrics, "sinr_map"),
-                         (metrics, "mmse_detect"), (harness, "sinr_map"), (harness, "mmse_detect")]:
+                         (metrics, "mmse_detect"), (harness, "sinr_map")]:
         monkeypatch.setattr(module, name, dense_route)
+    # harness does not import mmse_detect; binding it anyway catches a later import
+    monkeypatch.setattr(harness, "mmse_detect", dense_route, raising=False)
     cfg = ExperimentConfig(modem=desk_config(pulse="rrc"), waveforms=(waveform,),
                            snr_db=(20.0,), speeds_kmh=(500.0,), trials=1)
     row = evaluate_point(cfg, waveform, 500.0, 0, 0)
