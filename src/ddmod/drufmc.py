@@ -26,7 +26,7 @@ import numpy as np
 from .channel import ChannelMatrixSet
 from .config import ConfigError, ModemConfig
 from .mmse import bidiagonal_mmse, mmse_sinr
-from .ofdm import _live_rows, _tx_null, apply_channel
+from .ofdm import _live_rows, _tx_guard, _tx_null, apply_channel
 from .transforms import (
     dft_matrix,
     invec,
@@ -75,9 +75,9 @@ def ufmc_modulate_ft(x_ft: np.ndarray, cfg: ModemConfig, n_guard: int = 0) -> np
     return vec(overlap_add(x_tilde, cfg))
 
 
-def drufmc_modulate(x_dd: np.ndarray, cfg: ModemConfig) -> np.ndarray:
-    """Delay-Doppler grid to serialized signal of length K*O_s*N (no CP)."""
-    return ufmc_modulate_ft(isfft(x_dd), cfg)
+def drufmc_modulate(x_dd: np.ndarray, cfg: ModemConfig, n_guard: int = 0) -> np.ndarray:
+    """Delay-Doppler grid to a K*O_s*N-sample signal (no CP), 2*n_guard edge subcarriers nulled."""
+    return ufmc_modulate_ft(isfft(x_dd), cfg, n_guard)
 
 
 def drufmc_demodulate(r: np.ndarray, cfg: ModemConfig) -> np.ndarray:
@@ -180,5 +180,5 @@ def drufmc_link(x_dd: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigm
 
     Returns the (K, N) SINR and delay-Doppler estimate grids of :func:`drufmc_mmse`.
     """
-    r = apply_channel(drufmc_modulate(x_dd, cfg), chan, cfg.p_t, sigma2, seed)
+    r = apply_channel(drufmc_modulate(x_dd, cfg, _tx_guard(cfg)), chan, cfg.p_t, sigma2, seed)
     return drufmc_mmse(drufmc_demodulate(r, cfg), chan, cfg, sigma2)

@@ -24,7 +24,6 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 
@@ -332,9 +331,10 @@ def _pin_blas() -> None:
 
     The sweep's BLAS calls are small, and a second thread spins longer than
     it helps; ``DDMOD_THREADS`` spreads grid points over processes instead.
-    numpy and scipy each load their own OpenBLAS, found in /proc/self/maps
-    (a no-op where that file does not exist).  Called by :func:`main`, by
-    the pool's worker initializer and once per test session, never at import.
+    ddmod loads only numpy's OpenBLAS; scipy's own build is pinned too, but
+    only if the caller loaded it.  Builds are found in /proc/self/maps (a
+    no-op where that file does not exist).  Called by :func:`main`, by the
+    pool's worker initializer and once per test session, never at import.
     """
     if any(var in os.environ for var in _BLAS_THREAD_VARS):
         return
@@ -381,6 +381,8 @@ def run_sweep(cfg: ExperimentConfig, out_path: str | None = None):
         for t in range(cfg.trials)
     ]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
             results = [r for point in pool.map(_point_worker, tasks) for r in point]
     else:

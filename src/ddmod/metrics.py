@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .config import ModemConfig
-from .mmse import IllConditionedError
+from .mmse import IllConditionedError, _inverse_factor
 
 
 class GuardSearchError(RuntimeError):
@@ -36,13 +35,11 @@ class SinrMap:
 
 
 def _normal_solve(c: np.ndarray, sigma2: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (C C^H + sigma^2 I) X = rhs for Hermitian positive (semi)definite systems."""
+    """Solve (C C^H + sigma^2 I) X = rhs as L^{-H} (L^{-1} rhs), L its Cholesky factor."""
     a = c @ c.conj().T
     a[np.diag_indices_from(a)] += sigma2
-    try:
-        return cho_solve(cho_factor(a), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedError(f"MMSE normal matrix is singular: {exc}") from exc
+    l_inv = _inverse_factor(a)
+    return l_inv.conj().T @ (l_inv @ rhs)
 
 
 def mmse_detect(c, y: np.ndarray, sigma2: float) -> np.ndarray:

@@ -20,7 +20,6 @@ No KN x KN matrix is formed: the dense ``metrics.sinr_map`` and
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 
 class IllConditionedError(RuntimeError):
@@ -29,6 +28,24 @@ class IllConditionedError(RuntimeError):
 
 def _herm(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2).conj()
+
+
+def _tril_inverse(l: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix or stack, blocked and batched.
+
+    inv([[A, 0], [B, C]]) = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]], halving
+    down to blocks of at most 16 rows; the upper triangle is exactly 0.
+    """
+    k = l.shape[-1]
+    if k <= 16:
+        return np.tril(np.linalg.inv(l))
+    h = k // 2
+    a_inv, c_inv = _tril_inverse(l[..., :h, :h]), _tril_inverse(l[..., h:, h:])
+    out = np.zeros_like(l)
+    out[..., :h, :h] = a_inv
+    out[..., h:, h:] = c_inv
+    out[..., h:, :h] = -(c_inv @ l[..., h:, :h]) @ a_inv
+    return out
 
 
 def _inverse_factor(a: np.ndarray) -> np.ndarray:
@@ -40,9 +57,7 @@ def _inverse_factor(a: np.ndarray) -> np.ndarray:
         l = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"MMSE normal matrix is singular: {exc}") from exc
-    trtri = get_lapack_funcs("trtri", (l,))
-    k = l.shape[-1]
-    return np.array([trtri(li, lower=1)[0] for li in l.reshape(-1, k, k)]).reshape(l.shape)
+    return _tril_inverse(l)
 
 
 def _gram(c: np.ndarray, sigma2: float) -> np.ndarray:

@@ -24,12 +24,15 @@ from .mmse import mmse_sinr, per_symbol_mmse
 from .transforms import invec, oversampled_dft, oversampled_idft, vec
 
 
+def _tx_guard(cfg: ModemConfig) -> int:
+    """Edge subcarriers nulled each side at the transmitter: n_guard if guard_nulling is "tx"."""
+    return cfg.n_guard if cfg.guard_nulling == "tx" else 0
+
+
 def _tx_null(cfg: ModemConfig) -> np.ndarray:
-    """1 on data subcarriers; 0 on the n_guard edge subcarriers each side if guard_nulling is "tx"."""
-    mask = np.ones(cfg.k)
-    if cfg.guard_nulling == "tx" and cfg.n_guard > 0:
-        mask[:cfg.n_guard] = 0.0
-        mask[cfg.k - cfg.n_guard:] = 0.0
+    """1 on transmitted subcarriers, 0 on the :func:`_tx_guard` edge subcarriers each side."""
+    mask = np.zeros(cfg.k)
+    mask[_live_rows(cfg, _tx_guard(cfg))] = 1.0
     return mask
 
 
@@ -169,11 +172,12 @@ def ofdm_onetap_fde(
 def ofdm_onetap_sinr(ft: np.ndarray, cfg: ModemConfig, noise_var: float) -> np.ndarray:
     """Per-bin SINR of one-tap FDE: diagonal power over row residual plus noise.
 
-    ``ft`` is the (N, K, K) stack from :func:`per_symbol_ft_channel`.  Scalar
+    ``ft`` is the (N, K, K) stack from :func:`per_symbol_ft_channel`; TX-nulled
+    guard columns carry nothing, so guard bins report SINR 0.  Scalar
     equalization rescales the whole observation row, so the SINR does not
     depend on the MMSE/ZF choice.
     """
-    blk = np.sqrt(cfg.p_t) * ft
+    blk = ft * (np.sqrt(cfg.p_t) * _tx_null(cfg))
     sig = np.abs(np.diagonal(blk, axis1=1, axis2=2)) ** 2
     interference = np.sum(np.abs(blk) ** 2, axis=2) - sig
     return (sig / (interference + noise_var)).T
@@ -181,8 +185,8 @@ def ofdm_onetap_sinr(ft: np.ndarray, cfg: ModemConfig, noise_var: float) -> np.n
 
 def _receive(x_ft: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigma2: float,
              seed) -> np.ndarray:
-    """Received frequency-time grid of ``x_ft``."""
-    r = apply_channel(ofdm_modulate(x_ft, cfg), chan, cfg.p_t, sigma2, seed)
+    """Received frequency-time grid of ``x_ft``, sent without the TX-nulled guards."""
+    r = apply_channel(ofdm_modulate(x_ft, cfg, _tx_guard(cfg)), chan, cfg.p_t, sigma2, seed)
     return ofdm_demodulate(r, cfg)
 
 

@@ -22,15 +22,18 @@ import numpy as np
 from .channel import ChannelMatrixSet
 from .config import ModemConfig
 from .mmse import mmse_sinr, per_symbol_mmse
-from .ofdm import _tx_null, apply_channel, ofdm_demodulate, ofdm_modulate, per_symbol_ft_channel
+from .ofdm import (_tx_guard, _tx_null, apply_channel, ofdm_demodulate, ofdm_modulate,
+                   per_symbol_ft_channel)
 from .transforms import dft_matrix, isfft, sfft
 
 
-def otfs_modulate(x_dd: np.ndarray, cfg: ModemConfig, chan: ChannelMatrixSet | None = None) -> np.ndarray:
+def otfs_modulate(x_dd: np.ndarray, cfg: ModemConfig, chan: ChannelMatrixSet | None = None,
+                  n_guard: int = 0) -> np.ndarray:
     """Serialize a delay-Doppler grid: ISFFT, oversampled IFFT, CP, vectorize.
 
-    If a channel is supplied, warns when the CP is shorter than the channel
-    memory; the resulting intra-block leakage stays part of the simulation.
+    The 2*n_guard edge subcarriers are not transmitted.  If a channel is
+    supplied, warns when the CP is shorter than the channel memory; the
+    resulting intra-block leakage stays part of the simulation.
     """
     if chan is not None and cfg.n_cp < chan.realization.l_ch - 1:
         warnings.warn(
@@ -38,7 +41,7 @@ def otfs_modulate(x_dd: np.ndarray, cfg: ModemConfig, chan: ChannelMatrixSet | N
             "residual interference is simulated, not removed",
             stacklevel=2,
         )
-    return ofdm_modulate(isfft(x_dd), cfg)
+    return ofdm_modulate(isfft(x_dd), cfg, n_guard)
 
 
 def otfs_demodulate(r: np.ndarray, cfg: ModemConfig) -> np.ndarray:
@@ -93,5 +96,5 @@ def otfs_link(x_dd: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigma2
     ``ft`` is the channel's stack ``per_symbol_ft_channel(chan, cfg)``.
     Returns the (K, N) SINR and delay-Doppler estimate grids of :func:`otfs_mmse`.
     """
-    r = apply_channel(otfs_modulate(x_dd, cfg), chan, cfg.p_t, sigma2, seed)
+    r = apply_channel(otfs_modulate(x_dd, cfg, n_guard=_tx_guard(cfg)), chan, cfg.p_t, sigma2, seed)
     return otfs_mmse(otfs_demodulate(r, cfg), ft, cfg, sigma2)

@@ -340,19 +340,31 @@ print(json.dumps([json.loads(counts) for _, counts in failures]))
 """
 
 AT_IMPORT = """
-import json, numpy, scipy.linalg, blas_probe
+import json, numpy, blas_probe
 before = blas_probe.blas_threads()
 import ddmod, ddmod.harness
 print(json.dumps([before, blas_probe.blas_threads()]))
 """
 
+SCIPY_THEN_MAIN = """
+import json, sys, numpy, scipy.linalg, blas_probe
+from ddmod import harness
+at_import = blas_probe.blas_threads()
+def report(cfg, out_path=None):
+    print(json.dumps([at_import, blas_probe.blas_threads()]))
+    return [], []
+harness.run_sweep = report
+harness.main(["run", "--config", sys.argv[1]])
+"""
+
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
 class TestBlasThreads:
-    """The CLI and its pool workers run every loaded OpenBLAS on one thread.
+    """The CLI and its pool workers load one OpenBLAS, numpy's, and run it on one thread.
 
-    On a 1-CPU machine OpenBLAS already defaults to one thread, so these
-    tests pass there without showing anything.
+    A caller that loaded scipy's own build before ``main`` gets both builds
+    pinned.  On a 1-CPU machine OpenBLAS already defaults to one thread, so
+    the pinning tests pass there without showing anything.
     """
 
     def _probe(self, tmp_path, code, **env):
@@ -374,25 +386,38 @@ class TestBlasThreads:
         assert r.returncode == 0, r.stderr
         return json.loads(r.stdout.splitlines()[0])
 
+    def _numpy_build(self, tmp_path, **env):
+        """{numpy's OpenBLAS: the thread count it chose at import}."""
+        counts = self._probe(tmp_path, AT_IMPORT, **env)[0]
+        assert len(counts) == 1
+        return counts
+
     def test_main_pins_every_openblas(self, tmp_path):
-        counts = self._probe(tmp_path, IN_MAIN)
-        assert len(counts) == 2          # numpy's and scipy's own builds
-        assert set(counts.values()) == {1}
+        numpy_build = self._numpy_build(tmp_path)
+        assert self._probe(tmp_path, IN_MAIN) == dict.fromkeys(numpy_build, 1)
 
     def test_pool_workers_pin_every_openblas(self, tmp_path):
+        numpy_build = self._numpy_build(tmp_path)
         per_point = self._probe(tmp_path, IN_POOL, DDMOD_THREADS="2")
-        assert len(per_point) == 4
-        assert all(len(counts) == 2 and set(counts.values()) == {1} for counts in per_point)
+        assert per_point == [dict.fromkeys(numpy_build, 1)] * 4
+
+    def test_main_pins_scipys_build_when_the_caller_loaded_it(self, tmp_path):
+        at_import, in_main = self._probe(tmp_path, SCIPY_THEN_MAIN)
+        assert len(at_import) == 2          # numpy's and scipy's own builds
+        assert in_main == dict.fromkeys(at_import, 1)
 
     def test_explicit_thread_count_is_left_as_set(self, tmp_path):
-        default = self._probe(tmp_path, AT_IMPORT)[0]
-        chosen = self._probe(tmp_path, AT_IMPORT, OPENBLAS_NUM_THREADS="2")[0]
-        assert set(chosen.values()) == {min(2, max(default.values()))}
+        default = self._numpy_build(tmp_path)
+        chosen = self._numpy_build(tmp_path, OPENBLAS_NUM_THREADS="2")
+        assert list(chosen.values()) == [min(2, *default.values())]
         assert self._probe(tmp_path, IN_MAIN, OPENBLAS_NUM_THREADS="2") == chosen
+        at_import, in_main = self._probe(tmp_path, SCIPY_THEN_MAIN, OPENBLAS_NUM_THREADS="2")
+        assert len(at_import) == 2 and set(at_import.values()) == set(chosen.values())
+        assert in_main == at_import
 
     def test_import_leaves_the_library_default(self, tmp_path):
         before, after = self._probe(tmp_path, AT_IMPORT)
-        assert len(before) == 2 and after == before
+        assert len(before) == 1 and after == before
 
 
 class TestCli:
@@ -421,14 +446,6 @@ class TestCli:
     def test_missing_file_exit_code(self):
         r = self._run("run", "--config", "/nonexistent/exp.cfg")
         assert r.returncode == 2
-
-    def test_import_leaves_scipy_signal_out(self):
-        r = subprocess.run(
-            [sys.executable, "-c", "import sys, ddmod; print('scipy.signal' in sys.modules)"],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert r.returncode == 0, r.stderr
-        assert r.stdout.strip() == "False"
 
     def test_worker_pool_matches_serial_output(self, tmp_path):
         import os

@@ -1,0 +1,79 @@
+"""The blocked triangular inverse behind every MMSE route, against scipy.
+
+``mmse._tril_inverse`` replaces LAPACK ``trtri``; scipy's
+``solve_triangular`` is its reference here and nowhere in the library.  The
+structured routes and the dense oracle share ``mmse._inverse_factor``, so a
+matrix that is not positive definite must raise the same error on both.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
+
+from ddmod import mmse
+from ddmod.metrics import IllConditionedError, mmse_detect, sinr_map
+
+
+def cholesky_factors(k, n, seed, sigma2, dtype):
+    """Cholesky factors of C^H C + sigma^2 I: one (K, K) matrix if n is None, else (n, K, K)."""
+    rng = np.random.default_rng(seed)
+    shape = (k, k) if n is None else (n, k, k)
+    c = rng.standard_normal(shape).astype(dtype)
+    if np.issubdtype(dtype, np.complexfloating):
+        c += 1j * rng.standard_normal(shape)
+    return np.linalg.cholesky(mmse._gram(c, sigma2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 70), n=st.one_of(st.none(), st.integers(1, 4)),
+       seed=st.integers(0, 2**16), sigma2=st.sampled_from([0.1, 1.0, 10.0]),
+       dtype=st.sampled_from([np.float64, np.complex128]))
+@example(k=1, n=None, seed=0, sigma2=1.0, dtype=np.complex128)
+@example(k=16, n=3, seed=1, sigma2=0.1, dtype=np.complex128)
+@example(k=17, n=None, seed=2, sigma2=0.1, dtype=np.float64)
+@example(k=33, n=2, seed=3, sigma2=0.1, dtype=np.complex128)
+@example(k=70, n=4, seed=4, sigma2=0.1, dtype=np.complex128)
+def test_tril_inverse_matches_solve_triangular(k, n, seed, sigma2, dtype):
+    l = cholesky_factors(k, n, seed, sigma2, dtype)
+    got = mmse._tril_inverse(l)
+    ref = np.array([solve_triangular(li, np.eye(k), lower=True) for li in l.reshape(-1, k, k)])
+    ref = ref.reshape(l.shape)
+    assert got.shape == l.shape and got.dtype == l.dtype
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.all(np.triu(got, 1) == 0)
+
+
+def test_inverse_factor_is_the_inverse_cholesky_factor():
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal((3, 40, 40)) + 1j * rng.standard_normal((3, 40, 40))
+    a = mmse._gram(c, 0.5)
+    l_inv = mmse._inverse_factor(a)
+    assert np.allclose(l_inv @ a @ mmse._herm(l_inv), np.eye(40), atol=1e-12)
+
+
+K = 20
+
+
+@pytest.mark.parametrize("route", [
+    lambda: mmse._inverse_factor(-np.eye(K)),
+    lambda: mmse._inverse_factor(np.stack((np.eye(K), np.diag(np.r_[np.ones(K - 1), -1.0])))),
+    lambda: mmse.per_symbol_mmse(np.zeros((2, K, K)), np.ones((K, 2)), 0.0),
+    lambda: mmse.bidiagonal_mmse(np.zeros((2, K, K)), np.zeros((2, K, K)), np.ones((2, K)), 0.0,
+                                 np.eye(2)),
+], ids=["single", "stack", "per-symbol", "bidiagonal"])
+def test_structured_route_rejects_a_gram_that_is_not_positive_definite(route):
+    with pytest.raises(IllConditionedError):
+        route()
+
+
+@pytest.mark.parametrize("route", [
+    lambda c: mmse_detect(c, np.ones(K), 0.0),
+    lambda c: sinr_map(c, 0.0),
+], ids=["mmse_detect", "sinr_map"])
+def test_dense_route_rejects_a_gram_that_is_not_positive_definite(route):
+    c = np.eye(K, dtype=complex)
+    c[:, 3] = 0                                  # rank K - 1: C C^H singular at sigma^2 = 0
+    with pytest.raises(IllConditionedError):
+        route(c)

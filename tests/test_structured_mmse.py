@@ -5,7 +5,8 @@ and the estimates of ``metrics.sinr_map`` and ``metrics.mmse_detect`` applied
 to the dense KN x KN effective channels, over random valid modem
 configurations (any N, guards nulled at the transmitter or only accounted,
 both pulses, noise variances from 1e-4 to 1), and the sweep must not touch
-the dense route.
+the dense route.  With guards nulled at the transmitter, each link must send
+exactly the channel its detector models.
 """
 
 import numpy as np
@@ -131,3 +132,41 @@ def test_sweep_never_builds_the_dense_channel(monkeypatch, waveform):
                            snr_db=(20.0,), speeds_kmh=(500.0,), trials=1)
     row = evaluate_point(cfg, waveform, 500.0, 0, 0)
     assert np.isfinite([row.net_sinr_db, row.avg_se_bps_hz, row.nmse]).all()
+
+
+LINKS = {
+    "ofdm-full": (ofdm, "ofdm_full_mmse", ofdm.ofdm_full_link),
+    "otfs": (otfs, "otfs_mmse", otfs.otfs_link),
+    "drufmc": (drufmc, "drufmc_mmse", drufmc.drufmc_link),
+}
+
+
+@pytest.mark.parametrize("pulse", ["ideal", "rrc"])
+@pytest.mark.parametrize("waveform", LINKS)
+def test_tx_nulled_link_sends_what_its_detector_models(monkeypatch, waveform, pulse):
+    # the grid a noiseless link hands its detector is the TX-nulled dense
+    # channel times the symbols: the guard subcarriers are not transmitted
+    cfg = desk_config(n_guard=4, guard_nulling="tx", pulse=pulse)
+    cp_chan = ch.realize(ch.sample_eva_paths(3, 500 / 3.6, cfg.f_c_hz), cfg, with_cp=True)
+    with_cp = WAVEFORMS[waveform][0]
+    chan = cp_chan if with_cp else ch.channel_matrices(cp_chan.realization, cfg, with_cp=False)
+    stack = {"ft": ofdm.per_symbol_ft_channel(chan, cfg)} if with_cp else {}
+    module, detector, link = LINKS[waveform]
+    received = []
+    monkeypatch.setattr(module, detector, lambda y, *args: received.append(y) or (None, None))
+    x = metrics.qpsk_grid(np.random.default_rng(1), cfg.k, cfg.n)
+    link(x, chan, cfg, 0.0, None, **stack)
+    assert close(vec(received[0]), DENSE[waveform](chan, cfg) @ vec(x))
+
+
+def test_tx_nulled_onetap_guard_bins_report_zero():
+    cfg = desk_config(n_guard=4, guard_nulling="tx")
+    chan = ch.realize(ch.sample_eva_paths(9, 500 / 3.6, cfg.f_c_hz), cfg, with_cp=True)
+    ft = ofdm.per_symbol_ft_channel(chan, cfg)
+    sinr = ofdm.ofdm_onetap_sinr(ft, cfg, 0.01)
+    assert np.all(sinr[:4] == 0) and np.all(sinr[-4:] == 0)
+    # interior bins see interference only from the transmitted columns
+    accounting = cfg.with_(guard_nulling="accounting")
+    nulled = ofdm.ofdm_onetap_sinr(ft * ofdm._tx_null(cfg), accounting, 0.01)
+    assert np.array_equal(sinr, nulled)
+    assert np.all(sinr[4:-4] > 0)
