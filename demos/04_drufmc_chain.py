@@ -40,4 +40,4 @@ eff = drufmc_effective_channel(chan, cfg)
 for snr_db in (10.0, 20.0, 30.0):
     smap = sinr_map(eff, 10 ** (-snr_db / 10), cfg)
     print(f"post-MMSE net SINR at {snr_db:4.0f} dB SNR: "
-          f"{10 * np.log10(smap.values.mean()):6.2f} dB")
+          f"{10 * np.log10(smap.mean()):6.2f} dB")

@@ -32,7 +32,6 @@ from .metrics import (
     GuardSearchError,
     IllConditionedError,
     PsdEstimate,
-    SinrMap,
     avg_spectral_efficiency,
     guard_count_for_threshold,
     mmse_detect,

@@ -262,20 +262,24 @@ class ChannelMatrixSet:
         return out.transpose(1, 2, 0)
 
 
+def _cols(cfg: ModemConfig, with_cp: bool) -> int:
+    """Input samples per symbol block: K*O_s, plus N_CP on the CP-bearing chain."""
+    return cfg.k * cfg.o_s + (cfg.n_cp if with_cp else 0)
+
+
 def channel_matrices(
     real: LtvChannelRealization, cfg: ModemConfig, with_cp: bool
 ) -> ChannelMatrixSet:
     """Banded per-symbol matrices sized for the CP-bearing or CP-less chain."""
-    cols = cfg.k * cfg.o_s + (cfg.n_cp if with_cp else 0)
-    return ChannelMatrixSet(realization=real, cols=cols)
+    return ChannelMatrixSet(realization=real, cols=_cols(cfg, with_cp))
 
 
 def realize(paths: PathSet, cfg: ModemConfig, with_cp: bool,
             n_symbols: int | None = None) -> ChannelMatrixSet:
     """One-stop materialization: path-sparse taps plus matrix set for a modulation."""
     l_ch = required_l_ch(paths, cfg)
-    cols = cfg.k * cfg.o_s + (cfg.n_cp if with_cp else 0)
-    real = materialize_taps(paths, cfg, rows=cols + l_ch - 1, n_symbols=n_symbols, l_ch=l_ch)
+    rows = _cols(cfg, with_cp) + l_ch - 1
+    real = materialize_taps(paths, cfg, rows=rows, n_symbols=n_symbols, l_ch=l_ch)
     return channel_matrices(real, cfg, with_cp=with_cp)
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
@@ -11,6 +11,12 @@ class ConfigError(ValueError):
 
 #: Default cyclic-prefix duration in seconds (converted to samples per config).
 DEFAULT_T_CP_S = 0.586e-6
+
+
+def check_guard_count(n_guard: int, k: int) -> None:
+    """Refuse a per-edge guard count outside 0 <= 2*N_G < K."""
+    if not 0 <= 2 * n_guard < k:
+        raise ConfigError(f"invalid guard count: need 0 <= 2*N_G < K={k}, got N_G={n_guard}")
 
 
 def cp_samples(t_cp_s: float, k: int, delta_f_hz: float, o_s: int) -> int:
@@ -71,8 +77,7 @@ class ModemConfig:
             raise ConfigError(f"N_CP must be >= 0, got {self.n_cp}")
         if self.p_t <= 0:
             raise ConfigError(f"P_T must be > 0, got {self.p_t}")
-        if self.n_guard < 0 or 2 * self.n_guard >= self.k:
-            raise ConfigError(f"guard count must satisfy 0 <= 2*N_G < K, got {self.n_guard}")
+        check_guard_count(self.n_guard, self.k)
         if self.pulse not in ("ideal", "rrc"):
             raise ConfigError(f"pulse must be 'ideal' or 'rrc', got {self.pulse!r}")
         if self.guard_nulling not in ("accounting", "tx"):
@@ -115,10 +120,6 @@ class ModemConfig:
         """Air-time efficiency T / (T + T_CP) of a CP-bearing modulation."""
         ko = self.k * self.o_s
         return ko / (ko + self.n_cp)
-
-    def with_(self, **changes) -> "ModemConfig":
-        """Copy with selected fields replaced."""
-        return replace(self, **changes)
 
 
 def table1_config(**overrides) -> ModemConfig:

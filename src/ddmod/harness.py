@@ -40,7 +40,6 @@ from .metrics import (
     psd_estimate,
     qpsk_grid,
     sinr_map,  # unused here; perfbench/test_perfbench.py checks that its tracer rebinds it
-    sinr_map_from_values,
 )
 from .transforms import isfft, vec
 
@@ -103,20 +102,26 @@ class ExperimentConfig:
         for wf in self.waveforms:
             if wf not in WAVEFORMS:
                 raise ConfigError(f"unknown waveform {wf!r}; expected one of {tuple(WAVEFORMS)}")
-        for wf, n_guard in self.n_guard_by_waveform.items():
+        for wf in self.n_guard_by_waveform:
             if wf not in WAVEFORMS:
                 raise ConfigError(
                     f"guard override for unknown waveform {wf!r}; expected one of {tuple(WAVEFORMS)}"
                 )
-            if n_guard < 0 or 2 * n_guard >= self.modem.k:
-                raise ConfigError(
-                    f"guard override for {wf} must satisfy 0 <= 2*N_G < K={self.modem.k}, got {n_guard}"
-                )
+            try:
+                self.modem_for(wf)
+            except ConfigError as exc:
+                raise ConfigError(f"guard override for {wf}: {exc}") from None
         if self.channel_model not in ("eva", "ideal"):
             raise ConfigError(f"channel must be 'eva' or 'ideal', got {self.channel_model!r}")
 
-    def n_guard_for(self, waveform: str) -> int:
-        return self.n_guard_by_waveform.get(waveform, self.modem.n_guard)
+    def modem_for(self, waveform: str) -> ModemConfig:
+        """``modem`` with the waveform's guard override, if any, as its ``n_guard``.
+
+        Without an override this is ``modem`` itself, not a copy.
+        """
+        if waveform not in self.n_guard_by_waveform:
+            return self.modem
+        return replace(self.modem, n_guard=self.n_guard_by_waveform[waveform])
 
 
 _INT_KEYS = {"k", "n", "o_s", "b", "d", "filter_len", "n_cp", "n_guard", "trials", "seed", "psd_trials"}
@@ -269,10 +274,12 @@ def evaluate_point(
 
     The waveform's link runs on the trial's realization, taken from
     ``point`` (a fresh :class:`GridPoint` if None); the MMSE links use the
-    structured routes, so no KN x KN effective channel is built.
+    structured routes, so no KN x KN effective channel is built.  The link
+    and the score take ``cfg.modem_for(waveform)``; the point is realized
+    from ``cfg.modem``, as the guard count does not enter the channel.
     """
     start = time.perf_counter()
-    modem = cfg.modem
+    modem = cfg.modem_for(waveform)
     snr_db = cfg.snr_db[snr_index]
     sigma2 = modem.p_t / 10.0 ** (snr_db / 10.0)
     with_cp, link = WAVEFORMS[waveform]
@@ -284,14 +291,14 @@ def evaluate_point(
     sym_rng, noise_ss = _cell_streams(cfg, waveform, speed_kmh, snr_index, trial)
     x_dd = qpsk_grid(sym_rng, modem.k, modem.n)
     sinr, x_hat = link(x_dd, point.channel(with_cp), modem, sigma2, noise_ss, **stack)
-    smap = sinr_map_from_values(sinr, cfg.n_guard_for(waveform))
+    efficiency = modem.cp_efficiency() if with_cp else 1.0
     return ResultRow(
         waveform=waveform,
         speed_kmh=speed_kmh,
         snr_db=snr_db,
         trial=trial,
-        net_sinr_db=net_sinr(smap),
-        avg_se_bps_hz=avg_spectral_efficiency(smap, modem.cp_efficiency() if with_cp else 1.0),
+        net_sinr_db=net_sinr(sinr, modem.n_guard),
+        avg_se_bps_hz=avg_spectral_efficiency(sinr, efficiency, modem.n_guard),
         nmse=normalized_mse(vec(x_hat), vec(x_dd)),
         runtime_s=(time.perf_counter() - start) if cfg.timing else 0.0,
     )

@@ -14,24 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModemConfig
+from .config import ModemConfig, check_guard_count
 from .mmse import IllConditionedError, _inverse_factor
 
 
 class GuardSearchError(RuntimeError):
     """No guard count meets the out-of-band threshold."""
-
-
-@dataclass(frozen=True)
-class SinrMap:
-    """Per-bin linear SINR on the K x N grid, with a guard-subcarrier count."""
-
-    values: np.ndarray      # (K, N), linear
-    n_guard: int = 0
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[0]
 
 
 def _normal_solve(c: np.ndarray, sigma2: float, rhs: np.ndarray) -> np.ndarray:
@@ -51,12 +39,13 @@ def mmse_detect(c, y: np.ndarray, sigma2: float) -> np.ndarray:
     return cm.conj().T @ _normal_solve(cm, sigma2, y)
 
 
-def sinr_map(c, sigma2: float, cfg: ModemConfig | None = None, n_guard: int = 0) -> SinrMap:
-    """Per-bin MMSE output SINR of an effective channel.
+def sinr_map(c, sigma2: float, cfg: ModemConfig | None = None) -> np.ndarray:
+    """(K, N) grid of per-bin linear MMSE output SINR of an effective channel.
 
     For bin j with detector d_j = (C C^H + sigma^2 I)^{-1} C_j, the SINR is
     |d_j^H C_j|^2 / (sum_{l != j} |d_j^H C_l|^2 + sigma^2 ||d_j||^2).
     Bins whose column is exactly zero (TX-nulled guards) report SINR 0.
+    Without ``cfg`` the grid is one column, (dim, 1).
     """
     cm = np.asarray(c)
     dim = cm.shape[0]
@@ -71,33 +60,29 @@ def sinr_map(c, sigma2: float, cfg: ModemConfig | None = None, n_guard: int = 0)
         k, n = cfg.k, cfg.n
     else:
         k, n = dim, 1
-    return SinrMap(values=vals.reshape(n, k).T, n_guard=n_guard)
+    return vals.reshape(n, k).T
 
 
-def sinr_map_from_values(values: np.ndarray, n_guard: int = 0) -> SinrMap:
-    """Wrap an already computed (K, N) linear SINR grid."""
-    return SinrMap(values=np.asarray(values, dtype=float), n_guard=n_guard)
+def _interior(values: np.ndarray, n_guard: int) -> np.ndarray:
+    """Rows [n_guard, K - n_guard) of a (K, N) SINR grid: the non-guard bins."""
+    k = values.shape[0]
+    check_guard_count(n_guard, k)
+    return values[n_guard:k - n_guard, :]
 
 
-def _interior(map_: SinrMap, n_guard: int | None) -> np.ndarray:
-    ng = map_.n_guard if n_guard is None else n_guard
-    if ng < 0 or 2 * ng >= map_.k:
-        raise ValueError(f"invalid guard count: need 0 <= 2*N_G < K={map_.k}, got N_G={ng}")
-    return map_.values[ng:map_.k - ng, :]
+def net_sinr(values: np.ndarray, n_guard: int = 0) -> float:
+    """Linear-domain mean SINR of a (K, N) grid over non-guard bins, reported in dB."""
+    return 10.0 * np.log10(_interior(values, n_guard).mean())
 
 
-def net_sinr(map_: SinrMap, n_guard: int | None = None) -> float:
-    """Linear-domain mean SINR over non-guard bins, reported in dB."""
-    return 10.0 * np.log10(_interior(map_, n_guard).mean())
-
-
-def avg_spectral_efficiency(map_: SinrMap, efficiency: float, n_guard: int | None = None) -> float:
+def avg_spectral_efficiency(values: np.ndarray, efficiency: float, n_guard: int = 0) -> float:
     """Average spectral efficiency (xi / KN) * sum over non-guard bins of log2(1 + SINR).
 
-    Guard bins contribute zero but stay in the K*N normalization.
+    ``values`` is the (K, N) linear SINR grid; guard bins contribute zero but
+    stay in the K*N normalization.
     """
-    interior = _interior(map_, n_guard)
-    return efficiency * np.log2(1.0 + interior).sum() / map_.values.size
+    interior = _interior(values, n_guard)
+    return efficiency * np.log2(1.0 + interior).sum() / values.size
 
 
 def normalized_mse(x_hat: np.ndarray, x: np.ndarray) -> float:

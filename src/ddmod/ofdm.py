@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelMatrixSet
-from .config import ModemConfig
+from .config import ModemConfig, check_guard_count
 from .mmse import mmse_sinr, per_symbol_mmse
 from .transforms import invec, oversampled_dft, oversampled_idft, vec
 
@@ -36,10 +36,14 @@ def _tx_null(cfg: ModemConfig) -> np.ndarray:
     return mask
 
 
+def _tx_stack(ft: np.ndarray, cfg: ModemConfig) -> np.ndarray:
+    """sqrt(P_T) * ft with the :func:`_tx_null` guard columns zeroed, in one full-array product."""
+    return ft * (np.sqrt(cfg.p_t) * _tx_null(cfg))
+
+
 def _live_rows(cfg: ModemConfig, n_guard: int) -> slice:
     """Grid rows [n_guard, K - n_guard): every subcarrier but the 2*n_guard edge ones."""
-    if not 0 <= 2 * n_guard < cfg.k:
-        raise ValueError(f"invalid guard count: need 0 <= 2*N_G < K={cfg.k}, got N_G={n_guard}")
+    check_guard_count(n_guard, cfg.k)
     return slice(n_guard, cfg.k - n_guard)
 
 
@@ -140,7 +144,7 @@ def ofdm_full_mmse(
     column is exactly zero (TX-nulled guards) report SINR 0, as in
     ``metrics.sinr_map``.  Returns the (K, N) SINR and estimate grids.
     """
-    c = np.sqrt(cfg.p_t) * ft * _tx_null(cfg)
+    c = _tx_stack(ft, cfg)
     mse, x_hat = per_symbol_mmse(c, y_ft, sigma2)
     live = np.any(c != 0, axis=1).T
     return np.where(live, mmse_sinr(mse.T, sigma2), 0.0), x_hat
@@ -177,7 +181,7 @@ def ofdm_onetap_sinr(ft: np.ndarray, cfg: ModemConfig, noise_var: float) -> np.n
     equalization rescales the whole observation row, so the SINR does not
     depend on the MMSE/ZF choice.
     """
-    blk = ft * (np.sqrt(cfg.p_t) * _tx_null(cfg))
+    blk = _tx_stack(ft, cfg)
     sig = np.abs(np.diagonal(blk, axis1=1, axis2=2)) ** 2
     interference = np.sum(np.abs(blk) ** 2, axis=2) - sig
     return (sig / (interference + noise_var)).T

@@ -22,8 +22,8 @@ import numpy as np
 from .channel import ChannelMatrixSet
 from .config import ModemConfig
 from .mmse import mmse_sinr, per_symbol_mmse
-from .ofdm import (_tx_guard, _tx_null, apply_channel, ofdm_demodulate, ofdm_modulate,
-                   per_symbol_ft_channel)
+from .ofdm import (_tx_guard, _tx_null, _tx_stack, apply_channel, ofdm_demodulate,
+                   ofdm_modulate, per_symbol_ft_channel)
 from .transforms import dft_matrix, isfft, sfft
 
 
@@ -83,7 +83,7 @@ def otfs_mmse(
     1 / (sigma^2 mean_i diag(F_K^H G_i F_K)) - 1, equal across Doppler bins.
     Returns the (K, N) SINR and delay-Doppler estimate grids.
     """
-    c = np.sqrt(cfg.p_t) * ft * _tx_null(cfg)
+    c = _tx_stack(ft, cfg)
     mse, x_ft = per_symbol_mmse(c, isfft(y_dd), sigma2, basis=dft_matrix(cfg.k))
     sinr = mmse_sinr(mse.mean(axis=0), sigma2)
     return np.repeat(sinr[:, np.newaxis], cfg.n, axis=1), sfft(x_ft)

@@ -137,43 +137,40 @@ def chebyshev_window(length: int, attenuation_db: float) -> PrototypeFilter:
         raise ValueError(f"invalid size: window length must be >= 2, got {length}")
     if attenuation_db <= 0:
         raise ValueError(f"invalid attenuation: must be > 0 dB, got {attenuation_db}")
-    key = ("cheb", length, float(attenuation_db))
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
 
-    order = length - 1
-    ripple_ratio = 10.0 ** (attenuation_db / 20.0)
-    beta = np.cosh(np.arccosh(ripple_ratio) / order)
+    def build():
+        order = length - 1
+        ripple_ratio = 10.0 ** (attenuation_db / 20.0)
+        beta = np.cosh(np.arccosh(ripple_ratio) / order)
 
-    x = beta * np.cos(np.pi * np.arange(length) / length)
-    # Chebyshev polynomial T_order evaluated on and beyond [-1, 1]
-    p = np.empty(length)
-    inside = np.abs(x) <= 1.0
-    p[inside] = np.cos(order * np.arccos(x[inside]))
-    above = x > 1.0
-    p[above] = np.cosh(order * np.arccosh(x[above]))
-    below = x < -1.0
-    p[below] = (2 * (length % 2) - 1) * np.cosh(order * np.arccosh(-x[below]))
+        x = beta * np.cos(np.pi * np.arange(length) / length)
+        # Chebyshev polynomial T_order evaluated on and beyond [-1, 1]
+        p = np.empty(length)
+        inside = np.abs(x) <= 1.0
+        p[inside] = np.cos(order * np.arccos(x[inside]))
+        above = x > 1.0
+        p[above] = np.cosh(order * np.arccosh(x[above]))
+        below = x < -1.0
+        p[below] = (2 * (length % 2) - 1) * np.cosh(order * np.arccosh(-x[below]))
 
-    if length % 2:
-        w = np.real(np.fft.fft(p))
-        half = (length + 1) // 2
-        w = np.concatenate((w[half - 1:0:-1], w[:half]))
-    else:
-        p = p * np.exp(1j * np.pi / length * np.arange(length))
-        w = np.real(np.fft.fft(p))
-        half = length // 2 + 1
-        w = np.concatenate((w[half - 1:0:-1], w[1:half]))
+        if length % 2:
+            w = np.real(np.fft.fft(p))
+            half = (length + 1) // 2
+            w = np.concatenate((w[half - 1:0:-1], w[:half]))
+        else:
+            p = p * np.exp(1j * np.pi / length * np.arange(length))
+            w = np.real(np.fft.fft(p))
+            half = length // 2 + 1
+            w = np.concatenate((w[half - 1:0:-1], w[1:half]))
 
-    w = w / w.max()
-    w = 0.5 * (w + w[::-1])          # enforce exact symmetry
-    scale = 1.0 / w.sum()            # unit DC gain
-    taps = w * scale
-    taps.flags.writeable = False
-    filt = PrototypeFilter(taps=taps, attenuation_db=float(attenuation_db), scale=scale)
-    _CACHE[key] = filt
-    return filt
+        w = w / w.max()
+        w = 0.5 * (w + w[::-1])          # enforce exact symmetry
+        scale = 1.0 / w.sum()            # unit DC gain
+        taps = w * scale
+        taps.flags.writeable = False
+        return PrototypeFilter(taps=taps, attenuation_db=float(attenuation_db), scale=scale)
+
+    return _cached(("cheb", length, float(attenuation_db)), build)
 
 
 def modulated_filter_taps(filt: PrototypeFilter, i: int, k: int, o_s: int, d: int) -> np.ndarray:

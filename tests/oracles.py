@@ -24,7 +24,6 @@ from ddmod.metrics import (
     oob_level_db,
     psd_estimate,
     qpsk_grid,
-    sinr_map_from_values,
 )
 from ddmod.transforms import isfft, modulated_filter_taps, oversampled_dft, vec
 
@@ -174,9 +173,10 @@ def per_cell_row(cfg, waveform: str, speed_kmh: float, snr_index: int, trial: in
     """One sweep cell on its own realization and frequency-time stack.
 
     The CP-less chain gets a CP-less realization, as every cell did before
-    grid points shared them.
+    grid points shared them.  The link and the score use the waveform's
+    modem, with its guard override if any.
     """
-    modem = cfg.modem
+    modem = cfg.modem_for(waveform)
     snr_db = cfg.snr_db[snr_index]
     sigma2 = modem.p_t / 10.0 ** (snr_db / 10.0)
     with_cp, link = harness.WAVEFORMS[waveform]
@@ -186,14 +186,14 @@ def per_cell_row(cfg, waveform: str, speed_kmh: float, snr_index: int, trial: in
     sym_rng, noise_ss = harness._cell_streams(cfg, waveform, speed_kmh, snr_index, trial)
     x_dd = qpsk_grid(sym_rng, modem.k, modem.n)
     sinr, x_hat = link(x_dd, chan, modem, sigma2, noise_ss, **stack)
-    smap = sinr_map_from_values(sinr, cfg.n_guard_for(waveform))
+    efficiency = modem.cp_efficiency() if with_cp else 1.0
     return harness.ResultRow(
         waveform=waveform,
         speed_kmh=speed_kmh,
         snr_db=snr_db,
         trial=trial,
-        net_sinr_db=net_sinr(smap),
-        avg_se_bps_hz=avg_spectral_efficiency(smap, modem.cp_efficiency() if with_cp else 1.0),
+        net_sinr_db=net_sinr(sinr, modem.n_guard),
+        avg_se_bps_hz=avg_spectral_efficiency(sinr, efficiency, modem.n_guard),
         nmse=normalized_mse(vec(x_hat), vec(x_dd)),
         runtime_s=0.0,
     )

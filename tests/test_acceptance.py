@@ -24,7 +24,6 @@ from ddmod.metrics import (
     psd_estimate,
     qpsk_grid,
     sinr_map,
-    sinr_map_from_values,
 )
 from ddmod.transforms import invec, isfft, vec
 
@@ -177,13 +176,13 @@ def paired_sweep():
                     "otfs": sinr_map(otfs.otfs_effective_channel(chan_cp, cfg), sigma2, cfg),
                     "drufmc": sinr_map(drufmc.drufmc_effective_channel(chan_no, cfg), sigma2, cfg),
                     "ofdm-full": sinr_map(ofdm.ofdm_full_effective_channel(chan_cp, cfg), sigma2, cfg),
-                    "ofdm-onetap": sinr_map_from_values(
-                        ofdm.ofdm_onetap_sinr(ofdm.per_symbol_ft_channel(chan_cp, cfg), cfg, sigma2)
+                    "ofdm-onetap": ofdm.ofdm_onetap_sinr(
+                        ofdm.per_symbol_ft_channel(chan_cp, cfg), cfg, sigma2
                     ),
                 }
                 for wf, smap in maps.items():
                     key = (wf, speed, snr)
-                    net.setdefault(key, []).append(smap.values.mean())
+                    net.setdefault(key, []).append(smap.mean())
                     se.setdefault(key, []).append(
                         avg_spectral_efficiency(smap, xi[wf], GUARDS[wf])
                     )
@@ -277,12 +276,12 @@ def test_criterion_7_mmse_sinr_unit_oracles():
         num = np.abs(d.conj() @ c[:, j]) ** 2
         inter = sum(np.abs(d.conj() @ c[:, l]) ** 2 for l in range(4) if l != j)
         sinr_expected[j] = num / (inter + sigma2 * np.linalg.norm(d) ** 2)
-    sinr_err = np.abs(sinr_map(c, sigma2).values[:, 0] - sinr_expected).max()
+    sinr_err = np.abs(sinr_map(c, sigma2)[:, 0] - sinr_expected).max()
 
     monotone = True
     prev = None
     for s2 in [1e-3, 1e-2, 1e-1, 1.0, 10.0]:
-        vals = sinr_map(c, s2).values
+        vals = sinr_map(c, s2)
         if prev is not None and not np.all(vals <= prev * (1 + 1e-9)):
             monotone = False
         prev = vals

@@ -79,8 +79,8 @@ class TestLoadConfig:
         assert load_config(path, desk=True).modem == desk_config(n=4, pulse="rrc")
 
     @pytest.mark.parametrize("line, match", [
-        ("n_guard_otfs = -1", "0 <= 2\\*N_G < K=32, got -1"),
-        ("n_guard_otfs = 16", "0 <= 2\\*N_G < K=32, got 16"),
+        ("n_guard_otfs = -1", "guard override for otfs: .*0 <= 2\\*N_G < K=32, got N_G=-1"),
+        ("n_guard_otfs = 16", "guard override for otfs: .*0 <= 2\\*N_G < K=32, got N_G=16"),
         ("n_guard_otfss = 3", "unknown waveform 'otfss'"),
     ], ids=["negative", "half_of_k", "misspelled_waveform"])
     def test_bad_guard_override_is_a_config_error(self, tmp_path, capsys, line, match):
@@ -92,8 +92,8 @@ class TestLoadConfig:
 
     def test_guard_override_checked_against_the_k_that_runs(self, tmp_path, capsys):
         path = write_config(tmp_path, "waveforms = drufmc\nn_guard_drufmc = 20\n")
-        assert load_config(path).n_guard_for("drufmc") == 20     # 2*20 < K=128
-        with pytest.raises(ConfigError, match="K=32, got 20"):
+        assert load_config(path).modem_for("drufmc").n_guard == 20     # 2*20 < K=128
+        with pytest.raises(ConfigError, match="guard override for drufmc: .*K=32, got N_G=20"):
             load_config(path, desk=True)
         assert main(["run", "--config", path]) == 2
         assert "config error: guard override for drufmc" in capsys.readouterr().err
@@ -230,6 +230,24 @@ class TestRunSweep:
         p2 = ch.sample_eva_paths(channel_seed(cfg.seed, 500.0, 0, 0), 500 / 3.6, cfg.modem.f_c_hz)
         assert np.array_equal(p1.gains, p2.gains)
         assert r_otfs.trial == r_ofdm.trial
+
+    @pytest.mark.parametrize("pulse", ["ideal", "rrc"])
+    def test_guard_override_is_that_waveforms_n_guard(self, pulse):
+        # with guards nulled at the transmitter, an override must reach the
+        # transmitter and receiver models as well as the score
+        raw = {"guard_nulling": "tx", "pulse": pulse, "snr_db": "30", "speeds_kmh": "500",
+               "trials": "1", "seed": "0"}
+        by_modem = config_from_dict({**raw, "n_guard": "4"}, desk=True)
+        for wf in harness.WAVEFORMS:
+            by_override = config_from_dict({**raw, "n_guard_" + wf.replace("-", "_"): "4"},
+                                           desk=True)
+            assert (evaluate_point(by_override, wf, 500.0, 0, 0)
+                    == evaluate_point(by_modem, wf, 500.0, 0, 0))
+            assert by_override.modem_for(wf) == by_modem.modem
+            # no override: the shared modem itself, no copy per cell
+            assert all(by_override.modem_for(other) is by_override.modem
+                       for other in harness.WAVEFORMS if other != wf)
+        assert all(by_modem.modem_for(wf) is by_modem.modem for wf in harness.WAVEFORMS)
 
 
 class TestWorkerCount:

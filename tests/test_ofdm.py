@@ -1,5 +1,7 @@
 """OFDM baselines: full multicarrier-multisymbol MMSE and one-tap FDE."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from ddmod import channel as ch
@@ -81,7 +83,7 @@ class TestOneTapFde:
         for seed in [0, 1]:
             chan = ch.realize(ch.sample_eva_paths(seed, 500 / 3.6, cfg.f_c_hz),
                               cfg, with_cp=True)
-            full = sinr_map(ofdm.ofdm_full_effective_channel(chan, cfg), sigma2, cfg).values
+            full = sinr_map(ofdm.ofdm_full_effective_channel(chan, cfg), sigma2, cfg)
             onetap = ofdm.ofdm_onetap_sinr(ofdm.per_symbol_ft_channel(chan, cfg), cfg, sigma2)
             assert np.all(onetap <= full * (1 + 1e-9))
 
@@ -89,7 +91,7 @@ class TestOneTapFde:
         cfg = desk_config()
         sigma2 = 1e-3
         chan = ch.realize(ch.sample_eva_paths(7, 500 / 3.6, cfg.f_c_hz), cfg, with_cp=True)
-        full = sinr_map(ofdm.ofdm_full_effective_channel(chan, cfg), sigma2, cfg).values
+        full = sinr_map(ofdm.ofdm_full_effective_channel(chan, cfg), sigma2, cfg)
         onetap = ofdm.ofdm_onetap_sinr(ofdm.per_symbol_ft_channel(chan, cfg), cfg, sigma2)
         assert np.all(onetap < full)
 
@@ -101,7 +103,7 @@ class TestOneTapFde:
         chan = ch.realize(paths, cfg, with_cp=True)
         assert chan.realization.l_ch - 1 <= cfg.n_cp
         sigma2 = 1e-2
-        full = sinr_map(ofdm.ofdm_full_effective_channel(chan, cfg), sigma2, cfg).values
+        full = sinr_map(ofdm.ofdm_full_effective_channel(chan, cfg), sigma2, cfg)
         onetap = ofdm.ofdm_onetap_sinr(ofdm.per_symbol_ft_channel(chan, cfg), cfg, sigma2)
         gap_db = np.abs(10 * np.log10(full) - 10 * np.log10(onetap))
         assert gap_db.max() < 0.1
@@ -112,13 +114,13 @@ class TestOneTapFde:
         cfg = desk_config(n_guard=4, guard_nulling="tx")
         chan = ch.realize(ch.sample_eva_paths(9, 50 / 3.6, cfg.f_c_hz), cfg, with_cp=True)
         eff = ofdm.ofdm_full_effective_channel(chan, cfg)
-        smap = sinr_map(eff, 0.01, cfg, n_guard=cfg.n_guard)
-        assert np.all(smap.values[:4, :] == 0)
-        assert np.all(smap.values[-4:, :] == 0)
-        assert np.all(smap.values[4:-4, :] > 0)
+        smap = sinr_map(eff, 0.01, cfg)
+        assert np.all(smap[:4, :] == 0)
+        assert np.all(smap[-4:, :] == 0)
+        assert np.all(smap[4:-4, :] > 0)
         # accounting-only mode keeps the full grid active
-        acc = ofdm.ofdm_full_effective_channel(chan, cfg.with_(guard_nulling="accounting"))
-        assert np.all(sinr_map(acc, 0.01, cfg).values > 0)
+        acc = ofdm.ofdm_full_effective_channel(chan, replace(cfg, guard_nulling="accounting"))
+        assert np.all(sinr_map(acc, 0.01, cfg) > 0)
 
     def test_zf_and_mmse_agree_without_noise(self):
         cfg = desk_config()
@@ -128,7 +130,7 @@ class TestOneTapFde:
         r = ofdm.apply_channel(ofdm.ofdm_modulate(x, cfg), chan, 1.0, 0.0)
         y = ofdm.ofdm_demodulate(r, cfg)
         ft = ofdm.per_symbol_ft_channel(chan, cfg)
-        zf = ofdm.ofdm_onetap_fde(y, ft, cfg.with_(onetap="zf"), 0.0)
+        zf = ofdm.ofdm_onetap_fde(y, ft, replace(cfg, onetap="zf"), 0.0)
         assert np.abs(zf - x).max() < 1e-8
-        mmse = ofdm.ofdm_onetap_fde(y, ft, cfg.with_(onetap="mmse"), 0.0)
+        mmse = ofdm.ofdm_onetap_fde(y, ft, replace(cfg, onetap="mmse"), 0.0)
         assert np.abs(mmse - zf).max() < 1e-8

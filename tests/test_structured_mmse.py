@@ -9,6 +9,8 @@ the dense route.  With guards nulled at the transmitter, each link must send
 exactly the channel its detector models.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,7 +83,7 @@ def test_structured_matches_dense(waveform, case, log_sigma2, seed):
     sinr, x_hat = structured(waveform, y, chan, cfg, sigma2)
     eff = DENSE[waveform](chan, cfg)
     assert sinr.shape == x_hat.shape == (cfg.k, cfg.n)
-    assert close(sinr, sinr_map(eff, sigma2, cfg).values)
+    assert close(sinr, sinr_map(eff, sigma2, cfg))
     assert close(vec(x_hat), mmse_detect(eff, vec(y), sigma2))
 
 
@@ -166,7 +168,7 @@ def test_tx_nulled_onetap_guard_bins_report_zero():
     sinr = ofdm.ofdm_onetap_sinr(ft, cfg, 0.01)
     assert np.all(sinr[:4] == 0) and np.all(sinr[-4:] == 0)
     # interior bins see interference only from the transmitted columns
-    accounting = cfg.with_(guard_nulling="accounting")
+    accounting = replace(cfg, guard_nulling="accounting")
     nulled = ofdm.ofdm_onetap_sinr(ft * ofdm._tx_null(cfg), accounting, 0.01)
     assert np.array_equal(sinr, nulled)
     assert np.all(sinr[4:-4] > 0)
