@@ -30,10 +30,6 @@ EVA_POWERS_DB = np.array([0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9]
 RRC_ROLLOFF = 0.25
 RRC_HALF_SPAN = 4  # samples each side of the pulse peak
 
-#: Byte budget of the (columns, active taps, rows of w) operand that
-#: ChannelMatrixSet.left_multiply gathers; wider tap sets go in column chunks.
-LEFT_MULTIPLY_CHUNK_BYTES = 32 * 2**20
-
 
 class DelaySpanError(ValueError):
     """A path delay maps to a tap index beyond the realized span."""
@@ -180,17 +176,14 @@ def materialize_taps(
     r = np.arange(1, rows + 1)
 
     for h_p, tau, nu, (lo, hi) in zip(paths.gains, paths.delays_s, paths.dopplers_hz, windows):
-        g = np.zeros(tap_index.size)
         first = np.searchsorted(tap_index, lo)
-        if cfg.pulse == "ideal":
-            g[first] = 1.0
-        else:
-            g[first:first + hi - lo + 1] = raised_cosine(np.arange(lo, hi + 1) - tau / ts)
+        window = slice(first, first + hi - lo + 1)       # this path's columns of tap_index
+        g = np.ones(1) if cfg.pulse == "ideal" else raised_cosine(np.arange(lo, hi + 1) - tau / ts)
         # phase exp(j2*pi*nu*((ell + r + i - 1)*Ts - Ts/2)), separable in ell, r, i
-        ph_ell = np.exp(2j * np.pi * nu * (ell * ts - ts / 2.0))
+        ph_ell = np.exp(2j * np.pi * nu * (ell[window] * ts - ts / 2.0))
         ph_r = np.exp(2j * np.pi * nu * r * ts)
         ph_i = np.exp(2j * np.pi * nu * np.arange(n_sym) * ts)
-        taps += h_p * np.einsum("i,r,l->irl", ph_i, ph_r, g * ph_ell)
+        taps[:, :, window] += h_p * np.einsum("i,r,l->irl", ph_i, ph_r, g * ph_ell)
     return LtvChannelRealization(taps=taps, tap_index=tap_index, l_ch=l_ch, sample_period_s=ts)
 
 
@@ -239,28 +232,6 @@ class ChannelMatrixSet:
             out[:, ell:ell + self.cols] += real.taps[:, ell:ell + self.cols, j] * x
         return out.T
 
-    def left_multiply(self, w: np.ndarray, row0: int) -> np.ndarray:
-        """(N, w.shape[0], cols) stack of w @ M_i[row0:row0 + w.shape[1], :].
-
-        Column c of M_i holds tap j at row c + tap_index[j], so column c of the
-        product is sum_j w[:, c + tap_index[j] - row0] * h[i, c + tap_index[j], j]:
-        an (N x n_active) @ (n_active x w.shape[0]) product per column, batched
-        over chunks of columns whose gathered w operand stays under
-        LEFT_MULTIPLY_CHUNK_BYTES.
-        """
-        real = self.realization
-        n_active = real.tap_index.size
-        step = max(1, LEFT_MULTIPLY_CHUNK_BYTES // (16 * max(1, n_active) * w.shape[0]))
-        out = np.empty((self.cols, len(self), w.shape[0]), dtype=complex)
-        for c0 in range(0, self.cols, step):
-            rr = np.arange(c0, min(c0 + step, self.cols))[:, np.newaxis] + real.tap_index
-            a = rr - row0                                            # matching columns of w
-            inside = (a >= 0) & (a < w.shape[1])
-            w_cols = np.where(inside[..., np.newaxis], w.T[np.clip(a, 0, w.shape[1] - 1)], 0)
-            h_cols = real.taps[:, rr, np.arange(n_active)]          # (N, chunk, n_active)
-            np.matmul(h_cols.transpose(1, 0, 2), w_cols, out=out[c0:c0 + step])
-        return out.transpose(1, 2, 0)
-
 
 def _cols(cfg: ModemConfig, with_cp: bool) -> int:
     """Input samples per symbol block: K*O_s, plus N_CP on the CP-bearing chain."""
@@ -303,7 +274,9 @@ def export_taps(real: LtvChannelRealization) -> str:
 
 
 def parse_taps(text: str) -> LtvChannelRealization:
-    """Inverse of :func:`export_taps`; also reads v1 dumps, which list every tap column."""
+    """Inverse of :func:`export_taps`; refuses any format but v2."""
+    if text.lstrip().splitlines()[:1] != ["# ltv-taps v2"]:
+        raise ValueError("unsupported taps format: expected a '# ltv-taps v2' first line")
     header = None
     columns = {}
     for line in text.splitlines():

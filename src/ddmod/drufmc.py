@@ -9,13 +9,16 @@ same air time as the CP-bearing chain's payload.
 In the delay-time domain (A = X_dd F_N^H in, U = Y_dd F_N^H out) the channel
 is block lower-bidiagonal: U[:, m] = T[m, m] A[:, m] + T[m, m-1] A[:, m-1]
 with T[m, m] = sqrt(P_T) C_m and T[m, m-1] = sqrt(P_T) D_m, the per-symbol
-head and overlap-tail maps of :func:`_delay_domain_blocks`.  The dense
-delay-Doppler channel is V T V^H with V = F_N (x) I_K, so its MMSE error
-covariance is sigma^2 V G V^H, G = (T^H T + sigma^2 I)^{-1}.  The Doppler
-DFT mixes the diagonals of every block of G, so :func:`drufmc_mmse` streams
-the rows of the inverse block-Cholesky factor (O(N^2 K^3) work, O(N K^2)
-memory) instead of a selected inverse; :func:`drufmc_link` runs the whole
-link.  :func:`drufmc_effective_channel` builds the dense matrix as the
+head and overlap-tail maps of :func:`_delay_domain_blocks`, built path by
+path: C_m = F_K^H B_m diag(resp) F_K - D_m, with B_m the closed form of
+:func:`~ddmod.ofdm.per_symbol_ft_channel` without CP and resp the subband
+filters' gains, and D_m from the L - 1 channel columns the tail reaches.  The
+dense delay-Doppler channel is V T V^H with V = F_N (x) I_K, so its MMSE
+error covariance is sigma^2 V G V^H, G = (T^H T + sigma^2 I)^{-1}.  The
+Doppler DFT mixes the diagonals of every block of G, so :func:`drufmc_mmse`
+streams the rows of the inverse block-Cholesky factor (O(N^2 K^3) work,
+O(N K^2) memory) instead of a selected inverse; :func:`drufmc_link` runs the
+whole link.  :func:`drufmc_effective_channel` builds the dense matrix as the
 reference.
 """
 
@@ -26,17 +29,9 @@ import numpy as np
 from .channel import ChannelMatrixSet
 from .config import ConfigError, ModemConfig
 from .mmse import bidiagonal_mmse, mmse_sinr
-from .ofdm import _live_rows, _tx_guard, _tx_null, apply_channel
-from .transforms import (
-    dft_matrix,
-    invec,
-    isfft,
-    oversampled_dft,
-    sfft,
-    tail_truncation_matrix,
-    ufmc_precoder,
-    vec,
-)
+from .ofdm import _live_rows, _path_ft_blocks, _tx_guard, _tx_null, apply_channel
+from .transforms import (dft_matrix, invec, isfft, oversampled_dft, sfft, tail_truncation_matrix,
+                         ufmc_precoder, vec)
 
 
 def overlap_add(x_tilde: np.ndarray, cfg: ModemConfig) -> np.ndarray:
@@ -117,18 +112,26 @@ def dd_to_ft_kron(cfg: ModemConfig) -> np.ndarray:
 def _delay_domain_blocks(chan: ChannelMatrixSet, cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
     """(N, K, K) stacks C_m, D_m: symbol m's head and overlap-tail maps, delay domain in and out.
 
-    C_m = F_K^H W (R_tail M_m) head F_K carries symbol m into its own block,
-    with head the first K*O_s precoder rows; D_m carries symbol m - 1's L - 1
-    tail rows into the first L - 1 samples of block m.  TX guard nulling is
-    applied to the frequency-time inputs.
+    C_m = F_K^H W (R_tail M_m) P_head F_K carries symbol m into its own block;
+    D_m = F_K^H W M_m[:K*O_s, :L-1] P_tail F_K carries symbol m - 1's tail
+    into block m.  P_head / P_tail are the first K*O_s / last L - 1 precoder
+    rows, TX-guard nulled.  P_head is the steady state W^H diag(resp) less
+    P_tail in its first L - 1 rows, so C_m = F_K^H B_m diag(resp) F_K - D_m,
+    with B_m the per-path closed form of :func:`~ddmod.ofdm.per_symbol_ft_channel`
+    without CP.  ``chan`` must be the CP-less set, with K*O_s columns.
     """
-    f_k = dft_matrix(cfg.k)
-    fkh_w = f_k.conj().T @ oversampled_dft(cfg.k, cfg.o_s)
-    null = _tx_null(cfg)
-    p = ufmc_precoder(cfg)
     ko = cfg.k * cfg.o_s
-    bt = chan.left_multiply(fkh_w, 0)         # F_K^H W (R_tail M_m) for every m
-    return bt @ (p[:ko] * null @ f_k), bt[..., :cfg.filter_len - 1] @ (p[ko:] * null @ f_k)
+    p = ufmc_precoder(cfg) * _tx_null(cfg)
+    resp = np.sqrt(ko) * p[::ko].sum(axis=0)   # rows 0 + K*O_s: W^H[0] resp, W^H[0] = 1/sqrt(KO_s)
+    real = chan.realization
+    rows = np.arange(cfg.filter_len - 1)[:, np.newaxis] + real.tap_index  # band, columns < L-1
+    h = real.taps[:, rows, np.arange(rows.shape[1])] * (rows < ko)         # R_tail: rows < K*O_s
+    band = np.einsum("kcj,mcj->mkc", oversampled_dft(cfg.k, cfg.o_s)[:, rows % ko], h,
+                     optimize=True)                                    # W M_m[:K*O_s, :L-1]
+    # F_K^H (.) F_K: an inverse FFT down the columns, then an FFT along the rows
+    tail = np.fft.fft(np.fft.ifft(band @ p[ko:], axis=-2), axis=-1)
+    head = np.fft.fft(np.fft.ifft(_path_ft_blocks(chan, cfg, 0) * resp, axis=-2), axis=-1)
+    return head - tail, tail
 
 
 def drufmc_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarray:

@@ -106,16 +106,38 @@ def ofdm_demodulate(r: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     return oversampled_dft(cfg.k, cfg.o_s) @ z
 
 
+def _path_ft_blocks(chan: ChannelMatrixSet, cfg: ModemConfig, n_cp: int) -> np.ndarray:
+    """:func:`per_symbol_ft_channel` for a chain with ``n_cp`` CP samples (0: no CP, R = I)."""
+    k, ko = cfg.k, cfg.k * cfg.o_s
+    if chan.cols != ko + n_cp:
+        raise ValueError(f"dimension mismatch: {chan.cols} channel columns, expected {ko + n_cp}")
+    real = chan.realization
+    seg = real.taps[:, n_cp:n_cp + ko, :].transpose(0, 2, 1).copy()      # (N, P, KO_s)
+    seg[:, np.arange(ko) < real.tap_index[:, np.newaxis] - n_cp] = 0.0
+    diffs = np.arange(1 - k, k)                                         # f_k' - f_k
+    g = np.fft.fft(seg, axis=-1)[..., diffs % ko]                       # (N, P, 2K-1)
+    phase = np.exp(-2j * np.pi * np.outer(real.tap_index, np.arange(k) - k // 2) / ko)
+    by_diff = np.swapaxes(g, 1, 2) @ (phase / ko)                       # (N, 2K-1, K)
+    toeplitz = np.arange(k)[:, np.newaxis] - np.arange(k) + k - 1       # row of f_k' - f_k
+    return np.take_along_axis(by_diff, toeplitz[np.newaxis], axis=1)
+
+
 def per_symbol_ft_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarray:
     """(N, K, K) stack of frequency-time channels W @ R_cp @ M_i @ A_cp @ W^H.
 
     R_cp keeps rows n_cp .. n_cp + K*O_s - 1 of the banded product; A_cp @ W^H
-    is the CP-prefixed inverse DFT, which folds the CP columns back.
+    is the CP-prefixed inverse DFT.  W^H is periodic in time, so block i sums
+    one term per active tap j at delay l_j (the per-path ICI structure of
+    Schniter, IEEE TSP 2004; Raviteja et al., IEEE TWC 2018):
+
+        B_i[k', k] = (1/KO_s) sum_j exp(-j2*pi*l_j*f_k/KO_s) G_ij[(f_k' - f_k) mod KO_s]
+
+    with f_k the centred subcarrier index and G_ij the FFT of
+    taps[i, n_cp:n_cp + KO_s, j], zeroed where t < l_j - n_cp (a path longer
+    than the CP reads there from before the CP).  ``chan`` must be the
+    CP-bearing set, with K*O_s + N_CP columns.
     """
-    ko = cfg.k * cfg.o_s
-    w = oversampled_dft(cfg.k, cfg.o_s)
-    wh = oversampled_idft(cfg.k, cfg.o_s)
-    return chan.left_multiply(w, cfg.n_cp) @ np.concatenate((wh[ko - cfg.n_cp:], wh))
+    return _path_ft_blocks(chan, cfg, cfg.n_cp)
 
 
 def ofdm_full_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarray:

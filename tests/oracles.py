@@ -1,15 +1,16 @@
 """Dense reference constructions for the path-sparse channel kernels.
 
 The library stores only the active tap columns of a realization and applies
-them with banded kernels batched over symbols.  The literal dense routes they
-replaced live here as test oracles: the full (N, rows, L_ch) tap tensor, the
-per-symbol CP core R_cp @ M_i @ A_cp, its frequency-time block, and the v1
-text dump that wrote every tap column.  The literal subband and CP/tail
-bookkeeping matrices that the chains apply by slicing and convolution are
-here too, as are the linear guard-count scan that the bisected search
-replaced, the per-frame PSD transmitter that ``harness.psd_signal`` batches
-(with the seeded frame loop that builds a multi-frame signal from it), and
-the sweep cell that realized its own channel before grid points shared one.
+them with banded kernels batched over symbols, or sums over their paths in
+closed form.  The literal dense routes they replaced live here as test
+oracles: the full (N, rows, L_ch) tap tensor, the per-symbol CP core
+R_cp @ M_i @ A_cp, its frequency-time block, and DR-UFMC's delay-domain head
+and tail blocks.  The literal subband and CP/tail bookkeeping matrices that the
+chains apply by slicing and convolution are here too, as are the linear
+guard-count scan that the bisected search replaced, the per-frame PSD
+transmitter that ``harness.psd_signal`` batches (with the seeded frame loop
+that builds a multi-frame signal from it), and the sweep cell that realized
+its own channel before grid points shared one.
 """
 
 import numpy as np
@@ -25,7 +26,14 @@ from ddmod.metrics import (
     psd_estimate,
     qpsk_grid,
 )
-from ddmod.transforms import isfft, modulated_filter_taps, oversampled_dft, vec
+from ddmod.transforms import (
+    dft_matrix,
+    isfft,
+    modulated_filter_taps,
+    oversampled_dft,
+    ufmc_precoder,
+    vec,
+)
 
 
 def dense_materialize_taps(paths, cfg, rows, n_symbols=None, l_ch=None) -> np.ndarray:
@@ -72,18 +80,18 @@ def dense_ft_block(chan, cfg, i: int) -> np.ndarray:
     return w @ cp_core(chan, cfg, i) @ w.conj().T
 
 
-def export_dense_v1(taps: np.ndarray, sample_period_s: float) -> str:
-    """The v1 text dump: one line per (symbol, tap) for every tap column."""
-    n_sym, rows, l_ch = taps.shape
-    lines = [
-        "# ltv-taps v1",
-        f"# symbols={n_sym} rows={rows} l_ch={l_ch} sample_period_s={sample_period_s!r}",
-    ]
-    for i in range(n_sym):
-        for ell in range(l_ch):
-            vals = " ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in taps[i, :, ell])
-            lines.append(f"{i + 1} {ell + 1} {vals}")
-    return "\n".join(lines) + "\n"
+def dense_delay_domain_blocks(chan, cfg, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """DR-UFMC's K x K head and tail blocks (C_m, D_m) of symbol m, from the dense matrix.
+
+    C_m = F_K^H W M_m[:K*O_s] P_head diag(null) F_K and
+    D_m = F_K^H W M_m[:K*O_s, :L-1] P_tail diag(null) F_K, with P_head / P_tail
+    the first K*O_s / last L - 1 rows of the precoder.
+    """
+    ko = cfg.k * cfg.o_s
+    f_k = dft_matrix(cfg.k)
+    band = f_k.conj().T @ oversampled_dft(cfg.k, cfg.o_s) @ chan.matrix(m)[:ko]
+    p = ufmc_precoder(cfg) * ofdm._tx_null(cfg)
+    return band @ p[:ko] @ f_k, band[:, :cfg.filter_len - 1] @ p[ko:] @ f_k
 
 
 def selection_matrix(i: int, b: int, d: int) -> np.ndarray:

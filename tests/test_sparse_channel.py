@@ -1,21 +1,25 @@
-"""Path-sparse taps and the banded kernels against their dense oracles.
+"""Path-sparse taps, the banded kernels and the per-path closed forms against dense oracles.
 
 Random valid modem configurations (small even K, any N, O_s and CP length,
 both pulses) meet random path sets whose delays fall inside and beyond the
 CP.  Stored taps must equal the dense tensor's columns exactly; the kernels
-must match the dense per-symbol matrices to 1e-12.
+and the closed-form frequency-time and delay-domain blocks must match the
+dense per-symbol matrices to 1e-12.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddmod import channel as ch
 from ddmod.config import ModemConfig, desk_config, table1_config
+from ddmod.drufmc import _delay_domain_blocks
 from ddmod.ofdm import per_symbol_ft_channel
-from ddmod.transforms import dft_matrix, oversampled_dft
 
-from oracles import dense_ft_block, dense_materialize_taps, export_dense_v1
+from oracles import dense_delay_domain_blocks, dense_ft_block, dense_materialize_taps
 
 TOL = 1e-12
 
@@ -85,47 +89,57 @@ def test_ft_blocks_match_cp_core(case):
 
 
 @examples
-@given(modem_and_paths(), st.integers(0, 2**32 - 1))
-def test_left_multiply_matches_dense(case, seed):
+@given(modem_and_paths(), st.sampled_from(["accounting", "tx"]), st.data())
+def test_delay_domain_blocks_match_dense(case, guard_nulling, data):
     cfg, paths = case
-    ko = cfg.k * cfg.o_s
-    # DR-UFMC's delay-domain map F_K^H W (R_tail M_m) on the CP-less set
+    cfg = dataclasses.replace(cfg, guard_nulling=guard_nulling,
+                              n_guard=data.draw(st.integers(0, (cfg.k - 1) // 2)))
     chan = ch.realize(paths, cfg, with_cp=False)
-    fkh_w = dft_matrix(cfg.k).conj().T @ oversampled_dft(cfg.k, cfg.o_s)
-    stack = chan.left_multiply(fkh_w, 0)
+    heads, tails = _delay_domain_blocks(chan, cfg)
+    assert heads.shape == tails.shape == (cfg.n, cfg.k, cfg.k)
     for m in range(cfg.n):
-        assert close(stack[m], fkh_w @ chan.matrix(m)[:ko, :])
-    # any row window of the CP-bearing set
-    chan = ch.realize(paths, cfg, with_cp=True)
-    rng = np.random.default_rng(seed)
-    row0 = int(rng.integers(0, chan.rows))
-    nrows = int(rng.integers(1, chan.rows - row0 + 1))
-    w = rng.standard_normal((3, nrows)) + 1j * rng.standard_normal((3, nrows))
-    stack = chan.left_multiply(w, row0)
-    for m in range(cfg.n):
-        assert close(stack[m], w @ chan.matrix(m)[row0:row0 + nrows, :])
+        head, tail = dense_delay_domain_blocks(chan, cfg, m)
+        assert close(heads[m], head)
+        assert close(tails[m], tail)
 
 
-def test_left_multiply_column_chunks_are_exact(monkeypatch):
-    cfg = desk_config(pulse="rrc")
-    chan = ch.realize(ch.sample_eva_paths(4, 500 / 3.6, cfg.f_c_hz), cfg, with_cp=True)
-    w = oversampled_dft(cfg.k, cfg.o_s)
-    whole = chan.left_multiply(w, cfg.n_cp)
-    monkeypatch.setattr(ch, "LEFT_MULTIPLY_CHUNK_BYTES", 1)     # one column per chunk
-    assert np.array_equal(chan.left_multiply(w, cfg.n_cp), whole)
-    # a dump with a header and no tap lines stores no columns: an all-zero product
-    empty = ch.parse_taps("# ltv-taps v2\n# symbols=2 rows=12 l_ch=3 sample_period_s=1e-06\n")
+@pytest.mark.parametrize("pulse", ["ideal", "rrc"])
+def test_closed_forms_at_table1_shape(pulse):
+    # 4 of the 9 EVA paths outlast the 586 ns CP; the 60-tap filter leaves a 59-row transient
+    cfg = table1_config(pulse=pulse)
+    paths = ch.sample_eva_paths(0, 500 / 3.6, cfg.f_c_hz)
+    assert np.sum(paths.delays_s > cfg.cp_duration_s) == 4 and cfg.filter_len - 1 == 59
+    cp_set = ch.realize(paths, cfg, with_cp=True)
+    cpless = ch.channel_matrices(cp_set.realization, cfg, with_cp=False)
+    ft = per_symbol_ft_channel(cp_set, cfg)
+    heads, tails = _delay_domain_blocks(cpless, cfg)
+    for i in (0, cfg.n - 1):
+        assert close(ft[i], dense_ft_block(cp_set, cfg, i))
+        head, tail = dense_delay_domain_blocks(cpless, cfg, i)
+        assert close(heads[i], head)
+        assert close(tails[i], tail)
+
+
+def test_closed_forms_refuse_a_mismatched_channel_set():
+    cfg = desk_config()
+    paths = ch.sample_eva_paths(4, 500 / 3.6, cfg.f_c_hz)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        per_symbol_ft_channel(ch.realize(paths, cfg, with_cp=False), cfg)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        _delay_domain_blocks(ch.realize(paths, cfg, with_cp=True), cfg)
+
+
+def test_header_only_dump_gives_all_zero_blocks():
+    # a dump with a header and no tap lines stores no columns
+    cfg = desk_config()
+    ko = cfg.k * cfg.o_s
+    empty = ch.parse_taps(f"# ltv-taps v2\n# symbols={cfg.n} rows={ko + cfg.n_cp + 2} "
+                          f"l_ch=3 sample_period_s={cfg.sample_period_s!r}\n")
     assert empty.tap_index.size == 0
-    stack = ch.ChannelMatrixSet(realization=empty, cols=10).left_multiply(w[:, :12], 0)
-    assert stack.shape == (2, cfg.k, 10) and not stack.any()
-
-
-def test_left_multiply_budget_keeps_sweep_shapes_in_one_chunk():
-    # the desk cases and the full-scale ideal pulse gather under the budget
-    for cfg in (desk_config(pulse="rrc"), table1_config()):
-        chan = ch.realize(ch.sample_eva_paths(0, 500 / 3.6, cfg.f_c_hz), cfg, with_cp=True)
-        gathered = 16 * chan.cols * chan.realization.tap_index.size * cfg.k
-        assert gathered <= ch.LEFT_MULTIPLY_CHUNK_BYTES
+    ft = per_symbol_ft_channel(ch.ChannelMatrixSet(realization=empty, cols=ko + cfg.n_cp), cfg)
+    heads, tails = _delay_domain_blocks(ch.ChannelMatrixSet(realization=empty, cols=ko), cfg)
+    for blocks in (ft, heads, tails):
+        assert blocks.shape == (cfg.n, cfg.k, cfg.k) and not blocks.any()
 
 
 class TestTapText:
@@ -147,10 +161,6 @@ class TestTapText:
         assert np.array_equal(back.tap_index, real.tap_index)
         assert np.array_equal(back.taps, real.taps)
 
-    def test_reads_dense_v1_dump(self):
-        cfg, paths, real = self.realization()
-        dense = dense_materialize_taps(paths, cfg, rows=real.rows)
-        back = ch.parse_taps(export_dense_v1(dense, real.sample_period_s))
-        assert back.l_ch == real.l_ch
-        assert np.array_equal(back.tap_index, np.arange(real.l_ch))
-        assert np.array_equal(back.dense_taps(), real.dense_taps())
+    def test_refuses_other_formats(self):
+        with pytest.raises(ValueError, match="unsupported taps format"):
+            ch.parse_taps("# ltv-taps v1\n# symbols=1 rows=2 l_ch=1 sample_period_s=1e-06\n")
