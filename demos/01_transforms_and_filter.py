@@ -24,10 +24,10 @@ print("sfft(isfft(X)) round-trip error:", np.abs(sfft(isfft(x)) - x).max())
 
 print("\n== Dolph-Chebyshev prototype (L=60, 100 dB) ==")
 filt = chebyshev_window(60, 100.0)
-print("tap sum (unit DC gain):", filt.taps.sum())
-print("symmetry error:", np.abs(filt.taps - filt.taps[::-1]).max())
+print("tap sum (unit DC gain):", filt.sum())
+print("symmetry error:", np.abs(filt - filt[::-1]).max())
 
-h = np.abs(np.fft.fft(filt.taps, 8192))
+h = np.abs(np.fft.fft(filt, 8192))
 h_db = 20 * np.log10(h / h.max() + 1e-300)
 i = 1
 while h_db[i] < h_db[i - 1]:

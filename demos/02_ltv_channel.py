@@ -32,16 +32,10 @@ rng = np.random.default_rng(1)
 x = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
 y = m @ x
 direct = np.zeros(m.shape[0], dtype=complex)
-h = mats.realization.dense_taps()[0]
+h = np.zeros((m.shape[0], l_ch), dtype=complex)   # symbol 0: h[r, l], zero off stored columns
+h[:, mats.realization.tap_index] = mats.realization.taps[0]
 for r in range(direct.size):
     for ell in range(l_ch):
         if 0 <= r - ell < x.size:
             direct[r] += h[r, ell] * x[r - ell]
 print("matrix vs direct time-varying convolution:", np.abs(y - direct).max())
-
-text = ch.export_taps(
-    ch.materialize_taps(paths, cfg, rows=8, n_symbols=1)
-)
-print("\ntext export (first 2 lines):")
-for line in text.splitlines()[:2]:
-    print(" ", line[:100])

@@ -1,6 +1,5 @@
-"""The filtered CP-less chain: overlap-add transmission and its matrix form.
+"""The filtered CP-less chain: overlap-add transmission and MMSE detection.
 
-Two independent constructions of the transmitter agree to machine precision.
 The raw loopback is NOT transparent (the prototype filter's group delay lands
 between delay bins), but the distortion is linear and sits inside the
 effective channel, so MMSE detection absorbs it.
@@ -10,23 +9,13 @@ import numpy as np
 
 from ddmod import channel as ch
 from ddmod import apply_channel, desk_config, qpsk_grid, sinr_map
-from ddmod.drufmc import (
-    dd_to_ft_kron,
-    drufmc_demodulate,
-    drufmc_effective_channel,
-    drufmc_modulate,
-    ufmc_stacked_precoder,
-)
-from ddmod.transforms import vec
+from ddmod.drufmc import drufmc_demodulate, drufmc_effective_channel, drufmc_modulate
 
 cfg = desk_config()
 rng = np.random.default_rng(4)
 x = qpsk_grid(rng, cfg.k, cfg.n)
 
-print("== dual construction ==")
 s_proc = drufmc_modulate(x, cfg)
-s_mat = ufmc_stacked_precoder(cfg) @ dd_to_ft_kron(cfg) @ vec(x)
-print("overlap-add vs stacked precoder:", np.abs(s_proc - s_mat).max())
 print(f"serialized length: {s_proc.size} = K*O_s*N (no CP, same air time as the payload)")
 
 print("\n== ideal channel: raw chain vs MMSE ==")

@@ -11,11 +11,9 @@ from .channel import (
     LtvChannelRealization,
     PathSet,
     channel_matrices,
-    export_taps,
     ideal_path,
     materialize_taps,
     max_doppler_hz,
-    parse_taps,
     realize,
     sample_eva_paths,
 )
@@ -25,7 +23,6 @@ from .drufmc import (
     drufmc_effective_channel,
     drufmc_modulate,
     ufmc_modulate_ft,
-    ufmc_stacked_precoder,
 )
 from .harness import ExperimentConfig, ResultRow, load_config, run_psd, run_sweep
 from .metrics import (
@@ -52,7 +49,6 @@ from .ofdm import (
 )
 from .otfs import otfs_demodulate, otfs_effective_channel, otfs_modulate
 from .transforms import (
-    PrototypeFilter,
     chebyshev_window,
     dft_matrix,
     isfft,

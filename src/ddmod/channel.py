@@ -31,10 +31,6 @@ RRC_ROLLOFF = 0.25
 RRC_HALF_SPAN = 4  # samples each side of the pulse peak
 
 
-class DelaySpanError(ValueError):
-    """A path delay maps to a tap index beyond the realized span."""
-
-
 @dataclass(frozen=True)
 class PathSet:
     """Sparse multipath description: complex gains, delays and Doppler shifts."""
@@ -135,43 +131,23 @@ class LtvChannelRealization:
     def rows(self) -> int:
         return self.taps.shape[1]
 
-    def dense_taps(self) -> np.ndarray:
-        """The full (n_symbols, rows, l_ch) tensor, zero off the active columns."""
-        out = np.zeros((self.n_symbols, self.rows, self.l_ch), dtype=complex)
-        out[:, :, self.tap_index] = self.taps
-        return out
 
-
-def materialize_taps(
-    paths: PathSet,
-    cfg: ModemConfig,
-    rows: int,
-    n_symbols: int | None = None,
-    l_ch: int | None = None,
-) -> LtvChannelRealization:
-    """Evaluate the per-symbol time-varying taps on the active tap columns.
+def materialize_taps(paths: PathSet, cfg: ModemConfig, rows: int) -> LtvChannelRealization:
+    """Evaluate the N per-symbol time-varying taps on the active tap columns.
 
     Tap (i, r, l) sums h_p * g((l-1) - tau_p/Ts) * exp(j2*pi*nu_p*((l + r + i - 1)*Ts - Ts/2))
     over paths, with r and i counted from 1 and g the configured shaping pulse
     (ideal Nyquist rounds each delay to a single unit tap).  The active
     columns are the union over paths of the rounded delay plus or minus the
-    pulse half-span; every other column is exactly zero and is not stored.
+    pulse half-span, inside the :func:`required_l_ch` span; every other
+    column is exactly zero and is not stored.
     """
-    n_sym = cfg.n if n_symbols is None else n_symbols
     ts = cfg.sample_period_s
-    span = required_l_ch(paths, cfg)
-    if l_ch is None:
-        l_ch = span
-    elif l_ch < span:
-        raise DelaySpanError(
-            f"path delays need L_ch >= {span}, got {l_ch}"
-        )
-
     half = _pulse_half_span(cfg.pulse)
     peaks = [int(round(tau / ts)) for tau in paths.delays_s]
-    windows = [(max(0, peak - half), min(l_ch - 1, peak + half)) for peak in peaks]
+    windows = [(max(0, peak - half), peak + half) for peak in peaks]
     tap_index = np.unique(np.concatenate([np.arange(lo, hi + 1) for lo, hi in windows]))
-    taps = np.zeros((n_sym, rows, tap_index.size), dtype=complex)
+    taps = np.zeros((cfg.n, rows, tap_index.size), dtype=complex)
     ell = tap_index + 1                     # 1-based tap index; delay = ell - 1 samples
     r = np.arange(1, rows + 1)
 
@@ -182,9 +158,10 @@ def materialize_taps(
         # phase exp(j2*pi*nu*((ell + r + i - 1)*Ts - Ts/2)), separable in ell, r, i
         ph_ell = np.exp(2j * np.pi * nu * (ell[window] * ts - ts / 2.0))
         ph_r = np.exp(2j * np.pi * nu * r * ts)
-        ph_i = np.exp(2j * np.pi * nu * np.arange(n_sym) * ts)
+        ph_i = np.exp(2j * np.pi * nu * np.arange(cfg.n) * ts)
         taps[:, :, window] += h_p * np.einsum("i,r,l->irl", ph_i, ph_r, g * ph_ell)
-    return LtvChannelRealization(taps=taps, tap_index=tap_index, l_ch=l_ch, sample_period_s=ts)
+    return LtvChannelRealization(taps=taps, tap_index=tap_index, l_ch=required_l_ch(paths, cfg),
+                                 sample_period_s=ts)
 
 
 @dataclass(frozen=True)
@@ -245,58 +222,7 @@ def channel_matrices(
     return ChannelMatrixSet(realization=real, cols=_cols(cfg, with_cp))
 
 
-def realize(paths: PathSet, cfg: ModemConfig, with_cp: bool,
-            n_symbols: int | None = None) -> ChannelMatrixSet:
+def realize(paths: PathSet, cfg: ModemConfig, with_cp: bool) -> ChannelMatrixSet:
     """One-stop materialization: path-sparse taps plus matrix set for a modulation."""
-    l_ch = required_l_ch(paths, cfg)
-    rows = _cols(cfg, with_cp) + l_ch - 1
-    real = materialize_taps(paths, cfg, rows=rows, n_symbols=n_symbols, l_ch=l_ch)
-    return channel_matrices(real, cfg, with_cp=with_cp)
-
-
-# Text export ---------------------------------------------------------------
-
-def export_taps(real: LtvChannelRealization) -> str:
-    """Self-describing text dump, one line per (symbol, stored tap) vector over rows.
-
-    Only the active tap columns are written; a column without a line is zero.
-    """
-    lines = [
-        "# ltv-taps v2",
-        f"# symbols={real.n_symbols} rows={real.rows} l_ch={real.l_ch} "
-        f"sample_period_s={real.sample_period_s!r}",
-    ]
-    for i in range(real.n_symbols):
-        for j, ell in enumerate(real.tap_index):
-            vals = " ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in real.taps[i, :, j])
-            lines.append(f"{i + 1} {ell + 1} {vals}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_taps(text: str) -> LtvChannelRealization:
-    """Inverse of :func:`export_taps`; refuses any format but v2."""
-    if text.lstrip().splitlines()[:1] != ["# ltv-taps v2"]:
-        raise ValueError("unsupported taps format: expected a '# ltv-taps v2' first line")
-    header = None
-    columns = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if "symbols=" in line:
-                header = line
-            continue
-        parts = line.split()
-        vals = np.array([float(v) for v in parts[2:]])
-        columns[int(parts[0]) - 1, int(parts[1]) - 1] = vals[0::2] + 1j * vals[1::2]
-    if header is None:
-        raise ValueError("missing taps header")
-    fields = dict(part.split("=") for part in header.lstrip("# ").split())
-    n_sym, rows, l_ch = int(fields["symbols"]), int(fields["rows"]), int(fields["l_ch"])
-    ts = float(fields["sample_period_s"])
-    tap_index = np.array(sorted({ell for _, ell in columns}), dtype=int)
-    taps = np.zeros((n_sym, rows, tap_index.size), dtype=complex)
-    for (i, ell), vals in columns.items():
-        taps[i, :, np.searchsorted(tap_index, ell)] = vals
-    return LtvChannelRealization(taps=taps, tap_index=tap_index, l_ch=l_ch, sample_period_s=ts)
+    rows = _cols(cfg, with_cp) + required_l_ch(paths, cfg) - 1
+    return channel_matrices(materialize_taps(paths, cfg, rows=rows), cfg, with_cp=with_cp)

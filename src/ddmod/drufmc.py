@@ -30,8 +30,7 @@ from .channel import ChannelMatrixSet
 from .config import ConfigError, ModemConfig
 from .mmse import bidiagonal_mmse, mmse_sinr
 from .ofdm import _live_rows, _path_ft_blocks, _tx_guard, _tx_null, apply_channel
-from .transforms import (dft_matrix, invec, isfft, oversampled_dft, sfft, tail_truncation_matrix,
-                         ufmc_precoder, vec)
+from .transforms import dft_matrix, invec, isfft, oversampled_dft, sfft, ufmc_precoder, vec
 
 
 def overlap_add(x_tilde: np.ndarray, cfg: ModemConfig) -> np.ndarray:
@@ -87,26 +86,6 @@ def drufmc_demodulate(r: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     rr = invec(r, block)
     y_ft = oversampled_dft(cfg.k, cfg.o_s) @ rr[:ko, :]
     return sfft(y_ft)
-
-
-def ufmc_stacked_precoder(cfg: ModemConfig) -> np.ndarray:
-    """(K*O_s*N) x (K*N) matrix sending vec(X_FT) to the serialized signal.
-
-    Built literally: per-symbol precoder blocks placed on a K*O_s row
-    stride (tails land in the next block's rows), final L - 1 rows dropped.
-    """
-    ko = cfg.k * cfg.o_s
-    total = ko * cfg.n
-    stacked = np.zeros((total + cfg.filter_len - 1, cfg.k * cfg.n), dtype=complex)
-    p = ufmc_precoder(cfg)
-    for i in range(cfg.n):
-        stacked[i * ko:i * ko + ko + cfg.filter_len - 1, i * cfg.k:(i + 1) * cfg.k] += p
-    return tail_truncation_matrix(total, cfg.filter_len) @ stacked
-
-
-def dd_to_ft_kron(cfg: ModemConfig) -> np.ndarray:
-    """KN x KN Kronecker factor with vec(F_K X F_N^H) = (F_N^* kron F_K) vec(X)."""
-    return np.kron(dft_matrix(cfg.n).conj(), dft_matrix(cfg.k))
 
 
 def _delay_domain_blocks(chan: ChannelMatrixSet, cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:

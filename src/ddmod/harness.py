@@ -24,7 +24,7 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache, cached_property
 
 import numpy as np
@@ -59,12 +59,9 @@ WAVEFORMS = {
 
 CSV_HEADER = "waveform,speed_kmh,snr_db,trial,net_sinr_db,avg_se_bps_hz,nmse,runtime_s"
 
-#: Config keys that set a ModemConfig field.
-_MODEM_KEYS = (
-    "k", "n", "o_s", "b", "d", "filter_len", "filter_att_db", "n_cp",
-    "delta_f_hz", "f_c_hz", "p_t", "n_guard", "delta_oob_db", "pulse",
-    "guard_nulling", "onetap",
-)
+#: Config key -> parser, one for each ModemConfig field, by its annotation.
+_PARSERS = {"int": int, "int | None": int, "float": float, "str": str}
+_MODEM_KEYS = {f.name: _PARSERS[f.type] for f in fields(ModemConfig)}
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,6 @@ class ExperimentConfig:
     channel_model: str = "eva"       # "eva" or "ideal" (debug)
     psd_trials: int = 100
     n_guard_by_waveform: dict = field(default_factory=dict)
-    out: str | None = None
     timing: bool = False
 
     def __post_init__(self):
@@ -124,8 +120,7 @@ class ExperimentConfig:
         return replace(self.modem, n_guard=self.n_guard_by_waveform[waveform])
 
 
-_INT_KEYS = {"k", "n", "o_s", "b", "d", "filter_len", "n_cp", "n_guard", "trials", "seed", "psd_trials"}
-_FLOAT_KEYS = {"filter_att_db", "delta_f_hz", "f_c_hz", "p_t", "delta_oob_db"}
+_INT_KEYS = {"trials", "seed", "psd_trials"}
 _LIST_KEYS = {"waveforms", "snr_db", "speeds_kmh"}
 
 
@@ -134,9 +129,11 @@ def load_config(path: str, desk: bool = False) -> ExperimentConfig:
 
     Unset modem keys fall back to the full-scale defaults, or to the
     :func:`~ddmod.config.desk_config` preset if ``desk`` is set; all invariants
-    are validated and violations name the offending constraint.
+    are validated and violations name the offending constraint.  A key set
+    twice (``-`` and ``_`` are the same character) is an error.
     """
     raw: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -152,7 +149,9 @@ def load_config(path: str, desk: bool = False) -> ExperimentConfig:
         key = key.replace("-", "_")
         if not key or not value:
             raise ConfigError(f"{path}:{lineno}: empty key or value")
-        raw[key] = value
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {line_of[key]}")
+        raw[key], line_of[key] = value, lineno
     return config_from_dict(raw, origin=path, desk=desk)
 
 
@@ -170,18 +169,12 @@ def config_from_dict(raw: dict, origin: str = "<dict>", desk: bool = False) -> E
             if key.startswith("n_guard_"):
                 wf = key[len("n_guard_"):].replace("_", "-")
                 guard_over[wf] = int(value)
-            elif key in _MODEM_KEYS and key in _INT_KEYS:
-                modem_kwargs[key] = int(value)
-            elif key in _MODEM_KEYS and key in _FLOAT_KEYS:
-                modem_kwargs[key] = float(value)
             elif key in _MODEM_KEYS:
-                modem_kwargs[key] = str(value)
+                modem_kwargs[key] = _MODEM_KEYS[key](value)
             elif key in _INT_KEYS:
                 exp_kwargs[key] = int(value)
             elif key == "channel":
                 exp_kwargs["channel_model"] = value
-            elif key == "out":
-                exp_kwargs["out"] = value
             elif key in _LIST_KEYS:
                 parts = [p.strip() for p in value.split(",") if p.strip()]
                 if key == "waveforms":
@@ -217,7 +210,7 @@ class ResultRow:
         )
 
 
-def channel_seed(base_seed: int, speed_kmh: float, snr_index: int, trial: int):
+def channel_seed(base_seed: int, snr_index: int, trial: int):
     """Entropy for the trial channel.
 
     Neither the waveform nor the speed enters the seed: waveforms at one grid
@@ -225,14 +218,13 @@ def channel_seed(base_seed: int, speed_kmh: float, snr_index: int, trial: int):
     delays and ray angles with only the Doppler scale changing, so waveform
     and speed comparisons are both free of Monte-Carlo noise.
     """
-    del speed_kmh
     return np.random.SeedSequence((int(base_seed), int(snr_index), int(trial)))
 
 
 def _trial_paths(cfg: ExperimentConfig, speed_kmh: float, snr_index: int, trial: int) -> ch.PathSet:
     if cfg.channel_model == "ideal":
         return ch.ideal_path()
-    seed = channel_seed(cfg.seed, speed_kmh, snr_index, trial)
+    seed = channel_seed(cfg.seed, snr_index, trial)
     return ch.sample_eva_paths(seed, speed_kmh / 3.6, cfg.modem.f_c_hz)
 
 
@@ -399,9 +391,8 @@ def run_sweep(cfg: ExperimentConfig, out_path: str | None = None):
     failures = [err for r, err in results if err is not None]
     rows.sort(key=lambda r: (r.waveform, r.speed_kmh, r.snr_db, r.trial))
 
-    target = out_path or cfg.out
-    if target:
-        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+    if out_path:
+        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
             for row in rows:
                 fh.write(row.to_csv() + "\n")
@@ -456,9 +447,8 @@ def run_psd(cfg: ExperimentConfig, out_path: str | None = None):
         spectrum = cache(lambda n_guard: psd_estimate(signal(n_guard), cfg.modem))
         n_guard = guard_count_for_threshold(spectrum, cfg.modem)
         out[wf] = (spectrum(0), n_guard)
-    target = out_path or cfg.out
-    if target:
-        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+    if out_path:
+        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("waveform,freq_hz,power_db\n")
             for wf, (est, _) in out.items():
                 for f, p in zip(est.freqs_hz, est.db_rel_peak()):
@@ -495,31 +485,23 @@ def main(argv=None) -> int:
     _pin_blas()
     run = args.command == "run"
     try:
-        cfg = load_config(args.config, desk=run and not args.full)
         if run:
-            cfg = replace(cfg, timing=args.timing)
-        elif args.trials is not None:
-            cfg = replace(cfg, psd_trials=args.trials)
+            cfg = replace(load_config(args.config, desk=not args.full), timing=args.timing)
+            rows, failures = run_sweep(cfg, out_path=args.out)
+        else:
+            cfg = load_config(args.config)
+            if args.trials is not None:
+                cfg = replace(cfg, psd_trials=args.trials)
+            summary = run_psd(cfg, out_path=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     if run:
-        try:
-            rows, failures = run_sweep(cfg, out_path=args.out)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
         for cell, err in failures:
             print(f"row failed {cell}:\n{err}", file=sys.stderr, end="")
-        print(f"{len(rows)} rows" + (f" -> {args.out or cfg.out}" if (args.out or cfg.out) else ""))
+        print(f"{len(rows)} rows" + (f" -> {args.out}" if args.out else ""))
         return 1 if failures else 0
-
-    try:
-        summary = run_psd(cfg, out_path=args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     for wf, (_, n_guard) in summary.items():
         print(f"{wf}: 2N_G = {2 * n_guard} nulled subcarriers for "
               f"{cfg.modem.delta_oob_db:g} dB out-of-band threshold")

@@ -166,8 +166,8 @@ def oob_level_db(psd: PsdEstimate, band_hz: float) -> float:
     return 10.0 * np.log10(psd.density[~inband].max() / peak)
 
 
-def guard_count_for_threshold(spectrum, cfg: ModemConfig, delta_oob_db: float | None = None) -> int:
-    """Smallest per-edge guard count whose PSD meets the out-of-band threshold.
+def guard_count_for_threshold(spectrum, cfg: ModemConfig) -> int:
+    """Smallest per-edge guard count whose PSD meets the ``cfg.delta_oob_db`` threshold.
 
     ``spectrum(n_guard)`` must return the :class:`PsdEstimate` of the signal
     with 2*n_guard edge subcarriers nulled on the frequency-time grid.
@@ -177,10 +177,8 @@ def guard_count_for_threshold(spectrum, cfg: ModemConfig, delta_oob_db: float | 
     "none passes", about log2(K) estimates in all, each count at most once.
     Raises :class:`GuardSearchError` when even maximal nulling fails.
     """
-    threshold = cfg.delta_oob_db if delta_oob_db is None else delta_oob_db
-
     def passes(n_guard):
-        return oob_level_db(spectrum(n_guard), cfg.bandwidth_hz) <= threshold
+        return oob_level_db(spectrum(n_guard), cfg.bandwidth_hz) <= cfg.delta_oob_db
 
     if passes(0):
         return 0
@@ -193,6 +191,6 @@ def guard_count_for_threshold(spectrum, cfg: ModemConfig, delta_oob_db: float | 
             fails = mid
     if first_pass == cfg.k // 2:
         raise GuardSearchError(
-            f"not achievable: out-of-band level above {threshold} dB at every guard count"
+            f"not achievable: out-of-band level above {cfg.delta_oob_db} dB at every guard count"
         )
     return first_pass

@@ -15,8 +15,6 @@ estimate is sfft of the per-symbol MMSE estimate of isfft(y)
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .channel import ChannelMatrixSet
@@ -27,20 +25,11 @@ from .ofdm import (_tx_guard, _tx_null, _tx_stack, apply_channel, ofdm_demodulat
 from .transforms import dft_matrix, isfft, sfft
 
 
-def otfs_modulate(x_dd: np.ndarray, cfg: ModemConfig, chan: ChannelMatrixSet | None = None,
-                  n_guard: int = 0) -> np.ndarray:
+def otfs_modulate(x_dd: np.ndarray, cfg: ModemConfig, n_guard: int = 0) -> np.ndarray:
     """Serialize a delay-Doppler grid: ISFFT, oversampled IFFT, CP, vectorize.
 
-    The 2*n_guard edge subcarriers are not transmitted.  If a channel is
-    supplied, warns when the CP is shorter than the channel memory; the
-    resulting intra-block leakage stays part of the simulation.
+    The 2*n_guard edge subcarriers are not transmitted.
     """
-    if chan is not None and cfg.n_cp < chan.realization.l_ch - 1:
-        warnings.warn(
-            f"N_CP={cfg.n_cp} shorter than channel memory {chan.realization.l_ch - 1}; "
-            "residual interference is simulated, not removed",
-            stacklevel=2,
-        )
     return ofdm_modulate(isfft(x_dd), cfg, n_guard)
 
 

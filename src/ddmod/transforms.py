@@ -7,8 +7,6 @@ The contract is the explicit matrix semantics; no FFT fast paths are used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import ModemConfig
@@ -108,30 +106,12 @@ def invec(v: np.ndarray, rows: int) -> np.ndarray:
     return v.reshape(rows, -1, order="F")
 
 
-@dataclass(frozen=True)
-class PrototypeFilter:
-    """Real symmetric FIR prototype with a recorded normalization scale.
-
-    ``taps`` sum to one (unit DC gain) so that a subband passes through the
-    filter with approximately unit amplitude and the filtered waveform keeps
-    the same per-symbol transmit power as the unfiltered multicarrier path.
-    ``scale`` is the factor applied to the peak-normalized window.
-    """
-
-    taps: np.ndarray
-    attenuation_db: float
-    scale: float
-
-    @property
-    def length(self) -> int:
-        return self.taps.size
-
-
-def chebyshev_window(length: int, attenuation_db: float) -> PrototypeFilter:
+def chebyshev_window(length: int, attenuation_db: float) -> np.ndarray:
     """Dolph-Chebyshev window with equiripple side-lobes ``attenuation_db`` below the peak.
 
     Built by sampling the Chebyshev polynomial in the frequency domain,
-    inverse transforming, and symmetrizing; normalized to unit tap sum.
+    inverse transforming, and symmetrizing; the taps sum to one (unit DC
+    gain), so filtering keeps the per-symbol transmit power.
     """
     if length < 2:
         raise ValueError(f"invalid size: window length must be >= 2, got {length}")
@@ -165,29 +145,26 @@ def chebyshev_window(length: int, attenuation_db: float) -> PrototypeFilter:
 
         w = w / w.max()
         w = 0.5 * (w + w[::-1])          # enforce exact symmetry
-        scale = 1.0 / w.sum()            # unit DC gain
-        taps = w * scale
-        taps.flags.writeable = False
-        return PrototypeFilter(taps=taps, attenuation_db=float(attenuation_db), scale=scale)
+        return w * (1.0 / w.sum())       # unit DC gain
 
     return _cached(("cheb", length, float(attenuation_db)), build)
 
 
-def modulated_filter_taps(filt: PrototypeFilter, i: int, k: int, o_s: int, d: int) -> np.ndarray:
+def modulated_filter_taps(taps: np.ndarray, i: int, k: int, o_s: int, d: int) -> np.ndarray:
     """Prototype taps shifted to the centre of subband i.
 
     The normalized shift is F_i = (D-1)/2 + i*D - K/2 subcarrier spacings,
     applied as g_l * exp(j2*pi*F_i*l / (K*O_s)).
     """
     f_i = (d - 1) / 2.0 + i * d - k / 2.0
-    ell = np.arange(filt.length)
-    return filt.taps * np.exp(2j * np.pi * f_i * ell / (k * o_s))
+    ell = np.arange(taps.size)
+    return taps * np.exp(2j * np.pi * f_i * ell / (k * o_s))
 
 
-def prototype_filter(cfg: ModemConfig) -> PrototypeFilter:
-    """Configured subband prototype (length-1 filters degenerate to a unit tap)."""
+def prototype_filter(cfg: ModemConfig) -> np.ndarray:
+    """Configured subband prototype taps (length-1 filters degenerate to a unit tap)."""
     if cfg.filter_len == 1:
-        return PrototypeFilter(taps=np.ones(1), attenuation_db=cfg.filter_att_db, scale=1.0)
+        return np.ones(1)
     return chebyshev_window(cfg.filter_len, cfg.filter_att_db)
 
 
@@ -215,11 +192,3 @@ def ufmc_precoder(cfg: ModemConfig) -> np.ndarray:
         build,
     )
 
-
-# Serialized-frame bookkeeping ----------------------------------------------
-
-def tail_truncation_matrix(n_keep: int, l: int) -> np.ndarray:
-    """n_keep x (n_keep + L - 1) matrix dropping the final L - 1 serialized samples."""
-    out = np.zeros((n_keep, n_keep + l - 1))
-    out[:, :n_keep] = np.eye(n_keep)
-    return out

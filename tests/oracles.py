@@ -6,7 +6,9 @@ closed form.  The literal dense routes they replaced live here as test
 oracles: the full (N, rows, L_ch) tap tensor, the per-symbol CP core
 R_cp @ M_i @ A_cp, its frequency-time block, and DR-UFMC's delay-domain head
 and tail blocks.  The literal subband and CP/tail bookkeeping matrices that the
-chains apply by slicing and convolution are here too, as are the linear
+chains apply by slicing and convolution are here too, with DR-UFMC's stacked
+(K*O_s*N) x (K*N) precoder and the KN x KN delay-Doppler to frequency-time
+Kronecker factor built from them, as are the linear
 guard-count scan that the bisected search replaced, the per-frame PSD
 transmitter that ``harness.psd_signal`` batches (with the seeded frame loop
 that builds a multi-frame signal from it), and the sweep cell that realized
@@ -36,13 +38,11 @@ from ddmod.transforms import (
 )
 
 
-def dense_materialize_taps(paths, cfg, rows, n_symbols=None, l_ch=None) -> np.ndarray:
+def dense_materialize_taps(paths, cfg, rows) -> np.ndarray:
     """Tap tensor h[i, r, l] over every tap column, one outer product per path."""
-    n_sym = cfg.n if n_symbols is None else n_symbols
     ts = cfg.sample_period_s
-    if l_ch is None:
-        l_ch = ch.required_l_ch(paths, cfg)
-    taps = np.zeros((n_sym, rows, l_ch), dtype=complex)
+    l_ch = ch.required_l_ch(paths, cfg)
+    taps = np.zeros((cfg.n, rows, l_ch), dtype=complex)
     ell = np.arange(1, l_ch + 1)
     r = np.arange(1, rows + 1)
     half = 0 if cfg.pulse == "ideal" else ch.RRC_HALF_SPAN
@@ -58,9 +58,16 @@ def dense_materialize_taps(paths, cfg, rows, n_symbols=None, l_ch=None) -> np.nd
             g[lo:hi + 1] = ch.raised_cosine(np.arange(lo, hi + 1) - delay_samples)
         ph_ell = np.exp(2j * np.pi * nu * (ell * ts - ts / 2.0))
         ph_r = np.exp(2j * np.pi * nu * r * ts)
-        ph_i = np.exp(2j * np.pi * nu * np.arange(n_sym) * ts)
+        ph_i = np.exp(2j * np.pi * nu * np.arange(cfg.n) * ts)
         taps += h_p * np.einsum("i,r,l->irl", ph_i, ph_r, g * ph_ell)
     return taps
+
+
+def dense_taps(real) -> np.ndarray:
+    """The full (n_symbols, rows, l_ch) tensor of a realization, zero off its active columns."""
+    out = np.zeros((real.n_symbols, real.rows, real.l_ch), dtype=complex)
+    out[:, :, real.tap_index] = real.taps
+    return out
 
 
 def cp_core(chan, cfg, i: int) -> np.ndarray:
@@ -103,7 +110,7 @@ def selection_matrix(i: int, b: int, d: int) -> np.ndarray:
     return np.diag(diag)
 
 
-def subband_conv_matrix(filt, i: int, k: int, o_s: int, d: int) -> np.ndarray:
+def subband_conv_matrix(filt: np.ndarray, i: int, k: int, o_s: int, d: int) -> np.ndarray:
     """Tall Toeplitz matrix convolving a K*O_s block with the subband-i filter.
 
     Output length K*O_s + L - 1; column c carries the modulated taps in rows
@@ -113,8 +120,8 @@ def subband_conv_matrix(filt, i: int, k: int, o_s: int, d: int) -> np.ndarray:
         raise IndexError(f"subband index {i} out of range")
     taps = modulated_filter_taps(filt, i, k, o_s, d)
     n_in = k * o_s
-    mat = np.zeros((n_in + filt.length - 1, n_in), dtype=complex)
-    for ell in range(filt.length):
+    mat = np.zeros((n_in + filt.size - 1, n_in), dtype=complex)
+    for ell in range(filt.size):
         mat[np.arange(n_in) + ell, np.arange(n_in)] = taps[ell]
     return mat
 
@@ -139,6 +146,33 @@ def tail_removal_matrix(k_o_s: int, l_ch: int) -> np.ndarray:
     out = np.zeros((k_o_s, k_o_s + l_ch - 1))
     out[:, :k_o_s] = np.eye(k_o_s)
     return out
+
+
+def tail_truncation_matrix(n_keep: int, l: int) -> np.ndarray:
+    """n_keep x (n_keep + L - 1) matrix dropping the final L - 1 serialized samples."""
+    out = np.zeros((n_keep, n_keep + l - 1))
+    out[:, :n_keep] = np.eye(n_keep)
+    return out
+
+
+def ufmc_stacked_precoder(cfg) -> np.ndarray:
+    """(K*O_s*N) x (K*N) matrix sending vec(X_FT) to the serialized DR-UFMC signal.
+
+    Built literally: per-symbol precoder blocks placed on a K*O_s row
+    stride (tails land in the next block's rows), final L - 1 rows dropped.
+    """
+    ko = cfg.k * cfg.o_s
+    total = ko * cfg.n
+    stacked = np.zeros((total + cfg.filter_len - 1, cfg.k * cfg.n), dtype=complex)
+    p = ufmc_precoder(cfg)
+    for i in range(cfg.n):
+        stacked[i * ko:i * ko + ko + cfg.filter_len - 1, i * cfg.k:(i + 1) * cfg.k] += p
+    return tail_truncation_matrix(total, cfg.filter_len) @ stacked
+
+
+def dd_to_ft_kron(cfg) -> np.ndarray:
+    """KN x KN Kronecker factor with vec(F_K X F_N^H) = (F_N^* kron F_K) vec(X)."""
+    return np.kron(dft_matrix(cfg.n).conj(), dft_matrix(cfg.k))
 
 
 def seeded_frames(frame_fn, trials: int, seed) -> np.ndarray:

@@ -20,7 +20,7 @@ from ddmod.transforms import (
     vec,
 )
 
-from oracles import seeded_frames
+from oracles import dd_to_ft_kron, seeded_frames, ufmc_stacked_precoder
 
 
 def crandn(rng, *shape):
@@ -71,7 +71,7 @@ class TestModulate:
         rng = np.random.default_rng(k * 1000 + o_s * 100 + b * 10 + filter_len + n)
         x = qpsk_grid(rng, k, n)
         s_proc = drufmc.drufmc_modulate(x, cfg)
-        s_mat = drufmc.ufmc_stacked_precoder(cfg) @ drufmc.dd_to_ft_kron(cfg) @ vec(x)
+        s_mat = ufmc_stacked_precoder(cfg) @ dd_to_ft_kron(cfg) @ vec(x)
         assert np.abs(s_proc - s_mat).max() < 1e-12
 
 
@@ -96,7 +96,7 @@ class TestApplyChannel:
         cfg = desk_config(n=4)
         rng = np.random.default_rng(3)
         paths = ch.sample_eva_paths(4, 500 / 3.6, cfg.f_c_hz)
-        chan = ch.realize(paths, cfg, with_cp=False, n_symbols=4)
+        chan = ch.realize(paths, cfg, with_cp=False)
         x = qpsk_grid(rng, cfg.k, 4)
         s = drufmc.drufmc_modulate(x, cfg)
         r = drufmc.apply_channel(s, chan, p_t=2.5, noise_var=0.0)
@@ -111,7 +111,7 @@ class TestApplyChannel:
         cfg = desk_config(n=2)
         rng = np.random.default_rng(4)
         chan = ch.realize(ch.sample_eva_paths(5, 50 / 3.6, cfg.f_c_hz), cfg,
-                          with_cp=False, n_symbols=2)
+                          with_cp=False)
         x1, x2 = crandn(rng, cfg.k, 2), crandn(rng, cfg.k, 2)
         lhs = chain(cfg, chan, 0.3 * x1 + 2j * x2)
         rhs = 0.3 * chain(cfg, chan, x1) + 2j * chain(cfg, chan, x2)
@@ -128,7 +128,7 @@ class TestDemodulate:
         cfg = desk_config(n=4)
         rng = np.random.default_rng(5)
         chan = ch.realize(ch.sample_eva_paths(6, 500 / 3.6, cfg.f_c_hz), cfg,
-                          with_cp=False, n_symbols=4)
+                          with_cp=False)
         eff = drufmc.drufmc_effective_channel(chan, cfg)
         x = qpsk_grid(rng, cfg.k, 4)
         y = chain(cfg, chan, x)
@@ -164,7 +164,7 @@ class TestEffectiveChannel:
     def test_power_scaling(self):
         cfg = desk_config(n=2)
         chan = ch.realize(ch.sample_eva_paths(7, 50 / 3.6, cfg.f_c_hz), cfg,
-                          with_cp=False, n_symbols=2)
+                          with_cp=False)
         m1 = drufmc.drufmc_effective_channel(chan, replace(cfg, p_t=1.0))
         m4 = drufmc.drufmc_effective_channel(chan, replace(cfg, p_t=4.0))
         assert np.abs(m4 - 2.0 * m1).max() < 1e-12
@@ -186,7 +186,7 @@ class TestEffectiveChannel:
         # entry, times the stacked precoder and the input-side Kronecker DFT
         cfg = desk_config(k=8, o_s=2, b=2, d=4, filter_len=3, n=4, filter_att_db=50.0)
         chan = ch.realize(ch.sample_eva_paths(9, 500 / 3.6, cfg.f_c_hz), cfg,
-                          with_cp=False, n_symbols=4)
+                          with_cp=False)
         k, n, ko = cfg.k, cfg.n, cfg.k * cfg.o_s
         f_k = dft_matrix(k)
         w = oversampled_dft(cfg.k, cfg.o_s)
@@ -198,7 +198,7 @@ class TestEffectiveChannel:
                 psi_ufmc[nn * k:(nn + 1) * k, n2 * ko:(n2 + 1) * ko] = (
                     np.sqrt(cfg.p_t) / np.sqrt(n) * phase * b_t
                 )
-        literal = psi_ufmc @ drufmc.ufmc_stacked_precoder(cfg) @ drufmc.dd_to_ft_kron(cfg)
+        literal = psi_ufmc @ ufmc_stacked_precoder(cfg) @ dd_to_ft_kron(cfg)
         eff = drufmc.drufmc_effective_channel(chan, cfg)
         assert np.abs(eff - literal).max() < 1e-10
 
@@ -210,7 +210,7 @@ class TestSpectralConfinement:
         # transition width (first crossing below -(A_dB - 10))
         cfg = desk_config(k=64, o_s=4, b=8, d=8, filter_len=32, filter_att_db=att_db)
         filt = prototype_filter(cfg)
-        h = np.abs(np.fft.fft(filt.taps, 1 << 16))
+        h = np.abs(np.fft.fft(filt, 1 << 16))
         h_db = 20 * np.log10(h / h.max() + 1e-300)
         floor = -(cfg.filter_att_db - 10.0)
         cross = np.argmax(h_db[:1 << 15] <= floor)

@@ -1,5 +1,6 @@
 """MMSE detection, SINR/SE accounting, PSD estimation and guard search."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -122,7 +123,7 @@ class TestSinrMap:
     def test_monotone_in_noise(self):
         cfg = desk_config(n=2)
         chan = ch.realize(ch.sample_eva_paths(4, 500 / 3.6, cfg.f_c_hz), cfg,
-                          with_cp=True, n_symbols=2)
+                          with_cp=True)
         eff = ofdm.ofdm_full_effective_channel(chan, cfg)
         prev = None
         for sigma2 in [1e-4, 1e-3, 1e-2, 1e-1, 1.0]:
@@ -308,7 +309,7 @@ class TestGuardSearch:
                 return ofdm.ofdm_modulate(x_ft, cfg)
             return fn
 
-        assert guard_count_for_threshold(guard_spectra(gen, cfg, 3, 1), cfg, delta_oob_db=0.0) == 0
+        assert guard_count_for_threshold(guard_spectra(gen, cfg, 3, 1), replace(cfg, delta_oob_db=0.0)) == 0
 
     def test_oob_level_monotone_in_guard_count(self):
         cfg = desk_config()
@@ -347,7 +348,7 @@ class TestGuardSearch:
         outcomes = []
         for thr in thresholds:
             want = search_outcome(linear_guard_scan, gen, cfg, thr, 10, 1)
-            got = search_outcome(guard_count_for_threshold, spectrum, cfg, thr)
+            got = search_outcome(guard_count_for_threshold, spectrum, replace(cfg, delta_oob_db=thr))
             assert got == want, f"threshold {thr:.3f} dB"
             outcomes.append(got)
         assert outcomes[0] == 0 and outcomes[-1] is None
@@ -363,7 +364,7 @@ class TestGuardSearch:
         assert np.any(np.diff(levels) > 0)
         edges = np.sort(levels)
         for thr in (edges[:-1] + edges[1:]) / 2:
-            got = guard_count_for_threshold(spectrum, cfg, thr)
+            got = guard_count_for_threshold(spectrum, replace(cfg, delta_oob_db=thr))
             assert levels[got] <= thr
             assert got == 0 or levels[got - 1] > thr
 
@@ -374,4 +375,5 @@ class TestGuardSearch:
             return lambda rng: crandn(rng, 256)   # white noise fills the band
 
         with pytest.raises(GuardSearchError, match="not achievable"):
-            guard_count_for_threshold(guard_spectra(gen, cfg, 2, 0), cfg, delta_oob_db=-40.0)
+            guard_count_for_threshold(guard_spectra(gen, cfg, 2, 0),
+                                      replace(cfg, delta_oob_db=-40.0))

@@ -48,7 +48,7 @@ class TestFullEffectiveChannel:
     def test_block_diagonal_structure(self):
         cfg = desk_config(n=4)
         chan = ch.realize(ch.sample_eva_paths(4, 500 / 3.6, cfg.f_c_hz), cfg,
-                          with_cp=True, n_symbols=4)
+                          with_cp=True)
         eff = ofdm.ofdm_full_effective_channel(chan, cfg)
         k = cfg.k
         for i in range(4):

@@ -46,13 +46,6 @@ class TestModulate:
         x = np.zeros((cfg.k, cfg.n))
         assert otfs.otfs_modulate(x, cfg).size == (cfg.k * cfg.o_s + 90) * cfg.n
 
-    def test_warns_on_short_cp(self):
-        cfg = desk_config()
-        paths = ch.sample_eva_paths(0, 50 / 3.6, cfg.f_c_hz)
-        chan = ch.realize(paths, cfg, with_cp=True)   # l_ch - 1 = 39 > n_cp = 9
-        with pytest.warns(UserWarning, match="shorter than channel memory"):
-            otfs.otfs_modulate(np.zeros((cfg.k, cfg.n)), cfg, chan)
-
 
 class TestApplyChannel:
     def test_identity_channel_pads_blocks(self):
@@ -86,7 +79,7 @@ class TestApplyChannel:
 
     def test_noise_variance(self):
         cfg = desk_config(n=2)
-        chan = ch.realize(ch.ideal_path(), cfg, with_cp=True, n_symbols=2)
+        chan = ch.realize(ch.ideal_path(), cfg, with_cp=True)
         s = np.zeros((cfg.k * cfg.o_s + cfg.n_cp) * 2, dtype=complex)
         var, count = 0.0, 0
         for seed in range(40):
@@ -114,7 +107,7 @@ class TestDemodulate:
         cfg = desk_config(n=4)
         rng = np.random.default_rng(4)
         chan = ch.realize(ch.sample_eva_paths(5, 500 / 3.6, cfg.f_c_hz), cfg,
-                          with_cp=True, n_symbols=4)
+                          with_cp=True)
 
         def chain(x):
             return otfs.otfs_demodulate(
@@ -153,7 +146,7 @@ class TestEffectiveChannel:
             delays_s=np.array([cfg.o_s * cfg.sample_period_s]),
             dopplers_hz=np.zeros(1),
         )
-        chan = ch.realize(paths, cfg, with_cp=True, n_symbols=4)
+        chan = ch.realize(paths, cfg, with_cp=True)
         eff = otfs.otfs_effective_channel(chan, cfg)
         for n in range(cfg.n):
             block = eff[n * cfg.k:(n + 1) * cfg.k, n * cfg.k:(n + 1) * cfg.k]
@@ -191,7 +184,7 @@ class TestEffectiveChannel:
         cfg = desk_config(n=4)
         rng = np.random.default_rng(7)
         chan = ch.realize(ch.sample_eva_paths(9, 500 / 3.6, cfg.f_c_hz), cfg,
-                          with_cp=True, n_symbols=4)
+                          with_cp=True)
         eff = otfs.otfs_effective_channel(chan, cfg)
         x = qpsk_grid(rng, cfg.k, 4)
         y = otfs.otfs_demodulate(

@@ -19,7 +19,7 @@ from ddmod.config import ModemConfig, desk_config, table1_config
 from ddmod.drufmc import _delay_domain_blocks
 from ddmod.ofdm import per_symbol_ft_channel
 
-from oracles import dense_delay_domain_blocks, dense_ft_block, dense_materialize_taps
+from oracles import dense_delay_domain_blocks, dense_ft_block, dense_materialize_taps, dense_taps
 
 TOL = 1e-12
 
@@ -61,7 +61,7 @@ def test_stored_taps_are_the_dense_columns(case, with_cp):
     real = ch.realize(paths, cfg, with_cp=with_cp).realization
     dense = dense_materialize_taps(paths, cfg, rows=real.rows)
     assert np.array_equal(real.taps, dense[:, :, real.tap_index])
-    assert np.array_equal(real.dense_taps(), dense)
+    assert np.array_equal(dense_taps(real), dense)
     inactive = np.setdiff1d(np.arange(real.l_ch), real.tap_index)
     assert not dense[:, :, inactive].any()
 
@@ -130,37 +130,15 @@ def test_closed_forms_refuse_a_mismatched_channel_set():
 
 
 def test_header_only_dump_gives_all_zero_blocks():
-    # a dump with a header and no tap lines stores no columns
+    # a realization that stores no tap columns
     cfg = desk_config()
     ko = cfg.k * cfg.o_s
-    empty = ch.parse_taps(f"# ltv-taps v2\n# symbols={cfg.n} rows={ko + cfg.n_cp + 2} "
-                          f"l_ch=3 sample_period_s={cfg.sample_period_s!r}\n")
+    empty = ch.LtvChannelRealization(taps=np.zeros((cfg.n, ko + cfg.n_cp + 2, 0), dtype=complex),
+                                     tap_index=np.zeros(0, dtype=int), l_ch=3,
+                                     sample_period_s=cfg.sample_period_s)
     assert empty.tap_index.size == 0
     ft = per_symbol_ft_channel(ch.ChannelMatrixSet(realization=empty, cols=ko + cfg.n_cp), cfg)
     heads, tails = _delay_domain_blocks(ch.ChannelMatrixSet(realization=empty, cols=ko), cfg)
     for blocks in (ft, heads, tails):
         assert blocks.shape == (cfg.n, cfg.k, cfg.k) and not blocks.any()
 
-
-class TestTapText:
-    def realization(self):
-        cfg = ModemConfig(k=8, n=2, o_s=2, b=2, d=4, filter_len=3, pulse="rrc")
-        ts = cfg.sample_period_s
-        paths = ch.PathSet(gains=np.array([0.8 + 0.1j, 0.3 - 0.4j]),
-                           delays_s=np.array([0.4, 13.7]) * ts,
-                           dopplers_hz=np.array([2e3, -5e3]))
-        return cfg, paths, ch.materialize_taps(paths, cfg, rows=30)
-
-    def test_export_writes_only_stored_columns(self):
-        _, _, real = self.realization()
-        lines = [ln for ln in ch.export_taps(real).splitlines() if not ln.startswith("#")]
-        assert real.tap_index.size < real.l_ch
-        assert len(lines) == real.n_symbols * real.tap_index.size
-        assert {int(ln.split()[1]) - 1 for ln in lines} == set(real.tap_index.tolist())
-        back = ch.parse_taps(ch.export_taps(real))
-        assert np.array_equal(back.tap_index, real.tap_index)
-        assert np.array_equal(back.taps, real.taps)
-
-    def test_refuses_other_formats(self):
-        with pytest.raises(ValueError, match="unsupported taps format"):
-            ch.parse_taps("# ltv-taps v1\n# symbols=1 rows=2 l_ch=1 sample_period_s=1e-06\n")
