@@ -5,9 +5,9 @@ smallest number of nulled edge subcarriers meeting the -30 dB out-of-band
 threshold, both through ``run_psd``.  The filtered chain needs roughly half
 the guards.
 
-Runtime is about 3.5 s on a 2-vCPU machine (7 Welch estimates per family for
-the bisected guard search); pass --quick for a coarse 20-trial version,
-about 1.2 s.
+Runtime is about 1.3 s on a 2-vCPU machine (7 Welch estimates per family for
+the bisected guard search, the two families on one thread each); pass
+--quick for a coarse 20-trial version, about 0.5 s.
 """
 
 import sys

@@ -11,9 +11,10 @@ writing; rerunning an identical config and seed reproduces the CSV byte for
 byte.
 
 The PSD experiment hands the guard search a ``spectrum(n_guard)`` function:
-the Welch estimate of one family's whole ``psd_trials``-frame signal
-(:func:`psd_signal`), computed at most once per guard count.  The oracles
-these routes are checked against live in ``tests/``.
+the Welch estimate of one family's ``psd_trials``-frame signal, streamed to
+it a chunk of frames at a time (:func:`psd_signal`) and computed at most once
+per guard count.  The two families' searches run on one thread each.  The
+oracles these routes are checked against live in ``tests/``.
 """
 
 from __future__ import annotations
@@ -333,7 +334,8 @@ def _pin_blas() -> None:
     ddmod loads only numpy's OpenBLAS; scipy's own build is pinned too, but
     only if the caller loaded it.  Builds are found in /proc/self/maps (a
     no-op where that file does not exist).  Called by :func:`main`, by the
-    pool's worker initializer and once per test session, never at import.
+    pool's worker initializer, by :func:`run_psd` before it starts two
+    family threads and once per test session, never at import.
     """
     if any(var in os.environ for var in _BLAS_THREAD_VARS):
         return
@@ -401,18 +403,19 @@ def run_sweep(cfg: ExperimentConfig, out_path: str | None = None):
 
 # PSD / guard-band experiment -------------------------------------------------
 
-#: Bytes of frames modulated per batch by :func:`psd_signal`.
-_PSD_CHUNK_BYTES = 2 << 20
+#: Bytes of frames modulated, and handed to the Welch estimate, at a time by :func:`psd_signal`.
+_PSD_CHUNK_BYTES = 1 << 20
 
 
 def psd_signal(cfg: ExperimentConfig, waveform: str):
     """Transmit signals of one PSD family for the guard search, one per guard count.
 
-    Returns ``signal(n_guard)``: the ``psd_trials`` frames with 2*n_guard
-    edge subcarriers nulled, one after another.  The seeded QPSK grids are
-    drawn in frame order from ``default_rng(cfg.seed)`` and isfft'ed once.
-    Each call modulates them, a chunk of frames at a time, into one buffer,
-    which the next call overwrites.
+    Returns ``signal(n_guard)``: a generator of the ``psd_trials`` frames with
+    2*n_guard edge subcarriers nulled, one after another, as 1-D chunks of
+    about ``_PSD_CHUNK_BYTES`` (whole frames, at least one).  The seeded QPSK
+    grids are drawn in frame order from ``default_rng(cfg.seed)`` and
+    isfft'ed once; each chunk is modulated as the estimate asks for it, so
+    the whole signal is never held.
     """
     modem = cfg.modem
     with_cp = WAVEFORMS[waveform][0]
@@ -420,33 +423,47 @@ def psd_signal(cfg: ExperimentConfig, waveform: str):
     rng = np.random.default_rng(cfg.seed)
     grids = np.stack([isfft(qpsk_grid(rng, modem.k, modem.n)) for _ in range(cfg.psd_trials)])
     frame_len = modem.n * (modem.block_len if with_cp else modem.k * modem.o_s)
-    buf = np.empty((cfg.psd_trials, frame_len), dtype=complex)
-    chunk = max(1, _PSD_CHUNK_BYTES // buf[0].nbytes)
+    chunk = max(1, _PSD_CHUNK_BYTES // (16 * frame_len))
 
     def signal(n_guard):
         for start in range(0, len(grids), chunk):
-            buf[start:start + chunk] = modulate(grids[start:start + chunk], modem, n_guard)
-        return buf.reshape(-1)
+            yield modulate(grids[start:start + chunk], modem, n_guard).reshape(-1)
 
     return signal
+
+
+def _psd_family(cfg: ExperimentConfig, waveform: str):
+    """(unnulled PsdEstimate, guard count) of one family, each guard count estimated once.
+
+    The spectra are cached per guard count, so the unnulled spectrum is the
+    guard search's own first estimate.
+    """
+    signal = psd_signal(cfg, waveform)
+    spectrum = cache(lambda n_guard: psd_estimate(signal(n_guard), cfg.modem))
+    n_guard = guard_count_for_threshold(spectrum, cfg.modem)
+    return spectrum(0), n_guard
 
 
 def run_psd(cfg: ExperimentConfig, out_path: str | None = None):
     """PSD and guard-count summary per waveform family.
 
     Returns {waveform: (PsdEstimate, n_guard)} and optionally writes a
-    ``waveform,freq_hz,power_db`` CSV of the unnulled spectra.  Each family's
-    spectra are estimated from one :func:`psd_signal` and cached per guard
-    count, so the unnulled spectrum is the guard search's own first estimate
-    and no (family, guard count) is estimated twice.
+    ``waveform,freq_hz,power_db`` CSV of the unnulled spectra.  The families
+    are independent searches (:func:`_psd_family`) and run on one thread each;
+    numpy's FFTs and BLAS release the GIL.  With two families, BLAS is first
+    set to one thread (:func:`_pin_blas`), so the two threads do not
+    oversubscribe the cores.
+    Results are collected in family order, and a family's error propagates
+    before anything is written.
     """
+    from concurrent.futures import ThreadPoolExecutor  # kept off ddmod's import path
+
     families = dict.fromkeys("otfs" if WAVEFORMS[wf][0] else "drufmc" for wf in cfg.waveforms)
-    out = {}
-    for wf in families:
-        signal = psd_signal(cfg, wf)
-        spectrum = cache(lambda n_guard: psd_estimate(signal(n_guard), cfg.modem))
-        n_guard = guard_count_for_threshold(spectrum, cfg.modem)
-        out[wf] = (spectrum(0), n_guard)
+    if len(families) > 1:
+        _pin_blas()
+    with ThreadPoolExecutor(max_workers=len(families)) as pool:
+        futures = {wf: pool.submit(_psd_family, cfg, wf) for wf in families}
+    out = {wf: future.result() for wf, future in futures.items()}
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("waveform,freq_hz,power_db\n")

@@ -4,12 +4,14 @@ and the guard-subcarrier search against an out-of-band emission threshold.
 ``sinr_map`` and ``mmse_detect`` work on any dense effective channel; they are
 the reference for the structured per-waveform routes built on
 :mod:`ddmod.mmse`, which the sweep uses.  The Welch PSD is plain numpy
-(``scipy.signal.welch`` is its test reference) and takes the signal itself;
-the guard search bisects over a caller's ``spectrum(n_guard)``.
+(``scipy.signal.welch`` is its test reference) and takes the signal whole or
+as a stream of consecutive pieces, which it never joins; the guard search
+bisects over a caller's ``spectrum(n_guard)``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,30 +128,90 @@ def qpsk_grid(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
 _WELCH_BATCH_BYTES = 4 << 20
 
 
-def psd_estimate(x: np.ndarray, cfg: ModemConfig) -> PsdEstimate:
+def _pieces(x):
+    """The 1-D arrays of ``x``: an array is one piece, anything else an iterable of them."""
+    for piece in [x] if isinstance(x, np.ndarray) else x:
+        piece = np.asarray(piece)
+        if piece.ndim != 1:
+            raise ValueError(f"PSD signal pieces must be 1-D, got shape {piece.shape}")
+        yield piece
+
+
+def _segments(pieces, nper: int, hop: int):
+    """(m, nper) strided views of the segments starting every ``hop`` samples
+    of the joined ``pieces``, in order.
+
+    A segment that crosses a piece boundary is cut from the fewer than nper
+    samples carried over, joined to the head of the next piece; the others are
+    views of their own piece.
+    """
+    window_view = np.lib.stride_tricks.sliding_window_view
+    carry = np.empty(0, dtype=complex)          # the signal from the next segment start on
+    for piece in pieces:
+        c = carry.size
+        count = max(0, (c + piece.size - nper) // hop + 1)   # starts 0, hop, ... of carry + piece
+        straddling = min(count, -(-c // hop))
+        if straddling:
+            yield window_view(np.concatenate((carry, piece[:(straddling - 1) * hop + nper - c])),
+                              nper)[::hop]
+        if count > straddling:
+            yield window_view(piece[straddling * hop - c:(count - 1) * hop + nper - c], nper)[::hop]
+        start = count * hop
+        carry = np.concatenate((carry[start:], piece[max(0, start - c):]))
+
+
+def _power(windowed: np.ndarray) -> np.ndarray:
+    """Sum over rows of |FFT|^2, computed in place: ``windowed`` is overwritten."""
+    np.fft.fft(windowed, axis=-1, out=windowed)
+    re, im = windowed.real, windowed.imag
+    np.square(re, out=re)
+    np.square(im, out=im)
+    return np.sum(np.add(re, im, out=re), axis=0)
+
+
+def psd_estimate(x, cfg: ModemConfig) -> PsdEstimate:
     """Welch-averaged two-sided PSD of the signal ``x``.
 
+    ``x`` is one 1-D array or an iterable of consecutive 1-D pieces; the
+    estimate is that of their concatenation, which is never built.
     Periodic-Hann-windowed segments of length nper = 4*K*O_s (at most the
     signal length) start every hop = nper - nper//2 samples; the density is
     the mean |FFT|^2 over segments scaled by 1/(fs * sum(w^2)), on a
     frequency axis spanning +-K*O_s*delta_f/2.  This is
     ``scipy.signal.welch`` with a Hann window, ``noverlap=nper//2``, no
-    detrending and two-sided output.  Segments are strided views transformed
-    in batches of a few MB, so no (segments, nper) array is built.
+    detrending and two-sided output.  Segments are windowed into a batch of
+    a few MB, transformed whenever it is full, so no (segments, nper) array
+    is built and the result does not depend on how ``x`` is split.  An empty
+    signal, or a piece that is not 1-D, raises ValueError.
     """
-    x = np.asarray(x)
     fs = cfg.sample_rate_hz
-    nper = min(4 * cfg.k * cfg.o_s, x.size)
-    hop = nper - nper // 2
-    # starts 0, hop, ... <= x.size - nper: scipy's (x.size - nper // 2) // hop segments
-    segments = np.lib.stride_tricks.sliding_window_view(x, nper)[::hop]
+    full = 4 * cfg.k * cfg.o_s
+    pieces = _pieces(x)
+    head, total = [], 0                       # the pieces read before nper is known
+    for piece in pieces:
+        head.append(piece)
+        total += piece.size
+        if total >= full:
+            break
+    if total == 0:
+        raise ValueError("cannot estimate the PSD of an empty signal")
+    nper = min(full, total)
     window = np.hanning(nper + 1)[:-1] if nper > 1 else np.ones(1)
-    batch = max(1, _WELCH_BATCH_BYTES // (16 * nper))
+    batch = np.empty((max(1, _WELCH_BATCH_BYTES // (16 * nper)), nper), dtype=complex)
     power = np.zeros(nper)
-    for start in range(0, len(segments), batch):
-        spec = np.fft.fft(segments[start:start + batch] * window, axis=-1)
-        power += np.sum(spec.real ** 2 + spec.imag ** 2, axis=0)
-    density = power / (len(segments) * fs * np.sum(window ** 2))
+    filled = n_segments = 0
+    for segments in _segments(itertools.chain(head, pieces), nper, nper - nper // 2):
+        n_segments += len(segments)
+        while len(segments):
+            take = min(len(batch) - filled, len(segments))
+            np.multiply(segments[:take], window, out=batch[filled:filled + take])
+            filled, segments = filled + take, segments[take:]
+            if filled == len(batch):
+                power += _power(batch)
+                filled = 0
+    if filled:
+        power += _power(batch[:filled])
+    density = power / (n_segments * fs * np.sum(window ** 2))
     return PsdEstimate(
         freqs_hz=np.fft.fftshift(np.fft.fftfreq(nper, 1.0 / fs)),
         density=np.fft.fftshift(density),

@@ -12,7 +12,8 @@ import numpy as np
 from .config import ModemConfig
 
 # Builders are pure, so frequently used matrices are memoized and handed out
-# as read-only arrays; copy before mutating.
+# as read-only arrays; copy before mutating.  Two threads may both build a
+# missing entry; either result serves, so no lock is taken.
 _CACHE: dict = {}
 
 

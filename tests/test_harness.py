@@ -1,15 +1,18 @@
 """Config parsing, sweep determinism, seeding discipline and the CLI surface."""
 
+import concurrent.futures
 import dataclasses
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from ddmod import channel as ch
-from ddmod import harness
+from ddmod import harness, transforms
 from ddmod.config import ConfigError, ModemConfig, desk_config, table1_config
+from ddmod.metrics import GuardSearchError
 from ddmod.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -309,20 +312,24 @@ class TestRunPsd:
         # table-1 K = 128: count 0, then at most log2(64) = 6 bisection steps
         cfg = ExperimentConfig(modem=table1_config(), waveforms=("otfs", "drufmc"), psd_trials=2)
         make_signal, estimate = harness.psd_signal, harness.psd_estimate
-        signalled, estimates = [], []
+        estimates = []
+
+        class Tagged:
+            """The chunks of one signal(n_guard) call, tagged (waveform, n_guard)."""
+
+            def __init__(self, tag, chunks):
+                self.tag, self.chunks = tag, chunks
+
+            def __iter__(self):
+                return iter(self.chunks)
 
         def tagged(cfg, waveform):
             signal = make_signal(cfg, waveform)
-
-            def tagged_signal(n_guard):
-                signalled.append((waveform, n_guard))
-                return signal(n_guard)
-
-            return tagged_signal
+            return lambda n_guard: Tagged((waveform, n_guard), signal(n_guard))
 
         def recorded(x, *args):
             est = estimate(x, *args)
-            estimates.append((signalled[-1], est))
+            estimates.append((x.tag, est))
             return est
 
         monkeypatch.setattr(harness, "psd_signal", tagged)
@@ -334,6 +341,67 @@ class TestRunPsd:
             assert 1 <= sum(t[0] == wf for t in tags) <= 8
             # the spectrum returned (and written) is the search's own estimate
             assert summary[wf][0] is dict(estimates)[(wf, 0)]
+
+    PSD_RAW = {
+        "k": "32", "n": "8", "o_s": "4", "b": "4", "d": "8", "filter_len": "16",
+        "waveforms": "otfs, drufmc", "trials": "1", "seed": "2", "psd_trials": "10",
+        "delta_oob_db": "-15",
+    }
+
+    def test_concurrent_families_equal_single_family_runs(self, monkeypatch):
+        # both family threads build the shared transform cache, switching often
+        monkeypatch.setattr(transforms, "_CACHE", {})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            both = run_psd(config_from_dict(self.PSD_RAW))
+        finally:
+            sys.setswitchinterval(interval)
+        assert list(both) == ["otfs", "drufmc"]
+        for wf in both:
+            alone = run_psd(config_from_dict({**self.PSD_RAW, "waveforms": wf}))
+            (est, n_guard), (ref, ref_guard) = both[wf], alone[wf]
+            assert np.array_equal(est.freqs_hz, ref.freqs_hz)
+            assert np.array_equal(est.density, ref.density)
+            assert n_guard == ref_guard
+
+    def test_a_familys_guard_search_error_propagates_and_writes_nothing(self, tmp_path,
+                                                                         monkeypatch):
+        family = harness._psd_family
+
+        def failing(cfg, waveform):
+            if waveform == "drufmc":
+                raise GuardSearchError("forced for drufmc")
+            return family(cfg, waveform)
+
+        monkeypatch.setattr(harness, "_psd_family", failing)
+        out = tmp_path / "psd.csv"
+        with pytest.raises(GuardSearchError, match="forced for drufmc"):
+            run_psd(config_from_dict(self.PSD_RAW), out_path=str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("waveforms, families", [
+        ("otfs", 1), ("otfs, ofdm-full, ofdm-onetap", 1), ("drufmc, otfs, ofdm-full", 2),
+    ])
+    def test_one_thread_per_family(self, monkeypatch, waveforms, families):
+        built, started = [], []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                built.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        start = threading.Thread.start
+
+        def recorded_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(threading.Thread, "start", recorded_start)
+        run_psd(config_from_dict({**self.PSD_RAW, "waveforms": waveforms}))
+        assert built == [families]
+        assert 1 <= len(started) <= families
 
 
 BLAS_PROBE = '''

@@ -240,6 +240,40 @@ class TestPsd:
         np.testing.assert_allclose(est.freqs_hz, freqs, rtol=1e-12, atol=0)
         np.testing.assert_allclose(est.density, dens, rtol=1e-12, atol=1e-12 * dens.max())
 
+    # the same segments (nper = 64, hop = 32) from pieces of any length, empty
+    # ones included, and totals below nper, which then sets nper itself
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 300), st.lists(st.integers(0, 300), max_size=8),
+           st.integers(0, 2**32 - 1), st.sampled_from([1, 3 * 16 * 64, metrics._WELCH_BATCH_BYTES]))
+    @example(40, [0, 0, 10, 39], 0, metrics._WELCH_BATCH_BYTES)
+    @example(64, [63], 0, metrics._WELCH_BATCH_BYTES)
+    @example(200, [31, 33, 64, 64, 95, 96, 97], 0, 1)
+    def test_streamed_pieces_match_scipy_welch(self, length, cuts, seed, batch_bytes):
+        cfg = desk_config(k=8, o_s=2, b=1, d=8, n=2, filter_len=1)
+        x = crandn(np.random.default_rng(seed), length)
+        pieces = np.split(x, sorted(min(c, length) for c in cuts))
+        with mock.patch.object(metrics, "_WELCH_BATCH_BYTES", batch_bytes):
+            est = psd_estimate(iter(pieces), cfg)
+            whole = psd_estimate(x, cfg)
+        freqs, dens = scipy_welch(x, cfg)
+        np.testing.assert_allclose(est.freqs_hz, freqs, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(est.density, dens, rtol=1e-12, atol=1e-12 * dens.max())
+        assert np.array_equal(est.freqs_hz, whole.freqs_hz)
+        assert np.array_equal(est.density, whole.density)
+
+    @pytest.mark.parametrize("x", [np.zeros(0, dtype=complex), [], [np.zeros(0), np.zeros(0)]],
+                             ids=["empty_array", "no_pieces", "empty_pieces"])
+    def test_empty_signal_rejected(self, x):
+        with pytest.raises(ValueError, match="empty signal"):
+            psd_estimate(x, desk_config())
+
+    @pytest.mark.parametrize("x", [np.ones((4, 64), dtype=complex), [np.ones(64), np.ones((2, 8))],
+                                   [np.ones(64), np.complex128(1.0)]],
+                             ids=["2d_array", "2d_piece", "scalar_piece"])
+    def test_piece_that_is_not_1d_rejected(self, x):
+        with pytest.raises(ValueError, match="must be 1-D"):
+            psd_estimate(x, desk_config())
+
     def test_matches_scipy_welch_at_full_scale(self):
         # about 170 segments of 5120 samples, in four batches
         cfg = table1_config()
