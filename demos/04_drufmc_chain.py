@@ -20,7 +20,7 @@ print(f"serialized length: {s_proc.size} = K*O_s*N (no CP, same air time as the 
 
 print("\n== ideal channel: raw chain vs MMSE ==")
 chan = ch.realize(ch.ideal_path(), cfg, with_cp=False)
-y = drufmc_demodulate(apply_channel(s_proc, chan, 1.0, 0.0), cfg)
+y = drufmc_demodulate(apply_channel(s_proc, chan, 0.0), cfg)
 raw_err = np.mean(np.abs(y - x) ** 2)
 print(f"raw loopback mean-square error: {raw_err:.3f} "
       "(group delay spreads bins; see the effective channel)")

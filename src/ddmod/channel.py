@@ -86,7 +86,7 @@ def sample_eva_paths(seed, v_max_ms: float, f_c_hz: float) -> PathSet:
 
 
 def ideal_path(gain: complex = 1.0) -> PathSet:
-    """Single zero-delay, zero-Doppler path (debug/identity channel)."""
+    """Single zero-delay, zero-Doppler path: the identity channel."""
     return PathSet(gains=np.array([gain]), delays_s=np.zeros(1), dopplers_hz=np.zeros(1))
 
 
@@ -121,7 +121,6 @@ class LtvChannelRealization:
     taps: np.ndarray          # (n_symbols, rows, n_active) complex
     tap_index: np.ndarray     # (n_active,) ascending tap columns in [0, l_ch)
     l_ch: int
-    sample_period_s: float
 
     @property
     def n_symbols(self) -> int:
@@ -160,8 +159,7 @@ def materialize_taps(paths: PathSet, cfg: ModemConfig, rows: int) -> LtvChannelR
         ph_r = np.exp(2j * np.pi * nu * r * ts)
         ph_i = np.exp(2j * np.pi * nu * np.arange(cfg.n) * ts)
         taps[:, :, window] += h_p * np.einsum("i,r,l->irl", ph_i, ph_r, g * ph_ell)
-    return LtvChannelRealization(taps=taps, tap_index=tap_index, l_ch=required_l_ch(paths, cfg),
-                                 sample_period_s=ts)
+    return LtvChannelRealization(taps=taps, tap_index=tap_index, l_ch=required_l_ch(paths, cfg))
 
 
 @dataclass(frozen=True)

@@ -43,12 +43,10 @@ class ModemConfig:
     n_cp: int | None = None       # CP samples; None derives from DEFAULT_T_CP_S
     delta_f_hz: float = 120e3     # subcarrier spacing
     f_c_hz: float = 28e9          # carrier frequency
-    p_t: float = 1.0              # transmit power (linear)
     n_guard: int = 0              # nulled edge subcarriers per band edge
     delta_oob_db: float = -30.0   # out-of-band emission threshold
     pulse: str = "ideal"          # channel shaping pulse: "ideal" or "rrc"
     guard_nulling: str = "accounting"  # "accounting" or "tx"
-    onetap: str = "mmse"          # one-tap FDE scalar: "mmse" or "zf"
 
     def __post_init__(self):
         if self.k < 2 or self.k % 2 != 0:
@@ -75,15 +73,11 @@ class ModemConfig:
             )
         if self.n_cp < 0:
             raise ConfigError(f"N_CP must be >= 0, got {self.n_cp}")
-        if self.p_t <= 0:
-            raise ConfigError(f"P_T must be > 0, got {self.p_t}")
         check_guard_count(self.n_guard, self.k)
         if self.pulse not in ("ideal", "rrc"):
             raise ConfigError(f"pulse must be 'ideal' or 'rrc', got {self.pulse!r}")
         if self.guard_nulling not in ("accounting", "tx"):
             raise ConfigError(f"guard_nulling must be 'accounting' or 'tx', got {self.guard_nulling!r}")
-        if self.onetap not in ("mmse", "zf"):
-            raise ConfigError(f"onetap must be 'mmse' or 'zf', got {self.onetap!r}")
 
     # Derived quantities ---------------------------------------------------
 

@@ -8,7 +8,7 @@ same air time as the CP-bearing chain's payload.
 
 In the delay-time domain (A = X_dd F_N^H in, U = Y_dd F_N^H out) the channel
 is block lower-bidiagonal: U[:, m] = T[m, m] A[:, m] + T[m, m-1] A[:, m-1]
-with T[m, m] = sqrt(P_T) C_m and T[m, m-1] = sqrt(P_T) D_m, the per-symbol
+with T[m, m] = C_m and T[m, m-1] = D_m, the per-symbol
 head and overlap-tail maps of :func:`_delay_domain_blocks`, built path by
 path: C_m = F_K^H B_m diag(resp) F_K - D_m, with B_m the closed form of
 :func:`~ddmod.ofdm.per_symbol_ft_channel` without CP and resp the subband
@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelMatrixSet
-from .config import ConfigError, ModemConfig
+from .config import ModemConfig
 from .mmse import bidiagonal_mmse, mmse_sinr
 from .ofdm import _live_rows, _path_ft_blocks, _tx_guard, _tx_null, apply_channel
 from .transforms import dft_matrix, invec, isfft, oversampled_dft, sfft, ufmc_precoder, vec
@@ -62,8 +62,6 @@ def ufmc_modulate_ft(x_ft: np.ndarray, cfg: ModemConfig, n_guard: int = 0) -> np
     x_ft = np.asarray(x_ft)
     if x_ft.shape[-2:] != (cfg.k, cfg.n):
         raise ValueError(f"dimension mismatch: expected {(cfg.k, cfg.n)}, got {x_ft.shape}")
-    if cfg.b * cfg.d != cfg.k:
-        raise ConfigError(f"K = B*D violated: K={cfg.k}, B={cfg.b}, D={cfg.d}")
     live = _live_rows(cfg, n_guard)
     x_tilde = ufmc_precoder(cfg)[:, live] @ x_ft[..., live, :]
     return vec(overlap_add(x_tilde, cfg))
@@ -133,7 +131,7 @@ def drufmc_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.nda
         np.einsum("rm,mc,mkl->rckl", theta, phi, cf, optimize=True)
         + np.einsum("rm,mc,mkl->rckl", theta, phi_shift, df, optimize=True)
     )
-    return blocks.transpose(0, 2, 1, 3).reshape(k * n, k * n) * (np.sqrt(cfg.p_t) / n)
+    return blocks.transpose(0, 2, 1, 3).reshape(k * n, k * n) * (1.0 / n)
 
 
 def drufmc_mmse(
@@ -150,9 +148,8 @@ def drufmc_mmse(
     """
     cf, df = _delay_domain_blocks(chan, cfg)
     f_n = dft_matrix(cfg.n)
-    scale = np.sqrt(cfg.p_t)
     u = (np.asarray(y_dd) @ f_n.conj()).T          # U = Y_dd F_N^H, one row per symbol
-    mse, a_hat = bidiagonal_mmse(scale * cf, scale * df, u, sigma2, f_n)
+    mse, a_hat = bidiagonal_mmse(cf, df, u, sigma2, f_n)
     return mmse_sinr(mse.T, sigma2), a_hat.T @ f_n
 
 
@@ -162,5 +159,5 @@ def drufmc_link(x_dd: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigm
 
     Returns the (K, N) SINR and delay-Doppler estimate grids of :func:`drufmc_mmse`.
     """
-    r = apply_channel(drufmc_modulate(x_dd, cfg, _tx_guard(cfg)), chan, cfg.p_t, sigma2, seed)
+    r = apply_channel(drufmc_modulate(x_dd, cfg, _tx_guard(cfg)), chan, sigma2, seed)
     return drufmc_mmse(drufmc_demodulate(r, cfg), chan, cfg, sigma2)

@@ -75,7 +75,6 @@ class ExperimentConfig:
     speeds_kmh: tuple = (50.0, 500.0)
     trials: int = 50
     seed: int = 0
-    channel_model: str = "eva"       # "eva" or "ideal" (debug)
     psd_trials: int = 100
     n_guard_by_waveform: dict = field(default_factory=dict)
     timing: bool = False
@@ -108,8 +107,6 @@ class ExperimentConfig:
                 self.modem_for(wf)
             except ConfigError as exc:
                 raise ConfigError(f"guard override for {wf}: {exc}") from None
-        if self.channel_model not in ("eva", "ideal"):
-            raise ConfigError(f"channel must be 'eva' or 'ideal', got {self.channel_model!r}")
 
     def modem_for(self, waveform: str) -> ModemConfig:
         """``modem`` with the waveform's guard override, if any, as its ``n_guard``.
@@ -174,8 +171,6 @@ def config_from_dict(raw: dict, origin: str = "<dict>", desk: bool = False) -> E
                 modem_kwargs[key] = _MODEM_KEYS[key](value)
             elif key in _INT_KEYS:
                 exp_kwargs[key] = int(value)
-            elif key == "channel":
-                exp_kwargs["channel_model"] = value
             elif key in _LIST_KEYS:
                 parts = [p.strip() for p in value.split(",") if p.strip()]
                 if key == "waveforms":
@@ -223,8 +218,6 @@ def channel_seed(base_seed: int, snr_index: int, trial: int):
 
 
 def _trial_paths(cfg: ExperimentConfig, speed_kmh: float, snr_index: int, trial: int) -> ch.PathSet:
-    if cfg.channel_model == "ideal":
-        return ch.ideal_path()
     seed = channel_seed(cfg.seed, snr_index, trial)
     return ch.sample_eva_paths(seed, speed_kmh / 3.6, cfg.modem.f_c_hz)
 
@@ -269,12 +262,13 @@ def evaluate_point(
     ``point`` (a fresh :class:`GridPoint` if None); the MMSE links use the
     structured routes, so no KN x KN effective channel is built.  The link
     and the score take ``cfg.modem_for(waveform)``; the point is realized
-    from ``cfg.modem``, as the guard count does not enter the channel.
+    from ``cfg.modem``, as the guard count does not enter the channel.  The
+    transmitter has unit power, so the SNR fixes the noise variance alone.
     """
     start = time.perf_counter()
     modem = cfg.modem_for(waveform)
     snr_db = cfg.snr_db[snr_index]
-    sigma2 = modem.p_t / 10.0 ** (snr_db / 10.0)
+    sigma2 = 1.0 / 10.0 ** (snr_db / 10.0)
     with_cp, link = WAVEFORMS[waveform]
     if point is None:
         point = GridPoint(cfg, speed_kmh, snr_index, trial)
@@ -493,7 +487,6 @@ def _build_parser() -> argparse.ArgumentParser:
     psd_p = sub.add_parser("psd", help="PSD and guard-count experiment")
     psd_p.add_argument("--config", required=True)
     psd_p.add_argument("--out", required=True, help="CSV output path")
-    psd_p.add_argument("--trials", type=int, default=None)
     return parser
 
 
@@ -507,8 +500,6 @@ def main(argv=None) -> int:
             rows, failures = run_sweep(cfg, out_path=args.out)
         else:
             cfg = load_config(args.config)
-            if args.trials is not None:
-                cfg = replace(cfg, psd_trials=args.trials)
             summary = run_psd(cfg, out_path=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

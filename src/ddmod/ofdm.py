@@ -6,7 +6,7 @@ are provided, full multicarrier-multisymbol linear MMSE and classical
 per-subcarrier one-tap FDE.
 
 The channel is block-diagonal per symbol, so full MMSE needs no KN x KN
-matrix: with C_i = sqrt(P_T) * B_i * diag(null) the K x K frequency-time
+matrix: with C_i = B_i * diag(null) the K x K frequency-time
 block of symbol i, the MMSE SINR of bin (k, i) is 1 / (sigma^2 [G_i]_kk) - 1
 and the estimate of column i is G_i C_i^H y_i, G_i = (C_i^H C_i + sigma^2 I)^{-1}
 (:func:`ofdm_full_mmse`).  :func:`ofdm_full_link` and :func:`ofdm_onetap_link`
@@ -36,11 +36,6 @@ def _tx_null(cfg: ModemConfig) -> np.ndarray:
     return mask
 
 
-def _tx_stack(ft: np.ndarray, cfg: ModemConfig) -> np.ndarray:
-    """sqrt(P_T) * ft with the :func:`_tx_null` guard columns zeroed, in one full-array product."""
-    return ft * (np.sqrt(cfg.p_t) * _tx_null(cfg))
-
-
 def _live_rows(cfg: ModemConfig, n_guard: int) -> slice:
     """Grid rows [n_guard, K - n_guard): every subcarrier but the 2*n_guard edge ones."""
     check_guard_count(n_guard, cfg.k)
@@ -68,7 +63,6 @@ def ofdm_modulate(x_ft: np.ndarray, cfg: ModemConfig, n_guard: int = 0) -> np.nd
 def apply_channel(
     s: np.ndarray,
     chan: ChannelMatrixSet,
-    p_t: float,
     noise_var: float,
     seed=None,
 ) -> np.ndarray:
@@ -84,7 +78,7 @@ def apply_channel(
         raise ValueError(
             f"dimension mismatch: signal length {s.size} != {n_sym} x {chan.cols}"
         )
-    r = vec(np.sqrt(p_t) * chan.apply(invec(s, chan.cols)))
+    r = vec(chan.apply(invec(s, chan.cols)))
     if noise_var > 0:
         rng = np.random.default_rng(seed)
         w = rng.standard_normal(r.size) + 1j * rng.standard_normal(r.size)
@@ -143,14 +137,14 @@ def per_symbol_ft_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarra
 def ofdm_full_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarray:
     """Block-diagonal KN x KN input/output map on the frequency-time grid.
 
-    Symbol blocks are sqrt(P_T) * W @ H_i @ W^H; the block-diagonal channel
+    Symbol blocks are W @ H_i @ W^H; the block-diagonal channel
     model mixes nothing across symbols in this domain.
     """
     k, n = cfg.k, cfg.n
     blocks = per_symbol_ft_channel(chan, cfg) * _tx_null(cfg)
     out = np.zeros((k * n, k * n), dtype=complex)
     for i in range(n):
-        out[i * k:(i + 1) * k, i * k:(i + 1) * k] = np.sqrt(cfg.p_t) * blocks[i]
+        out[i * k:(i + 1) * k, i * k:(i + 1) * k] = blocks[i]
     return out
 
 
@@ -166,7 +160,7 @@ def ofdm_full_mmse(
     column is exactly zero (TX-nulled guards) report SINR 0, as in
     ``metrics.sinr_map``.  Returns the (K, N) SINR and estimate grids.
     """
-    c = _tx_stack(ft, cfg)
+    c = ft * _tx_null(cfg)
     mse, x_hat = per_symbol_mmse(c, y_ft, sigma2)
     live = np.any(c != 0, axis=1).T
     return np.where(live, mmse_sinr(mse.T, sigma2), 0.0), x_hat
@@ -183,27 +177,22 @@ def ofdm_onetap_fde(
     ``ft`` is the (N, K, K) stack from :func:`per_symbol_ft_channel`.  The
     scalar channel of bin (k, i) is the diagonal of the symbol-i
     frequency-time matrix; inter-carrier leakage is left as noise.  The
-    MMSE scalar shrinks by |c|^2 + sigma^2/P_T, the ZF variant divides by c.
+    estimate is the MMSE scalar's, conj(c) y / (|c|^2 + sigma^2).
     """
     y_ft = np.asarray(y_ft)
     if y_ft.shape != (cfg.k, cfg.n):
         raise ValueError(f"dimension mismatch: expected {(cfg.k, cfg.n)}, got {y_ft.shape}")
     c = np.diagonal(ft, axis1=1, axis2=2).T
-    y = y_ft / np.sqrt(cfg.p_t)
-    if cfg.onetap == "zf":
-        return y / c
-    return np.conj(c) * y / (np.abs(c) ** 2 + noise_var / cfg.p_t)
+    return np.conj(c) * y_ft / (np.abs(c) ** 2 + noise_var)
 
 
 def ofdm_onetap_sinr(ft: np.ndarray, cfg: ModemConfig, noise_var: float) -> np.ndarray:
     """Per-bin SINR of one-tap FDE: diagonal power over row residual plus noise.
 
     ``ft`` is the (N, K, K) stack from :func:`per_symbol_ft_channel`; TX-nulled
-    guard columns carry nothing, so guard bins report SINR 0.  Scalar
-    equalization rescales the whole observation row, so the SINR does not
-    depend on the MMSE/ZF choice.
+    guard columns carry nothing, so guard bins report SINR 0.
     """
-    blk = _tx_stack(ft, cfg)
+    blk = ft * _tx_null(cfg)
     sig = np.abs(np.diagonal(blk, axis1=1, axis2=2)) ** 2
     interference = np.sum(np.abs(blk) ** 2, axis=2) - sig
     return (sig / (interference + noise_var)).T
@@ -212,7 +201,7 @@ def ofdm_onetap_sinr(ft: np.ndarray, cfg: ModemConfig, noise_var: float) -> np.n
 def _receive(x_ft: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigma2: float,
              seed) -> np.ndarray:
     """Received frequency-time grid of ``x_ft``, sent without the TX-nulled guards."""
-    r = apply_channel(ofdm_modulate(x_ft, cfg, _tx_guard(cfg)), chan, cfg.p_t, sigma2, seed)
+    r = apply_channel(ofdm_modulate(x_ft, cfg, _tx_guard(cfg)), chan, sigma2, seed)
     return ofdm_demodulate(r, cfg)
 
 

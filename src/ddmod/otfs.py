@@ -20,8 +20,8 @@ import numpy as np
 from .channel import ChannelMatrixSet
 from .config import ModemConfig
 from .mmse import mmse_sinr, per_symbol_mmse
-from .ofdm import (_tx_guard, _tx_null, _tx_stack, apply_channel, ofdm_demodulate,
-                   ofdm_modulate, per_symbol_ft_channel)
+from .ofdm import (_tx_guard, _tx_null, apply_channel, ofdm_demodulate, ofdm_modulate,
+                   per_symbol_ft_channel)
 from .transforms import dft_matrix, isfft, sfft
 
 
@@ -53,7 +53,7 @@ def otfs_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarr
     phases = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
     b_dd = np.einsum("id,ikl->dkl", phases, b_i)
     out = np.empty((k * n, k * n), dtype=complex)
-    scale = np.sqrt(cfg.p_t) / n
+    scale = 1.0 / n
     for row in range(n):
         for col in range(n):
             out[row * k:(row + 1) * k, col * k:(col + 1) * k] = scale * b_dd[(row - col) % n]
@@ -72,7 +72,7 @@ def otfs_mmse(
     1 / (sigma^2 mean_i diag(F_K^H G_i F_K)) - 1, equal across Doppler bins.
     Returns the (K, N) SINR and delay-Doppler estimate grids.
     """
-    c = _tx_stack(ft, cfg)
+    c = ft * _tx_null(cfg)
     mse, x_ft = per_symbol_mmse(c, isfft(y_dd), sigma2, basis=dft_matrix(cfg.k))
     sinr = mmse_sinr(mse.mean(axis=0), sigma2)
     return np.repeat(sinr[:, np.newaxis], cfg.n, axis=1), sfft(x_ft)
@@ -85,5 +85,5 @@ def otfs_link(x_dd: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigma2
     ``ft`` is the channel's stack ``per_symbol_ft_channel(chan, cfg)``.
     Returns the (K, N) SINR and delay-Doppler estimate grids of :func:`otfs_mmse`.
     """
-    r = apply_channel(otfs_modulate(x_dd, cfg, n_guard=_tx_guard(cfg)), chan, cfg.p_t, sigma2, seed)
+    r = apply_channel(otfs_modulate(x_dd, cfg, n_guard=_tx_guard(cfg)), chan, sigma2, seed)
     return otfs_mmse(otfs_demodulate(r, cfg), ft, cfg, sigma2)

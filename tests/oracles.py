@@ -220,7 +220,7 @@ def per_cell_row(cfg, waveform: str, speed_kmh: float, snr_index: int, trial: in
     """
     modem = cfg.modem_for(waveform)
     snr_db = cfg.snr_db[snr_index]
-    sigma2 = modem.p_t / 10.0 ** (snr_db / 10.0)
+    sigma2 = 1.0 / 10.0 ** (snr_db / 10.0)
     with_cp, link = harness.WAVEFORMS[waveform]
     paths = harness._trial_paths(cfg, speed_kmh, snr_index, trial)
     chan = ch.realize(paths, modem, with_cp=with_cp)

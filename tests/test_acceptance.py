@@ -44,7 +44,7 @@ def test_criterion_1_perfect_reconstruction():
     chan = ch.realize(ch.ideal_path(), cfg, with_cp=True)
     x = qpsk_grid(rng, cfg.k, cfg.n)
     y = otfs.otfs_demodulate(
-        otfs.apply_channel(otfs.otfs_modulate(x, cfg), chan, cfg.p_t, 0.0), cfg
+        otfs.apply_channel(otfs.otfs_modulate(x, cfg), chan, 0.0), cfg
     )
     err = np.abs(y - x).max()
     elapsed = time.perf_counter() - start
@@ -72,10 +72,10 @@ def test_criterion_2_chain_matrix_probing():
             e[j] = 1.0
             x = invec(e, cfg.k)
             col = vec(otfs.otfs_demodulate(
-                otfs.apply_channel(otfs.otfs_modulate(x, cfg), chan_cp, cfg.p_t, 0.0), cfg))
+                otfs.apply_channel(otfs.otfs_modulate(x, cfg), chan_cp, 0.0), cfg))
             worst = max(worst, np.linalg.norm(col - eff_o[:, j]) / np.linalg.norm(eff_o[:, j]))
             col = vec(drufmc.drufmc_demodulate(
-                drufmc.apply_channel(drufmc.drufmc_modulate(x, cfg), chan_no, cfg.p_t, 0.0), cfg))
+                drufmc.apply_channel(drufmc.drufmc_modulate(x, cfg), chan_no, 0.0), cfg))
             worst = max(worst, np.linalg.norm(col - eff_u[:, j]) / np.linalg.norm(eff_u[:, j]))
     elapsed = time.perf_counter() - start
     report(2, worst < 1e-9 and elapsed < 30, f"worst rel err {worst:.2e}, {elapsed:.1f} s")
@@ -171,7 +171,7 @@ def paired_sweep():
                 )
                 chan_cp = ch.realize(paths, cfg, with_cp=True)
                 chan_no = ch.realize(paths, cfg, with_cp=False)
-                sigma2 = cfg.p_t / 10 ** (snr / 10)
+                sigma2 = 1.0 / 10 ** (snr / 10)
                 maps = {
                     "otfs": sinr_map(otfs.otfs_effective_channel(chan_cp, cfg), sigma2, cfg),
                     "drufmc": sinr_map(drufmc.drufmc_effective_channel(chan_no, cfg), sigma2, cfg),

@@ -2,17 +2,19 @@
 
 import concurrent.futures
 import dataclasses
+import re
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ddmod import channel as ch
-from ddmod import harness, transforms
+from ddmod import harness, ofdm, transforms
 from ddmod.config import ConfigError, ModemConfig, desk_config, table1_config
-from ddmod.metrics import GuardSearchError
+from ddmod.metrics import GuardSearchError, net_sinr, qpsk_grid
 from ddmod.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -60,7 +62,7 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, "k = 32\nnot a pair\n"))
 
     def test_unknown_key_rejected(self, tmp_path):
-        for line in ("mystery = 12", "out = x.csv"):
+        for line in ("mystery = 12", "out = x.csv", "p_t = 2", "onetap = zf", "channel = ideal"):
             with pytest.raises(ConfigError, match="unknown key"):
                 load_config(write_config(tmp_path, line + "\n"))
 
@@ -74,13 +76,27 @@ class TestLoadConfig:
 
     def test_every_modem_field_is_a_config_key(self, tmp_path):
         values = dict(k=16, n=4, o_s=2, b=2, d=8, filter_len=5, filter_att_db=60.5, n_cp=3,
-                      delta_f_hz=15e3, f_c_hz=3.5e9, p_t=2.0, n_guard=1, delta_oob_db=-40.0,
-                      pulse="rrc", guard_nulling="tx", onetap="zf")
+                      delta_f_hz=15e3, f_c_hz=3.5e9, n_guard=1, delta_oob_db=-40.0,
+                      pulse="rrc", guard_nulling="tx")
         assert set(values) == {f.name for f in dataclasses.fields(ModemConfig)}
         text = "".join(f"{key} = {value}\n" for key, value in values.items())
         modem = load_config(write_config(tmp_path, text)).modem
         for key, value in values.items():
             assert getattr(modem, key) == value and value != getattr(ModemConfig(), key), key
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("Recognized keys:", 1)[1].split(")", 1)[0]
+        listed = {key for span in re.findall(r"`([^`]+)`", section) for key in span.split()}
+        guards = {"n_guard_" + wf.replace("-", "_") for wf in harness.WAVEFORMS}
+        accepted = ({f.name for f in dataclasses.fields(ModemConfig)} | harness._INT_KEYS
+                    | harness._LIST_KEYS | guards)
+        assert listed == accepted
+        for key in listed:
+            try:
+                config_from_dict({key: "1"})
+            except ConfigError as exc:
+                assert "unknown key" not in str(exc), key
 
     def test_comments_and_lists(self, tmp_path):
         cfg = load_config(write_config(
@@ -122,12 +138,19 @@ class TestLoadConfig:
         assert "config error: guard override for drufmc" in capsys.readouterr().err
 
     def test_psd_trials_below_one_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, DESK_LINES + "waveforms = otfs\npsd_trials = 0\n")
         with pytest.raises(ConfigError, match="psd_trials must be >= 1, got 0"):
-            load_config(write_config(tmp_path, "psd_trials = 0\n"))
-        path = write_config(tmp_path, DESK_LINES + "waveforms = otfs\n", name="ok.cfg")
+            load_config(path)
         out = str(tmp_path / "psd.csv")
-        assert main(["psd", "--config", path, "--out", out, "--trials", "0"]) == 2
+        assert main(["psd", "--config", path, "--out", out]) == 2
         assert "config error: psd_trials must be >= 1" in capsys.readouterr().err
+
+    def test_psd_frame_count_has_no_command_line_option(self, tmp_path, capsys):
+        path = write_config(tmp_path, DESK_LINES + "waveforms = otfs\npsd_trials = 2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["psd", "--config", path, "--out", str(tmp_path / "psd.csv"), "--trials", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trials 2" in capsys.readouterr().err
 
     def test_negative_seed_in_file_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
@@ -218,30 +241,33 @@ class TestRunSweep:
         }), out_path=str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @staticmethod
+    def ideal_channel_net_sinr_db(cfg, waveform, snr_db=17.0):
+        """Net SINR of the waveform's link over a unit tap at unit transmit power."""
+        with_cp, link = harness.WAVEFORMS[waveform]
+        chan = ch.realize(ch.ideal_path(), cfg, with_cp=with_cp)
+        stack = {"ft": ofdm.per_symbol_ft_channel(chan, cfg)} if with_cp else {}
+        x_dd = qpsk_grid(np.random.default_rng(0), cfg.k, cfg.n)
+        sinr, _ = link(x_dd, chan, cfg, 1.0 / 10.0 ** (snr_db / 10.0), 1, **stack)
+        return net_sinr(sinr, cfg.n_guard)
+
     def test_ideal_channel_net_sinr_closed_form(self):
-        # debug channel: the CP chains give exactly P_T / sigma^2 per bin
+        # unit tap: the CP chains give exactly 1 / sigma^2 per bin
         for wf in ["otfs", "ofdm-full"]:
-            cfg = desk_exp(waveforms=wf, channel="ideal", snr_db="17")
-            row = evaluate_point(cfg, wf, 500.0, 0, 0)
-            assert row.net_sinr_db == pytest.approx(17.0, abs=0.2)
+            net_db = self.ideal_channel_net_sinr_db(desk_config(), wf)
+            assert net_db == pytest.approx(17.0, abs=0.2)
 
     def test_ideal_channel_drufmc_degenerate_filter(self):
-        raw = {
-            "k": "32", "n": "8", "o_s": "4", "b": "1", "d": "32", "filter_len": "1",
-            "waveforms": "drufmc", "snr_db": "17", "speeds_kmh": "500",
-            "trials": "1", "seed": "1", "channel": "ideal",
-        }
-        cfg = config_from_dict(raw)
-        row = evaluate_point(cfg, "drufmc", 500.0, 0, 0)
-        assert row.net_sinr_db == pytest.approx(17.0, abs=0.2)
+        cfg = desk_config(b=1, d=32, filter_len=1)
+        net_db = self.ideal_channel_net_sinr_db(cfg, "drufmc")
+        assert net_db == pytest.approx(17.0, abs=0.2)
 
     def test_ideal_channel_drufmc_desk_filter_droop(self):
         # the desk prototype's in-band droop plus the overlap tail truncation
         # cost a measured 1.2 dB against the closed form at this scale
-        cfg = desk_exp(waveforms="drufmc", channel="ideal", snr_db="17")
-        row = evaluate_point(cfg, "drufmc", 500.0, 0, 0)
-        assert row.net_sinr_db == pytest.approx(17.0, abs=2.0)
-        assert row.net_sinr_db < 17.0
+        net_db = self.ideal_channel_net_sinr_db(desk_config(), "drufmc")
+        assert net_db == pytest.approx(17.0, abs=2.0)
+        assert net_db < 17.0
 
     def test_paired_channels_across_waveforms(self):
         cfg = desk_exp(waveforms="otfs, ofdm-full", snr_db="30", trials="1")

@@ -60,12 +60,12 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sci
 
 @pytest.mark.parametrize("command", [
     ["run", "--config", "{cfg}", "--out", "{tmp}/run.csv"],
-    ["psd", "--config", "{cfg}", "--out", "{tmp}/psd.csv", "--trials", "2"],
+    ["psd", "--config", "{cfg}", "--out", "{tmp}/psd.csv"],
 ], ids=["run", "psd"])
 def test_cli_never_loads_scipy(tmp_path, command):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(DESK_LINES + "waveforms = otfs, drufmc, ofdm-full, ofdm-onetap\n"
-                   "snr_db = 10\nspeeds_kmh = 500\ntrials = 1\n")
+                   "snr_db = 10\nspeeds_kmh = 500\ntrials = 1\npsd_trials = 2\n")
     argv = [arg.format(cfg=cfg, tmp=tmp_path) for arg in command]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))

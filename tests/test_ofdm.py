@@ -40,7 +40,7 @@ class TestFullEffectiveChannel:
             e = np.zeros(cfg.k * cfg.n)
             e[j] = 1.0
             s = ofdm.ofdm_modulate(invec(e, cfg.k), cfg)
-            r = ofdm.apply_channel(s, chan, cfg.p_t, 0.0)
+            r = ofdm.apply_channel(s, chan, 0.0)
             col = vec(ofdm.ofdm_demodulate(r, cfg))
             rel = np.linalg.norm(col - eff[:, j]) / np.linalg.norm(eff[:, j])
             assert rel < 1e-9
@@ -60,11 +60,11 @@ class TestFullEffectiveChannel:
 
 class TestOneTapFde:
     def test_exact_recovery_on_ideal_channel(self):
-        cfg = desk_config(onetap="zf")
+        cfg = desk_config()
         rng = np.random.default_rng(5)
         chan = ch.realize(ch.ideal_path(), cfg, with_cp=True)
         x = qpsk_grid(rng, cfg.k, cfg.n)
-        r = ofdm.apply_channel(ofdm.ofdm_modulate(x, cfg), chan, 1.0, 0.0)
+        r = ofdm.apply_channel(ofdm.ofdm_modulate(x, cfg), chan, 0.0)
         y = ofdm.ofdm_demodulate(r, cfg)
         est = ofdm.ofdm_onetap_fde(y, ofdm.per_symbol_ft_channel(chan, cfg), cfg, noise_var=0.0)
         assert np.abs(est - x).max() < 1e-10
@@ -122,15 +122,12 @@ class TestOneTapFde:
         acc = ofdm.ofdm_full_effective_channel(chan, replace(cfg, guard_nulling="accounting"))
         assert np.all(sinr_map(acc, 0.01, cfg) > 0)
 
-    def test_zf_and_mmse_agree_without_noise(self):
+    def test_mmse_recovers_static_channel_without_noise(self):
         cfg = desk_config()
         rng = np.random.default_rng(8)
         chan = ch.realize(short_static_paths(cfg), cfg, with_cp=True)
         x = qpsk_grid(rng, cfg.k, cfg.n)
-        r = ofdm.apply_channel(ofdm.ofdm_modulate(x, cfg), chan, 1.0, 0.0)
+        r = ofdm.apply_channel(ofdm.ofdm_modulate(x, cfg), chan, 0.0)
         y = ofdm.ofdm_demodulate(r, cfg)
         ft = ofdm.per_symbol_ft_channel(chan, cfg)
-        zf = ofdm.ofdm_onetap_fde(y, ft, replace(cfg, onetap="zf"), 0.0)
-        assert np.abs(zf - x).max() < 1e-8
-        mmse = ofdm.ofdm_onetap_fde(y, ft, replace(cfg, onetap="mmse"), 0.0)
-        assert np.abs(mmse - zf).max() < 1e-8
+        assert np.abs(ofdm.ofdm_onetap_fde(y, ft, cfg, 0.0) - x).max() < 1e-8

@@ -18,7 +18,7 @@ def probe_column(cfg, chan, j):
     e = np.zeros(cfg.k * cfg.n)
     e[j] = 1.0
     s = otfs.otfs_modulate(invec(e, cfg.k), cfg)
-    r = otfs.apply_channel(s, chan, cfg.p_t, 0.0)
+    r = otfs.apply_channel(s, chan, 0.0)
     return vec(otfs.otfs_demodulate(r, cfg))
 
 
@@ -62,20 +62,11 @@ class TestApplyChannel:
         assert l_ch == 4
         x = qpsk_grid(rng, cfg.k, cfg.n)
         s = otfs.otfs_modulate(x, cfg)
-        r = otfs.apply_channel(s, chan, p_t=1.0, noise_var=0.0)
+        r = otfs.apply_channel(s, chan, noise_var=0.0)
         blk_in = cfg.k * cfg.o_s + cfg.n_cp
         blocks = invec(r, blk_in + l_ch - 1)
         assert np.abs(blocks[:blk_in, :] - invec(s, blk_in)).max() < 1e-12
         assert np.abs(blocks[blk_in:, :]).max() < 1e-12
-
-    def test_power_scaling(self):
-        cfg = desk_config()
-        rng = np.random.default_rng(2)
-        chan = ch.realize(ch.sample_eva_paths(1, 50 / 3.6, cfg.f_c_hz), cfg, with_cp=True)
-        s = otfs.otfs_modulate(qpsk_grid(rng, cfg.k, cfg.n), cfg)
-        r1 = otfs.apply_channel(s, chan, p_t=1.0, noise_var=0.0)
-        r4 = otfs.apply_channel(s, chan, p_t=4.0, noise_var=0.0)
-        assert np.abs(r4 - 2.0 * r1).max() < 1e-10
 
     def test_noise_variance(self):
         cfg = desk_config(n=2)
@@ -83,7 +74,7 @@ class TestApplyChannel:
         s = np.zeros((cfg.k * cfg.o_s + cfg.n_cp) * 2, dtype=complex)
         var, count = 0.0, 0
         for seed in range(40):
-            r = otfs.apply_channel(s, chan, 1.0, noise_var=0.25, seed=seed)
+            r = otfs.apply_channel(s, chan, noise_var=0.25, seed=seed)
             var += np.sum(np.abs(r) ** 2)
             count += r.size
         assert var / count == pytest.approx(0.25, rel=0.02)
@@ -100,7 +91,7 @@ class TestDemodulate:
         rng = np.random.default_rng(3)
         chan = ch.realize(ch.ideal_path(), cfg, with_cp=True)
         x = qpsk_grid(rng, cfg.k, cfg.n)
-        r = otfs.apply_channel(otfs.otfs_modulate(x, cfg), chan, 1.0, 0.0)
+        r = otfs.apply_channel(otfs.otfs_modulate(x, cfg), chan, 0.0)
         assert np.abs(otfs.otfs_demodulate(r, cfg) - x).max() < 1e-10
 
     def test_linearity(self):
@@ -111,7 +102,7 @@ class TestDemodulate:
 
         def chain(x):
             return otfs.otfs_demodulate(
-                otfs.apply_channel(otfs.otfs_modulate(x, cfg), chan, 1.0, 0.0), cfg)
+                otfs.apply_channel(otfs.otfs_modulate(x, cfg), chan, 0.0), cfg)
 
         x1 = crandn(rng, cfg.k, 4)
         x2 = crandn(rng, cfg.k, 4)
@@ -188,5 +179,5 @@ class TestEffectiveChannel:
         eff = otfs.otfs_effective_channel(chan, cfg)
         x = qpsk_grid(rng, cfg.k, 4)
         y = otfs.otfs_demodulate(
-            otfs.apply_channel(otfs.otfs_modulate(x, cfg), chan, 1.0, 0.0), cfg)
+            otfs.apply_channel(otfs.otfs_modulate(x, cfg), chan, 0.0), cfg)
         assert np.abs(vec(y) - eff @ vec(x)).max() < 1e-10

@@ -44,7 +44,6 @@ def sweep_configs(draw):
         speeds_kmh=(draw(st.sampled_from([0.0, 50.0, 500.0])),),
         trials=1,
         seed=draw(st.integers(0, 2**16)),
-        channel_model=draw(st.sampled_from(["eva", "ideal"])),
     )
 
 

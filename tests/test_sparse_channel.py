@@ -134,8 +134,7 @@ def test_header_only_dump_gives_all_zero_blocks():
     cfg = desk_config()
     ko = cfg.k * cfg.o_s
     empty = ch.LtvChannelRealization(taps=np.zeros((cfg.n, ko + cfg.n_cp + 2, 0), dtype=complex),
-                                     tap_index=np.zeros(0, dtype=int), l_ch=3,
-                                     sample_period_s=cfg.sample_period_s)
+                                     tap_index=np.zeros(0, dtype=int), l_ch=3)
     assert empty.tap_index.size == 0
     ft = per_symbol_ft_channel(ch.ChannelMatrixSet(realization=empty, cols=ko + cfg.n_cp), cfg)
     heads, tails = _delay_domain_blocks(ch.ChannelMatrixSet(realization=empty, cols=ko), cfg)

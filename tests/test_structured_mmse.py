@@ -55,7 +55,6 @@ def modem_and_paths(draw):
         k=k, n=draw(st.integers(1, 4)), o_s=o_s, b=k // d, d=d,
         filter_len=draw(st.integers(1, min(ko, 6))), filter_att_db=40.0,
         n_cp=draw(st.integers(0, min(ko, 6))),
-        p_t=draw(st.sampled_from([0.5, 1.0, 2.0])),
         n_guard=draw(st.integers(0, k // 2 - 1)),
         guard_nulling=draw(st.sampled_from(["tx", "accounting"])),
         pulse=draw(st.sampled_from(["ideal", "rrc"])),
