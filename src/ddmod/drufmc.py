@@ -12,14 +12,16 @@ with T[m, m] = C_m and T[m, m-1] = D_m, the per-symbol
 head and overlap-tail maps of :func:`_delay_domain_blocks`, built path by
 path: C_m = F_K^H B_m diag(resp) F_K - D_m, with B_m the closed form of
 :func:`~ddmod.ofdm.per_symbol_ft_channel` without CP and resp the subband
-filters' gains, and D_m from the L - 1 channel columns the tail reaches.  The
-dense delay-Doppler channel is V T V^H with V = F_N (x) I_K, so its MMSE
-error covariance is sigma^2 V G V^H, G = (T^H T + sigma^2 I)^{-1}.  The
-Doppler DFT mixes the diagonals of every block of G, so :func:`drufmc_mmse`
-streams the rows of the inverse block-Cholesky factor (O(N^2 K^3) work,
-O(N K^2) memory) instead of a selected inverse; :func:`drufmc_link` runs the
-whole link.  :func:`drufmc_effective_channel` builds the dense matrix as the
-reference.
+filters' gains, and D_m = X_m R from the L - 1 channel columns the tail
+reaches: X_m is K x (L - 1) and R, the precoder's tail rows, is the same
+(L - 1) x K factor for every symbol.  The dense delay-Doppler channel is
+V T V^H with V = F_N (x) I_K, so its MMSE error covariance is
+sigma^2 V G V^H, G = (T^H T + sigma^2 I)^{-1}.  The Doppler DFT mixes the
+diagonals of every block of G, so :func:`drufmc_mmse` takes them from a
+selected inverse that keeps the tails in that rank-(L - 1) form
+(O(N^2 (L-1)^2 K + N K^3) work, O(N K^2) memory, no K x K tail formed);
+:func:`drufmc_link` runs the whole link.  :func:`drufmc_effective_channel`
+builds the dense matrix as the reference.
 """
 
 from __future__ import annotations
@@ -86,12 +88,15 @@ def drufmc_demodulate(r: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     return sfft(y_ft)
 
 
-def _delay_domain_blocks(chan: ChannelMatrixSet, cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(N, K, K) stacks C_m, D_m: symbol m's head and overlap-tail maps, delay domain in and out.
+def _delay_domain_blocks(chan: ChannelMatrixSet,
+                         cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symbol m's head map C_m and overlap-tail map D_m = X_m R, delay domain in and out.
 
-    C_m = F_K^H W (R_tail M_m) P_head F_K carries symbol m into its own block;
-    D_m = F_K^H W M_m[:K*O_s, :L-1] P_tail F_K carries symbol m - 1's tail
-    into block m.  P_head / P_tail are the first K*O_s / last L - 1 precoder
+    Returns the (N, K, K) stack of C_m, the (N, K, L-1) stack of X_m and the
+    (L-1, K) factor R.  C_m = F_K^H W (R_tail M_m) P_head F_K carries symbol m
+    into its own block; D_m = F_K^H W M_m[:K*O_s, :L-1] P_tail F_K carries
+    symbol m - 1's tail into block m, with X_m = F_K^H W M_m[:K*O_s, :L-1] and
+    R = P_tail F_K.  P_head / P_tail are the first K*O_s / last L - 1 precoder
     rows, TX-guard nulled.  P_head is the steady state W^H diag(resp) less
     P_tail in its first L - 1 rows, so C_m = F_K^H B_m diag(resp) F_K - D_m,
     with B_m the per-path closed form of :func:`~ddmod.ofdm.per_symbol_ft_channel`
@@ -105,10 +110,14 @@ def _delay_domain_blocks(chan: ChannelMatrixSet, cfg: ModemConfig) -> tuple[np.n
     h = real.taps[:, rows, np.arange(rows.shape[1])] * (rows < ko)         # R_tail: rows < K*O_s
     band = np.einsum("kcj,mcj->mkc", oversampled_dft(cfg.k, cfg.o_s)[:, rows % ko], h,
                      optimize=True)                                    # W M_m[:K*O_s, :L-1]
-    # F_K^H (.) F_K: an inverse FFT down the columns, then an FFT along the rows
-    tail = np.fft.fft(np.fft.ifft(band @ p[ko:], axis=-2), axis=-1)
+    # F_K^H (.) F_K: an inverse FFT down the columns, then an FFT along the rows;
+    # the tail D_m = X_m R takes the first in X_m and the second in R
+    x = np.fft.ifft(band, axis=-2)
+    r = np.fft.fft(p[ko:], axis=-1)
     head = np.fft.fft(np.fft.ifft(_path_ft_blocks(chan, cfg, 0) * resp, axis=-2), axis=-1)
-    return head - tail, tail
+    for c, x_m in zip(head, x):
+        c -= x_m @ r
+    return head, x, r
 
 
 def drufmc_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarray:
@@ -121,7 +130,8 @@ def drufmc_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.nda
     by the Doppler-side DFT.
     """
     k, n = cfg.k, cfg.n
-    cf, df = _delay_domain_blocks(chan, cfg)
+    cf, x, r = _delay_domain_blocks(chan, cfg)
+    df = x @ r
     theta = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
     phi = np.sqrt(n) * dft_matrix(n).conj()         # phi[m, col] = exp(+j2*pi*m*col/N)
     # tail of symbol m lands in the head of symbol m+1: shift its phase row
@@ -146,10 +156,10 @@ def drufmc_mmse(
     ``metrics.sinr_map`` and ``metrics.mmse_detect`` on
     :func:`drufmc_effective_channel` without forming it.
     """
-    cf, df = _delay_domain_blocks(chan, cfg)
+    cf, x, r = _delay_domain_blocks(chan, cfg)
     f_n = dft_matrix(cfg.n)
     u = (np.asarray(y_dd) @ f_n.conj()).T          # U = Y_dd F_N^H, one row per symbol
-    mse, a_hat = bidiagonal_mmse(cf, df, u, sigma2, f_n)
+    mse, a_hat = bidiagonal_mmse(cf, x, r, u, sigma2, f_n)
     return mmse_sinr(mse.T, sigma2), a_hat.T @ f_n
 
 

@@ -89,6 +89,9 @@ class ExperimentConfig:
         for speed in self.speeds_kmh:
             if not (np.isfinite(speed) and speed >= 0):
                 raise ConfigError(f"speeds_kmh must be finite and >= 0, got {speed}")
+        for snr in self.snr_db:
+            if not np.isfinite(snr):
+                raise ConfigError(f"snr_db must be finite, got {snr}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -375,6 +378,7 @@ def run_sweep(cfg: ExperimentConfig, out_path: str | None = None):
         for si in range(len(cfg.snr_db))
         for t in range(cfg.trials)
     ]
+    workers = min(workers, len(tasks))          # a fork pool starts all its workers at once
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
 

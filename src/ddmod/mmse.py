@@ -11,10 +11,14 @@ With a Cholesky factor G^{-1} = L L^H, G = L^{-H} L^{-1}, so the error
 diagonal of any unitary change of basis V G V^H is the column energy of
 L^{-1} V^H, and the estimate is two products with L^{-1}.  So a
 block-diagonal C (one K x K block per symbol) needs N batched K x K
-factorizations, and a block lower-bidiagonal C (DR-UFMC's tails landing in
-the next symbol) needs a block-tridiagonal Cholesky of C^H C + sigma^2 I.
-No KN x KN matrix is formed: the dense ``metrics.sinr_map`` and
-``metrics.mmse_detect`` remain the reference these routes are tested against.
+factorizations.  A block lower-bidiagonal C whose sub-diagonal blocks have
+rank r (DR-UFMC's tails landing in the next symbol, r = L - 1) needs a
+block-tridiagonal Cholesky of C^H C + sigma^2 I and a selected inverse: the
+diagonals of the N^2 blocks of G from a backward recursion in r x K
+factors, O(N^2 r^2 K + N K^3) work.  The coupling is factored, never the
+inverse, so every block formed is bounded by 1/sigma^2.  No KN x KN matrix
+is formed: the dense ``metrics.sinr_map`` and ``metrics.mmse_detect`` remain
+the reference these routes are tested against.
 """
 
 from __future__ import annotations
@@ -90,46 +94,74 @@ def per_symbol_mmse(c: np.ndarray, y: np.ndarray, sigma2: float,
     return mse, x[..., 0].T
 
 
-def bidiagonal_mmse(d: np.ndarray, s: np.ndarray, u: np.ndarray, sigma2: float,
+def bidiagonal_mmse(d: np.ndarray, x: np.ndarray, r: np.ndarray, u: np.ndarray, sigma2: float,
                     mix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """MMSE for u_m = D_m a_m + S_m a_{m-1} + noise (block lower-bidiagonal T).
+    """MMSE for u_m = C_m a_m + X_m R a_{m-1} + noise (block lower-bidiagonal T).
 
-    ``d`` and ``s`` are (N, K, K) stacks (``s[0]`` is unused), ``u`` is the
-    (N, K) observation, one row per symbol.  T^H T + sigma^2 I is block
-    tridiagonal, so its block Cholesky factor L is block lower-bidiagonal with
-    diagonal blocks L_m and sub-diagonal blocks E_m.  The error diagonal is
-    wanted in the basis V = mix (x) I_K, i.e. diag(V G V^H) with G = Z^H Z and
-    Z = L^{-1}: row p of Z obeys Z[p, :p] = -L_p^{-1} E_{p-1} Z[p-1, :p] and
-    Z[p, p] = L_p^{-1}, and the transform over the block-column index of each
-    row adds its |.|^2 to the diagonal.  Only one block row of Z exists at a
-    time, so memory is O(N K^2) for O(N^2 K^3) work.  Returns the (N, K) error
-    diagonal in the V basis and the (N, K) estimate G T^H u in the T basis.
+    ``d`` is the (N, K, K) stack of diagonal blocks C_m, and the sub-diagonal
+    blocks are given factored: ``x`` is the (N, K, r) stack of X_m (``x[0]`` is
+    unused) and ``r`` the (r, K) factor R shared by every symbol, for any rank
+    r >= 0.  ``u`` is the (N, K) observation, one row per symbol.
+
+    T^H T + sigma^2 I is block tridiagonal with coupling A_{m,m+1} = R^H Q_m,
+    Q_m = X_{m+1}^H C_{m+1}.  The forward Schur complements S_m = L_m L_m^H
+    take the rank-r update S_{m+1} = A_{m+1,m+1} - Q_m^H (V_m^H V_m) Q_m with
+    V_m = L_m^{-1} R^H.  With P_m = -S_m^{-1} R^H, the backward selected
+    inverse of G = (T^H T + sigma^2 I)^{-1} reads
+
+        G_mm = S_m^{-1} + P_m (Q_m G_{m+1,m+1} Q_m^H) P_m^H,
+        G_mq = P_m Y_mq  (q > m),  Y_{m,m+1} = Q_m G_{m+1,m+1},
+        Y_mq = (Q_m P_{m+1}) Y_{m+1,q},
+
+    so each block of G enters only through its diagonal, an r x K factor Y
+    and r x r products: O(N^2 r^2 K + N K^3) work, O(N K^2 + N^2 K) memory,
+    no K x K coupling formed, and every block formed is a block of G,
+    bounded by 1/sigma^2.  The error diagonal in the basis V = mix (x) I_K
+    is diag(V G V^H) = sum_{m,q} mix[a, m] conj(mix[a, q]) diag(G_mq).  The
+    estimate G T^H u takes two block substitutions with L, whose
+    sub-diagonal blocks E_m = Q_m^H V_m^H stay factored.  Returns the (N, K)
+    error diagonal in the V basis and the (N, K) estimate in the T basis.
     """
     n, k, _ = d.shape
-    a_diag = _gram(d, sigma2)
-    a_diag[:-1] += _herm(s[1:]) @ s[1:]
-    a_up = _herm(s[1:]) @ d[1:]                  # block (m, m+1) of T^H T
-    l_inv = np.empty_like(d)
-    e = np.empty_like(d[1:])                     # e[m] = E_m, block (m+1, m) of L
-    l_inv[0] = _inverse_factor(a_diag[0])
-    for m in range(n - 1):
-        e[m] = _herm(l_inv[m] @ a_up[m])
-        l_inv[m + 1] = _inverse_factor(a_diag[m + 1] - e[m] @ _herm(e[m]))
+    rank = r.shape[0]
+    r_h = _herm(r)
+    q = _herm(x[1:]) @ d[1:]                     # Q_m, block (m, m+1) of T^H T is R^H Q_m
+    s = _gram(d, sigma2)
+    s[:-1] += r_h @ (_herm(x[1:]) @ x[1:]) @ r
+    l_inv = np.empty_like(s)
+    v = np.empty((n, k, rank), dtype=s.dtype)    # V_m = L_m^{-1} R^H
+    for m in range(n):
+        if m:
+            s[m] -= _herm(q[m - 1]) @ (_herm(v[m - 1]) @ v[m - 1]) @ q[m - 1]
+        l_inv[m] = _inverse_factor(s[m])
+        v[m] = l_inv[m] @ r_h
+    p = -(_herm(l_inv) @ v)                      # P_m = -S_m^{-1} R^H
 
-    mix_h = mix.conj()
-    mse = np.zeros((mix.shape[0], k))
-    for p in range(n):
-        z_row = l_inv[:1] if p == 0 else np.concatenate(
-            (-(l_inv[p] @ e[p - 1]) @ z_row, l_inv[p:p + 1]))
-        r = np.tensordot(mix_h[:, :p + 1], z_row, axes=1)
-        mse += np.sum(r.real ** 2 + r.imag ** 2, axis=1)
+    g = np.empty((n, n, k), dtype=s.dtype)       # g[m, q] = diag(G_mq)
+    g[range(n), range(n)] = np.sum(l_inv.real ** 2 + l_inv.imag ** 2, axis=1)  # diag(S_m^{-1})
+    y = np.empty((rank, n * k), dtype=s.dtype)   # block q > m: Y_mq
+    h = np.zeros((rank, rank), dtype=s.dtype)    # Q_m G_{m+1,m+1} Q_m^H
+    for m in reversed(range(n)):
+        g[m, m] += np.sum((p[m] @ h) * p[m].conj(), axis=1)
+        y_m = y[:, (m + 1) * k:].reshape(rank, n - m - 1, k)
+        g[m, m + 1:] = np.einsum("jk,jqk->qk", p[m].T, y_m)
+        g[m + 1:, m] = g[m, m + 1:].conj()
+        if m:
+            qp = q[m - 1] @ p[m]
+            y[:, (m + 1) * k:] = qp @ y[:, (m + 1) * k:]
+            y_next = (q[m - 1] @ _herm(l_inv[m])) @ l_inv[m] + qp @ (h @ _herm(p[m]))
+            y[:, m * k:(m + 1) * k] = y_next         # Y_{m-1,m} = Q_{m-1} G_mm
+            h = y_next @ _herm(q[m - 1])
+    mse = np.einsum("am,mak->ak", mix, mix.conj() @ g).real
 
     w = (_herm(d) @ u[..., np.newaxis])[..., 0]
-    w[:-1] += (_herm(s[1:]) @ u[1:, :, np.newaxis])[..., 0]
+    w[:-1] += (_herm(x[1:]) @ u[1:, :, np.newaxis])[..., 0] @ r.conj()
     z = np.empty_like(w)
-    for m in range(n):
-        z[m] = l_inv[m] @ (w[m] if m == 0 else w[m] - e[m - 1] @ z[m - 1])
-    x = np.empty_like(z)
-    for m in reversed(range(n)):
-        x[m] = _herm(l_inv[m]) @ (z[m] if m == n - 1 else z[m] - _herm(e[m]) @ x[m + 1])
-    return mse, x
+    z[0] = l_inv[0] @ w[0]
+    for m in range(1, n):
+        z[m] = l_inv[m] @ (w[m] - _herm(q[m - 1]) @ (_herm(v[m - 1]) @ z[m - 1]))
+    a = np.empty_like(z)
+    a[-1] = _herm(l_inv[-1]) @ z[-1]
+    for m in reversed(range(n - 1)):
+        a[m] = _herm(l_inv[m]) @ (z[m] - v[m] @ (q[m] @ a[m + 1]))
+    return mse, a

@@ -171,8 +171,10 @@ class TestLoadConfig:
         ("speeds_kmh = 50, 50.0", "speeds_kmh lists a value twice"),
         ("snr_db = 10, 10", "snr_db lists a value twice"),
         ("speeds_kmh = -50", "speeds_kmh must be finite and >= 0, got -50"),
+        ("snr_db = nan", "snr_db must be finite, got nan"),
+        ("snr_db = inf", "snr_db must be finite, got inf"),
     ], ids=["empty_speeds", "empty_waveforms", "duplicate_waveform", "duplicate_speed",
-            "duplicate_snr", "negative_speed"])
+            "duplicate_snr", "negative_speed", "nan_snr", "inf_snr"])
     def test_bad_sweep_axis_is_a_config_error(self, tmp_path, capsys, line, match):
         # each once gave 0 rows, duplicated rows or a traceback per cell
         path = write_config(tmp_path, DESK_LINES + "trials = 1\n" + line + "\n")
@@ -315,6 +317,36 @@ class TestWorkerCount:
         cfg = write_config(tmp_path, DESK_LINES + "waveforms = otfs\ntrials = 1\n")
         assert main(["run", "--config", cfg]) == 2
         assert "config error: DDMOD_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads, trials, pools", [
+        ("64", 1, []), ("64", 3, [3]), ("2", 3, [2]),
+    ])
+    def test_pool_is_no_larger_than_the_grid(self, monkeypatch, threads, trials, pools):
+        # a fork pool starts max_workers processes at once, however few points there are
+        built = []
+
+        class Recording:
+            """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
+
+            def __init__(self, max_workers=None, initializer=None):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setenv("DDMOD_THREADS", threads)
+        cfg = ExperimentConfig(modem=desk_config(), waveforms=("otfs",), snr_db=(10.0,),
+                               speeds_kmh=(500.0,), trials=trials)
+        rows, failures = run_sweep(cfg)
+        assert built == pools
+        assert len(rows) == trials and not failures
 
 
 class TestRunPsd:

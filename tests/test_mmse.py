@@ -1,9 +1,12 @@
-"""The blocked triangular inverse behind every MMSE route, against scipy.
+"""The blocked triangular inverse and the block-bidiagonal MMSE, against dense references.
 
 ``mmse._tril_inverse`` replaces LAPACK ``trtri``; scipy's
-``solve_triangular`` is its reference here and nowhere in the library.  The
-structured routes and the dense oracle share ``mmse._inverse_factor``, so a
-matrix that is not positive definite must raise the same error on both.
+``solve_triangular`` is its reference here and nowhere in the library.
+``mmse.bidiagonal_mmse`` must give the error diagonal and the estimate of
+the dense inverse of T^H T + sigma^2 I for any rank of its factored
+sub-diagonal blocks, including 0 and more than K.  The structured routes and
+the dense oracle share ``mmse._inverse_factor``, so a matrix that is not
+positive definite must raise the same error on both.
 """
 
 import numpy as np
@@ -53,6 +56,39 @@ def test_inverse_factor_is_the_inverse_cholesky_factor():
     assert np.allclose(l_inv @ a @ mmse._herm(l_inv), np.eye(40), atol=1e-12)
 
 
+def complex_normal(rng, *shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), k=st.integers(1, 8), rank=st.sampled_from(["0", "1", "K-1", "K+2"]),
+       seed=st.integers(0, 2**16), sigma2=st.sampled_from([1e-4, 1e-2, 1.0]))
+@example(n=1, k=1, rank="K+2", seed=0, sigma2=1e-4)
+@example(n=6, k=8, rank="0", seed=1, sigma2=1e-4)
+@example(n=6, k=8, rank="K-1", seed=2, sigma2=1e-4)
+def test_bidiagonal_mmse_matches_dense_inverse(n, k, rank, seed, sigma2):
+    r_dim = {"0": 0, "1": 1, "K-1": k - 1, "K+2": k + 2}[rank]
+    rng = np.random.default_rng(seed)
+    d = complex_normal(rng, n, k, k)
+    x = complex_normal(rng, n, k, r_dim)
+    r = complex_normal(rng, r_dim, k) / np.sqrt(max(r_dim, 1))
+    u = complex_normal(rng, n, k)
+    mix = np.linalg.qr(complex_normal(rng, n, n))[0]
+    t = np.zeros((n * k, n * k), dtype=complex)
+    for m in range(n):
+        t[m * k:(m + 1) * k, m * k:(m + 1) * k] = d[m]
+        if m:
+            t[m * k:(m + 1) * k, (m - 1) * k:m * k] = x[m] @ r
+    g = np.linalg.inv(t.conj().T @ t + sigma2 * np.eye(n * k))
+    v = np.kron(mix, np.eye(k))
+    mse_ref = np.diag(v @ g @ v.conj().T).real.reshape(n, k)
+    est_ref = (g @ t.conj().T @ u.ravel()).reshape(n, k)
+    mse, est = mmse.bidiagonal_mmse(d, x, r, u, sigma2, mix)
+    assert mse.shape == est.shape == (n, k)
+    assert np.abs(mse - mse_ref).max() <= 1e-10 * np.abs(mse_ref).max()
+    assert np.abs(est - est_ref).max() <= 1e-10 * np.abs(est_ref).max()
+
+
 K = 20
 
 
@@ -60,8 +96,8 @@ K = 20
     lambda: mmse._inverse_factor(-np.eye(K)),
     lambda: mmse._inverse_factor(np.stack((np.eye(K), np.diag(np.r_[np.ones(K - 1), -1.0])))),
     lambda: mmse.per_symbol_mmse(np.zeros((2, K, K)), np.ones((K, 2)), 0.0),
-    lambda: mmse.bidiagonal_mmse(np.zeros((2, K, K)), np.zeros((2, K, K)), np.ones((2, K)), 0.0,
-                                 np.eye(2)),
+    lambda: mmse.bidiagonal_mmse(np.zeros((2, K, K)), np.zeros((2, K, 3)), np.zeros((3, K)),
+                                 np.ones((2, K)), 0.0, np.eye(2)),
 ], ids=["single", "stack", "per-symbol", "bidiagonal"])
 def test_structured_route_rejects_a_gram_that_is_not_positive_definite(route):
     with pytest.raises(IllConditionedError):

@@ -95,7 +95,9 @@ def test_delay_domain_blocks_match_dense(case, guard_nulling, data):
     cfg = dataclasses.replace(cfg, guard_nulling=guard_nulling,
                               n_guard=data.draw(st.integers(0, (cfg.k - 1) // 2)))
     chan = ch.realize(paths, cfg, with_cp=False)
-    heads, tails = _delay_domain_blocks(chan, cfg)
+    heads, x, r = _delay_domain_blocks(chan, cfg)
+    tails = x @ r
+    assert x.shape[-1] == cfg.filter_len - 1    # the rank of every tail block
     assert heads.shape == tails.shape == (cfg.n, cfg.k, cfg.k)
     for m in range(cfg.n):
         head, tail = dense_delay_domain_blocks(chan, cfg, m)
@@ -112,7 +114,8 @@ def test_closed_forms_at_table1_shape(pulse):
     cp_set = ch.realize(paths, cfg, with_cp=True)
     cpless = ch.channel_matrices(cp_set.realization, cfg, with_cp=False)
     ft = per_symbol_ft_channel(cp_set, cfg)
-    heads, tails = _delay_domain_blocks(cpless, cfg)
+    heads, x, r = _delay_domain_blocks(cpless, cfg)
+    tails = x @ r
     for i in (0, cfg.n - 1):
         assert close(ft[i], dense_ft_block(cp_set, cfg, i))
         head, tail = dense_delay_domain_blocks(cpless, cfg, i)
@@ -137,7 +140,8 @@ def test_header_only_dump_gives_all_zero_blocks():
                                      tap_index=np.zeros(0, dtype=int), l_ch=3)
     assert empty.tap_index.size == 0
     ft = per_symbol_ft_channel(ch.ChannelMatrixSet(realization=empty, cols=ko + cfg.n_cp), cfg)
-    heads, tails = _delay_domain_blocks(ch.ChannelMatrixSet(realization=empty, cols=ko), cfg)
+    heads, x, r = _delay_domain_blocks(ch.ChannelMatrixSet(realization=empty, cols=ko), cfg)
+    tails = x @ r
     for blocks in (ft, heads, tails):
         assert blocks.shape == (cfg.n, cfg.k, cfg.k) and not blocks.any()
 
