@@ -11,7 +11,7 @@ import numpy as np
 from ddmod.harness import config_from_dict, run_sweep
 
 raw = {
-    "k": "32", "n": "8", "o_s": "4", "b": "4", "d": "8", "filter_len": "16",
+    "k": "32", "n": "8", "o_s": "4", "b": "4", "filter_len": "16",
     "waveforms": "otfs, drufmc, ofdm-full, ofdm-onetap",
     "snr_db": "0, 10, 20, 30",
     "speeds_kmh": "50, 500",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 
@@ -13,10 +15,11 @@ class ConfigError(ValueError):
 DEFAULT_T_CP_S = 0.586e-6
 
 
-def check_guard_count(n_guard: int, k: int) -> None:
-    """Refuse a per-edge guard count outside 0 <= 2*N_G < K."""
+def live_rows(k: int, n_guard: int) -> slice:
+    """Rows [N_G, K - N_G) of a K-row grid, all but the 2*N_G edge ones; needs 0 <= 2*N_G < K."""
     if not 0 <= 2 * n_guard < k:
         raise ConfigError(f"invalid guard count: need 0 <= 2*N_G < K={k}, got N_G={n_guard}")
+    return slice(n_guard, k - n_guard)
 
 
 def cp_samples(t_cp_s: float, k: int, delta_f_hz: float, o_s: int) -> int:
@@ -30,14 +33,14 @@ class ModemConfig:
 
     Defaults are the reference simulation setup: 128 subcarriers spaced
     120 kHz, 16 symbols, 10x oversampling, 8 subbands of 16 subcarriers
-    filtered by a length-60, 100 dB Dolph-Chebyshev prototype.
+    filtered by a length-60, 100 dB Dolph-Chebyshev prototype.  The subband
+    width D = K/B is derived; :meth:`__post_init__` states the value rules.
     """
 
     k: int = 128                  # subcarriers (delay bins), must be even
     n: int = 16                   # symbols (Doppler bins)
     o_s: int = 10                 # oversampling factor
-    b: int = 8                    # subband count
-    d: int = 16                   # subcarriers per subband
+    b: int = 8                    # subband count; D = K/B subcarriers each
     filter_len: int = 60          # prototype filter taps (L)
     filter_att_db: float = 100.0  # prototype side-lobe attenuation
     n_cp: int | None = None       # CP samples; None derives from DEFAULT_T_CP_S
@@ -55,31 +58,40 @@ class ModemConfig:
             raise ConfigError(f"N must be >= 1, got {self.n}")
         if self.o_s < 1:
             raise ConfigError(f"O_s must be >= 1, got {self.o_s}")
-        if self.b < 1 or self.d < 1 or self.b * self.d != self.k:
-            raise ConfigError(
-                f"K = B*D violated: K={self.k}, B={self.b}, D={self.d}"
-            )
+        if self.b < 1 or self.k % self.b != 0:
+            raise ConfigError(f"K = B*D violated: B={self.b} does not divide K={self.k}")
         if self.filter_len < 1:
             raise ConfigError(f"filter length must be >= 1, got {self.filter_len}")
         if self.filter_len - 1 >= self.k * self.o_s:
             raise ConfigError(
                 f"filter length {self.filter_len} exceeds symbol span {self.k * self.o_s}"
             )
-        if self.filter_att_db <= 0:
-            raise ConfigError(f"filter attenuation must be > 0 dB, got {self.filter_att_db}")
+        for name in ("delta_f_hz", "f_c_hz", "filter_att_db"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        if self.filter_att_db / 20.0 >= math.log10(sys.float_info.max):
+            raise ConfigError(f"filter_att_db = {self.filter_att_db} overflows 10^(att/20)")
+        if not math.isfinite(self.delta_oob_db):
+            raise ConfigError(f"delta_oob_db must be finite, got {self.delta_oob_db}")
         if self.n_cp is None:
             object.__setattr__(
                 self, "n_cp", cp_samples(DEFAULT_T_CP_S, self.k, self.delta_f_hz, self.o_s)
             )
-        if self.n_cp < 0:
-            raise ConfigError(f"N_CP must be >= 0, got {self.n_cp}")
-        check_guard_count(self.n_guard, self.k)
+        if not 0 <= self.n_cp <= self.k * self.o_s:
+            raise ConfigError(f"N_CP must be in [0, K*O_s = {self.k * self.o_s}], got {self.n_cp}")
+        live_rows(self.k, self.n_guard)
         if self.pulse not in ("ideal", "rrc"):
             raise ConfigError(f"pulse must be 'ideal' or 'rrc', got {self.pulse!r}")
         if self.guard_nulling not in ("accounting", "tx"):
             raise ConfigError(f"guard_nulling must be 'accounting' or 'tx', got {self.guard_nulling!r}")
 
     # Derived quantities ---------------------------------------------------
+
+    @property
+    def d(self) -> int:
+        """Subcarriers per subband, D = K/B."""
+        return self.k // self.b
 
     @property
     def sample_rate_hz(self) -> float:
@@ -122,7 +134,7 @@ def table1_config(**overrides) -> ModemConfig:
 
 
 def desk_config(**overrides) -> ModemConfig:
-    """Small configuration for tests and CI: K=32, N=8, O_s=4, B=4, D=8, L=16."""
-    base = dict(k=32, n=8, o_s=4, b=4, d=8, filter_len=16)
+    """Small configuration for tests and CI: K=32, N=8, O_s=4, B=4 (D=8), L=16."""
+    base = dict(k=32, n=8, o_s=4, b=4, filter_len=16)
     base.update(overrides)
     return ModemConfig(**base)

@@ -29,10 +29,10 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelMatrixSet
-from .config import ModemConfig
+from .config import ModemConfig, live_rows
 from .mmse import bidiagonal_mmse, mmse_sinr
-from .ofdm import _live_rows, _path_ft_blocks, _tx_guard, _tx_null, apply_channel
-from .transforms import dft_matrix, invec, isfft, oversampled_dft, sfft, ufmc_precoder, vec
+from .ofdm import _demodulate, _path_ft_blocks, _tx_guard, _tx_null, apply_channel
+from .transforms import dft_matrix, isfft, oversampled_dft, sfft, ufmc_precoder, vec
 
 
 def overlap_add(x_tilde: np.ndarray, cfg: ModemConfig) -> np.ndarray:
@@ -64,7 +64,7 @@ def ufmc_modulate_ft(x_ft: np.ndarray, cfg: ModemConfig, n_guard: int = 0) -> np
     x_ft = np.asarray(x_ft)
     if x_ft.shape[-2:] != (cfg.k, cfg.n):
         raise ValueError(f"dimension mismatch: expected {(cfg.k, cfg.n)}, got {x_ft.shape}")
-    live = _live_rows(cfg, n_guard)
+    live = live_rows(cfg.k, n_guard)
     x_tilde = ufmc_precoder(cfg)[:, live] @ x_ft[..., live, :]
     return vec(overlap_add(x_tilde, cfg))
 
@@ -76,16 +76,7 @@ def drufmc_modulate(x_dd: np.ndarray, cfg: ModemConfig, n_guard: int = 0) -> np.
 
 def drufmc_demodulate(r: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     """Recover the delay-Doppler grid: drop channel tails, oversampled FFT, SFFT."""
-    r = np.asarray(r)
-    if r.size % cfg.n != 0:
-        raise ValueError(f"dimension mismatch: length {r.size} not divisible by N={cfg.n}")
-    block = r.size // cfg.n
-    ko = cfg.k * cfg.o_s
-    if block < ko:
-        raise ValueError(f"dimension mismatch: received block {block} shorter than {ko}")
-    rr = invec(r, block)
-    y_ft = oversampled_dft(cfg.k, cfg.o_s) @ rr[:ko, :]
-    return sfft(y_ft)
+    return sfft(_demodulate(r, cfg, 0))
 
 
 def _delay_domain_blocks(chan: ChannelMatrixSet,

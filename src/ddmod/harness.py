@@ -138,7 +138,7 @@ def load_config(path: str, desk: bool = False) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -499,6 +499,9 @@ def main(argv=None) -> int:
     _pin_blas()
     run = args.command == "run"
     try:
+        out_dir = os.path.dirname(args.out or "") or "."
+        if not os.path.isdir(out_dir):
+            raise ConfigError(f"--out directory {out_dir} does not exist")
         if run:
             cfg = replace(load_config(args.config, desk=not args.full), timing=args.timing)
             rows, failures = run_sweep(cfg, out_path=args.out)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModemConfig, check_guard_count
+from .config import ModemConfig, live_rows
 from .mmse import IllConditionedError, _inverse_factor
 
 
@@ -65,16 +65,9 @@ def sinr_map(c, sigma2: float, cfg: ModemConfig | None = None) -> np.ndarray:
     return vals.reshape(n, k).T
 
 
-def _interior(values: np.ndarray, n_guard: int) -> np.ndarray:
-    """Rows [n_guard, K - n_guard) of a (K, N) SINR grid: the non-guard bins."""
-    k = values.shape[0]
-    check_guard_count(n_guard, k)
-    return values[n_guard:k - n_guard, :]
-
-
 def net_sinr(values: np.ndarray, n_guard: int = 0) -> float:
     """Linear-domain mean SINR of a (K, N) grid over non-guard bins, reported in dB."""
-    return 10.0 * np.log10(_interior(values, n_guard).mean())
+    return 10.0 * np.log10(values[live_rows(values.shape[0], n_guard)].mean())
 
 
 def avg_spectral_efficiency(values: np.ndarray, efficiency: float, n_guard: int = 0) -> float:
@@ -83,7 +76,7 @@ def avg_spectral_efficiency(values: np.ndarray, efficiency: float, n_guard: int 
     ``values`` is the (K, N) linear SINR grid; guard bins contribute zero but
     stay in the K*N normalization.
     """
-    interior = _interior(values, n_guard)
+    interior = values[live_rows(values.shape[0], n_guard)]
     return efficiency * np.log2(1.0 + interior).sum() / values.size
 
 

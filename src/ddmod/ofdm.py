@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelMatrixSet
-from .config import ModemConfig, check_guard_count
+from .config import ModemConfig, live_rows
 from .mmse import mmse_sinr, per_symbol_mmse
 from .transforms import invec, oversampled_dft, oversampled_idft, vec
 
@@ -32,14 +32,8 @@ def _tx_guard(cfg: ModemConfig) -> int:
 def _tx_null(cfg: ModemConfig) -> np.ndarray:
     """1 on transmitted subcarriers, 0 on the :func:`_tx_guard` edge subcarriers each side."""
     mask = np.zeros(cfg.k)
-    mask[_live_rows(cfg, _tx_guard(cfg))] = 1.0
+    mask[live_rows(cfg.k, _tx_guard(cfg))] = 1.0
     return mask
-
-
-def _live_rows(cfg: ModemConfig, n_guard: int) -> slice:
-    """Grid rows [n_guard, K - n_guard): every subcarrier but the 2*n_guard edge ones."""
-    check_guard_count(n_guard, cfg.k)
-    return slice(n_guard, cfg.k - n_guard)
 
 
 def ofdm_modulate(x_ft: np.ndarray, cfg: ModemConfig, n_guard: int = 0) -> np.ndarray:
@@ -52,7 +46,7 @@ def ofdm_modulate(x_ft: np.ndarray, cfg: ModemConfig, n_guard: int = 0) -> np.nd
     x_ft = np.asarray(x_ft)
     if x_ft.shape[-2:] != (cfg.k, cfg.n):
         raise ValueError(f"dimension mismatch: expected {(cfg.k, cfg.n)}, got {x_ft.shape}")
-    live = _live_rows(cfg, n_guard)
+    live = live_rows(cfg.k, n_guard)
     s = np.empty((*x_ft.shape[:-2], cfg.block_len, cfg.n), dtype=complex)
     w_h = oversampled_idft(cfg.k, cfg.o_s)[:, live]
     np.matmul(w_h, x_ft[..., live, :], out=s[..., cfg.n_cp:, :])
@@ -86,18 +80,21 @@ def apply_channel(
     return r
 
 
-def ofdm_demodulate(r: np.ndarray, cfg: ModemConfig) -> np.ndarray:
-    """Recover the K x N frequency-time grid: CP and tail removal, oversampled FFT."""
+def _demodulate(r: np.ndarray, cfg: ModemConfig, n_cp: int) -> np.ndarray:
+    """K x N frequency-time grid of N received blocks: R_cp keeps the K*O_s samples
+    after ``n_cp`` CP samples, dropping the channel tail, then the oversampled FFT W."""
     r = np.asarray(r)
     if r.size % cfg.n != 0:
         raise ValueError(f"dimension mismatch: length {r.size} not divisible by N={cfg.n}")
-    block = r.size // cfg.n
-    l_ch = block - cfg.k * cfg.o_s - cfg.n_cp + 1
-    if l_ch < 1:
-        raise ValueError(f"dimension mismatch: received block {block} too short")
-    rr = invec(r, block)
-    z = rr[cfg.n_cp:cfg.n_cp + cfg.k * cfg.o_s, :]          # R_cp @ rr
-    return oversampled_dft(cfg.k, cfg.o_s) @ z
+    block, ko = r.size // cfg.n, cfg.k * cfg.o_s
+    if block < n_cp + ko:
+        raise ValueError(f"dimension mismatch: received block {block} shorter than {n_cp + ko}")
+    return oversampled_dft(cfg.k, cfg.o_s) @ invec(r, block)[n_cp:n_cp + ko, :]
+
+
+def ofdm_demodulate(r: np.ndarray, cfg: ModemConfig) -> np.ndarray:
+    """Recover the K x N frequency-time grid: CP and tail removal, oversampled FFT."""
+    return _demodulate(r, cfg, cfg.n_cp)
 
 
 def _path_ft_blocks(chan: ChannelMatrixSet, cfg: ModemConfig, n_cp: int) -> np.ndarray:

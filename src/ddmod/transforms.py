@@ -189,7 +189,7 @@ def ufmc_precoder(cfg: ModemConfig) -> np.ndarray:
         return out
 
     return _cached(
-        ("ufmc", cfg.k, cfg.o_s, cfg.b, cfg.d, cfg.filter_len, float(cfg.filter_att_db)),
+        ("ufmc", cfg.k, cfg.o_s, cfg.b, cfg.filter_len, float(cfg.filter_att_db)),
         build,
     )
 

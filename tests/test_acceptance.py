@@ -94,7 +94,7 @@ def test_criterion_3_dual_construction():
             for b in (1, 2, 4):
                 for filter_len in (1, 3, 5):
                     for n in (1, 2, 4):
-                        cfg = desk_config(k=k, o_s=o_s, b=b, d=k // b, n=n,
+                        cfg = desk_config(k=k, o_s=o_s, b=b, n=n,
                                           filter_len=filter_len, filter_att_db=60.0)
                         rng = np.random.default_rng((k, o_s, b, filter_len, n))
                         x = qpsk_grid(rng, k, n)
@@ -301,7 +301,7 @@ def test_criterion_8_cli_determinism(tmp_path):
     """Two identical CLI runs produce byte-identical CSV output."""
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
-        "k = 32\nn = 8\no_s = 4\nb = 4\nd = 8\nfilter_len = 16\n"
+        "k = 32\nn = 8\no_s = 4\nb = 4\nfilter_len = 16\n"
         "waveforms = otfs, drufmc, ofdm-full, ofdm-onetap\n"
         "snr_db = 10\nspeeds_kmh = 500\ntrials = 2\nseed = 3\n"
     )

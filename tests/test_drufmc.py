@@ -58,7 +58,7 @@ class TestModulate:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_dual_construction(self, k, o_s, b, filter_len, n):
         # procedural overlap-add equals the stacked-precoder matrix route
-        cfg = desk_config(k=k, o_s=o_s, b=b, d=k // b, filter_len=filter_len,
+        cfg = desk_config(k=k, o_s=o_s, b=b, filter_len=filter_len,
                           n=n, filter_att_db=60.0)
         rng = np.random.default_rng(k * 1000 + o_s * 100 + b * 10 + filter_len + n)
         x = qpsk_grid(rng, k, n)
@@ -148,7 +148,7 @@ class TestDemodulate:
 
 class TestEffectiveChannel:
     def test_degenerate_config_gives_identity(self):
-        cfg = desk_config(b=1, d=32, filter_len=1)
+        cfg = desk_config(b=1, filter_len=1)
         chan = ch.realize(ch.ideal_path(), cfg, with_cp=False)
         eff = drufmc.drufmc_effective_channel(chan, cfg)
         assert np.abs(eff - np.eye(cfg.k * cfg.n)).max() < 1e-10
@@ -168,7 +168,7 @@ class TestEffectiveChannel:
     def test_matches_literal_block_definition(self):
         # independent oracle: KN x (K*O_s*N) per-symbol map assembled entry by
         # entry, times the stacked precoder and the input-side Kronecker DFT
-        cfg = desk_config(k=8, o_s=2, b=2, d=4, filter_len=3, n=4, filter_att_db=50.0)
+        cfg = desk_config(k=8, o_s=2, b=2, filter_len=3, n=4, filter_att_db=50.0)
         chan = ch.realize(ch.sample_eva_paths(9, 500 / 3.6, cfg.f_c_hz), cfg,
                           with_cp=False)
         k, n, ko = cfg.k, cfg.n, cfg.k * cfg.o_s
@@ -192,7 +192,7 @@ class TestSpectralConfinement:
     def _single_subband_oob(att_db, seed=17):
         # max PSD outside the active subband plus the prototype's measured
         # transition width (first crossing below -(A_dB - 10))
-        cfg = desk_config(k=64, o_s=4, b=8, d=8, filter_len=32, filter_att_db=att_db)
+        cfg = desk_config(k=64, o_s=4, b=8, filter_len=32, filter_att_db=att_db)
         filt = prototype_filter(cfg)
         h = np.abs(np.fft.fft(filt, 1 << 16))
         h_db = 20 * np.log10(h / h.max() + 1e-300)

@@ -35,7 +35,7 @@ def write_config(tmp_path, text, name="exp.cfg"):
     return str(path)
 
 
-DESK_LINES = "k = 32\nn = 8\no_s = 4\nb = 4\nd = 8\nfilter_len = 16\n"
+DESK_LINES = "k = 32\nn = 8\no_s = 4\nb = 4\nfilter_len = 16\n"
 
 
 class TestLoadConfig:
@@ -51,7 +51,7 @@ class TestLoadConfig:
 
     def test_k_bd_constraint_violation(self, tmp_path):
         with pytest.raises(ConfigError, match=r"K = B\*D"):
-            load_config(write_config(tmp_path, "k = 12\nd = 16\nb = 8\n"))
+            load_config(write_config(tmp_path, "k = 12\nb = 8\n"))
 
     def test_oversampling_constraint(self, tmp_path):
         with pytest.raises(ConfigError, match="O_s"):
@@ -62,7 +62,8 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, "k = 32\nnot a pair\n"))
 
     def test_unknown_key_rejected(self, tmp_path):
-        for line in ("mystery = 12", "out = x.csv", "p_t = 2", "onetap = zf", "channel = ideal"):
+        for line in ("mystery = 12", "out = x.csv", "p_t = 2", "onetap = zf", "channel = ideal",
+                     "d = 16"):
             with pytest.raises(ConfigError, match="unknown key"):
                 load_config(write_config(tmp_path, line + "\n"))
 
@@ -74,8 +75,48 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r":3: key .* already set on line 1"):
             load_config(write_config(tmp_path, text))
 
+    @pytest.mark.parametrize("line, match", [
+        ("f_c_hz = nan", "f_c_hz must be finite and > 0, got nan"),
+        ("f_c_hz = 0", "f_c_hz must be finite and > 0, got 0.0"),
+        ("delta_f_hz = nan", "delta_f_hz must be finite and > 0, got nan"),
+        ("delta_f_hz = 0", "delta_f_hz must be finite and > 0, got 0.0"),
+        ("delta_f_hz = -120e3", "delta_f_hz must be finite and > 0, got -120000.0"),
+        ("filter_att_db = nan", "filter_att_db must be finite and > 0, got nan"),
+        ("filter_att_db = inf", "filter_att_db must be finite and > 0, got inf"),
+        ("filter_att_db = 10000", "filter_att_db = 10000.0 overflows 10\\^\\(att/20\\)"),
+        ("delta_oob_db = nan", "delta_oob_db must be finite, got nan"),
+    ], ids=["nan_carrier", "zero_carrier", "nan_spacing", "zero_spacing", "negative_spacing",
+            "nan_attenuation", "inf_attenuation", "overflowing_attenuation", "nan_oob"])
+    def test_bad_float_field_is_a_config_error(self, tmp_path, capsys, line, match):
+        # each once wrote NaN rows, failed every cell or ended in a traceback
+        path = write_config(tmp_path, "waveforms = otfs, drufmc\ntrials = 1\n" + line + "\n")
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
+        out = tmp_path / "out.csv"
+        for command in ("run", "psd"):
+            assert main([command, "--config", path, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        assert all(re.fullmatch(f"config error: {match}.*", err) for err in lines)
+        assert not out.exists()
+
+    def test_cp_may_span_the_whole_symbol_and_no_more(self):
+        # a longer CP once copied never-written buffer rows into every frame
+        assert desk_config(n_cp=32 * 4).block_len == 2 * 32 * 4
+        with pytest.raises(ConfigError, match=r"N_CP must be in \[0, K\*O_s = 128\], got 129"):
+            desk_config(n_cp=32 * 4 + 1)
+
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"# caf\xe9\nk = 32\n")
+        with pytest.raises(ConfigError, match="cannot read config .*utf-8"):
+            load_config(str(path))
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config") and err.count("\n") == 1
+
     def test_every_modem_field_is_a_config_key(self, tmp_path):
-        values = dict(k=16, n=4, o_s=2, b=2, d=8, filter_len=5, filter_att_db=60.5, n_cp=3,
+        values = dict(k=16, n=4, o_s=2, b=2, filter_len=5, filter_att_db=60.5, n_cp=3,
                       delta_f_hz=15e3, f_c_hz=3.5e9, n_guard=1, delta_oob_db=-40.0,
                       pulse="rrc", guard_nulling="tx")
         assert set(values) == {f.name for f in dataclasses.fields(ModemConfig)}
@@ -187,6 +228,20 @@ class TestLoadConfig:
         assert err.count(f"config error: {match.split(',')[0]}") == 2
 
 
+    @pytest.mark.parametrize("command", ["run", "psd"])
+    def test_out_into_a_missing_directory_is_refused_before_any_work(self, tmp_path, monkeypatch,
+                                                                      capsys, command):
+        # the sweep once ran every cell, then died writing the CSV with exit 1
+        calls = []
+        monkeypatch.setattr(harness, "evaluate_point", lambda *args: calls.append(args))
+        monkeypatch.setattr(harness, "_psd_family", lambda *args: calls.append(args))
+        path = write_config(tmp_path, DESK_LINES + "waveforms = otfs\ntrials = 1\npsd_trials = 1\n")
+        out = tmp_path / "missing" / "out.csv"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert calls == []
+        assert capsys.readouterr().err == f"config error: --out directory {out.parent} does not exist\n"
+
+
 class TestSeeding:
     def test_channel_seed_excludes_waveform(self):
         # same grid point must give the same realization to every waveform
@@ -213,7 +268,7 @@ class TestSeeding:
 def desk_exp(**kw):
     base = dict(DESK_LINES=None)
     raw = {
-        "k": "32", "n": "8", "o_s": "4", "b": "4", "d": "8", "filter_len": "16",
+        "k": "32", "n": "8", "o_s": "4", "b": "4", "filter_len": "16",
         "waveforms": "otfs", "snr_db": "10", "speeds_kmh": "500",
         "trials": "2", "seed": "11",
     }
@@ -237,7 +292,7 @@ class TestRunSweep:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_sweep(cfg, out_path=str(a))
         run_sweep(config_from_dict({
-            "k": "32", "n": "8", "o_s": "4", "b": "4", "d": "8", "filter_len": "16",
+            "k": "32", "n": "8", "o_s": "4", "b": "4", "filter_len": "16",
             "waveforms": "otfs, ofdm-onetap", "snr_db": "10", "speeds_kmh": "500",
             "trials": "2", "seed": "11",
         }), out_path=str(b))
@@ -260,7 +315,7 @@ class TestRunSweep:
             assert net_db == pytest.approx(17.0, abs=0.2)
 
     def test_ideal_channel_drufmc_degenerate_filter(self):
-        cfg = desk_config(b=1, d=32, filter_len=1)
+        cfg = desk_config(b=1, filter_len=1)
         net_db = self.ideal_channel_net_sinr_db(cfg, "drufmc")
         assert net_db == pytest.approx(17.0, abs=0.2)
 
@@ -352,7 +407,7 @@ class TestWorkerCount:
 class TestRunPsd:
     def test_psd_csv_and_guard_summary(self, tmp_path):
         raw = {
-            "k": "32", "n": "8", "o_s": "4", "b": "4", "d": "8", "filter_len": "16",
+            "k": "32", "n": "8", "o_s": "4", "b": "4", "filter_len": "16",
             "waveforms": "otfs", "snr_db": "10", "speeds_kmh": "500",
             "trials": "1", "seed": "2", "psd_trials": "10", "delta_oob_db": "-15",
         }
@@ -401,7 +456,7 @@ class TestRunPsd:
             assert summary[wf][0] is dict(estimates)[(wf, 0)]
 
     PSD_RAW = {
-        "k": "32", "n": "8", "o_s": "4", "b": "4", "d": "8", "filter_len": "16",
+        "k": "32", "n": "8", "o_s": "4", "b": "4", "filter_len": "16",
         "waveforms": "otfs, drufmc", "trials": "1", "seed": "2", "psd_trials": "10",
         "delta_oob_db": "-15",
     }
@@ -603,7 +658,7 @@ class TestCli:
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("k = 12\nd = 16\nb = 8\n")
+        cfg.write_text("k = 12\nb = 8\n")
         r = self._run("run", "--config", str(cfg))
         assert r.returncode == 2
         assert "config error" in r.stderr

@@ -228,7 +228,7 @@ class TestPsd:
     @example(64, 1, 0, metrics._WELCH_BATCH_BYTES)
     @example(65, 1, 0, metrics._WELCH_BATCH_BYTES)
     def test_matches_scipy_welch(self, length, trials, seed, batch_bytes):
-        cfg = desk_config(k=8, o_s=2, b=1, d=8, n=2, filter_len=1)
+        cfg = desk_config(k=8, o_s=2, b=1, n=2, filter_len=1)
 
         def frame(rng):
             return crandn(rng, length)
@@ -249,7 +249,7 @@ class TestPsd:
     @example(64, [63], 0, metrics._WELCH_BATCH_BYTES)
     @example(200, [31, 33, 64, 64, 95, 96, 97], 0, 1)
     def test_streamed_pieces_match_scipy_welch(self, length, cuts, seed, batch_bytes):
-        cfg = desk_config(k=8, o_s=2, b=1, d=8, n=2, filter_len=1)
+        cfg = desk_config(k=8, o_s=2, b=1, n=2, filter_len=1)
         x = crandn(np.random.default_rng(seed), length)
         pieces = np.split(x, sorted(min(c, length) for c in cuts))
         with mock.patch.object(metrics, "_WELCH_BATCH_BYTES", batch_bytes):
@@ -284,7 +284,7 @@ class TestPsd:
         np.testing.assert_allclose(est.density, dens, rtol=1e-12, atol=1e-12 * dens.max())
 
     def test_constant_signal_is_dc_line(self):
-        cfg = desk_config(k=8, o_s=2, b=1, d=8, n=2, filter_len=1)
+        cfg = desk_config(k=8, o_s=2, b=1, n=2, filter_len=1)
         est = psd_estimate(np.ones(512, dtype=complex), cfg)
         center = np.argmax(est.density)
         assert abs(est.freqs_hz[center]) < est.sample_rate_hz / 256
@@ -367,7 +367,7 @@ class TestGuardSearch:
     # desk configs whose estimated OOB curve (trials=10, seed=1) falls strictly
     # with the guard count for both families
     @pytest.mark.parametrize("family", ["otfs", "drufmc"])
-    @pytest.mark.parametrize("kw", [{}, dict(k=16, o_s=2, b=4, d=4, filter_len=5, n=4)],
+    @pytest.mark.parametrize("kw", [{}, dict(k=16, o_s=2, b=4, filter_len=5, n=4)],
                              ids=["k32", "k16"])
     def test_bisection_equals_linear_scan(self, kw, family):
         cfg = desk_config(**kw)
@@ -403,7 +403,7 @@ class TestGuardSearch:
             assert got == 0 or levels[got - 1] > thr
 
     def test_unachievable_threshold_raises(self):
-        cfg = desk_config(k=8, o_s=2, b=1, d=8, n=2, filter_len=1)
+        cfg = desk_config(k=8, o_s=2, b=1, n=2, filter_len=1)
 
         def gen(ng):
             return lambda rng: crandn(rng, 256)   # white noise fills the band

@@ -17,7 +17,7 @@ import pytest
 import ddmod
 
 PACKAGE = Path(ddmod.__file__).resolve().parent
-DESK_LINES = "k = 32\nn = 8\no_s = 4\nb = 4\nd = 8\nfilter_len = 16\n"
+DESK_LINES = "k = 32\nn = 8\no_s = 4\nb = 4\nfilter_len = 16\n"
 
 
 def scipy_imports(path: Path) -> list[str]:

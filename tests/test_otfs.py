@@ -131,7 +131,7 @@ class TestEffectiveChannel:
 
     def test_time_invariant_integer_delay_block_is_circulant(self):
         # a pure delay of O_s samples is one delay-bin cyclic shift per Doppler block
-        cfg = desk_config(k=16, n=4, o_s=2, b=4, d=4, n_cp=8)
+        cfg = desk_config(k=16, n=4, o_s=2, b=4, n_cp=8)
         paths = ch.PathSet(
             gains=np.array([1.0 + 0j]),
             delays_s=np.array([cfg.o_s * cfg.sample_period_s]),
@@ -149,7 +149,7 @@ class TestEffectiveChannel:
 
     def test_noise_stays_white_through_receiver(self):
         # receive transform has orthonormal rows, so white noise stays white
-        cfg = desk_config(k=16, n=2, o_s=2, b=4, d=4, n_cp=4)
+        cfg = desk_config(k=16, n=2, o_s=2, b=4, n_cp=4)
         l_ch = 3
         block = cfg.k * cfg.o_s + cfg.n_cp + l_ch - 1
         w = oversampled_dft(cfg.k, cfg.o_s)

@@ -31,7 +31,7 @@ def sweep_configs(draw):
     o_s = draw(st.integers(1, 4))
     ko = k * o_s
     modem = ModemConfig(
-        k=k, n=draw(st.integers(1, 6)), o_s=o_s, b=k // d, d=d,
+        k=k, n=draw(st.integers(1, 6)), o_s=o_s, b=k // d,
         filter_len=draw(st.integers(1, min(ko, 8))), filter_att_db=40.0,
         n_cp=draw(st.one_of(st.just(0), st.integers(1, ko))),
         n_guard=draw(st.integers(0, k // 2 - 1)),

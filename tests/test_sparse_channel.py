@@ -34,7 +34,7 @@ def modem_and_paths(draw):
     o_s = draw(st.integers(1, 3))
     ko = k * o_s
     cfg = ModemConfig(
-        k=k, n=draw(st.integers(1, 4)), o_s=o_s, b=k // d, d=d,
+        k=k, n=draw(st.integers(1, 4)), o_s=o_s, b=k // d,
         filter_len=draw(st.integers(1, min(ko, 6))), filter_att_db=40.0,
         n_cp=draw(st.integers(0, min(ko, 6))),
         pulse=draw(st.sampled_from(["ideal", "rrc"])),

@@ -180,7 +180,7 @@ class TestSelectionMatrix:
 
 class TestSubbandConvMatrix:
     def test_unit_filter_is_identity(self):
-        cfg = desk_config(k=8, o_s=1, b=1, d=8, filter_len=1)
+        cfg = desk_config(k=8, o_s=1, b=1, filter_len=1)
         from ddmod.transforms import prototype_filter
 
         filt = prototype_filter(cfg)
@@ -217,13 +217,13 @@ class TestSubbandConvMatrix:
 
 class TestUfmcPrecoder:
     def test_degenerates_to_oversampled_ifft(self):
-        cfg = desk_config(k=16, o_s=2, b=1, d=16, filter_len=1)
+        cfg = desk_config(k=16, o_s=2, b=1, filter_len=1)
         p = ufmc_precoder(cfg)
         w = oversampled_dft(16, 2)
         assert np.abs(p - w.conj().T).max() < 1e-12
 
     def test_columns_follow_their_subband(self):
-        cfg = desk_config(k=16, o_s=2, b=4, d=4, filter_len=5, filter_att_db=50.0)
+        cfg = desk_config(k=16, o_s=2, b=4, filter_len=5, filter_att_db=50.0)
         from ddmod.transforms import prototype_filter
 
         p = ufmc_precoder(cfg)
@@ -237,7 +237,7 @@ class TestUfmcPrecoder:
     def test_against_per_subband_chain(self):
         # independent oracle: per subband, mask + IFFT + explicit convolution sum
         rng = np.random.default_rng(4)
-        cfg = desk_config(k=16, o_s=2, b=4, d=4, filter_len=5, filter_att_db=50.0)
+        cfg = desk_config(k=16, o_s=2, b=4, filter_len=5, filter_att_db=50.0)
         from ddmod.transforms import prototype_filter
 
         x_col = crandn(rng, cfg.k)
