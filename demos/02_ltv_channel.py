@@ -1,8 +1,9 @@
 """Sample a linear time-varying EVA channel and inspect its structure.
 
-Each realization is a set of 9 paths with Jakes-distributed Doppler shifts;
-materialized taps (only the columns the paths reach are stored) define banded
-per-symbol matrices whose band width is the channel memory.
+Each realization is a set of 9 paths with Jakes-distributed Doppler shifts.
+The channel object stores the materialized taps (only the columns the paths
+reach) and applies them as banded per-symbol matrices whose band width is the
+channel memory.
 """
 
 import numpy as np
@@ -21,9 +22,9 @@ print(f"path powers: {np.round(np.abs(paths.gains) ** 2, 4)}")
 print(f"path Dopplers/nu_max: {np.round(paths.dopplers_hz / nu_max, 3)}")
 
 mats = ch.realize(paths, cfg, with_cp=False)
-l_ch = mats.realization.l_ch
+l_ch = mats.l_ch
 print(f"\nchannel memory: L_ch = {l_ch} taps at {cfg.sample_period_s * 1e9:.1f} ns spacing, "
-      f"{mats.realization.tap_index.size} of them active")
+      f"{mats.tap_index.size} of them active")
 m = mats.matrix(0)
 print(f"per-symbol matrix shape: {m.shape} (banded, {l_ch} diagonals)")
 
@@ -33,7 +34,7 @@ x = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
 y = m @ x
 direct = np.zeros(m.shape[0], dtype=complex)
 h = np.zeros((m.shape[0], l_ch), dtype=complex)   # symbol 0: h[r, l], zero off stored columns
-h[:, mats.realization.tap_index] = mats.realization.taps[0]
+h[:, mats.tap_index] = mats.taps[0]
 for r in range(direct.size):
     for ell in range(l_ch):
         if 0 <= r - ell < x.size:

@@ -8,7 +8,6 @@ efficiency, PSD and guard-band analysis, and a deterministic sweep harness.
 
 from .channel import (
     ChannelMatrixSet,
-    LtvChannelRealization,
     PathSet,
     channel_matrices,
     ideal_path,

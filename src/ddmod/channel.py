@@ -1,13 +1,14 @@
 """Seeded EVA/Jakes linear time-varying channels and their banded block matrices.
 
-A realization is a tap tensor h[i, r, l] for symbol i, output sample r and
+A channel is a tap tensor h[i, r, l] for symbol i, output sample r and
 tap index l, where tap l carries the energy of paths whose delay rounds to
 l-1 oversampled samples.  The per-symbol channel matrix places tap l on the
 l-1'th subdiagonal, so a single zero-delay unit tap is exactly the identity
 (embedded over trailing zero rows).  A channel is a sum of a few paths, so
-only the tap columns those paths reach are stored and applied.
+:class:`ChannelMatrixSet`, the one channel type, stores and applies only
+the tap columns those paths reach, with the block width its matrices have.
 
-Generation is pure given (seed, config); realizations are immutable after
+Generation is pure given (seed, config); channels are immutable after
 construction, so parallel Monte-Carlo trials can each own an independent
 generator without shared state.
 """
@@ -15,7 +16,7 @@ generator without shared state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,38 +112,68 @@ def required_l_ch(paths: PathSet, cfg: ModemConfig) -> int:
 
 
 @dataclass(frozen=True)
-class LtvChannelRealization:
-    """Path-sparse taps h[i, r, l] with i = 0..N-1, r = 0..rows-1, l = 0..L_ch-1.
+class ChannelMatrixSet:
+    """Per-symbol banded channel matrices M_i, stored as their path-sparse taps.
 
-    Only the active tap columns are stored: column j of ``taps`` is tap
-    ``tap_index[j]`` (ascending), and every other column of h is zero.
+    ``taps[i, r, j]`` is h[i, r, l] at tap column l = ``tap_index[j]``
+    (ascending); every other column of h is zero and is not stored.  Matrix
+    i has shape (cols + L_ch - 1) x cols with entry (r, c) equal to
+    h[i, r, r - c + 1] for 0 <= r - c <= L_ch - 1 and zero elsewhere
+    (1-based tap indexing; zero-delay taps sit on the main diagonal).  The
+    kernels touch only the active taps and act on all N symbols at once;
+    :meth:`matrix` builds one dense M_i and serves only as a test oracle.
     """
 
-    taps: np.ndarray          # (n_symbols, rows, n_active) complex
+    taps: np.ndarray          # (N, stored rows, n_active) complex
     tap_index: np.ndarray     # (n_active,) ascending tap columns in [0, l_ch)
     l_ch: int
+    cols: int
 
-    @property
-    def n_symbols(self) -> int:
+    def __post_init__(self):
+        if self.taps.shape[1] < self.rows:
+            raise ValueError(
+                f"dimension mismatch: {self.taps.shape[1]} stored tap rows < required {self.rows}"
+            )
+
+    def __len__(self) -> int:
         return self.taps.shape[0]
 
     @property
     def rows(self) -> int:
-        return self.taps.shape[1]
+        return self.cols + self.l_ch - 1
+
+    def matrix(self, i: int) -> np.ndarray:
+        """Dense M_i (oracle for the banded kernels)."""
+        mat = np.zeros((self.rows, self.cols), dtype=complex)
+        c = np.arange(self.cols)
+        for j, ell in enumerate(self.tap_index):
+            mat[c + ell, c] = self.taps[i, c + ell, j]
+        return mat
+
+    def apply(self, blocks: np.ndarray) -> np.ndarray:
+        """(rows, N) array whose column i is M_i @ blocks[:, i]."""
+        x = np.asarray(blocks).T
+        out = np.zeros((len(self), self.rows), dtype=complex)
+        for j, ell in enumerate(self.tap_index):
+            out[:, ell:ell + self.cols] += self.taps[:, ell:ell + self.cols, j] * x
+        return out.T
 
 
-def materialize_taps(paths: PathSet, cfg: ModemConfig, rows: int) -> LtvChannelRealization:
-    """Evaluate the N per-symbol time-varying taps on the active tap columns.
+def materialize_taps(paths: PathSet, cfg: ModemConfig, cols: int) -> ChannelMatrixSet:
+    """The channel of ``cols``-column blocks: the N per-symbol taps on their active columns.
 
     Tap (i, r, l) sums h_p * g((l-1) - tau_p/Ts) * exp(j2*pi*nu_p*((l + r + i - 1)*Ts - Ts/2))
     over paths, with r and i counted from 1 and g the configured shaping pulse
-    (ideal Nyquist rounds each delay to a single unit tap).  The active
-    columns are the union over paths of the rounded delay plus or minus the
-    pulse half-span, inside the :func:`required_l_ch` span; every other
-    column is exactly zero and is not stored.
+    (ideal Nyquist rounds each delay to a single unit tap), on the
+    cols + L_ch - 1 output rows.  The active columns are the union over
+    paths of the rounded delay plus or minus the pulse half-span, inside the
+    :func:`required_l_ch` span; every other column is exactly zero and is
+    not stored.
     """
     ts = cfg.sample_period_s
     half = _pulse_half_span(cfg.pulse)
+    l_ch = required_l_ch(paths, cfg)
+    rows = cols + l_ch - 1
     peaks = [int(round(tau / ts)) for tau in paths.delays_s]
     windows = [(max(0, peak - half), peak + half) for peak in peaks]
     tap_index = np.unique(np.concatenate([np.arange(lo, hi + 1) for lo, hi in windows]))
@@ -159,53 +190,7 @@ def materialize_taps(paths: PathSet, cfg: ModemConfig, rows: int) -> LtvChannelR
         ph_r = np.exp(2j * np.pi * nu * r * ts)
         ph_i = np.exp(2j * np.pi * nu * np.arange(cfg.n) * ts)
         taps[:, :, window] += h_p * np.einsum("i,r,l->irl", ph_i, ph_r, g * ph_ell)
-    return LtvChannelRealization(taps=taps, tap_index=tap_index, l_ch=required_l_ch(paths, cfg))
-
-
-@dataclass(frozen=True)
-class ChannelMatrixSet:
-    """Per-symbol banded channel matrices M_i, applied through their active taps.
-
-    Matrix i has shape (cols + L_ch - 1) x cols with entry (r, c) equal to
-    h[i, r, r - c + 1] for 0 <= r - c <= L_ch - 1 and zero elsewhere
-    (1-based tap indexing; zero-delay taps sit on the main diagonal).  The
-    kernels touch only the active taps and act on all N symbols at once;
-    :meth:`matrix` builds one dense M_i and serves only as a test oracle.
-    """
-
-    realization: LtvChannelRealization
-    cols: int
-
-    def __post_init__(self):
-        if self.realization.rows < self.rows:
-            raise ValueError(
-                f"dimension mismatch: realization rows {self.realization.rows} < required {self.rows}"
-            )
-
-    def __len__(self) -> int:
-        return self.realization.n_symbols
-
-    @property
-    def rows(self) -> int:
-        return self.cols + self.realization.l_ch - 1
-
-    def matrix(self, i: int) -> np.ndarray:
-        """Dense M_i (oracle for the banded kernels)."""
-        real = self.realization
-        mat = np.zeros((self.rows, self.cols), dtype=complex)
-        c = np.arange(self.cols)
-        for j, ell in enumerate(real.tap_index):
-            mat[c + ell, c] = real.taps[i, c + ell, j]
-        return mat
-
-    def apply(self, blocks: np.ndarray) -> np.ndarray:
-        """(rows, N) array whose column i is M_i @ blocks[:, i]."""
-        real = self.realization
-        x = np.asarray(blocks).T
-        out = np.zeros((len(self), self.rows), dtype=complex)
-        for j, ell in enumerate(real.tap_index):
-            out[:, ell:ell + self.cols] += real.taps[:, ell:ell + self.cols, j] * x
-        return out.T
+    return ChannelMatrixSet(taps=taps, tap_index=tap_index, l_ch=l_ch, cols=cols)
 
 
 def _cols(cfg: ModemConfig, with_cp: bool) -> int:
@@ -213,14 +198,11 @@ def _cols(cfg: ModemConfig, with_cp: bool) -> int:
     return cfg.k * cfg.o_s + (cfg.n_cp if with_cp else 0)
 
 
-def channel_matrices(
-    real: LtvChannelRealization, cfg: ModemConfig, with_cp: bool
-) -> ChannelMatrixSet:
-    """Banded per-symbol matrices sized for the CP-bearing or CP-less chain."""
-    return ChannelMatrixSet(realization=real, cols=_cols(cfg, with_cp))
+def channel_matrices(chan: ChannelMatrixSet, cfg: ModemConfig, with_cp: bool) -> ChannelMatrixSet:
+    """The same taps as banded matrices sized for the CP-bearing or CP-less chain."""
+    return replace(chan, cols=_cols(cfg, with_cp))
 
 
 def realize(paths: PathSet, cfg: ModemConfig, with_cp: bool) -> ChannelMatrixSet:
-    """One-stop materialization: path-sparse taps plus matrix set for a modulation."""
-    rows = _cols(cfg, with_cp) + required_l_ch(paths, cfg) - 1
-    return channel_matrices(materialize_taps(paths, cfg, rows=rows), cfg, with_cp=with_cp)
+    """The path-sparse channel of ``paths`` sized for a CP-bearing or CP-less modulation."""
+    return materialize_taps(paths, cfg, _cols(cfg, with_cp))

@@ -49,8 +49,7 @@ def overlap_add(x_tilde: np.ndarray, cfg: ModemConfig) -> np.ndarray:
         )
     n = x_tilde.shape[-1]
     out = x_tilde[..., :ko, :].copy()
-    if cfg.filter_len > 1 and n > 1:
-        out[..., :cfg.filter_len - 1, 1:] += x_tilde[..., ko:, :n - 1]
+    out[..., :cfg.filter_len - 1, 1:] += x_tilde[..., ko:, :n - 1]
     return out
 
 
@@ -96,9 +95,8 @@ def _delay_domain_blocks(chan: ChannelMatrixSet,
     ko = cfg.k * cfg.o_s
     p = ufmc_precoder(cfg) * _tx_null(cfg)
     resp = np.sqrt(ko) * p[::ko].sum(axis=0)   # rows 0 + K*O_s: W^H[0] resp, W^H[0] = 1/sqrt(KO_s)
-    real = chan.realization
-    rows = np.arange(cfg.filter_len - 1)[:, np.newaxis] + real.tap_index  # band, columns < L-1
-    h = real.taps[:, rows, np.arange(rows.shape[1])] * (rows < ko)         # R_tail: rows < K*O_s
+    rows = np.arange(cfg.filter_len - 1)[:, np.newaxis] + chan.tap_index  # band, columns < L-1
+    h = chan.taps[:, rows, np.arange(rows.shape[1])] * (rows < ko)         # R_tail: rows < K*O_s
     band = np.einsum("kcj,mcj->mkc", oversampled_dft(cfg.k, cfg.o_s)[:, rows % ko], h,
                      optimize=True)                                    # W M_m[:K*O_s, :L-1]
     # F_K^H (.) F_K: an inverse FFT down the columns, then an FFT along the rows;

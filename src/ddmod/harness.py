@@ -46,8 +46,8 @@ from .transforms import isfft, vec
 
 #: Waveform name -> (CP-bearing, link).  A link maps (x_dd, chan, cfg, sigma2,
 #: seed) to the (K, N) SINR and estimate grids.  The CP flag picks the
-#: realization, the air-time efficiency (``cp_efficiency()`` or 1) and the PSD
-#: family: the CP-OFDM transmitter ("otfs") or the filtered one ("drufmc").
+#: channel's block width, the air-time efficiency (``cp_efficiency()`` or 1) and
+#: the PSD family: the CP-OFDM transmitter ("otfs") or the filtered one ("drufmc").
 #: CP-bearing links also take the channel's (N, K, K) stack
 #: ``ofdm.per_symbol_ft_channel(chan, cfg)`` as ``ft``.  The order fixes each
 #: waveform's cell seed.
@@ -229,8 +229,8 @@ def _trial_paths(cfg: ExperimentConfig, speed_kmh: float, snr_index: int, trial:
 class GridPoint:
     """Channel work shared by the cells of one (speed, SNR, trial) grid point.
 
-    The taps are materialized once, with the CP-bearing row count; the
-    CP-less set is the same realization with K*O_s columns.  The (N, K, K)
+    The channel is materialized once, for the CP-bearing chain; the CP-less
+    set shares its taps array with K*O_s columns.  The (N, K, K)
     frequency-time stack of the CP-bearing set serves every CP link.  Each
     is built on first use and lives as long as the point.
     """
@@ -248,7 +248,7 @@ class GridPoint:
     def channel(self, with_cp: bool) -> ch.ChannelMatrixSet:
         if with_cp:
             return self.cp_channel
-        return ch.channel_matrices(self.cp_channel.realization, self.cfg.modem, with_cp=False)
+        return ch.channel_matrices(self.cp_channel, self.cfg.modem, with_cp=False)
 
     @cached_property
     def ft(self) -> np.ndarray:
@@ -502,6 +502,8 @@ def main(argv=None) -> int:
         out_dir = os.path.dirname(args.out or "") or "."
         if not os.path.isdir(out_dir):
             raise ConfigError(f"--out directory {out_dir} does not exist")
+        if args.out and os.path.isdir(args.out):
+            raise ConfigError(f"--out {args.out} is a directory")
         if run:
             cfg = replace(load_config(args.config, desk=not args.full), timing=args.timing)
             rows, failures = run_sweep(cfg, out_path=args.out)

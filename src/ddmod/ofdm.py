@@ -102,12 +102,11 @@ def _path_ft_blocks(chan: ChannelMatrixSet, cfg: ModemConfig, n_cp: int) -> np.n
     k, ko = cfg.k, cfg.k * cfg.o_s
     if chan.cols != ko + n_cp:
         raise ValueError(f"dimension mismatch: {chan.cols} channel columns, expected {ko + n_cp}")
-    real = chan.realization
-    seg = real.taps[:, n_cp:n_cp + ko, :].transpose(0, 2, 1).copy()      # (N, P, KO_s)
-    seg[:, np.arange(ko) < real.tap_index[:, np.newaxis] - n_cp] = 0.0
+    seg = chan.taps[:, n_cp:n_cp + ko, :].transpose(0, 2, 1).copy()      # (N, P, KO_s)
+    seg[:, np.arange(ko) < chan.tap_index[:, np.newaxis] - n_cp] = 0.0
     diffs = np.arange(1 - k, k)                                         # f_k' - f_k
     g = np.fft.fft(seg, axis=-1)[..., diffs % ko]                       # (N, P, 2K-1)
-    phase = np.exp(-2j * np.pi * np.outer(real.tap_index, np.arange(k) - k // 2) / ko)
+    phase = np.exp(-2j * np.pi * np.outer(chan.tap_index, np.arange(k) - k // 2) / ko)
     by_diff = np.swapaxes(g, 1, 2) @ (phase / ko)                       # (N, 2K-1, K)
     toeplitz = np.arange(k)[:, np.newaxis] - np.arange(k) + k - 1       # row of f_k' - f_k
     return np.take_along_axis(by_diff, toeplitz[np.newaxis], axis=1)

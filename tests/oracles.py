@@ -1,6 +1,6 @@
 """Dense reference constructions for the path-sparse channel kernels.
 
-The library stores only the active tap columns of a realization and applies
+The library stores only the active tap columns of a channel and applies
 them with banded kernels batched over symbols, or sums over their paths in
 closed form.  The literal dense routes they replaced live here as test
 oracles: the full (N, rows, L_ch) tap tensor, the per-symbol CP core
@@ -63,10 +63,10 @@ def dense_materialize_taps(paths, cfg, rows) -> np.ndarray:
     return taps
 
 
-def dense_taps(real) -> np.ndarray:
-    """The full (n_symbols, rows, l_ch) tensor of a realization, zero off its active columns."""
-    out = np.zeros((real.n_symbols, real.rows, real.l_ch), dtype=complex)
-    out[:, :, real.tap_index] = real.taps
+def dense_taps(chan) -> np.ndarray:
+    """The full (N, stored rows, l_ch) tap tensor of a channel, zero off its active columns."""
+    out = np.zeros((len(chan), chan.taps.shape[1], chan.l_ch), dtype=complex)
+    out[:, :, chan.tap_index] = chan.taps
     return out
 
 

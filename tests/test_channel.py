@@ -61,7 +61,7 @@ class TestEvaPaths:
 class TestMaterializeTaps:
     def test_single_zero_delay_path_collapses(self):
         cfg = desk_config(n=3)
-        real = ch.materialize_taps(ch.ideal_path(), cfg, rows=40)
+        real = ch.materialize_taps(ch.ideal_path(), cfg, cols=40)
         assert real.l_ch == 1
         assert np.abs(real.taps - 1.0).max() < 1e-12   # same for every (i, r)
 
@@ -69,7 +69,7 @@ class TestMaterializeTaps:
         cfg = desk_config(n=4)
         paths = ch.PathSet(gains=np.array([1.0 + 0j]), delays_s=np.zeros(1),
                            dopplers_hz=np.array([5e3]))
-        real = ch.materialize_taps(paths, cfg, rows=50)
+        real = ch.materialize_taps(paths, cfg, cols=50)
         assert np.abs(np.abs(real.taps) - 1.0).max() < 1e-12
 
     def test_two_path_scalar_formula_oracle(self):
@@ -82,7 +82,7 @@ class TestMaterializeTaps:
             delays_s=np.array([0.0, 5.2 * ts]),
             dopplers_hz=np.array([3.1e3, -8.7e3]),
         )
-        real = ch.materialize_taps(paths, cfg, rows=rows)
+        real = ch.materialize_taps(paths, cfg, cols=rows)
         dense = dense_taps(real)
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -103,7 +103,7 @@ class TestMaterializeTaps:
         ts = cfg.sample_period_s
         paths = ch.PathSet(gains=np.array([1.0 + 0j]),
                            delays_s=np.array([6.4 * ts]), dopplers_hz=np.zeros(1))
-        real = ch.materialize_taps(paths, cfg, rows=16)
+        real = ch.materialize_taps(paths, cfg, cols=16)
         peak = int(round(6.4))
         mags = np.abs(dense_taps(real)[0, 0, :])
         assert mags.argmax() == peak
@@ -111,7 +111,7 @@ class TestMaterializeTaps:
         # raised cosine at integer offsets from an integer delay is a unit tap
         paths_int = ch.PathSet(gains=np.array([1.0 + 0j]),
                                delays_s=np.array([6.0 * ts]), dopplers_hz=np.zeros(1))
-        real_int = ch.materialize_taps(paths_int, cfg, rows=16)
+        real_int = ch.materialize_taps(paths_int, cfg, cols=16)
         expect = np.zeros(real_int.l_ch)
         expect[6] = 1.0
         assert np.abs(dense_taps(real_int)[0, 0, :] - expect).max() < 1e-12
@@ -131,7 +131,7 @@ class TestChannelMatrices:
         paths = ch.sample_eva_paths(1, 500 / 3.6, cfg.f_c_hz)
         mats = ch.realize(paths, cfg, with_cp=False)
         m = mats.matrix(2)
-        l_ch = mats.realization.l_ch
+        l_ch = mats.l_ch
         rows, cols = m.shape
         assert rows == cols + l_ch - 1
         for r in range(rows):
@@ -147,10 +147,10 @@ class TestChannelMatrices:
         i = 1
         m = mats.matrix(i)
         x = crandn(rng, m.shape[1])
-        h = dense_taps(mats.realization)[i]
+        h = dense_taps(mats)[i]
         direct = np.zeros(m.shape[0], dtype=complex)
         for r in range(direct.size):
-            for ell in range(mats.realization.l_ch):
+            for ell in range(mats.l_ch):
                 c = r - ell
                 if 0 <= c < x.size:
                     direct[r] += h[r, ell] * x[c]
@@ -161,7 +161,7 @@ class TestChannelMatrices:
         paths = ch.sample_eva_paths(4, 50 / 3.6, cfg.f_c_hz)
         with_cp = ch.realize(paths, cfg, with_cp=True)
         no_cp = ch.realize(paths, cfg, with_cp=False)
-        l_ch = with_cp.realization.l_ch
+        l_ch = with_cp.l_ch
         ko = cfg.k * cfg.o_s
         assert with_cp.matrix(0).shape == (ko + cfg.n_cp + l_ch - 1, ko + cfg.n_cp)
         assert no_cp.matrix(0).shape == (ko + l_ch - 1, ko)
@@ -170,7 +170,7 @@ class TestChannelMatrices:
 
     def test_short_realization_rejected(self):
         cfg = desk_config()
-        real = ch.materialize_taps(ch.sample_eva_paths(4, 50 / 3.6, cfg.f_c_hz), cfg, rows=12)
+        real = ch.realize(ch.sample_eva_paths(4, 50 / 3.6, cfg.f_c_hz), cfg, with_cp=False)
         with pytest.raises(ValueError, match="dimension mismatch"):
             ch.channel_matrices(real, cfg, with_cp=True)
 

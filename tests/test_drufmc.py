@@ -80,7 +80,7 @@ class TestApplyChannel:
         s = drufmc.drufmc_modulate(qpsk_grid(rng, cfg.k, cfg.n), cfg)
         r = drufmc.apply_channel(s, chan, 0.0)
         ko = cfg.k * cfg.o_s
-        blocks = invec(r, ko + chan.realization.l_ch - 1)
+        blocks = invec(r, ko + chan.l_ch - 1)
         assert np.abs(blocks[:ko, :] - invec(s, ko)).max() < 1e-12
         assert np.abs(blocks[ko:, :]).max() < 1e-12
 
@@ -94,7 +94,7 @@ class TestApplyChannel:
         r = drufmc.apply_channel(s, chan, noise_var=0.0)
         ko = cfg.k * cfg.o_s
         s_blocks = invec(s, ko)
-        r_blocks = invec(r, ko + chan.realization.l_ch - 1)
+        r_blocks = invec(r, ko + chan.l_ch - 1)
         for i in range(4):
             expect = chan.matrix(i) @ s_blocks[:, i]
             assert np.abs(r_blocks[:, i] - expect).max() < 1e-12

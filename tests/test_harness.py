@@ -240,6 +240,12 @@ class TestLoadConfig:
         assert main([command, "--config", path, "--out", str(out)]) == 2
         assert calls == []
         assert capsys.readouterr().err == f"config error: --out directory {out.parent} does not exist\n"
+        # an --out that names an existing directory is refused the same way
+        out_dir = tmp_path / "existing"
+        out_dir.mkdir()
+        assert main([command, "--config", path, "--out", str(out_dir)]) == 2
+        assert calls == [] and not any(out_dir.iterdir())
+        assert capsys.readouterr().err == f"config error: --out {out_dir} is a directory\n"
 
 
 class TestSeeding:

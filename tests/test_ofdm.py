@@ -101,7 +101,7 @@ class TestOneTapFde:
         cfg = desk_config()
         paths = short_static_paths(cfg)
         chan = ch.realize(paths, cfg, with_cp=True)
-        assert chan.realization.l_ch - 1 <= cfg.n_cp
+        assert chan.l_ch - 1 <= cfg.n_cp
         sigma2 = 1e-2
         full = sinr_map(ofdm.ofdm_full_effective_channel(chan, cfg), sigma2, cfg)
         onetap = ofdm.ofdm_onetap_sinr(ofdm.per_symbol_ft_channel(chan, cfg), cfg, sigma2)

@@ -58,7 +58,7 @@ class TestApplyChannel:
             dopplers_hz=np.zeros(2),
         )
         chan = ch.realize(paths, cfg, with_cp=True)
-        l_ch = chan.realization.l_ch
+        l_ch = chan.l_ch
         assert l_ch == 4
         x = qpsk_grid(rng, cfg.k, cfg.n)
         s = otfs.otfs_modulate(x, cfg)

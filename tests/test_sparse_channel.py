@@ -58,8 +58,8 @@ def close(a, b):
 @given(modem_and_paths(), st.booleans())
 def test_stored_taps_are_the_dense_columns(case, with_cp):
     cfg, paths = case
-    real = ch.realize(paths, cfg, with_cp=with_cp).realization
-    dense = dense_materialize_taps(paths, cfg, rows=real.rows)
+    real = ch.realize(paths, cfg, with_cp=with_cp)
+    dense = dense_materialize_taps(paths, cfg, rows=real.taps.shape[1])
     assert np.array_equal(real.taps, dense[:, :, real.tap_index])
     assert np.array_equal(dense_taps(real), dense)
     inactive = np.setdiff1d(np.arange(real.l_ch), real.tap_index)
@@ -112,7 +112,7 @@ def test_closed_forms_at_table1_shape(pulse):
     paths = ch.sample_eva_paths(0, 500 / 3.6, cfg.f_c_hz)
     assert np.sum(paths.delays_s > cfg.cp_duration_s) == 4 and cfg.filter_len - 1 == 59
     cp_set = ch.realize(paths, cfg, with_cp=True)
-    cpless = ch.channel_matrices(cp_set.realization, cfg, with_cp=False)
+    cpless = ch.channel_matrices(cp_set, cfg, with_cp=False)
     ft = per_symbol_ft_channel(cp_set, cfg)
     heads, x, r = _delay_domain_blocks(cpless, cfg)
     tails = x @ r
@@ -133,14 +133,14 @@ def test_closed_forms_refuse_a_mismatched_channel_set():
 
 
 def test_header_only_dump_gives_all_zero_blocks():
-    # a realization that stores no tap columns
+    # a channel that stores no tap columns
     cfg = desk_config()
     ko = cfg.k * cfg.o_s
-    empty = ch.LtvChannelRealization(taps=np.zeros((cfg.n, ko + cfg.n_cp + 2, 0), dtype=complex),
-                                     tap_index=np.zeros(0, dtype=int), l_ch=3)
+    empty = ch.ChannelMatrixSet(taps=np.zeros((cfg.n, ko + cfg.n_cp + 2, 0), dtype=complex),
+                                tap_index=np.zeros(0, dtype=int), l_ch=3, cols=ko + cfg.n_cp)
     assert empty.tap_index.size == 0
-    ft = per_symbol_ft_channel(ch.ChannelMatrixSet(realization=empty, cols=ko + cfg.n_cp), cfg)
-    heads, x, r = _delay_domain_blocks(ch.ChannelMatrixSet(realization=empty, cols=ko), cfg)
+    ft = per_symbol_ft_channel(empty, cfg)
+    heads, x, r = _delay_domain_blocks(dataclasses.replace(empty, cols=ko), cfg)
     tails = x @ r
     for blocks in (ft, heads, tails):
         assert blocks.shape == (cfg.n, cfg.k, cfg.k) and not blocks.any()

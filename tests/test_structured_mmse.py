@@ -150,7 +150,7 @@ def test_tx_nulled_link_sends_what_its_detector_models(monkeypatch, waveform, pu
     cfg = desk_config(n_guard=4, guard_nulling="tx", pulse=pulse)
     cp_chan = ch.realize(ch.sample_eva_paths(3, 500 / 3.6, cfg.f_c_hz), cfg, with_cp=True)
     with_cp = WAVEFORMS[waveform][0]
-    chan = cp_chan if with_cp else ch.channel_matrices(cp_chan.realization, cfg, with_cp=False)
+    chan = cp_chan if with_cp else ch.channel_matrices(cp_chan, cfg, with_cp=False)
     stack = {"ft": ofdm.per_symbol_ft_channel(chan, cfg)} if with_cp else {}
     module, detector, link = LINKS[waveform]
     received = []
