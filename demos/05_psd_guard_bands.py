@@ -5,18 +5,19 @@ smallest number of nulled edge subcarriers meeting the -30 dB out-of-band
 threshold, both through ``run_psd``.  The filtered chain needs roughly half
 the guards.
 
-Runtime is about 1.3 s on a 2-vCPU machine (7 Welch estimates per family for
-the bisected guard search, the two families on one thread each); pass
---quick for a coarse 20-trial version, about 0.5 s.
+Runtime is about 0.55 s on a 2-vCPU machine with OpenBLAS on one thread
+(7 Welch estimates per family for the bisected guard search, the two
+families on one thread each); pass --quick for a coarse 20-trial version,
+about 0.2 s.
 """
 
 import sys
 
 import numpy as np
 
-from ddmod import ExperimentConfig, run_psd, table1_config
+from ddmod import ExperimentConfig, ModemConfig, run_psd
 
-cfg = table1_config()
+cfg = ModemConfig()
 trials = 20 if "--quick" in sys.argv else 100
 
 print(f"bandwidth {cfg.bandwidth_hz / 1e6:.2f} MHz, threshold {cfg.delta_oob_db:g} dB, "

@@ -16,7 +16,7 @@ from .channel import (
     realize,
     sample_eva_paths,
 )
-from .config import ConfigError, ModemConfig, desk_config, table1_config
+from .config import ConfigError, ModemConfig, desk_config
 from .drufmc import (
     drufmc_demodulate,
     drufmc_effective_channel,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import ClassVar
 
 
 class ConfigError(ValueError):
@@ -22,11 +23,6 @@ def live_rows(k: int, n_guard: int) -> slice:
     return slice(n_guard, k - n_guard)
 
 
-def cp_samples(t_cp_s: float, k: int, delta_f_hz: float, o_s: int) -> int:
-    """Cyclic-prefix length in oversampled samples for a CP of duration ``t_cp_s``."""
-    return int(round(t_cp_s * k * delta_f_hz * o_s))
-
-
 @dataclass(frozen=True)
 class ModemConfig:
     """Scalar parameters of a delay-Doppler multicarrier waveform.
@@ -35,6 +31,8 @@ class ModemConfig:
     120 kHz, 16 symbols, 10x oversampling, 8 subbands of 16 subcarriers
     filtered by a length-60, 100 dB Dolph-Chebyshev prototype.  The subband
     width D = K/B is derived; :meth:`__post_init__` states the value rules.
+    The subcarrier spacing and the 28 GHz carrier are class constants, not
+    fields: the carrier only scales the Doppler, which the speed axis sweeps.
     """
 
     k: int = 128                  # subcarriers (delay bins), must be even
@@ -44,12 +42,13 @@ class ModemConfig:
     filter_len: int = 60          # prototype filter taps (L)
     filter_att_db: float = 100.0  # prototype side-lobe attenuation
     n_cp: int | None = None       # CP samples; None derives from DEFAULT_T_CP_S
-    delta_f_hz: float = 120e3     # subcarrier spacing
-    f_c_hz: float = 28e9          # carrier frequency
     n_guard: int = 0              # nulled edge subcarriers per band edge
     delta_oob_db: float = -30.0   # out-of-band emission threshold
     pulse: str = "ideal"          # channel shaping pulse: "ideal" or "rrc"
     guard_nulling: str = "accounting"  # "accounting" or "tx"
+
+    delta_f_hz: ClassVar[float] = 120e3  # subcarrier spacing, a model constant
+    f_c_hz: ClassVar[float] = 28e9       # carrier frequency, a model constant
 
     def __post_init__(self):
         if self.k < 2 or self.k % 2 != 0:
@@ -66,18 +65,15 @@ class ModemConfig:
             raise ConfigError(
                 f"filter length {self.filter_len} exceeds symbol span {self.k * self.o_s}"
             )
-        for name in ("delta_f_hz", "f_c_hz", "filter_att_db"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.filter_att_db) and self.filter_att_db > 0):
+            raise ConfigError(f"filter_att_db must be finite and > 0, got {self.filter_att_db}")
         if self.filter_att_db / 20.0 >= math.log10(sys.float_info.max):
             raise ConfigError(f"filter_att_db = {self.filter_att_db} overflows 10^(att/20)")
         if not math.isfinite(self.delta_oob_db):
             raise ConfigError(f"delta_oob_db must be finite, got {self.delta_oob_db}")
         if self.n_cp is None:
-            object.__setattr__(
-                self, "n_cp", cp_samples(DEFAULT_T_CP_S, self.k, self.delta_f_hz, self.o_s)
-            )
+            n_cp = int(round(DEFAULT_T_CP_S * self.k * self.delta_f_hz * self.o_s))
+            object.__setattr__(self, "n_cp", n_cp)
         if not 0 <= self.n_cp <= self.k * self.o_s:
             raise ConfigError(f"N_CP must be in [0, K*O_s = {self.k * self.o_s}], got {self.n_cp}")
         live_rows(self.k, self.n_guard)
@@ -104,15 +100,6 @@ class ModemConfig:
         return 1.0 / self.sample_rate_hz
 
     @property
-    def symbol_duration_s(self) -> float:
-        """Useful symbol interval 1 / delta_f."""
-        return 1.0 / self.delta_f_hz
-
-    @property
-    def cp_duration_s(self) -> float:
-        return self.n_cp * self.sample_period_s
-
-    @property
     def block_len(self) -> int:
         """Samples per transmitted symbol including CP."""
         return self.k * self.o_s + self.n_cp
@@ -126,11 +113,6 @@ class ModemConfig:
         """Air-time efficiency T / (T + T_CP) of a CP-bearing modulation."""
         ko = self.k * self.o_s
         return ko / (ko + self.n_cp)
-
-
-def table1_config(**overrides) -> ModemConfig:
-    """Full-scale reference configuration."""
-    return ModemConfig(**overrides)
 
 
 def desk_config(**overrides) -> ModemConfig:

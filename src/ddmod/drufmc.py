@@ -104,8 +104,7 @@ def _delay_domain_blocks(chan: ChannelMatrixSet,
     x = np.fft.ifft(band, axis=-2)
     r = np.fft.fft(p[ko:], axis=-1)
     head = np.fft.fft(np.fft.ifft(_path_ft_blocks(chan, cfg, 0) * resp, axis=-2), axis=-1)
-    for c, x_m in zip(head, x):
-        c -= x_m @ r
+    head -= x @ r
     return head, x, r
 
 

@@ -34,6 +34,7 @@ from . import channel as ch
 from . import drufmc, ofdm, otfs
 from .config import ConfigError, ModemConfig, desk_config
 from .metrics import (
+    GuardSearchError,
     avg_spectral_efficiency,
     guard_count_for_threshold,
     net_sinr,
@@ -84,7 +85,9 @@ class ExperimentConfig:
             axis = getattr(self, name)
             if len(axis) == 0:
                 raise ConfigError(f"{name} must be non-empty")
-            if len(set(axis)) != len(axis):
+            # the CSV keys rows by the .10g text of an axis value, so it must be distinct too
+            printed = axis if name == "waveforms" else [f"{v:.10g}" for v in axis]
+            if len(set(axis)) != len(axis) or len(set(printed)) != len(axis):
                 raise ConfigError(f"{name} lists a value twice: {axis}")
         for speed in self.speeds_kmh:
             if not (np.isfinite(speed) and speed >= 0):
@@ -452,7 +455,8 @@ def run_psd(cfg: ExperimentConfig, out_path: str | None = None):
     set to one thread (:func:`_pin_blas`), so the two threads do not
     oversubscribe the cores.
     Results are collected in family order, and a family's error propagates
-    before anything is written.
+    before anything is written; a :class:`GuardSearchError` is re-raised with
+    the family's name in front of its message.
     """
     from concurrent.futures import ThreadPoolExecutor  # kept off ddmod's import path
 
@@ -461,7 +465,12 @@ def run_psd(cfg: ExperimentConfig, out_path: str | None = None):
         _pin_blas()
     with ThreadPoolExecutor(max_workers=len(families)) as pool:
         futures = {wf: pool.submit(_psd_family, cfg, wf) for wf in families}
-    out = {wf: future.result() for wf, future in futures.items()}
+    out = {}
+    for wf, future in futures.items():
+        try:
+            out[wf] = future.result()
+        except GuardSearchError as exc:
+            raise GuardSearchError(f"{wf}: {exc}") from exc
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("waveform,freq_hz,power_db\n")
@@ -513,6 +522,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except GuardSearchError as exc:
+        print(f"guard search failed: {exc}", file=sys.stderr)
+        return 1
 
     if run:
         for cell, err in failures:

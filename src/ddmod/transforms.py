@@ -1,8 +1,10 @@
 """Deterministic matrix and window builders shared by all transceiver chains.
 
-Everything here is a pure function of its arguments and returns freshly
-allocated numpy arrays, so results can be shared freely across threads.
-The contract is the explicit matrix semantics; no FFT fast paths are used.
+Everything here is a pure function of its arguments.  The matrix and
+window builders are memoized (:func:`_cached`) and hand out shared read-only
+arrays, so results can be shared freely across threads; copy one before
+mutating it.  The contract is the explicit matrix semantics; the
+Dolph-Chebyshev window is the one builder that takes an FFT.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ def _cached(key, builder):
     hit = _CACHE.get(key)
     if hit is None:
         hit = builder()
-        if isinstance(hit, np.ndarray):
-            hit.flags.writeable = False
+        hit.flags.writeable = False
         _CACHE[key] = hit
     return hit
 

@@ -15,7 +15,7 @@ import pytest
 
 from ddmod import channel as ch
 from ddmod import drufmc, ofdm, otfs
-from ddmod.config import desk_config, table1_config
+from ddmod.config import ModemConfig, desk_config
 from ddmod.harness import channel_seed
 from ddmod.metrics import (
     avg_spectral_efficiency,
@@ -112,7 +112,7 @@ def test_criterion_3_dual_construction():
 def test_criterion_4_guard_count_reproduction():
     """Full-scale guard counts against the -30 dB out-of-band threshold."""
     start = time.perf_counter()
-    cfg = table1_config()
+    cfg = ModemConfig()
 
     def gen(waveform):
         def for_guard(n_guard):

@@ -6,7 +6,7 @@ import pytest
 
 from ddmod import channel as ch
 from ddmod import drufmc
-from ddmod.config import desk_config, table1_config
+from ddmod.config import ModemConfig, desk_config
 from ddmod.metrics import psd_estimate, qpsk_grid, sinr_map
 from ddmod.transforms import (
     dft_matrix,
@@ -133,7 +133,7 @@ class TestDemodulate:
         # distortion sits inside the effective channel.  Golden values measured
         # at first run: raw min-bin -4.4 dB; post-MMSE at 30 dB SNR the median
         # bin reaches 29.5 dB and the worst bin 10.6 dB.
-        cfg = table1_config()
+        cfg = ModemConfig()
         chan = ch.realize(ch.ideal_path(), cfg, with_cp=False)
         eff = drufmc.drufmc_effective_channel(chan, cfg)
         d = np.diag(eff)

@@ -11,7 +11,7 @@ from scipy import signal as sp_signal
 
 from ddmod import channel as ch
 from ddmod import drufmc, metrics, ofdm
-from ddmod.config import desk_config, table1_config
+from ddmod.config import ModemConfig, desk_config
 from ddmod.harness import ExperimentConfig
 from ddmod.metrics import (
     GuardSearchError,
@@ -174,11 +174,10 @@ class TestNetSinr:
 class TestSpectralEfficiency:
     def test_cp_efficiency_from_reference_timing(self):
         # symbol 8.33 us, CP 0.586 us: T / (T + T_CP) = 0.9343
-        cfg = table1_config()
+        cfg = ModemConfig()
         assert cfg.cp_efficiency() == pytest.approx(0.9343, abs=5e-4)
-        assert cfg.cp_efficiency() == pytest.approx(
-            cfg.symbol_duration_s / (cfg.symbol_duration_s + cfg.cp_duration_s), rel=1e-12
-        )
+        symbol_s, cp_s = 1.0 / cfg.delta_f_hz, cfg.n_cp * cfg.sample_period_s
+        assert cfg.cp_efficiency() == pytest.approx(symbol_s / (symbol_s + cp_s), rel=1e-12)
 
     def test_zero_map_zero_se(self):
         assert avg_spectral_efficiency(np.zeros((8, 2)), 1.0, 0) == 0.0
@@ -276,7 +275,7 @@ class TestPsd:
 
     def test_matches_scipy_welch_at_full_scale(self):
         # about 170 segments of 5120 samples, in four batches
-        cfg = table1_config()
+        cfg = ModemConfig()
         x = seeded_frames(guard_frames(cfg, "otfs")(0), trials=20, seed=0)
         est = psd_estimate(x, cfg)
         freqs, dens = scipy_welch(x, cfg)
@@ -310,7 +309,7 @@ class TestPsd:
         # beyond ~10 subcarriers from the band edge the filtered chain sits
         # below the plain multicarrier spectrum at every frequency (measured;
         # closer to the edge both are dominated by the edge subband mainlobe)
-        cfg = table1_config()
+        cfg = ModemConfig()
 
         def gen(fam):
             def fn(rng):

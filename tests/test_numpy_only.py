@@ -2,12 +2,14 @@
 
 A source scan names any scipy import in ``src/ddmod`` by file and line, at
 any nesting depth, and a child process that runs the ``run`` and ``psd``
-commands must end with no scipy module loaded.
+commands must end with no scipy module loaded.  The numpy floor that
+``pyproject.toml`` declares must have every numpy feature the library uses.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,3 +77,11 @@ def test_cli_never_loads_scipy(tmp_path, command):
     code, loaded = json.loads(r.stdout.splitlines()[-1])
     assert code == 0
     assert loaded == []
+
+
+def test_declared_numpy_floor_has_fft_out():
+    # the Welch estimate transforms in place with np.fft.fft(..., out=), new in numpy 2.0
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'"numpy>=([0-9.]+)"', pyproject)
+    assert floor, "pyproject.toml declares no numpy floor"
+    assert tuple(int(part) for part in floor.group(1).split(".")) >= (2, 0)

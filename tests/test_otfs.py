@@ -5,7 +5,7 @@ import pytest
 
 from ddmod import channel as ch
 from ddmod import otfs
-from ddmod.config import desk_config, table1_config
+from ddmod.config import ModemConfig, desk_config
 from ddmod.metrics import qpsk_grid
 from ddmod.transforms import dft_matrix, invec, oversampled_dft, vec
 
@@ -41,7 +41,7 @@ class TestModulate:
 
     def test_reference_scale_signal_length(self):
         # CP duration 0.586 us at the full configuration gives 90 samples
-        cfg = table1_config()
+        cfg = ModemConfig()
         assert cfg.n_cp == 90
         x = np.zeros((cfg.k, cfg.n))
         assert otfs.otfs_modulate(x, cfg).size == (cfg.k * cfg.o_s + 90) * cfg.n

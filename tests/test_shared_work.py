@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ddmod import channel as ch
 from ddmod import harness, ofdm
-from ddmod.config import ModemConfig, desk_config, table1_config
+from ddmod.config import ModemConfig, desk_config
 from ddmod.harness import WAVEFORMS, ExperimentConfig, GridPoint, evaluate_point, psd_signal
 from ddmod.harness import run_psd, run_sweep
 from ddmod.metrics import psd_estimate
@@ -149,6 +149,6 @@ def test_run_psd_draws_each_familys_grids_once(monkeypatch):
     calls = []
     draw = harness.qpsk_grid
     monkeypatch.setattr(harness, "qpsk_grid", lambda *args: calls.append(args) or draw(*args))
-    cfg = ExperimentConfig(modem=table1_config(), waveforms=("otfs", "drufmc"), psd_trials=3)
+    cfg = ExperimentConfig(modem=ModemConfig(), waveforms=("otfs", "drufmc"), psd_trials=3)
     run_psd(cfg)
     assert len(calls) == 2 * 3      # once per estimate it was 2 families x 7 estimates x 3

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddmod import channel as ch
-from ddmod.config import ModemConfig, desk_config, table1_config
+from ddmod.config import ModemConfig, desk_config
 from ddmod.drufmc import _delay_domain_blocks
 from ddmod.ofdm import per_symbol_ft_channel
 
@@ -108,9 +108,9 @@ def test_delay_domain_blocks_match_dense(case, guard_nulling, data):
 @pytest.mark.parametrize("pulse", ["ideal", "rrc"])
 def test_closed_forms_at_table1_shape(pulse):
     # 4 of the 9 EVA paths outlast the 586 ns CP; the 60-tap filter leaves a 59-row transient
-    cfg = table1_config(pulse=pulse)
+    cfg = ModemConfig(pulse=pulse)
     paths = ch.sample_eva_paths(0, 500 / 3.6, cfg.f_c_hz)
-    assert np.sum(paths.delays_s > cfg.cp_duration_s) == 4 and cfg.filter_len - 1 == 59
+    assert np.sum(paths.delays_s > cfg.n_cp * cfg.sample_period_s) == 4 and cfg.filter_len - 1 == 59
     cp_set = ch.realize(paths, cfg, with_cp=True)
     cpless = ch.channel_matrices(cp_set, cfg, with_cp=False)
     ft = per_symbol_ft_channel(cp_set, cfg)
