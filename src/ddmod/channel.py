@@ -176,7 +176,10 @@ def materialize_taps(paths: PathSet, cfg: ModemConfig, cols: int) -> ChannelMatr
     rows = cols + l_ch - 1
     peaks = [int(round(tau / ts)) for tau in paths.delays_s]
     windows = [(max(0, peak - half), peak + half) for peak in peaks]
-    tap_index = np.unique(np.concatenate([np.arange(lo, hi + 1) for lo, hi in windows]))
+    active = np.zeros(l_ch, dtype=bool)
+    for lo, hi in windows:
+        active[lo:hi + 1] = True
+    tap_index = np.flatnonzero(active)
     taps = np.zeros((cfg.n, rows, tap_index.size), dtype=complex)
     ell = tap_index + 1                     # 1-based tap index; delay = ell - 1 samples
     r = np.arange(1, rows + 1)

@@ -13,13 +13,15 @@ head and overlap-tail maps of :func:`_delay_domain_blocks`, built path by
 path: C_m = F_K^H B_m diag(resp) F_K - D_m, with B_m the closed form of
 :func:`~ddmod.ofdm.per_symbol_ft_channel` without CP and resp the subband
 filters' gains, and D_m = X_m R from the L - 1 channel columns the tail
-reaches: X_m is K x (L - 1) and R, the precoder's tail rows, is the same
-(L - 1) x K factor for every symbol.  The dense delay-Doppler channel is
-V T V^H with V = F_N (x) I_K, so its MMSE error covariance is
-sigma^2 V G V^H, G = (T^H T + sigma^2 I)^{-1}.  The Doppler DFT mixes the
-diagonals of every block of G, so :func:`drufmc_mmse` takes them from a
-selected inverse that keeps the tails in that rank-(L - 1) form
-(O(N^2 (L-1)^2 K + N K^3) work, O(N K^2) memory, no K x K tail formed);
+reaches: R, the precoder's tail rows, is the same (L - 1) x K factor for
+every symbol.  R is the Dolph-Chebyshev filter ramp, whose singular values
+fall fast (numerical rank r = 24 of L - 1 = 59 at table 1), so the tail is
+kept at that rank: D_m = (X_m U_r S_r) V_r^H from R's thin SVD.  The dense
+delay-Doppler channel is V T V^H with V = F_N (x) I_K, so its MMSE error
+covariance is sigma^2 V G V^H, G = (T^H T + sigma^2 I)^{-1}.  The Doppler
+DFT mixes the diagonals of every block of G, so :func:`drufmc_mmse` takes
+them from a selected inverse that keeps the tails in that rank-r form
+(O(N^2 r^2 K + N K^3) work, O(N K^2) memory, no K x K tail formed);
 :func:`drufmc_link` runs the whole link.  :func:`drufmc_effective_channel`
 builds the dense matrix as the reference.
 """
@@ -32,7 +34,7 @@ from .channel import ChannelMatrixSet
 from .config import ModemConfig, live_rows
 from .mmse import bidiagonal_mmse, mmse_sinr
 from .ofdm import _demodulate, _path_ft_blocks, _tx_guard, _tx_null, apply_channel
-from .transforms import dft_matrix, isfft, oversampled_dft, sfft, ufmc_precoder, vec
+from .transforms import _cached, dft_matrix, isfft, oversampled_dft, sfft, ufmc_precoder, vec
 
 
 def overlap_add(x_tilde: np.ndarray, cfg: ModemConfig) -> np.ndarray:
@@ -78,19 +80,42 @@ def drufmc_demodulate(r: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     return sfft(_demodulate(r, cfg, 0))
 
 
+def _precoder_tail(cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R = P_tail F_K and its thin-SVD factors (U_r S_r, V_r^H) at R's numerical rank r.
+
+    P_tail is the precoder's last L - 1 rows, TX-guard nulled.  The kept
+    singular values are those above s_0 * max(R.shape) * eps, the tolerance
+    of ``numpy.linalg.matrix_rank``.  R depends on the config alone, so the
+    three arrays are memoized with the precoder.
+    """
+    def build():
+        p_tail = ufmc_precoder(cfg)[cfg.k * cfg.o_s:] * _tx_null(cfg)
+        r = np.fft.fft(p_tail, axis=-1)
+        u, s, vh = np.linalg.svd(r, full_matrices=False)
+        rank = np.count_nonzero(s > s[0] * max(r.shape) * np.finfo(float).eps) if s.size else 0
+        return r, u[:, :rank] * s[:rank], vh[:rank]
+
+    return _cached(("ufmc_tail", cfg.k, cfg.o_s, cfg.b, cfg.filter_len,
+                    float(cfg.filter_att_db), _tx_guard(cfg)), build)
+
+
 def _delay_domain_blocks(chan: ChannelMatrixSet,
                          cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symbol m's head map C_m and overlap-tail map D_m = X_m R, delay domain in and out.
 
-    Returns the (N, K, K) stack of C_m, the (N, K, L-1) stack of X_m and the
-    (L-1, K) factor R.  C_m = F_K^H W (R_tail M_m) P_head F_K carries symbol m
-    into its own block; D_m = F_K^H W M_m[:K*O_s, :L-1] P_tail F_K carries
-    symbol m - 1's tail into block m, with X_m = F_K^H W M_m[:K*O_s, :L-1] and
+    Returns the (N, K, K) stack of C_m, the (N, K, r) stack of X_m and the
+    (r, K) factor R, with r the numerical rank of the precoder tail (at most
+    L - 1).  C_m = F_K^H W (R_tail M_m) P_head F_K carries symbol m into its
+    own block; D_m = F_K^H W M_m[:K*O_s, :L-1] P_tail F_K carries symbol
+    m - 1's tail into block m, with X_m = F_K^H W M_m[:K*O_s, :L-1] and
     R = P_tail F_K.  P_head / P_tail are the first K*O_s / last L - 1 precoder
     rows, TX-guard nulled.  P_head is the steady state W^H diag(resp) less
     P_tail in its first L - 1 rows, so C_m = F_K^H B_m diag(resp) F_K - D_m,
     with B_m the per-path closed form of :func:`~ddmod.ofdm.per_symbol_ft_channel`
-    without CP.  ``chan`` must be the CP-less set, with K*O_s columns.
+    without CP.  The heads subtract the full-rank X_m R; if R has rank
+    r < L - 1, the tail pair returned is (X_m U_r S_r, V_r^H) from its thin
+    SVD (:func:`_precoder_tail`).  ``chan`` must be the CP-less set, with
+    K*O_s columns.
     """
     ko = cfg.k * cfg.o_s
     p = ufmc_precoder(cfg) * _tx_null(cfg)
@@ -102,9 +127,11 @@ def _delay_domain_blocks(chan: ChannelMatrixSet,
     # F_K^H (.) F_K: an inverse FFT down the columns, then an FFT along the rows;
     # the tail D_m = X_m R takes the first in X_m and the second in R
     x = np.fft.ifft(band, axis=-2)
-    r = np.fft.fft(p[ko:], axis=-1)
+    r, us, vh = _precoder_tail(cfg)
     head = np.fft.fft(np.fft.ifft(_path_ft_blocks(chan, cfg, 0) * resp, axis=-2), axis=-1)
     head -= x @ r
+    if vh.shape[0] < r.shape[0]:              # X_m R = (X_m U_r S_r) V_r^H
+        return head, x @ us, vh
     return head, x, r
 
 

@@ -5,10 +5,10 @@ The compared waveforms are the rows of :data:`WAVEFORMS`; each module owns
 its link from symbols to SINR grid and estimates.  Waveforms at the same
 (speed, SNR, trial) grid point are evaluated on the same channel realization,
 so waveform comparisons are paired and free of Monte-Carlo noise; the sweep
-builds that realization and its frequency-time stack once per point
-(:class:`GridPoint`).  Output rows are sorted deterministically before
-writing; rerunning an identical config and seed reproduces the CSV byte for
-byte.
+builds that realization, its frequency-time stack and the stack's MMSE
+factor once per point (:class:`GridPoint`).  Output rows are sorted
+deterministically before writing; rerunning an identical config and seed
+reproduces the CSV byte for byte.
 
 The PSD experiment hands the guard search a ``spectrum(n_guard)`` function:
 the Welch estimate of one family's ``psd_trials``-frame signal, streamed to
@@ -58,6 +58,10 @@ WAVEFORMS = {
     "ofdm-full": (True, ofdm.ofdm_full_link),
     "ofdm-onetap": (True, ofdm.ofdm_onetap_link),
 }
+
+#: CP links that detect through ``ofdm.mmse_factor`` of ``ft``; they also take
+#: the point's shared factor as ``l_inv``.
+_FACTORED_LINKS = (otfs.otfs_link, ofdm.ofdm_full_link)
 
 CSV_HEADER = "waveform,speed_kmh,snr_db,trial,net_sinr_db,avg_se_bps_hz,nmse,runtime_s"
 
@@ -234,14 +238,18 @@ class GridPoint:
 
     The channel is materialized once, for the CP-bearing chain; the CP-less
     set shares its taps array with K*O_s columns.  The (N, K, K)
-    frequency-time stack of the CP-bearing set serves every CP link.  Each
-    is built on first use and lives as long as the point.
+    frequency-time stack of the CP-bearing set serves every CP link, and its
+    MMSE factor L^{-1} serves both OTFS and OFDM-full: it is computed at most
+    once per sigma^2 and TX-guard count (:meth:`mmse_factor`).  Each is built
+    on first use; the channel lives as long as the point, and the stack and
+    its factors until :meth:`release_cp`.
     """
 
     cfg: ExperimentConfig
     speed_kmh: float
     snr_index: int
     trial: int
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def cp_channel(self) -> ch.ChannelMatrixSet:
@@ -256,6 +264,22 @@ class GridPoint:
     @cached_property
     def ft(self) -> np.ndarray:
         return ofdm.per_symbol_ft_channel(self.cp_channel, self.cfg.modem)
+
+    def mmse_factor(self, modem: ModemConfig, sigma2: float) -> np.ndarray:
+        """``ofdm.mmse_factor(ft, modem, sigma2)``, keyed on the TX-guard count, not ``n_guard``.
+
+        Under ``accounting`` nulling every guard count nulls nothing at the
+        transmitter, so all of them share one factor.
+        """
+        key = (sigma2, ofdm._tx_guard(modem))
+        if key not in self._factors:
+            self._factors[key] = ofdm.mmse_factor(self.ft, modem, sigma2)
+        return self._factors[key]
+
+    def release_cp(self) -> None:
+        """Drop the frequency-time stack and its factors, which no CP-less link reads."""
+        self.__dict__.pop("ft", None)
+        self._factors.clear()
 
 
 def evaluate_point(
@@ -279,6 +303,8 @@ def evaluate_point(
     if point is None:
         point = GridPoint(cfg, speed_kmh, snr_index, trial)
     stack = {"ft": point.ft} if with_cp else {}
+    if link in _FACTORED_LINKS:
+        stack["l_inv"] = point.mmse_factor(modem, sigma2)
 
     # deterministic per-cell stream for symbols and noise
     sym_rng, noise_ss = _cell_streams(cfg, waveform, speed_kmh, snr_index, trial)
@@ -307,16 +333,25 @@ def _cell_streams(cfg, waveform, speed_kmh, snr_index, trial):
 
 
 def _point_worker(args):
-    """(row, None) or (None, (cell, traceback)) for each waveform at one grid point."""
+    """(row, None) or (None, (cell, traceback)) for each waveform at one grid point.
+
+    The CP-bearing cells run first; the point then drops its frequency-time
+    stack and factors (:meth:`GridPoint.release_cp`), so the CP-less cells
+    do not hold them.  Results come back in ``cfg.waveforms`` order.
+    """
     cfg, (speed, snr_index, trial) = args
     point = GridPoint(cfg, speed, snr_index, trial)
-    results = []
-    for waveform in cfg.waveforms:
+    results = {}
+    for waveform in sorted(cfg.waveforms, key=lambda wf: not WAVEFORMS[wf][0]):
+        if not WAVEFORMS[waveform][0]:
+            point.release_cp()
         try:
-            results.append((evaluate_point(cfg, waveform, speed, snr_index, trial, point), None))
+            results[waveform] = (evaluate_point(cfg, waveform, speed, snr_index, trial, point),
+                                 None)
         except Exception:  # recorded with its traceback, not fatal for the sweep
-            results.append((None, ((waveform, speed, snr_index, trial), traceback.format_exc())))
-    return results
+            results[waveform] = (None, ((waveform, speed, snr_index, trial),
+                                        traceback.format_exc()))
+    return [results[wf] for wf in cfg.waveforms]
 
 
 #: Variables through which a user chooses BLAS threads; if one is set, BLAS is left alone.
@@ -455,8 +490,9 @@ def run_psd(cfg: ExperimentConfig, out_path: str | None = None):
     set to one thread (:func:`_pin_blas`), so the two threads do not
     oversubscribe the cores.
     Results are collected in family order, and a family's error propagates
-    before anything is written; a :class:`GuardSearchError` is re-raised with
-    the family's name in front of its message.
+    before anything is written.  If guard searches fail, one
+    :class:`GuardSearchError` names every failed family, each with its
+    message, in family order.
     """
     from concurrent.futures import ThreadPoolExecutor  # kept off ddmod's import path
 
@@ -465,12 +501,14 @@ def run_psd(cfg: ExperimentConfig, out_path: str | None = None):
         _pin_blas()
     with ThreadPoolExecutor(max_workers=len(families)) as pool:
         futures = {wf: pool.submit(_psd_family, cfg, wf) for wf in families}
-    out = {}
+    out, failed = {}, []
     for wf, future in futures.items():
         try:
             out[wf] = future.result()
         except GuardSearchError as exc:
-            raise GuardSearchError(f"{wf}: {exc}") from exc
+            failed.append(f"{wf}: {exc}")
+    if failed:
+        raise GuardSearchError("; ".join(failed))
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("waveform,freq_hz,power_db\n")

@@ -9,9 +9,11 @@ The channel is block-diagonal per symbol, so full MMSE needs no KN x KN
 matrix: with C_i = B_i * diag(null) the K x K frequency-time
 block of symbol i, the MMSE SINR of bin (k, i) is 1 / (sigma^2 [G_i]_kk) - 1
 and the estimate of column i is G_i C_i^H y_i, G_i = (C_i^H C_i + sigma^2 I)^{-1}
-(:func:`ofdm_full_mmse`).  :func:`ofdm_full_link` and :func:`ofdm_onetap_link`
-run each receiver's whole link.  :func:`ofdm_full_effective_channel` builds
-the dense block-diagonal matrix as the reference.
+(:func:`ofdm_full_mmse`).  The factor of that MMSE (:func:`mmse_factor`) is
+OTFS's too, so a caller that runs both computes it once.
+:func:`ofdm_full_link` and :func:`ofdm_onetap_link` run each receiver's whole
+link.  :func:`ofdm_full_effective_channel` builds the dense block-diagonal
+matrix as the reference.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .channel import ChannelMatrixSet
 from .config import ModemConfig, live_rows
-from .mmse import mmse_sinr, per_symbol_mmse
+from .mmse import mmse_sinr, per_symbol_factor, per_symbol_mmse
 from .transforms import invec, oversampled_dft, oversampled_idft, vec
 
 
@@ -144,20 +146,31 @@ def ofdm_full_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.
     return out
 
 
+def mmse_factor(ft: np.ndarray, cfg: ModemConfig, sigma2: float) -> np.ndarray:
+    """:func:`~ddmod.mmse.per_symbol_factor` of the TX-nulled stack C_i = ``ft[i]`` * diag(null).
+
+    It depends on ``cfg`` only through :func:`_tx_guard`, so every guard
+    count under ``accounting`` shares one.
+    """
+    return per_symbol_factor(ft * _tx_null(cfg), sigma2)
+
+
 def ofdm_full_mmse(
     y_ft: np.ndarray,
     ft: np.ndarray,
     cfg: ModemConfig,
     sigma2: float,
+    l_inv: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full MMSE SINR grid and estimates from the (N, K, K) frequency-time stack.
 
-    One batched Cholesky of C_i^H C_i + sigma^2 I per symbol; bins whose
-    column is exactly zero (TX-nulled guards) report SINR 0, as in
-    ``metrics.sinr_map``.  Returns the (K, N) SINR and estimate grids.
+    One batched Cholesky of C_i^H C_i + sigma^2 I per symbol, or its
+    :func:`mmse_factor` ``l_inv`` if given; bins whose column is exactly
+    zero (TX-nulled guards) report SINR 0, as in ``metrics.sinr_map``.
+    Returns the (K, N) SINR and estimate grids.
     """
     c = ft * _tx_null(cfg)
-    mse, x_hat = per_symbol_mmse(c, y_ft, sigma2)
+    mse, x_hat = per_symbol_mmse(c, y_ft, sigma2, l_inv=l_inv)
     live = np.any(c != 0, axis=1).T
     return np.where(live, mmse_sinr(mse.T, sigma2), 0.0), x_hat
 
@@ -202,13 +215,15 @@ def _receive(x_ft: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigma2:
 
 
 def ofdm_full_link(x_ft: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigma2: float,
-                   seed=None, *, ft: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                   seed=None, *, ft: np.ndarray,
+                   l_inv: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Send ``x_ft`` over ``chan`` with noise variance sigma^2 and full-MMSE-detect it.
 
-    ``ft`` is the channel's stack ``per_symbol_ft_channel(chan, cfg)``.
+    ``ft`` is the channel's stack ``per_symbol_ft_channel(chan, cfg)`` and
+    ``l_inv``, if given, its ``mmse_factor(ft, cfg, sigma2)``.
     Returns the (K, N) SINR and estimate grids of :func:`ofdm_full_mmse`.
     """
-    return ofdm_full_mmse(_receive(x_ft, chan, cfg, sigma2, seed), ft, cfg, sigma2)
+    return ofdm_full_mmse(_receive(x_ft, chan, cfg, sigma2, seed), ft, cfg, sigma2, l_inv)
 
 
 def ofdm_onetap_link(x_ft: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigma2: float,

@@ -65,25 +65,29 @@ def otfs_mmse(
     ft: np.ndarray,
     cfg: ModemConfig,
     sigma2: float,
+    l_inv: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """MMSE SINR grid and estimates from the (N, K, K) frequency-time stack.
 
-    Same blocks and factors as :func:`ddmod.ofdm.ofdm_full_mmse`; the SINR is
+    Same blocks and factors as :func:`ddmod.ofdm.ofdm_full_mmse`, so it takes
+    the same optional ``l_inv`` (:func:`ddmod.ofdm.mmse_factor`); the SINR is
     1 / (sigma^2 mean_i diag(F_K^H G_i F_K)) - 1, equal across Doppler bins.
     Returns the (K, N) SINR and delay-Doppler estimate grids.
     """
     c = ft * _tx_null(cfg)
-    mse, x_ft = per_symbol_mmse(c, isfft(y_dd), sigma2, basis=dft_matrix(cfg.k))
+    mse, x_ft = per_symbol_mmse(c, isfft(y_dd), sigma2, basis=dft_matrix(cfg.k), l_inv=l_inv)
     sinr = mmse_sinr(mse.mean(axis=0), sigma2)
     return np.repeat(sinr[:, np.newaxis], cfg.n, axis=1), sfft(x_ft)
 
 
 def otfs_link(x_dd: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigma2: float,
-              seed=None, *, ft: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+              seed=None, *, ft: np.ndarray,
+              l_inv: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Send ``x_dd`` over ``chan`` with noise variance sigma^2 and MMSE-detect it.
 
-    ``ft`` is the channel's stack ``per_symbol_ft_channel(chan, cfg)``.
+    ``ft`` is the channel's stack ``per_symbol_ft_channel(chan, cfg)`` and
+    ``l_inv``, if given, its ``ofdm.mmse_factor(ft, cfg, sigma2)``.
     Returns the (K, N) SINR and delay-Doppler estimate grids of :func:`otfs_mmse`.
     """
     r = apply_channel(otfs_modulate(x_dd, cfg, n_guard=_tx_guard(cfg)), chan, sigma2, seed)
-    return otfs_mmse(otfs_demodulate(r, cfg), ft, cfg, sigma2)
+    return otfs_mmse(otfs_demodulate(r, cfg), ft, cfg, sigma2, l_inv)

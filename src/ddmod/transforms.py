@@ -20,10 +20,12 @@ _CACHE: dict = {}
 
 
 def _cached(key, builder):
+    """``builder()``, an array or a tuple of arrays, built once per key and read-only."""
     hit = _CACHE.get(key)
     if hit is None:
         hit = builder()
-        hit.flags.writeable = False
+        for arr in hit if isinstance(hit, tuple) else (hit,):
+            arr.flags.writeable = False
         _CACHE[key] = hit
     return hit
 

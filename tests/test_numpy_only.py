@@ -2,8 +2,10 @@
 
 A source scan names any scipy import in ``src/ddmod`` by file and line, at
 any nesting depth, and a child process that runs the ``run`` and ``psd``
-commands must end with no scipy module loaded.  The numpy floor that
-``pyproject.toml`` declares must have every numpy feature the library uses.
+commands must end with no scipy module loaded, nor ``numpy.ma``, which
+numpy loads lazily for calls such as ``np.unique`` and no command needs.  The
+numpy floor that ``pyproject.toml`` declares must have every numpy feature
+the library uses.
 """
 
 import ast
@@ -56,7 +58,8 @@ CHILD = """
 import json, sys
 from ddmod import harness
 code = harness.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                                or m.split(".")[:2] == ["numpy", "ma"])]))
 """
 
 

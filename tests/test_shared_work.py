@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddmod import channel as ch
-from ddmod import harness, ofdm
+from ddmod import harness, mmse, ofdm
 from ddmod.config import ModemConfig, desk_config
 from ddmod.harness import WAVEFORMS, ExperimentConfig, GridPoint, evaluate_point, psd_signal
 from ddmod.harness import run_psd, run_sweep
@@ -86,6 +86,30 @@ def test_each_point_realizes_and_builds_its_stack_once(monkeypatch):
     rows, failures = run_sweep(cfg)
     assert not failures and len(rows) == 4 * 2 * 2
     assert calls == {"realize": 2 * 2, "ft": 2 * 2}
+
+
+@pytest.mark.parametrize("guard_nulling, overrides, factors", [
+    ("accounting", {}, 1),
+    ("accounting", {"otfs": 2, "ofdm-full": 5}, 1),   # nothing is nulled at the transmitter
+    ("tx", {"otfs": 2, "ofdm-full": 2}, 1),
+    ("tx", {"otfs": 2, "ofdm-full": 5}, 2),
+])
+def test_otfs_and_ofdm_full_share_one_factor_per_tx_null(monkeypatch, guard_nulling, overrides,
+                                                         factors):
+    stacks = []
+    factor = mmse._inverse_factor
+
+    def counted(a):
+        if a.ndim == 3:                 # DR-UFMC factors one K x K block at a time
+            stacks.append(a.shape)
+        return factor(a)
+
+    monkeypatch.setattr(mmse, "_inverse_factor", counted)
+    cfg = ExperimentConfig(modem=desk_config(guard_nulling=guard_nulling), speeds_kmh=(500.0,),
+                           snr_db=(10.0,), trials=1, seed=4, n_guard_by_waveform=overrides)
+    rows, failures = run_sweep(cfg)
+    assert not failures and len(rows) == len(WAVEFORMS)
+    assert len(stacks) == factors
 
 
 def test_raising_link_fails_only_its_own_cell(monkeypatch):

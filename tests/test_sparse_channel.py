@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddmod import channel as ch
+from ddmod import drufmc
 from ddmod.config import ModemConfig, desk_config
 from ddmod.drufmc import _delay_domain_blocks
-from ddmod.ofdm import per_symbol_ft_channel
+from ddmod.ofdm import _tx_null, per_symbol_ft_channel
+from ddmod.transforms import ufmc_precoder
 
 from oracles import dense_delay_domain_blocks, dense_ft_block, dense_materialize_taps, dense_taps
 
@@ -97,12 +99,43 @@ def test_delay_domain_blocks_match_dense(case, guard_nulling, data):
     chan = ch.realize(paths, cfg, with_cp=False)
     heads, x, r = _delay_domain_blocks(chan, cfg)
     tails = x @ r
-    assert x.shape[-1] == cfg.filter_len - 1    # the rank of every tail block
+    # every tail block keeps the numerical rank of the full precoder tail, at most L - 1
+    assert x.shape[-1] == r.shape[0] == _full_tail_rank(cfg) <= cfg.filter_len - 1
     assert heads.shape == tails.shape == (cfg.n, cfg.k, cfg.k)
     for m in range(cfg.n):
         head, tail = dense_delay_domain_blocks(chan, cfg, m)
         assert close(heads[m], head)
         assert close(tails[m], tail)
+
+
+def _full_tail(cfg):
+    """R = fft(P_tail) at full rank: the TX-guard-nulled last L - 1 precoder rows."""
+    return np.fft.fft(ufmc_precoder(cfg)[cfg.k * cfg.o_s:] * _tx_null(cfg), axis=-1)
+
+
+def _full_tail_rank(cfg):
+    r = _full_tail(cfg)
+    return np.linalg.matrix_rank(r) if r.size else 0
+
+
+@pytest.mark.parametrize("guard_nulling, n_guard, rank", [
+    ("accounting", 0, 24), ("accounting", 30, 24), ("tx", 30, 20),
+])
+def test_table1_tail_is_cut_to_its_numerical_rank(monkeypatch, guard_nulling, n_guard, rank):
+    # the Dolph-Chebyshev ramp of the 60-tap filter: 59 tail rows, far fewer singular values
+    cfg = ModemConfig(guard_nulling=guard_nulling, n_guard=n_guard)
+    chan = ch.realize(ch.sample_eva_paths(0, 500 / 3.6, cfg.f_c_hz), cfg, with_cp=False)
+    heads, x, r = _delay_domain_blocks(chan, cfg)
+    assert x.shape == (cfg.n, cfg.k, rank) and r.shape == (rank, cfg.k)
+    assert _full_tail_rank(cfg) == rank
+    # the same blocks with the tail left at L - 1 columns
+    full_r = _full_tail(cfg)
+    monkeypatch.setattr(drufmc, "_precoder_tail", lambda cfg: (full_r, None, full_r))
+    full_heads, full_x, _ = _delay_domain_blocks(chan, cfg)
+    assert full_x.shape[-1] == cfg.filter_len - 1
+    assert np.array_equal(heads, full_heads)
+    full = full_x @ full_r
+    assert np.linalg.norm(x @ r - full) <= 1e-13 * np.linalg.norm(full)
 
 
 @pytest.mark.parametrize("pulse", ["ideal", "rrc"])
