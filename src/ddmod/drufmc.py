@@ -4,7 +4,14 @@ delay-Doppler pre/post processing.
 
 Consecutive filtered symbols overlap by the filter tail (L - 1 samples) and
 the final tail is dropped, so a frame occupies exactly K*O_s*N samples, the
-same air time as the CP-bearing chain's payload.
+same air time as the CP-bearing chain's payload.  The transmitter takes the
+oversampled inverse FFT of each symbol weighted by the subband filters' gains
+resp, the circular block W^H diag(resp) x.  The filtered symbol differs from
+it only in its first and last L - 1 samples, by the precoder tail P_tail x:
+each block gives that up from its head and takes the previous symbol's from
+it, the overlap-add done with one (L - 1) x K product per symbol
+(:func:`ufmc_modulate_ft`).  The dense precoder of
+:func:`~ddmod.transforms.ufmc_precoder` is its reference.
 
 In the delay-time domain (A = X_dd F_N^H in, U = Y_dd F_N^H out) the channel
 is block lower-bidiagonal: U[:, m] = T[m, m] A[:, m] + T[m, m-1] A[:, m-1]
@@ -33,26 +40,26 @@ import numpy as np
 from .channel import ChannelMatrixSet
 from .config import ModemConfig, live_rows
 from .mmse import bidiagonal_mmse, mmse_sinr
-from .ofdm import _demodulate, _path_ft_blocks, _tx_guard, _tx_null, apply_channel
-from .transforms import _cached, dft_matrix, isfft, oversampled_dft, sfft, ufmc_precoder, vec
+from .ofdm import (_demodulate, _path_ft_blocks, _symbol_blocks, _tx_guard, _tx_null,
+                   apply_channel)
+from .transforms import _cached, dft_matrix, isfft, oversampled_dft, sfft, ufmc_precoder
 
 
-def overlap_add(x_tilde: np.ndarray, cfg: ModemConfig) -> np.ndarray:
-    """Continuous-packet overlap of per-symbol filtered blocks.
+def _filter_response(cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(resp, P_tail): the subband filters' gains on the K subcarriers and the
+    precoder's last L - 1 rows, memoized with the precoder.
 
-    Column n keeps its first K*O_s rows and absorbs the previous column's
-    tail into its first L - 1 rows; the last column's tail is dropped.  A
-    (..., rows, N) stack overlaps each matrix.
+    Column k of the precoder is the subband filter convolved with W^H[:, k],
+    a tone periodic in K*O_s, so its rows 0 and K*O_s sum to W^H[0, k] resp[k]
+    with W^H[0, k] = 1/sqrt(K*O_s).
     """
-    ko = cfg.k * cfg.o_s
-    if x_tilde.shape[-2] != ko + cfg.filter_len - 1:
-        raise ValueError(
-            f"dimension mismatch: expected {ko + cfg.filter_len - 1} rows, got {x_tilde.shape[-2]}"
-        )
-    n = x_tilde.shape[-1]
-    out = x_tilde[..., :ko, :].copy()
-    out[..., :cfg.filter_len - 1, 1:] += x_tilde[..., ko:, :n - 1]
-    return out
+    def build():
+        ko = cfg.k * cfg.o_s
+        p = ufmc_precoder(cfg)
+        return np.sqrt(ko) * p[::ko].sum(axis=0), p[ko:]
+
+    return _cached(("ufmc_resp", cfg.k, cfg.o_s, cfg.b, cfg.filter_len,
+                    float(cfg.filter_att_db)), build)
 
 
 def ufmc_modulate_ft(x_ft: np.ndarray, cfg: ModemConfig, n_guard: int = 0) -> np.ndarray:
@@ -60,14 +67,19 @@ def ufmc_modulate_ft(x_ft: np.ndarray, cfg: ModemConfig, n_guard: int = 0) -> np
 
     A (..., K, N) stack of grids gives a (..., K*O_s*N) stack of frames.  The
     2*n_guard edge subcarriers are not transmitted: only the live rows enter
-    the precoder, as if the edge rows were zero.
+    the transmitter, as if the edge rows were zero.  Each symbol's circular
+    block W^H diag(resp) x_i loses P_tail x_i from its first L - 1 samples
+    and gains P_tail x_(i-1) there; the last symbol's tail is dropped.
     """
     x_ft = np.asarray(x_ft)
-    if x_ft.shape[-2:] != (cfg.k, cfg.n):
-        raise ValueError(f"dimension mismatch: expected {(cfg.k, cfg.n)}, got {x_ft.shape}")
+    resp, p_tail = _filter_response(cfg)
+    s = _symbol_blocks(x_ft, cfg, n_guard, 0, resp)
     live = live_rows(cfg.k, n_guard)
-    x_tilde = ufmc_precoder(cfg)[:, live] @ x_ft[..., live, :]
-    return vec(overlap_add(x_tilde, cfg))
+    tail = np.swapaxes(p_tail[:, live] @ x_ft[..., live, :], -1, -2)       # (..., N, L-1)
+    head = s[..., :cfg.filter_len - 1]
+    head -= tail
+    head[..., 1:, :] += tail[..., :-1, :]
+    return s.reshape(*s.shape[:-2], -1)
 
 
 def drufmc_modulate(x_dd: np.ndarray, cfg: ModemConfig, n_guard: int = 0) -> np.ndarray:
@@ -89,7 +101,7 @@ def _precoder_tail(cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray
     three arrays are memoized with the precoder.
     """
     def build():
-        p_tail = ufmc_precoder(cfg)[cfg.k * cfg.o_s:] * _tx_null(cfg)
+        p_tail = _filter_response(cfg)[1] * _tx_null(cfg)
         r = np.fft.fft(p_tail, axis=-1)
         u, s, vh = np.linalg.svd(r, full_matrices=False)
         rank = np.count_nonzero(s > s[0] * max(r.shape) * np.finfo(float).eps) if s.size else 0
@@ -118,8 +130,7 @@ def _delay_domain_blocks(chan: ChannelMatrixSet,
     K*O_s columns.
     """
     ko = cfg.k * cfg.o_s
-    p = ufmc_precoder(cfg) * _tx_null(cfg)
-    resp = np.sqrt(ko) * p[::ko].sum(axis=0)   # rows 0 + K*O_s: W^H[0] resp, W^H[0] = 1/sqrt(KO_s)
+    resp = _filter_response(cfg)[0] * _tx_null(cfg)
     rows = np.arange(cfg.filter_len - 1)[:, np.newaxis] + chan.tap_index  # band, columns < L-1
     h = chan.taps[:, rows, np.arange(rows.shape[1])] * (rows < ko)         # R_tail: rows < K*O_s
     band = np.einsum("kcj,mcj->mkc", oversampled_dft(cfg.k, cfg.o_s)[:, rows % ko], h,

@@ -450,14 +450,14 @@ def psd_signal(cfg: ExperimentConfig, waveform: str):
     2*n_guard edge subcarriers nulled, one after another, as 1-D chunks of
     about ``_PSD_CHUNK_BYTES`` (whole frames, at least one).  The seeded QPSK
     grids are drawn in frame order from ``default_rng(cfg.seed)`` and
-    isfft'ed once; each chunk is modulated as the estimate asks for it, so
-    the whole signal is never held.
+    isfft'ed once, as one stack; each chunk is modulated as the estimate asks
+    for it, so the whole signal is never held.
     """
     modem = cfg.modem
     with_cp = WAVEFORMS[waveform][0]
     modulate = ofdm.ofdm_modulate if with_cp else drufmc.ufmc_modulate_ft
     rng = np.random.default_rng(cfg.seed)
-    grids = np.stack([isfft(qpsk_grid(rng, modem.k, modem.n)) for _ in range(cfg.psd_trials)])
+    grids = isfft(np.stack([qpsk_grid(rng, modem.k, modem.n) for _ in range(cfg.psd_trials)]))
     frame_len = modem.n * (modem.block_len if with_cp else modem.k * modem.o_s)
     chunk = max(1, _PSD_CHUNK_BYTES // (16 * frame_len))
 
@@ -490,12 +490,16 @@ def run_psd(cfg: ExperimentConfig, out_path: str | None = None):
     set to one thread (:func:`_pin_blas`), so the two threads do not
     oversubscribe the cores.
     Results are collected in family order, and a family's error propagates
-    before anything is written.  If guard searches fail, one
-    :class:`GuardSearchError` names every failed family, each with its
-    message, in family order.
+    before anything is written.  O_s = 1 is a :class:`ConfigError`, raised
+    before any work: its PSD grid has no out-of-band bin.  If guard searches
+    fail, one :class:`GuardSearchError` names every failed family, each with
+    its message, in family order.
     """
     from concurrent.futures import ThreadPoolExecutor  # kept off ddmod's import path
 
+    if cfg.modem.o_s < 2:
+        raise ConfigError("psd needs O_s >= 2: at O_s = 1 the PSD grid spans only the "
+                          "nominal band, so no bin lies out of band")
     families = dict.fromkeys("otfs" if WAVEFORMS[wf][0] else "drufmc" for wf in cfg.waveforms)
     if len(families) > 1:
         _pin_blas()

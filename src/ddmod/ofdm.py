@@ -1,9 +1,13 @@
 """Oversampled CP-OFDM modulator plus the two OFDM benchmark receivers.
 
 The modulator here is the frequency-time core shared with the delay-Doppler
-chain: data sits directly on the K x N frequency-time grid.  Two receivers
-are provided, full multicarrier-multisymbol linear MMSE and classical
-per-subcarrier one-tap FDE.
+chain: data sits directly on the K x N frequency-time grid.  Each symbol
+takes one K*O_s-point inverse FFT of its K centred subcarriers, written
+behind its CP; each receiver takes one K*O_s-point FFT of its kept window
+and keeps the K centred bins (:func:`_demodulate`).  The dense W^H and W of
+:mod:`ddmod.transforms` are their references.  Two receivers are provided,
+full multicarrier-multisymbol linear MMSE and classical per-subcarrier
+one-tap FDE.
 
 The channel is block-diagonal per symbol, so full MMSE needs no KN x KN
 matrix: with C_i = B_i * diag(null) the K x K frequency-time
@@ -23,7 +27,7 @@ import numpy as np
 from .channel import ChannelMatrixSet
 from .config import ModemConfig, live_rows
 from .mmse import mmse_sinr, per_symbol_factor, per_symbol_mmse
-from .transforms import invec, oversampled_dft, oversampled_idft, vec
+from .transforms import invec, vec
 
 
 def _tx_guard(cfg: ModemConfig) -> int:
@@ -38,6 +42,30 @@ def _tx_null(cfg: ModemConfig) -> np.ndarray:
     return mask
 
 
+def _symbol_blocks(x_ft: np.ndarray, cfg: ModemConfig, n_guard: int, lead: int,
+                   gain: np.ndarray | None = None) -> np.ndarray:
+    """(..., N, lead + K*O_s) buffer of the blocks W^H diag(gain) x_i behind ``lead`` zeros.
+
+    x_i is column i of a (..., K, N) grid with its 2*n_guard edge rows left
+    out, and ``gain`` (length K) defaults to ones.  Subcarrier l goes to bin
+    (l - K/2) mod K*O_s, and one orthonormal inverse FFT per symbol runs in
+    place.
+    """
+    if x_ft.shape[-2:] != (cfg.k, cfg.n):
+        raise ValueError(f"dimension mismatch: expected {(cfg.k, cfg.n)}, got {x_ft.shape}")
+    live = live_rows(cfg.k, n_guard)
+    ko, m = cfg.k * cfg.o_s, cfg.k // 2 - n_guard       # m live subcarriers each side of K/2
+    x = np.swapaxes(x_ft[..., live, :], -1, -2)                      # (..., N, K - 2 N_G)
+    if gain is not None:
+        x = x * gain[live]
+    out = np.zeros((*x.shape[:-1], lead + ko), dtype=complex)
+    bins = out[..., lead:]
+    bins[..., :m] = x[..., m:]                                        # l >= K/2: bins 0, 1, ...
+    bins[..., ko - m:] = x[..., :m]                                   # l < K/2: bins ..., -1
+    np.fft.ifft(bins, axis=-1, norm="ortho", out=bins)
+    return out
+
+
 def ofdm_modulate(x_ft: np.ndarray, cfg: ModemConfig, n_guard: int = 0) -> np.ndarray:
     """Serialize a K x N frequency-time grid: oversampled IFFT, CP, columnwise vec.
 
@@ -45,15 +73,10 @@ def ofdm_modulate(x_ft: np.ndarray, cfg: ModemConfig, n_guard: int = 0) -> np.nd
     frames.  The 2*n_guard edge subcarriers are not transmitted: only the
     live rows enter the IFFT, as if the edge rows were zero.
     """
-    x_ft = np.asarray(x_ft)
-    if x_ft.shape[-2:] != (cfg.k, cfg.n):
-        raise ValueError(f"dimension mismatch: expected {(cfg.k, cfg.n)}, got {x_ft.shape}")
-    live = live_rows(cfg.k, n_guard)
-    s = np.empty((*x_ft.shape[:-2], cfg.block_len, cfg.n), dtype=complex)
-    w_h = oversampled_idft(cfg.k, cfg.o_s)[:, live]
-    np.matmul(w_h, x_ft[..., live, :], out=s[..., cfg.n_cp:, :])
-    s[..., :cfg.n_cp, :] = s[..., cfg.k * cfg.o_s:, :]      # A_cp: the last N_CP samples lead
-    return vec(s)
+    ko = cfg.k * cfg.o_s
+    s = _symbol_blocks(np.asarray(x_ft), cfg, n_guard, cfg.n_cp)
+    s[..., :cfg.n_cp] = s[..., ko:]                 # A_cp: the last N_CP samples lead
+    return s.reshape(*s.shape[:-2], -1)
 
 
 def apply_channel(
@@ -84,14 +107,17 @@ def apply_channel(
 
 def _demodulate(r: np.ndarray, cfg: ModemConfig, n_cp: int) -> np.ndarray:
     """K x N frequency-time grid of N received blocks: R_cp keeps the K*O_s samples
-    after ``n_cp`` CP samples, dropping the channel tail, then the oversampled FFT W."""
+    after ``n_cp`` CP samples, dropping the channel tail, then the oversampled DFT W,
+    taken as one K*O_s-point FFT per block whose K centred bins are kept."""
     r = np.asarray(r)
     if r.size % cfg.n != 0:
         raise ValueError(f"dimension mismatch: length {r.size} not divisible by N={cfg.n}")
     block, ko = r.size // cfg.n, cfg.k * cfg.o_s
     if block < n_cp + ko:
         raise ValueError(f"dimension mismatch: received block {block} shorter than {n_cp + ko}")
-    return oversampled_dft(cfg.k, cfg.o_s) @ invec(r, block)[n_cp:n_cp + ko, :]
+    spec = np.fft.fft(r.reshape(cfg.n, block)[:, n_cp:n_cp + ko], axis=-1, norm="ortho")
+    half = cfg.k // 2
+    return np.concatenate((spec[:, ko - half:], spec[:, :half]), axis=-1).T  # bins -K/2 .. K/2-1
 
 
 def ofdm_demodulate(r: np.ndarray, cfg: ModemConfig) -> np.ndarray:

@@ -46,9 +46,11 @@ def oversampled_dft(k: int, o_s: int) -> np.ndarray:
     """K x (K*O_s) oversampled DFT whose rows are the K centred subcarriers.
 
     Entry (l, m) = exp(-j2*pi*m*(l - K/2)/(K*O_s)) / sqrt(K*O_s) for
-    l = 0..K-1 and m = 0..K*O_s-1.  Rows are orthonormal, so W @ W^H = I_K;
-    the conjugate transpose is the oversampled IFFT used by the modulators.
-    Requires even K because the subcarrier grid is centred at K/2.
+    l = 0..K-1 and m = 0..K*O_s-1.  Rows are orthonormal, so W @ W^H = I_K.
+    The receivers apply W as a K*O_s-point FFT that keeps the K centred bins;
+    this dense matrix is their reference, and it builds the tail band of
+    DR-UFMC's delay-domain blocks.  Requires even K because the subcarrier
+    grid is centred at K/2.
     """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"invalid size: K must be even and >= 2, got {k}")
@@ -64,34 +66,41 @@ def oversampled_dft(k: int, o_s: int) -> np.ndarray:
 
 
 def oversampled_idft(k: int, o_s: int) -> np.ndarray:
-    """(K*O_s) x K oversampled IFFT W^H, the conjugate transpose of :func:`oversampled_dft`.
+    """(K*O_s) x K oversampled IDFT W^H, the conjugate transpose of :func:`oversampled_dft`.
 
+    The modulators apply W^H as one K*O_s-point inverse FFT per symbol; this
+    dense matrix is their reference and the input of :func:`ufmc_precoder`.
     Memoized as the transposed (Fortran-ordered) view, the operand layout of
     ``oversampled_dft(k, o_s).conj().T``.
     """
     return _cached(("wbar_h", k, o_s), lambda: oversampled_dft(k, o_s).conj().T)
 
 
+def _grid_shape(x: np.ndarray) -> tuple[int, int]:
+    """(K, N) of a K x N grid or of a (..., K, N) stack of them."""
+    if x.ndim < 2:
+        raise ValueError(f"dimension mismatch: expected a K x N grid, got shape {x.shape}")
+    return x.shape[-2:]
+
+
 def isfft(x_dd: np.ndarray) -> np.ndarray:
-    """Delay-Doppler grid to frequency-time grid: F_K @ X @ F_N^H."""
+    """Delay-Doppler grid to frequency-time grid: F_K @ X @ F_N^H.
+
+    A (..., K, N) stack transforms each grid, exactly as one at a time.
+    """
     x_dd = np.asarray(x_dd)
-    if x_dd.ndim != 2:
-        raise ValueError(f"dimension mismatch: expected a K x N grid, got shape {x_dd.shape}")
-    k, n = x_dd.shape
-    f_k = dft_matrix(k)
-    f_n = dft_matrix(n)
-    return f_k @ x_dd @ f_n.conj().T
+    k, n = _grid_shape(x_dd)
+    return dft_matrix(k) @ x_dd @ dft_matrix(n).conj().T
 
 
 def sfft(y_ft: np.ndarray) -> np.ndarray:
-    """Frequency-time grid to delay-Doppler grid: F_K^H @ Y @ F_N (inverse of isfft)."""
+    """Frequency-time grid to delay-Doppler grid: F_K^H @ Y @ F_N (inverse of isfft).
+
+    A (..., K, N) stack transforms each grid, exactly as one at a time.
+    """
     y_ft = np.asarray(y_ft)
-    if y_ft.ndim != 2:
-        raise ValueError(f"dimension mismatch: expected a K x N grid, got shape {y_ft.shape}")
-    k, n = y_ft.shape
-    f_k = dft_matrix(k)
-    f_n = dft_matrix(n)
-    return f_k.conj().T @ y_ft @ f_n
+    k, n = _grid_shape(y_ft)
+    return dft_matrix(k).conj().T @ y_ft @ dft_matrix(n)
 
 
 def vec(x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Dense reference constructions for the path-sparse channel kernels.
+"""Dense reference constructions for the path-sparse channel kernels and the
+FFT transceiver.
 
 The library stores only the active tap columns of a channel and applies
 them with banded kernels batched over symbols, or sums over their paths in
@@ -13,12 +14,18 @@ guard-count scan that the bisected search replaced, the per-frame PSD
 transmitter that ``harness.psd_signal`` batches (with the seeded frame loop
 that builds a multi-frame signal from it), and the sweep cell that realized
 its own channel before grid points shared one.
+
+The modulators and receivers take one K*O_s-point FFT per symbol; the dense
+products they replaced are here: the oversampled IDFT W^H of the live rows
+plus the CP, DR-UFMC's (K*O_s + L - 1) x K precoder followed by the
+continuous-packet overlap-add, and the oversampled DFT W of each kept window.
 """
 
 import numpy as np
 
 from ddmod import channel as ch
 from ddmod import drufmc, harness, ofdm
+from ddmod.config import live_rows
 from ddmod.metrics import (
     GuardSearchError,
     avg_spectral_efficiency,
@@ -31,11 +38,55 @@ from ddmod.metrics import (
 from ddmod.transforms import (
     dft_matrix,
     isfft,
+    invec,
     modulated_filter_taps,
     oversampled_dft,
+    oversampled_idft,
     ufmc_precoder,
     vec,
 )
+
+
+def dense_ofdm_modulate(x_ft, cfg, n_guard: int = 0) -> np.ndarray:
+    """:func:`ddmod.ofdm.ofdm_modulate` as W^H[:, live] @ x[live], CP prepended, columnwise vec."""
+    live = live_rows(cfg.k, n_guard)
+    x_ft = np.asarray(x_ft)
+    s = np.empty((*x_ft.shape[:-2], cfg.block_len, cfg.n), dtype=complex)
+    s[..., cfg.n_cp:, :] = oversampled_idft(cfg.k, cfg.o_s)[:, live] @ x_ft[..., live, :]
+    s[..., :cfg.n_cp, :] = s[..., cfg.k * cfg.o_s:, :]
+    return vec(s)
+
+
+def overlap_add(x_tilde: np.ndarray, cfg) -> np.ndarray:
+    """Continuous-packet overlap of per-symbol filtered blocks.
+
+    Column n keeps its first K*O_s rows and absorbs the previous column's
+    tail into its first L - 1 rows; the last column's tail is dropped.  A
+    (..., rows, N) stack overlaps each matrix.
+    """
+    ko = cfg.k * cfg.o_s
+    if x_tilde.shape[-2] != ko + cfg.filter_len - 1:
+        raise ValueError(
+            f"dimension mismatch: expected {ko + cfg.filter_len - 1} rows, got {x_tilde.shape[-2]}"
+        )
+    n = x_tilde.shape[-1]
+    out = x_tilde[..., :ko, :].copy()
+    out[..., :cfg.filter_len - 1, 1:] += x_tilde[..., ko:, :n - 1]
+    return out
+
+
+def dense_ufmc_modulate_ft(x_ft, cfg, n_guard: int = 0) -> np.ndarray:
+    """:func:`ddmod.drufmc.ufmc_modulate_ft` as the dense precoder's live columns, then
+    :func:`overlap_add`."""
+    live = live_rows(cfg.k, n_guard)
+    x_tilde = ufmc_precoder(cfg)[:, live] @ np.asarray(x_ft)[..., live, :]
+    return vec(overlap_add(x_tilde, cfg))
+
+
+def dense_demodulate(r, cfg, n_cp: int) -> np.ndarray:
+    """K x N grid W @ (the K*O_s samples after ``n_cp`` of each of the N received blocks)."""
+    r = np.asarray(r)
+    return oversampled_dft(cfg.k, cfg.o_s) @ invec(r, r.size // cfg.n)[n_cp:n_cp + cfg.k * cfg.o_s]
 
 
 def dense_materialize_taps(paths, cfg, rows) -> np.ndarray:

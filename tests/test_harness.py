@@ -524,6 +524,21 @@ class TestRunPsd:
         assert re.fullmatch(rf"guard search failed: otfs: {reason}; drufmc: {reason}\n",
                             captured.err)
 
+    def test_o_s_1_is_a_config_error_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # at O_s = 1 the Welch grid spans only the band: this once ended in a
+        # "PSD grid has no out-of-band samples" traceback
+        monkeypatch.setattr(harness, "psd_signal", None)    # any work would raise
+        path = write_config(tmp_path, "k = 32\nn = 8\no_s = 1\nb = 4\nfilter_len = 16\n"
+                                      "n_cp = 4\npsd_trials = 3\nwaveforms = otfs, drufmc\n"
+                                      "snr_db = 10\nspeeds_kmh = 500\ntrials = 1\n")
+        out = tmp_path / "psd.csv"
+        assert main(["psd", "--config", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert re.fullmatch(r"config error: psd needs O_s >= 2: [^\n]*\n", captured.err)
+        # the sweep still runs at O_s = 1
+        assert main(["run", "--config", path]) == 0
+
     @pytest.mark.parametrize("waveforms, families", [
         ("otfs", 1), ("otfs, ofdm-full, ofdm-onetap", 1), ("drufmc, otfs, ofdm-full", 2),
     ])

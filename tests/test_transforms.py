@@ -85,6 +85,18 @@ class TestSymplecticTransforms:
         x = crandn(rng, 8, 4)
         assert np.abs(sfft(isfft(x)) - x).max() < 1e-12
 
+    def test_stack_transforms_each_grid_exactly(self):
+        rng = np.random.default_rng(4)
+        x = crandn(rng, 2, 3, 8, 4)
+        for transform in (isfft, sfft):
+            per_grid = np.array([[transform(g) for g in row] for row in x])
+            assert np.array_equal(transform(x), per_grid)
+
+    def test_rejects_a_vector(self):
+        for transform in (isfft, sfft):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                transform(np.ones(8))
+
     def test_impulse_against_double_sum(self):
         # X[a,b] = sum_{k,n} F_K[a,k] X_dd[k,n] conj(F_N[b,n]), evaluated entrywise
         k, n = 8, 4
