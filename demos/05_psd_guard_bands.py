@@ -5,10 +5,11 @@ smallest number of nulled edge subcarriers meeting the -30 dB out-of-band
 threshold, both through ``run_psd``.  The filtered chain needs roughly half
 the guards.
 
-Runtime is about 0.55 s on a 2-vCPU machine with OpenBLAS on one thread
-(7 Welch estimates per family for the bisected guard search, the two
-families on one thread each); pass --quick for a coarse 20-trial version,
-about 0.2 s.
+Runtime is about 0.43 s, start-up included, on a 2-vCPU machine with
+OpenBLAS on one thread (7 Welch estimates per family for the bisected guard
+search, each modulating the 100 frames with one inverse FFT per symbol; the
+two families on one thread each); pass --quick for a coarse 20-trial
+version, about 0.17 s.
 """
 
 import sys

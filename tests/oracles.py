@@ -37,8 +37,8 @@ from ddmod.metrics import (
 )
 from ddmod.transforms import (
     dft_matrix,
-    isfft,
     invec,
+    isfft,
     modulated_filter_taps,
     oversampled_dft,
     oversampled_idft,
