@@ -23,14 +23,15 @@ filters' gains, and D_m = X_m R from the L - 1 channel columns the tail
 reaches: R, the precoder's tail rows, is the same (L - 1) x K factor for
 every symbol.  R is the Dolph-Chebyshev filter ramp, whose singular values
 fall fast (numerical rank r = 24 of L - 1 = 59 at table 1), so the tail is
-kept at that rank: D_m = (X_m U_r S_r) V_r^H from R's thin SVD.  The dense
-delay-Doppler channel is V T V^H with V = F_N (x) I_K, so its MMSE error
-covariance is sigma^2 V G V^H, G = (T^H T + sigma^2 I)^{-1}.  The Doppler
+kept at that rank, at every scale: D_m = (X_m U_r S_r) V_r^H from R's thin
+SVD.  The dense delay-Doppler channel is V T V^H with V = F_N (x) I_K, so
+its MMSE error covariance is sigma^2 V G V^H, G = (T^H T + sigma^2 I)^{-1}.  The Doppler
 DFT mixes the diagonals of every block of G, so :func:`drufmc_mmse` takes
 them from a selected inverse that keeps the tails in that rank-r form
 (O(N^2 r^2 K + N K^3) work, O(N K^2) memory, no K x K tail formed);
 :func:`drufmc_link` runs the whole link.  :func:`drufmc_effective_channel`
-builds the dense matrix as the reference.
+builds the dense matrix as the reference.  Links and detectors take the
+channel as a :class:`~ddmod.ofdm.LinkChannel` and read its CP-less set.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ import numpy as np
 from .channel import ChannelMatrixSet
 from .config import ModemConfig, live_rows
 from .mmse import bidiagonal_mmse, mmse_sinr
-from .ofdm import (_demodulate, _path_ft_blocks, _symbol_blocks, _tx_guard, _tx_null,
-                   apply_channel)
+from .ofdm import (LinkChannel, _demodulate, _path_ft_blocks, _symbol_blocks, _tx_guard,
+                   _tx_null, apply_channel)
 from .transforms import _cached, dft_matrix, isfft, oversampled_dft, sfft, ufmc_precoder
 
 
@@ -115,19 +116,18 @@ def _delay_domain_blocks(chan: ChannelMatrixSet,
                          cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symbol m's head map C_m and overlap-tail map D_m = X_m R, delay domain in and out.
 
-    Returns the (N, K, K) stack of C_m, the (N, K, r) stack of X_m and the
-    (r, K) factor R, with r the numerical rank of the precoder tail (at most
-    L - 1).  C_m = F_K^H W (R_tail M_m) P_head F_K carries symbol m into its
-    own block; D_m = F_K^H W M_m[:K*O_s, :L-1] P_tail F_K carries symbol
+    Returns the (N, K, K) stack of C_m and D_m's two factors, an (N, K, r)
+    stack and an (r, K) matrix, with r the numerical rank of the precoder
+    tail (at most L - 1).  C_m = F_K^H W (R_tail M_m) P_head F_K carries
+    symbol m into its own block; D_m = F_K^H W M_m[:K*O_s, :L-1] P_tail F_K carries symbol
     m - 1's tail into block m, with X_m = F_K^H W M_m[:K*O_s, :L-1] and
     R = P_tail F_K.  P_head / P_tail are the first K*O_s / last L - 1 precoder
     rows, TX-guard nulled.  P_head is the steady state W^H diag(resp) less
     P_tail in its first L - 1 rows, so C_m = F_K^H B_m diag(resp) F_K - D_m,
     with B_m the per-path closed form of :func:`~ddmod.ofdm.per_symbol_ft_channel`
-    without CP.  The heads subtract the full-rank X_m R; if R has rank
-    r < L - 1, the tail pair returned is (X_m U_r S_r, V_r^H) from its thin
-    SVD (:func:`_precoder_tail`).  ``chan`` must be the CP-less set, with
-    K*O_s columns.
+    without CP.  The heads subtract the full X_m R; the tail pair returned is
+    (X_m U_r S_r, V_r^H) from R's thin SVD (:func:`_precoder_tail`), at any
+    rank r <= L - 1.  ``chan`` must be the CP-less set, with K*O_s columns.
     """
     ko = cfg.k * cfg.o_s
     resp = _filter_response(cfg)[0] * _tx_null(cfg)
@@ -141,9 +141,7 @@ def _delay_domain_blocks(chan: ChannelMatrixSet,
     r, us, vh = _precoder_tail(cfg)
     head = np.fft.fft(np.fft.ifft(_path_ft_blocks(chan, cfg, 0) * resp, axis=-2), axis=-1)
     head -= x @ r
-    if vh.shape[0] < r.shape[0]:              # X_m R = (X_m U_r S_r) V_r^H
-        return head, x @ us, vh
-    return head, x, r
+    return head, x @ us, vh                    # X_m R = (X_m U_r S_r) V_r^H
 
 
 def drufmc_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarray:
@@ -170,30 +168,28 @@ def drufmc_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.nda
     return blocks.transpose(0, 2, 1, 3).reshape(k * n, k * n) * (1.0 / n)
 
 
-def drufmc_mmse(
-    y_dd: np.ndarray,
-    chan: ChannelMatrixSet,
-    cfg: ModemConfig,
-    sigma2: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """MMSE SINR grid and estimates through the block lower-bidiagonal T.
+def drufmc_mmse(y: np.ndarray, channel: LinkChannel, cfg: ModemConfig,
+                sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """MMSE SINR grid and estimates of the received delay-Doppler grid ``y``
+    through the block lower-bidiagonal T of ``channel``'s CP-less set.
 
     Returns the (K, N) SINR and delay-Doppler estimate grids; equal to
     ``metrics.sinr_map`` and ``metrics.mmse_detect`` on
     :func:`drufmc_effective_channel` without forming it.
     """
-    cf, x, r = _delay_domain_blocks(chan, cfg)
+    cf, x, r = _delay_domain_blocks(channel.channel(False), cfg)
     f_n = dft_matrix(cfg.n)
-    u = (np.asarray(y_dd) @ f_n.conj()).T          # U = Y_dd F_N^H, one row per symbol
+    u = (np.asarray(y) @ f_n.conj()).T             # U = Y_dd F_N^H, one row per symbol
     mse, a_hat = bidiagonal_mmse(cf, x, r, u, sigma2, f_n)
     return mmse_sinr(mse.T, sigma2), a_hat.T @ f_n
 
 
-def drufmc_link(x_dd: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigma2: float,
+def drufmc_link(x: np.ndarray, channel: LinkChannel, cfg: ModemConfig, sigma2: float,
                 seed=None) -> tuple[np.ndarray, np.ndarray]:
-    """Send ``x_dd`` over the CP-less ``chan`` with noise variance sigma^2 and MMSE-detect it.
+    """Send ``x`` over ``channel``'s CP-less set with noise variance sigma^2 and MMSE-detect it.
 
     Returns the (K, N) SINR and delay-Doppler estimate grids of :func:`drufmc_mmse`.
     """
-    r = apply_channel(drufmc_modulate(x_dd, cfg, _tx_guard(cfg)), chan, sigma2, seed)
-    return drufmc_mmse(drufmc_demodulate(r, cfg), chan, cfg, sigma2)
+    r = apply_channel(drufmc_modulate(x, cfg, _tx_guard(cfg)), channel.channel(False), sigma2,
+                      seed)
+    return drufmc_mmse(drufmc_demodulate(r, cfg), channel, cfg, sigma2)

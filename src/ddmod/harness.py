@@ -4,11 +4,11 @@ PSD / guard-band experiments, and the ``ddmod`` command line interface.
 The compared waveforms are the rows of :data:`WAVEFORMS`; each module owns
 its link from symbols to SINR grid and estimates.  Waveforms at the same
 (speed, SNR, trial) grid point are evaluated on the same channel realization,
-so waveform comparisons are paired and free of Monte-Carlo noise; the sweep
-builds that realization, its frequency-time stack and the stack's MMSE
-factor once per point (:class:`GridPoint`).  Output rows are sorted
-deterministically before writing; rerunning an identical config and seed
-reproduces the CSV byte for byte.
+so waveform comparisons are paired and free of Monte-Carlo noise: every link
+takes the point's one :class:`~ddmod.ofdm.LinkChannel` (:func:`grid_point`),
+which builds the realization, its frequency-time stack and the stack's MMSE
+factor once.  Output rows are sorted deterministically before writing;
+rerunning an identical config and seed reproduces the CSV byte for byte.
 
 The PSD experiment hands the guard search a ``spectrum(n_guard)`` function:
 the Welch estimate of one family's ``psd_trials``-frame signal, streamed to
@@ -26,7 +26,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field, fields, replace
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -45,23 +45,18 @@ from .metrics import (
 )
 from .transforms import isfft, vec
 
-#: Waveform name -> (CP-bearing, link).  A link maps (x_dd, chan, cfg, sigma2,
-#: seed) to the (K, N) SINR and estimate grids.  The CP flag picks the
-#: channel's block width, the air-time efficiency (``cp_efficiency()`` or 1) and
-#: the PSD family: the CP-OFDM transmitter ("otfs") or the filtered one ("drufmc").
-#: CP-bearing links also take the channel's (N, K, K) stack
-#: ``ofdm.per_symbol_ft_channel(chan, cfg)`` as ``ft``.  The order fixes each
-#: waveform's cell seed.
+#: Waveform name -> (CP-bearing, link).  A link maps (x, channel, cfg, sigma2,
+#: seed), with ``channel`` an ``ofdm.LinkChannel``, to the (K, N) SINR and
+#: estimate grids.  The CP flag picks the air-time efficiency
+#: (``cp_efficiency()`` or 1) and the PSD family: the CP-OFDM transmitter
+#: ("otfs") or the filtered one ("drufmc").  The order fixes each waveform's
+#: cell seed.
 WAVEFORMS = {
     "otfs": (True, otfs.otfs_link),
     "drufmc": (False, drufmc.drufmc_link),
     "ofdm-full": (True, ofdm.ofdm_full_link),
     "ofdm-onetap": (True, ofdm.ofdm_onetap_link),
 }
-
-#: CP links that detect through ``ofdm.mmse_factor`` of ``ft``; they also take
-#: the point's shared factor as ``l_inv``.
-_FACTORED_LINKS = (otfs.otfs_link, ofdm.ofdm_full_link)
 
 CSV_HEADER = "waveform,speed_kmh,snr_db,trial,net_sinr_db,avg_se_bps_hz,nmse,runtime_s"
 
@@ -232,68 +227,24 @@ def _trial_paths(cfg: ExperimentConfig, speed_kmh: float, snr_index: int, trial:
     return ch.sample_eva_paths(seed, speed_kmh / 3.6, cfg.modem.f_c_hz)
 
 
-@dataclass
-class GridPoint:
-    """Channel work shared by the cells of one (speed, SNR, trial) grid point.
-
-    The channel is materialized once, for the CP-bearing chain; the CP-less
-    set shares its taps array with K*O_s columns.  The (N, K, K)
-    frequency-time stack of the CP-bearing set serves every CP link, and its
-    MMSE factor L^{-1} serves both OTFS and OFDM-full: it is computed at most
-    once per sigma^2 and TX-guard count (:meth:`mmse_factor`).  Each is built
-    on first use; the channel lives as long as the point, and the stack and
-    its factors until :meth:`release_cp`.
-    """
-
-    cfg: ExperimentConfig
-    speed_kmh: float
-    snr_index: int
-    trial: int
-    _factors: dict = field(default_factory=dict, init=False, repr=False)
-
-    @cached_property
-    def cp_channel(self) -> ch.ChannelMatrixSet:
-        paths = _trial_paths(self.cfg, self.speed_kmh, self.snr_index, self.trial)
-        return ch.realize(paths, self.cfg.modem, with_cp=True)
-
-    def channel(self, with_cp: bool) -> ch.ChannelMatrixSet:
-        if with_cp:
-            return self.cp_channel
-        return ch.channel_matrices(self.cp_channel, self.cfg.modem, with_cp=False)
-
-    @cached_property
-    def ft(self) -> np.ndarray:
-        return ofdm.per_symbol_ft_channel(self.cp_channel, self.cfg.modem)
-
-    def mmse_factor(self, modem: ModemConfig, sigma2: float) -> np.ndarray:
-        """``ofdm.mmse_factor(ft, modem, sigma2)``, keyed on the TX-guard count, not ``n_guard``.
-
-        Under ``accounting`` nulling every guard count nulls nothing at the
-        transmitter, so all of them share one factor.
-        """
-        key = (sigma2, ofdm._tx_guard(modem))
-        if key not in self._factors:
-            self._factors[key] = ofdm.mmse_factor(self.ft, modem, sigma2)
-        return self._factors[key]
-
-    def release_cp(self) -> None:
-        """Drop the frequency-time stack and its factors, which no CP-less link reads."""
-        self.__dict__.pop("ft", None)
-        self._factors.clear()
+def grid_point(cfg: ExperimentConfig, speed_kmh: float, snr_index: int,
+               trial: int) -> ofdm.LinkChannel:
+    """The one channel of a (speed, SNR, trial) grid point, realized from ``cfg.modem``."""
+    return ofdm.LinkChannel(_trial_paths(cfg, speed_kmh, snr_index, trial), cfg.modem)
 
 
 def evaluate_point(
     cfg: ExperimentConfig, waveform: str, speed_kmh: float, snr_index: int, trial: int,
-    point: GridPoint | None = None,
+    point: ofdm.LinkChannel | None = None,
 ) -> ResultRow:
     """Metrics for one (waveform, speed, SNR, trial) grid cell.
 
-    The waveform's link runs on the trial's realization, taken from
-    ``point`` (a fresh :class:`GridPoint` if None); the MMSE links use the
-    structured routes, so no KN x KN effective channel is built.  The link
-    and the score take ``cfg.modem_for(waveform)``; the point is realized
-    from ``cfg.modem``, as the guard count does not enter the channel.  The
-    transmitter has unit power, so the SNR fixes the noise variance alone.
+    The waveform's link runs on the trial's channel ``point`` (a fresh
+    :func:`grid_point` if None); the MMSE links use the structured routes,
+    so no KN x KN effective channel is built.  The link and the score take
+    ``cfg.modem_for(waveform)``; the point is realized from ``cfg.modem``, as
+    the guard count does not enter the channel.  The transmitter has unit
+    power, so the SNR fixes the noise variance alone.
     """
     start = time.perf_counter()
     modem = cfg.modem_for(waveform)
@@ -301,15 +252,12 @@ def evaluate_point(
     sigma2 = 1.0 / 10.0 ** (snr_db / 10.0)
     with_cp, link = WAVEFORMS[waveform]
     if point is None:
-        point = GridPoint(cfg, speed_kmh, snr_index, trial)
-    stack = {"ft": point.ft} if with_cp else {}
-    if link in _FACTORED_LINKS:
-        stack["l_inv"] = point.mmse_factor(modem, sigma2)
+        point = grid_point(cfg, speed_kmh, snr_index, trial)
 
     # deterministic per-cell stream for symbols and noise
     sym_rng, noise_ss = _cell_streams(cfg, waveform, speed_kmh, snr_index, trial)
     x_dd = qpsk_grid(sym_rng, modem.k, modem.n)
-    sinr, x_hat = link(x_dd, point.channel(with_cp), modem, sigma2, noise_ss, **stack)
+    sinr, x_hat = link(x_dd, point, modem, sigma2, noise_ss)
     efficiency = modem.cp_efficiency() if with_cp else 1.0
     return ResultRow(
         waveform=waveform,
@@ -336,11 +284,11 @@ def _point_worker(args):
     """(row, None) or (None, (cell, traceback)) for each waveform at one grid point.
 
     The CP-bearing cells run first; the point then drops its frequency-time
-    stack and factors (:meth:`GridPoint.release_cp`), so the CP-less cells
-    do not hold them.  Results come back in ``cfg.waveforms`` order.
+    stack and factors (:meth:`~ddmod.ofdm.LinkChannel.release_cp`), so the
+    CP-less cells do not hold them.  Results come back in ``cfg.waveforms`` order.
     """
     cfg, (speed, snr_index, trial) = args
-    point = GridPoint(cfg, speed, snr_index, trial)
+    point = grid_point(cfg, speed, snr_index, trial)
     results = {}
     for waveform in sorted(cfg.waveforms, key=lambda wf: not WAVEFORMS[wf][0]):
         if not WAVEFORMS[waveform][0]:
@@ -404,7 +352,7 @@ def run_sweep(cfg: ExperimentConfig, out_path: str | None = None):
     """Run the full grid; returns (rows, failures) and optionally writes CSV.
 
     Each (speed, SNR, trial) point evaluates all its waveforms on one
-    :class:`GridPoint`.  Rows are sorted by (waveform, speed, SNR, trial)
+    :func:`grid_point`.  Rows are sorted by (waveform, speed, SNR, trial)
     before writing so the output is independent of execution order;
     DDMOD_THREADS > 1 enables a process pool over grid points, each worker
     on one BLAS thread.  A failure is (cell, formatted traceback).

@@ -11,13 +11,15 @@ With a Cholesky factor G^{-1} = L L^H, G = L^{-H} L^{-1}, so the error
 diagonal of any unitary change of basis V G V^H is the column energy of
 L^{-1} V^H, and the estimate is two products with L^{-1}.  So a
 block-diagonal C (one K x K block per symbol) needs N batched K x K
-factorizations, and receivers of the same stack (OTFS and OFDM-full) can
+factorizations (:func:`per_symbol_factor`), which :func:`per_symbol_mmse`
+takes from its caller, so receivers of the same stack (OTFS and OFDM-full)
 share them.  A block lower-bidiagonal C whose sub-diagonal blocks have
 rank r (DR-UFMC's tails landing in the next symbol, r the numerical rank of
 the precoder tail, at most L - 1) needs a block-tridiagonal Cholesky of
 C^H C + sigma^2 I and a selected inverse: the diagonals of the N^2 blocks of
-G from a backward recursion in r x K factors, O(N^2 r^2 K + N K^3) work.  The coupling is factored, never the
-inverse, so every block formed is bounded by 1/sigma^2.  No KN x KN matrix
+G from a backward recursion in r x K factors, O(N^2 r^2 K + N K^3) work.
+The coupling is factored, never the inverse, so every block formed is
+bounded by 1/sigma^2.  No KN x KN matrix
 is formed: the dense ``metrics.sinr_map`` and ``metrics.mmse_detect`` remain
 the reference these routes are tested against.
 """
@@ -82,22 +84,18 @@ def per_symbol_factor(c: np.ndarray, sigma2: float) -> np.ndarray:
     return _inverse_factor(_gram(c, sigma2))
 
 
-def per_symbol_mmse(c: np.ndarray, y: np.ndarray, sigma2: float,
-                    basis: np.ndarray | None = None,
-                    l_inv: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def per_symbol_mmse(c: np.ndarray, y: np.ndarray, l_inv: np.ndarray,
+                    basis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """MMSE for y[:, i] = C_i x[:, i] + noise, one K x K block per symbol.
 
-    ``c`` is the (N, K, K) stack of C_i and ``y`` the K x N observation grid.
-    One batched Cholesky L_i L_i^H = C_i^H C_i + sigma^2 I gives the error
-    diagonal diag(U^H G_i U) as the column energy of L_i^{-1} U, for the
-    unitary ``basis`` U (identity by default), and the estimates
-    G_i C_i^H y_i = L_i^{-H} L_i^{-1} C_i^H y_i.  ``l_inv`` is the
-    :func:`per_symbol_factor` of ``c`` and ``sigma2`` if the caller already
-    has it; receivers that see the same stack share one.  Returns the (N, K)
+    ``c`` is the (N, K, K) stack of C_i, ``y`` the K x N observation grid and
+    ``l_inv`` the :func:`per_symbol_factor` of ``c`` at the noise variance,
+    L_i^{-1} with L_i L_i^H = C_i^H C_i + sigma^2 I.  The error diagonal
+    diag(U^H G_i U) is the column energy of L_i^{-1} U, for the unitary
+    ``basis`` U (identity by default), and the estimates are
+    G_i C_i^H y_i = L_i^{-H} L_i^{-1} C_i^H y_i.  Returns the (N, K)
     diagonals and the K x N estimate grid.
     """
-    if l_inv is None:
-        l_inv = per_symbol_factor(c, sigma2)
     z = l_inv if basis is None else l_inv @ basis
     mse = np.sum(z.real ** 2 + z.imag ** 2, axis=1)
     x = _herm(l_inv) @ (l_inv @ (_herm(c) @ y.T[..., np.newaxis]))

@@ -1,4 +1,5 @@
-"""Oversampled CP-OFDM modulator plus the two OFDM benchmark receivers.
+"""Oversampled CP-OFDM modulator, the two OFDM benchmark receivers, and the
+channel object every link runs on.
 
 The modulator here is the frequency-time core shared with the delay-Doppler
 chain: data sits directly on the K x N frequency-time grid.  Each symbol
@@ -13,18 +14,24 @@ The channel is block-diagonal per symbol, so full MMSE needs no KN x KN
 matrix: with C_i = B_i * diag(null) the K x K frequency-time
 block of symbol i, the MMSE SINR of bin (k, i) is 1 / (sigma^2 [G_i]_kk) - 1
 and the estimate of column i is G_i C_i^H y_i, G_i = (C_i^H C_i + sigma^2 I)^{-1}
-(:func:`ofdm_full_mmse`).  The factor of that MMSE (:func:`mmse_factor`) is
-OTFS's too, so a caller that runs both computes it once.
-:func:`ofdm_full_link` and :func:`ofdm_onetap_link` run each receiver's whole
-link.  :func:`ofdm_full_effective_channel` builds the dense block-diagonal
-matrix as the reference.
+(:func:`ofdm_full_mmse`).  Every link takes its channel as one
+:class:`LinkChannel`: a realization that builds its frequency-time stack and
+that stack's MMSE factor on first use, so receivers that share it (OTFS and
+OFDM-full) share the factor.  :func:`ofdm_full_link` and
+:func:`ofdm_onetap_link` run each receiver's whole link.
+:func:`ofdm_full_effective_channel` builds the dense block-diagonal matrix as
+the reference.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from functools import cached_property
+
 import numpy as np
 
-from .channel import ChannelMatrixSet
+from . import channel as ch
+from .channel import ChannelMatrixSet, PathSet
 from .config import ModemConfig, live_rows
 from .mmse import mmse_sinr, per_symbol_factor, per_symbol_mmse
 from .transforms import invec, vec
@@ -172,31 +179,69 @@ def ofdm_full_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.
     return out
 
 
-def mmse_factor(ft: np.ndarray, cfg: ModemConfig, sigma2: float) -> np.ndarray:
-    """:func:`~ddmod.mmse.per_symbol_factor` of the TX-nulled stack C_i = ``ft[i]`` * diag(null).
+@dataclass(eq=False)
+class LinkChannel:
+    """The channel of ``paths`` as every link reads it, with the work its receivers share.
 
-    It depends on ``cfg`` only through :func:`_tx_guard`, so every guard
-    count under ``accounting`` shares one.
+    ``paths`` is realized once, for the CP-bearing chain, on first use; the
+    CP-less set shares its taps array with K*O_s columns (:meth:`channel`).
+    The (N, K, K) frequency-time stack of the CP-bearing set (:attr:`ft`)
+    serves every CP receiver, and its MMSE factor serves both OTFS and
+    OFDM-full: it is computed at most once per sigma^2 and TX-guard count
+    (:meth:`mmse_factor`).  The guard count does not enter the channel, so
+    links whose configs differ only in it share one.  The realization lives
+    as long as the object, the stack and its factors until :meth:`release_cp`.
     """
-    return per_symbol_factor(ft * _tx_null(cfg), sigma2)
+
+    paths: PathSet
+    cfg: ModemConfig
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def _cp_set(self) -> ChannelMatrixSet:
+        return ch.realize(self.paths, self.cfg, with_cp=True)
+
+    def channel(self, with_cp: bool) -> ChannelMatrixSet:
+        """The banded channel sized for the CP-bearing or the CP-less chain."""
+        if with_cp:
+            return self._cp_set
+        return ch.channel_matrices(self._cp_set, self.cfg, with_cp=False)
+
+    @cached_property
+    def ft(self) -> np.ndarray:
+        """:func:`per_symbol_ft_channel` of the CP-bearing set."""
+        return per_symbol_ft_channel(self._cp_set, self.cfg)
+
+    def mmse_factor(self, cfg: ModemConfig, sigma2: float) -> np.ndarray:
+        """:func:`~ddmod.mmse.per_symbol_factor` of the TX-nulled stack ``ft`` * diag(null).
+
+        Keyed on the :func:`_tx_guard` count, not ``n_guard``: under
+        ``accounting`` nulling every guard count shares one factor.
+        """
+        key = (sigma2, _tx_guard(cfg))
+        if key not in self._factors:
+            self._factors[key] = per_symbol_factor(self.ft * _tx_null(cfg), sigma2)
+        return self._factors[key]
+
+    def release_cp(self) -> None:
+        """Drop the frequency-time stack and its factors, which no CP-less link reads."""
+        self.__dict__.pop("ft", None)
+        self._factors.clear()
 
 
-def ofdm_full_mmse(
-    y_ft: np.ndarray,
-    ft: np.ndarray,
-    cfg: ModemConfig,
-    sigma2: float,
-    l_inv: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full MMSE SINR grid and estimates from the (N, K, K) frequency-time stack.
+def ofdm_full_mmse(y: np.ndarray, channel: LinkChannel, cfg: ModemConfig,
+                   sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Full MMSE SINR grid and estimates of the received frequency-time grid ``y``.
 
-    One batched Cholesky of C_i^H C_i + sigma^2 I per symbol, or its
-    :func:`mmse_factor` ``l_inv`` if given; bins whose column is exactly
-    zero (TX-nulled guards) report SINR 0, as in ``metrics.sinr_map``.
-    Returns the (K, N) SINR and estimate grids.
+    Detects through ``channel``'s frequency-time stack and its shared
+    :meth:`LinkChannel.mmse_factor`, one batched Cholesky of
+    C_i^H C_i + sigma^2 I per symbol; bins whose column is exactly zero
+    (TX-nulled guards) report SINR 0, as in ``metrics.sinr_map``.  Returns
+    the (K, N) SINR and estimate grids.
     """
-    c = ft * _tx_null(cfg)
-    mse, x_hat = per_symbol_mmse(c, y_ft, sigma2, l_inv=l_inv)
+    l_inv = channel.mmse_factor(cfg, sigma2)
+    c = channel.ft * _tx_null(cfg)
+    mse, x_hat = per_symbol_mmse(c, y, l_inv)
     live = np.any(c != 0, axis=1).T
     return np.where(live, mmse_sinr(mse.T, sigma2), 0.0), x_hat
 
@@ -233,32 +278,28 @@ def ofdm_onetap_sinr(ft: np.ndarray, cfg: ModemConfig, noise_var: float) -> np.n
     return (sig / (interference + noise_var)).T
 
 
-def _receive(x_ft: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigma2: float,
+def _receive(x: np.ndarray, channel: LinkChannel, cfg: ModemConfig, sigma2: float,
              seed) -> np.ndarray:
-    """Received frequency-time grid of ``x_ft``, sent without the TX-nulled guards."""
-    r = apply_channel(ofdm_modulate(x_ft, cfg, _tx_guard(cfg)), chan, sigma2, seed)
+    """Received frequency-time grid of ``x``, sent without the TX-nulled guards."""
+    r = apply_channel(ofdm_modulate(x, cfg, _tx_guard(cfg)), channel.channel(True), sigma2, seed)
     return ofdm_demodulate(r, cfg)
 
 
-def ofdm_full_link(x_ft: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigma2: float,
-                   seed=None, *, ft: np.ndarray,
-                   l_inv: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Send ``x_ft`` over ``chan`` with noise variance sigma^2 and full-MMSE-detect it.
+def ofdm_full_link(x: np.ndarray, channel: LinkChannel, cfg: ModemConfig, sigma2: float,
+                   seed=None) -> tuple[np.ndarray, np.ndarray]:
+    """Send ``x`` over ``channel`` with noise variance sigma^2 and full-MMSE-detect it.
 
-    ``ft`` is the channel's stack ``per_symbol_ft_channel(chan, cfg)`` and
-    ``l_inv``, if given, its ``mmse_factor(ft, cfg, sigma2)``.
     Returns the (K, N) SINR and estimate grids of :func:`ofdm_full_mmse`.
     """
-    return ofdm_full_mmse(_receive(x_ft, chan, cfg, sigma2, seed), ft, cfg, sigma2, l_inv)
+    return ofdm_full_mmse(_receive(x, channel, cfg, sigma2, seed), channel, cfg, sigma2)
 
 
-def ofdm_onetap_link(x_ft: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigma2: float,
-                     seed=None, *, ft: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Send ``x_ft`` over ``chan`` with noise variance sigma^2 and one-tap-equalize it.
+def ofdm_onetap_link(x: np.ndarray, channel: LinkChannel, cfg: ModemConfig, sigma2: float,
+                     seed=None) -> tuple[np.ndarray, np.ndarray]:
+    """Send ``x`` over ``channel`` with noise variance sigma^2 and one-tap-equalize it.
 
-    ``ft`` is the channel's stack ``per_symbol_ft_channel(chan, cfg)``.
     Returns the (K, N) SINR grid of :func:`ofdm_onetap_sinr` and the
-    estimates of :func:`ofdm_onetap_fde`.
+    estimates of :func:`ofdm_onetap_fde`, both from ``channel.ft``.
     """
-    y_ft = _receive(x_ft, chan, cfg, sigma2, seed)
-    return ofdm_onetap_sinr(ft, cfg, sigma2), ofdm_onetap_fde(y_ft, ft, cfg, sigma2)
+    y = _receive(x, channel, cfg, sigma2, seed)
+    return ofdm_onetap_sinr(channel.ft, cfg, sigma2), ofdm_onetap_fde(y, channel.ft, cfg, sigma2)

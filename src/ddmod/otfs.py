@@ -9,7 +9,9 @@ conjugated by the unitary Q = F_N^* (x) F_K (vec(isfft(X)) = Q vec(X)), so
 G = (C^H C + sigma^2 I)^{-1} is Q^H blockdiag(G_i) Q.  Its diagonal at
 delay k is mean_i [F_K^H G_i F_K]_kk for every Doppler bin, and the MMSE
 estimate is sfft of the per-symbol MMSE estimate of isfft(y)
-(:func:`otfs_mmse`; :func:`otfs_link` runs the whole link).
+(:func:`otfs_mmse`, on the factor of G_i^{-1} that a
+:class:`~ddmod.ofdm.LinkChannel` shares with OFDM-full; :func:`otfs_link`
+runs the whole link).
 :func:`otfs_effective_channel` builds the dense matrix as the reference.
 """
 
@@ -20,8 +22,8 @@ import numpy as np
 from .channel import ChannelMatrixSet
 from .config import ModemConfig
 from .mmse import mmse_sinr, per_symbol_mmse
-from .ofdm import (_tx_guard, _tx_null, apply_channel, ofdm_demodulate, ofdm_modulate,
-                   per_symbol_ft_channel)
+from .ofdm import (LinkChannel, _tx_guard, _tx_null, apply_channel, ofdm_demodulate,
+                   ofdm_modulate, per_symbol_ft_channel)
 from .transforms import dft_matrix, isfft, sfft
 
 
@@ -60,34 +62,29 @@ def otfs_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarr
     return out
 
 
-def otfs_mmse(
-    y_dd: np.ndarray,
-    ft: np.ndarray,
-    cfg: ModemConfig,
-    sigma2: float,
-    l_inv: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """MMSE SINR grid and estimates from the (N, K, K) frequency-time stack.
+def otfs_mmse(y: np.ndarray, channel: LinkChannel, cfg: ModemConfig,
+              sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """MMSE SINR grid and estimates of the received delay-Doppler grid ``y``.
 
-    Same blocks and factors as :func:`ddmod.ofdm.ofdm_full_mmse`, so it takes
-    the same optional ``l_inv`` (:func:`ddmod.ofdm.mmse_factor`); the SINR is
+    Detects through ``channel``'s frequency-time stack and the same shared
+    factor as :func:`ddmod.ofdm.ofdm_full_mmse`
+    (:meth:`~ddmod.ofdm.LinkChannel.mmse_factor`); the SINR is
     1 / (sigma^2 mean_i diag(F_K^H G_i F_K)) - 1, equal across Doppler bins.
     Returns the (K, N) SINR and delay-Doppler estimate grids.
     """
-    c = ft * _tx_null(cfg)
-    mse, x_ft = per_symbol_mmse(c, isfft(y_dd), sigma2, basis=dft_matrix(cfg.k), l_inv=l_inv)
+    l_inv = channel.mmse_factor(cfg, sigma2)
+    c = channel.ft * _tx_null(cfg)
+    mse, x_ft = per_symbol_mmse(c, isfft(y), l_inv, basis=dft_matrix(cfg.k))
     sinr = mmse_sinr(mse.mean(axis=0), sigma2)
     return np.repeat(sinr[:, np.newaxis], cfg.n, axis=1), sfft(x_ft)
 
 
-def otfs_link(x_dd: np.ndarray, chan: ChannelMatrixSet, cfg: ModemConfig, sigma2: float,
-              seed=None, *, ft: np.ndarray,
-              l_inv: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Send ``x_dd`` over ``chan`` with noise variance sigma^2 and MMSE-detect it.
+def otfs_link(x: np.ndarray, channel: LinkChannel, cfg: ModemConfig, sigma2: float,
+              seed=None) -> tuple[np.ndarray, np.ndarray]:
+    """Send ``x`` over ``channel`` with noise variance sigma^2 and MMSE-detect it.
 
-    ``ft`` is the channel's stack ``per_symbol_ft_channel(chan, cfg)`` and
-    ``l_inv``, if given, its ``ofdm.mmse_factor(ft, cfg, sigma2)``.
     Returns the (K, N) SINR and delay-Doppler estimate grids of :func:`otfs_mmse`.
     """
-    r = apply_channel(otfs_modulate(x_dd, cfg, n_guard=_tx_guard(cfg)), chan, sigma2, seed)
-    return otfs_mmse(otfs_demodulate(r, cfg), ft, cfg, sigma2, l_inv)
+    r = apply_channel(otfs_modulate(x, cfg, n_guard=_tx_guard(cfg)), channel.channel(True),
+                      sigma2, seed)
+    return otfs_mmse(otfs_demodulate(r, cfg), channel, cfg, sigma2)

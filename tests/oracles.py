@@ -263,22 +263,20 @@ def per_frame_signal(cfg, waveform: str, n_guard: int) -> np.ndarray:
 
 
 def per_cell_row(cfg, waveform: str, speed_kmh: float, snr_index: int, trial: int):
-    """One sweep cell on its own realization and frequency-time stack.
+    """One sweep cell on its own channel, as every cell ran before grid points shared one.
 
-    The CP-less chain gets a CP-less realization, as every cell did before
-    grid points shared them.  The link and the score use the waveform's
-    modem, with its guard override if any.
+    The cell's :class:`~ddmod.ofdm.LinkChannel` is realized from the
+    waveform's modem, with its guard override if any, and is read by this
+    link alone; the link and the score use that modem too.
     """
     modem = cfg.modem_for(waveform)
     snr_db = cfg.snr_db[snr_index]
     sigma2 = 1.0 / 10.0 ** (snr_db / 10.0)
     with_cp, link = harness.WAVEFORMS[waveform]
-    paths = harness._trial_paths(cfg, speed_kmh, snr_index, trial)
-    chan = ch.realize(paths, modem, with_cp=with_cp)
-    stack = {"ft": ofdm.per_symbol_ft_channel(chan, modem)} if with_cp else {}
+    channel = ofdm.LinkChannel(harness._trial_paths(cfg, speed_kmh, snr_index, trial), modem)
     sym_rng, noise_ss = harness._cell_streams(cfg, waveform, speed_kmh, snr_index, trial)
     x_dd = qpsk_grid(sym_rng, modem.k, modem.n)
-    sinr, x_hat = link(x_dd, chan, modem, sigma2, noise_ss, **stack)
+    sinr, x_hat = link(x_dd, channel, modem, sigma2, noise_ss)
     efficiency = modem.cp_efficiency() if with_cp else 1.0
     return harness.ResultRow(
         waveform=waveform,

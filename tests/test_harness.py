@@ -320,11 +320,10 @@ class TestRunSweep:
     @staticmethod
     def ideal_channel_net_sinr_db(cfg, waveform, snr_db=17.0):
         """Net SINR of the waveform's link over a unit tap at unit transmit power."""
-        with_cp, link = harness.WAVEFORMS[waveform]
-        chan = ch.realize(ch.ideal_path(), cfg, with_cp=with_cp)
-        stack = {"ft": ofdm.per_symbol_ft_channel(chan, cfg)} if with_cp else {}
+        link = harness.WAVEFORMS[waveform][1]
+        channel = ofdm.LinkChannel(ch.ideal_path(), cfg)
         x_dd = qpsk_grid(np.random.default_rng(0), cfg.k, cfg.n)
-        sinr, _ = link(x_dd, chan, cfg, 1.0 / 10.0 ** (snr_db / 10.0), 1, **stack)
+        sinr, _ = link(x_dd, channel, cfg, 1.0 / 10.0 ** (snr_db / 10.0), 1)
         return net_sinr(sinr, cfg.n_guard)
 
     def test_ideal_channel_net_sinr_closed_form(self):

@@ -95,7 +95,7 @@ K = 20
 @pytest.mark.parametrize("route", [
     lambda: mmse._inverse_factor(-np.eye(K)),
     lambda: mmse._inverse_factor(np.stack((np.eye(K), np.diag(np.r_[np.ones(K - 1), -1.0])))),
-    lambda: mmse.per_symbol_mmse(np.zeros((2, K, K)), np.ones((K, 2)), 0.0),
+    lambda: mmse.per_symbol_factor(np.zeros((2, K, K)), 0.0),
     lambda: mmse.bidiagonal_mmse(np.zeros((2, K, K)), np.zeros((2, K, 3)), np.zeros((3, K)),
                                  np.ones((2, K)), 0.0, np.eye(2)),
 ], ids=["single", "stack", "per-symbol", "bidiagonal"])

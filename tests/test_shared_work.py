@@ -1,9 +1,10 @@
 """Work shared across the cells of a sweep point and across a PSD family's guard counts.
 
-A grid point materializes one channel and one frequency-time stack for all
-its waveforms (``harness.GridPoint``), and the guard search modulates one set
-of seeded grids per PSD family (``harness.psd_signal``).  Both must give
-exactly what a fresh realization per cell and the per-frame transmitter give
+A grid point's waveforms share one ``ofdm.LinkChannel`` (``harness.grid_point``),
+which materializes one channel, one frequency-time stack and one MMSE factor
+per TX null for all of them, and the guard search modulates one set of seeded
+grids per PSD family (``harness.psd_signal``).  Both must give exactly what a
+fresh channel per cell and the per-frame transmitter give
 (``tests/oracles.py``), and a failure must stay in the cells it belongs to.
 """
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from ddmod import channel as ch
 from ddmod import harness, mmse, ofdm
 from ddmod.config import ModemConfig, desk_config
-from ddmod.harness import WAVEFORMS, ExperimentConfig, GridPoint, evaluate_point, psd_signal
+from ddmod.harness import WAVEFORMS, ExperimentConfig, evaluate_point, grid_point, psd_signal
 from ddmod.harness import run_psd, run_sweep
 from ddmod.metrics import psd_estimate
 
@@ -59,7 +60,7 @@ def outcome(fn, *args):
 @given(cfg=sweep_configs())
 def test_shared_point_equals_a_fresh_realization_per_cell(cfg):
     speed = cfg.speeds_kmh[0]
-    point = GridPoint(cfg, speed, 0, 0)
+    point = grid_point(cfg, speed, 0, 0)
     for wf in WAVEFORMS:
         shared = outcome(evaluate_point, cfg, wf, speed, 0, 0, point)
         assert shared == outcome(per_cell_row, cfg, wf, speed, 0, 0), wf

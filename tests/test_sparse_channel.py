@@ -2,23 +2,24 @@
 
 Random valid modem configurations (small even K, any N, O_s and CP length,
 both pulses) meet random path sets whose delays fall inside and beyond the
-CP.  Stored taps must equal the dense tensor's columns exactly; the kernels
-and the closed-form frequency-time and delay-domain blocks must match the
-dense per-symbol matrices to 1e-12.
+CP.  Stored taps must equal the dense tensor's columns exactly, and the
+CP-less view of a CP-bearing realization must equal a CP-less realization;
+the kernels and the closed-form frequency-time and delay-domain blocks must
+match the dense per-symbol matrices to 1e-12.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddmod import channel as ch
 from ddmod import drufmc
 from ddmod.config import ModemConfig, desk_config
 from ddmod.drufmc import _delay_domain_blocks
-from ddmod.ofdm import _tx_null, per_symbol_ft_channel
+from ddmod.ofdm import LinkChannel, _tx_null, per_symbol_ft_channel
 from ddmod.transforms import ufmc_precoder
 
 from oracles import dense_delay_domain_blocks, dense_ft_block, dense_materialize_taps, dense_taps
@@ -130,7 +131,8 @@ def test_table1_tail_is_cut_to_its_numerical_rank(monkeypatch, guard_nulling, n_
     assert _full_tail_rank(cfg) == rank
     # the same blocks with the tail left at L - 1 columns
     full_r = _full_tail(cfg)
-    monkeypatch.setattr(drufmc, "_precoder_tail", lambda cfg: (full_r, None, full_r))
+    monkeypatch.setattr(drufmc, "_precoder_tail",
+                        lambda cfg: (full_r, np.eye(cfg.filter_len - 1), full_r))
     full_heads, full_x, _ = _delay_domain_blocks(chan, cfg)
     assert full_x.shape[-1] == cfg.filter_len - 1
     assert np.array_equal(heads, full_heads)
@@ -178,3 +180,16 @@ def test_header_only_dump_gives_all_zero_blocks():
     for blocks in (ft, heads, tails):
         assert blocks.shape == (cfg.n, cfg.k, cfg.k) and not blocks.any()
 
+
+
+@examples
+@given(modem_and_paths())
+@example((desk_config(n_cp=0, filter_len=1), ch.ideal_path()))     # N_CP = 0, L = L_ch = 1
+def test_cpless_view_equals_a_cpless_realization(case):
+    # every link reads the CP-less channel as a view of the CP-bearing realization
+    cfg, paths = case
+    view = LinkChannel(paths, cfg).channel(with_cp=False)
+    real = ch.realize(paths, cfg, with_cp=False)
+    assert (view.cols, view.l_ch) == (real.cols, real.l_ch)
+    for i in range(cfg.n):
+        assert np.array_equal(view.matrix(i), real.matrix(i))

@@ -6,9 +6,11 @@ to the dense KN x KN effective channels, over random valid modem
 configurations (any N, guards nulled at the transmitter or only accounted,
 both pulses, noise variances from 1e-4 to 1), and the sweep must not touch
 the dense route.  With guards nulled at the transmitter, each link must send
-exactly the channel its detector models.
+exactly the channel its detector models.  Every link and every route takes
+its channel as one ``ofdm.LinkChannel``, through one signature per kind.
 """
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -34,11 +36,8 @@ DENSE = {
 }
 
 
-def structured(waveform, y, chan, cfg, sigma2):
-    if waveform == "drufmc":
-        return drufmc.drufmc_mmse(y, chan, cfg, sigma2)
-    route = ofdm.ofdm_full_mmse if waveform == "ofdm-full" else otfs.otfs_mmse
-    return route(y, ofdm.per_symbol_ft_channel(chan, cfg), cfg, sigma2)
+def structured(waveform, y, channel, cfg, sigma2):
+    return LINKS[waveform][0](y, channel, cfg, sigma2)
 
 
 def close(a, b):
@@ -76,11 +75,11 @@ def modem_and_paths(draw):
 def test_structured_matches_dense(waveform, case, log_sigma2, seed):
     cfg, paths = case
     sigma2 = 10.0 ** log_sigma2
-    chan = ch.realize(paths, cfg, with_cp=waveform != "drufmc")
+    channel = ofdm.LinkChannel(paths, cfg)
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((cfg.k, cfg.n)) + 1j * rng.standard_normal((cfg.k, cfg.n))
-    sinr, x_hat = structured(waveform, y, chan, cfg, sigma2)
-    eff = DENSE[waveform](chan, cfg)
+    sinr, x_hat = structured(waveform, y, channel, cfg, sigma2)
+    eff = DENSE[waveform](channel.channel(WAVEFORMS[waveform][0]), cfg)
     assert sinr.shape == x_hat.shape == (cfg.k, cfg.n)
     assert close(sinr, sinr_map(eff, sigma2, cfg))
     assert close(vec(x_hat), mmse_detect(eff, vec(y), sigma2))
@@ -93,27 +92,27 @@ def zero_channel():
 @pytest.mark.parametrize("waveform", sorted(DENSE))
 def test_singular_channel_raises_without_noise(waveform):
     cfg = desk_config(n=3)
-    chan = ch.realize(zero_channel(), cfg, with_cp=waveform != "drufmc")
+    channel = ofdm.LinkChannel(zero_channel(), cfg)
     y = np.ones((cfg.k, cfg.n), dtype=complex)
     with pytest.raises(IllConditionedError):
-        structured(waveform, y, chan, cfg, 0.0)
+        structured(waveform, y, channel, cfg, 0.0)
     with pytest.raises(IllConditionedError):
-        sinr_map(DENSE[waveform](chan, cfg), 0.0, cfg)
+        sinr_map(DENSE[waveform](channel.channel(WAVEFORMS[waveform][0]), cfg), 0.0, cfg)
 
 
 def test_tx_nulled_rank_loss_raises_without_noise():
     cfg = desk_config(n=2, n_guard=3, guard_nulling="tx")
-    chan = ch.realize(ch.ideal_path(), cfg, with_cp=True)
+    channel = ofdm.LinkChannel(ch.ideal_path(), cfg)
     with pytest.raises(IllConditionedError):
-        structured("ofdm-full", np.ones((cfg.k, cfg.n)), chan, cfg, 0.0)
+        structured("ofdm-full", np.ones((cfg.k, cfg.n)), channel, cfg, 0.0)
 
 
 # for these sigma^2 the formula 1 / (sigma^2 (1 / sqrt(sigma^2))^2) - 1 is not exactly 0
 @pytest.mark.parametrize("sigma2", [0.05, 0.7])
 def test_tx_nulled_ofdm_full_guard_bins_are_exactly_zero(sigma2):
     cfg = desk_config(n_guard=4, guard_nulling="tx")
-    chan = ch.realize(ch.sample_eva_paths(9, 50 / 3.6, cfg.f_c_hz), cfg, with_cp=True)
-    sinr, _ = structured("ofdm-full", np.ones((cfg.k, cfg.n)), chan, cfg, sigma2)
+    channel = ofdm.LinkChannel(ch.sample_eva_paths(9, 50 / 3.6, cfg.f_c_hz), cfg)
+    sinr, _ = structured("ofdm-full", np.ones((cfg.k, cfg.n)), channel, cfg, sigma2)
     assert np.all(sinr[:4] == 0) and np.all(sinr[-4:] == 0)
     assert np.all(sinr[4:-4] > 0)
 
@@ -136,10 +135,23 @@ def test_sweep_never_builds_the_dense_channel(monkeypatch, waveform):
 
 
 LINKS = {
-    "ofdm-full": (ofdm, "ofdm_full_mmse", ofdm.ofdm_full_link),
-    "otfs": (otfs, "otfs_mmse", otfs.otfs_link),
-    "drufmc": (drufmc, "drufmc_mmse", drufmc.drufmc_link),
+    "ofdm-full": (ofdm.ofdm_full_mmse, ofdm, ofdm.ofdm_full_link),
+    "otfs": (otfs.otfs_mmse, otfs, otfs.otfs_link),
+    "drufmc": (drufmc.drufmc_mmse, drufmc, drufmc.drufmc_link),
 }
+
+
+def test_every_link_and_route_takes_one_channel_signature():
+    def shape(fn):
+        return [(p.name, p.default) for p in inspect.signature(fn).parameters.values()]
+
+    empty = inspect.Parameter.empty
+    for name, (_, link) in WAVEFORMS.items():
+        assert shape(link) == [("x", empty), ("channel", empty), ("cfg", empty),
+                               ("sigma2", empty), ("seed", None)], name
+    for route, _, _ in LINKS.values():
+        assert shape(route) == [("y", empty), ("channel", empty), ("cfg", empty),
+                                ("sigma2", empty)], route.__name__
 
 
 @pytest.mark.parametrize("pulse", ["ideal", "rrc"])
@@ -148,15 +160,14 @@ def test_tx_nulled_link_sends_what_its_detector_models(monkeypatch, waveform, pu
     # the grid a noiseless link hands its detector is the TX-nulled dense
     # channel times the symbols: the guard subcarriers are not transmitted
     cfg = desk_config(n_guard=4, guard_nulling="tx", pulse=pulse)
-    cp_chan = ch.realize(ch.sample_eva_paths(3, 500 / 3.6, cfg.f_c_hz), cfg, with_cp=True)
-    with_cp = WAVEFORMS[waveform][0]
-    chan = cp_chan if with_cp else ch.channel_matrices(cp_chan, cfg, with_cp=False)
-    stack = {"ft": ofdm.per_symbol_ft_channel(chan, cfg)} if with_cp else {}
-    module, detector, link = LINKS[waveform]
+    channel = ofdm.LinkChannel(ch.sample_eva_paths(3, 500 / 3.6, cfg.f_c_hz), cfg)
+    detector, module, link = LINKS[waveform]
     received = []
-    monkeypatch.setattr(module, detector, lambda y, *args: received.append(y) or (None, None))
+    monkeypatch.setattr(module, detector.__name__,
+                        lambda y, *args: received.append(y) or (None, None))
     x = metrics.qpsk_grid(np.random.default_rng(1), cfg.k, cfg.n)
-    link(x, chan, cfg, 0.0, None, **stack)
+    link(x, channel, cfg, 0.0, None)
+    chan = channel.channel(WAVEFORMS[waveform][0])
     assert close(vec(received[0]), DENSE[waveform](chan, cfg) @ vec(x))
 
 
