@@ -5,8 +5,8 @@ tap index l, where tap l carries the energy of paths whose delay rounds to
 l-1 oversampled samples.  The per-symbol channel matrix places tap l on the
 l-1'th subdiagonal, so a single zero-delay unit tap is exactly the identity
 (embedded over trailing zero rows).  A channel is a sum of a few paths, so
-:class:`ChannelMatrixSet`, the one channel type, stores and applies only
-the tap columns those paths reach, with the block width its matrices have.
+:class:`ChannelMatrixSet`, the one channel type, stores each path's taps
+once, one Doppler phase per symbol and the block width its matrices have.
 
 Generation is pure given (seed, config); channels are immutable after
 construction, so parallel Monte-Carlo trials can each own an independent
@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import ModemConfig
 
@@ -113,30 +114,32 @@ def required_l_ch(paths: PathSet, cfg: ModemConfig) -> int:
 
 @dataclass(frozen=True)
 class ChannelMatrixSet:
-    """Per-symbol banded channel matrices M_i, stored as their path-sparse taps.
+    """Per-symbol banded channel matrices M_i, stored as their paths.
 
-    ``taps[i, r, j]`` is h[i, r, l] at tap column l = ``tap_index[j]``
-    (ascending); every other column of h is zero and is not stored.  Matrix
-    i has shape (cols + L_ch - 1) x cols with entry (r, c) equal to
-    h[i, r, r - c + 1] for 0 <= r - c <= L_ch - 1 and zero elsewhere
-    (1-based tap indexing; zero-delay taps sit on the main diagonal).  The
-    kernels touch only the active taps and act on all N symbols at once;
-    :meth:`matrix` builds one dense M_i and serves only as a test oracle.
+    Entry e is one column ``tap_index[e]`` of a path's tap window (columns
+    repeat where windows overlap), ``taps[r, e]`` its tap on output row r at
+    symbol 0 and ``phase[i, e]`` its Doppler phase on symbol i: h[i, r, l]
+    sums phase[i, e] * taps[r, e] over the entries at l.  Matrix i is
+    (cols + L_ch - 1) x cols with entry (r, c) equal to h[i, r, r - c + 1] for
+    0 <= r - c <= L_ch - 1 and zero elsewhere (1-based tap indexing;
+    zero-delay taps sit on the main diagonal).  The kernels act on all N
+    symbols at once; :meth:`matrix` builds one dense M_i as a test oracle.
     """
 
-    taps: np.ndarray          # (N, stored rows, n_active) complex
-    tap_index: np.ndarray     # (n_active,) ascending tap columns in [0, l_ch)
+    taps: np.ndarray          # (stored rows, E) complex, symbol 0
+    phase: np.ndarray         # (N, E) unit-modulus, one column per entry
+    tap_index: np.ndarray     # (E,) tap columns in [0, l_ch)
     l_ch: int
     cols: int
 
     def __post_init__(self):
-        if self.taps.shape[1] < self.rows:
-            raise ValueError(
-                f"dimension mismatch: {self.taps.shape[1]} stored tap rows < required {self.rows}"
-            )
+        if not (self.taps.ndim == self.phase.ndim == 2 and self.taps.shape[0] >= self.rows
+                and self.taps.shape[1] == self.phase.shape[1] == self.tap_index.size):
+            raise ValueError(f"dimension mismatch: taps {self.taps.shape} (>= {self.rows} rows), "
+                             f"phase {self.phase.shape} and {self.tap_index.size} tap columns")
 
     def __len__(self) -> int:
-        return self.taps.shape[0]
+        return self.phase.shape[0]
 
     @property
     def rows(self) -> int:
@@ -146,54 +149,52 @@ class ChannelMatrixSet:
         """Dense M_i (oracle for the banded kernels)."""
         mat = np.zeros((self.rows, self.cols), dtype=complex)
         c = np.arange(self.cols)
-        for j, ell in enumerate(self.tap_index):
-            mat[c + ell, c] = self.taps[i, c + ell, j]
+        for e, ell in enumerate(self.tap_index):
+            mat[c + ell, c] += self.phase[i, e] * self.taps[c + ell, e]
         return mat
 
     def apply(self, blocks: np.ndarray) -> np.ndarray:
-        """(rows, N) array whose column i is M_i @ blocks[:, i]."""
-        x = np.asarray(blocks).T
+        """(rows, N) array whose column i is M_i @ blocks[:, i]; entries on consecutive
+        columns with one phase (a path's window) are one banded product."""
+        x, idx, ph = np.asarray(blocks).T, self.tap_index, self.phase
+        starts = (np.diff(idx, prepend=-2) != 1) | np.any(np.diff(ph, prepend=0) != 0, axis=0)
+        bounds = [*np.flatnonzero(starts).tolist(), idx.size]
+        pad = np.zeros((len(self), self.rows + self.l_ch - 1), dtype=complex)
+        pad[:, self.l_ch - 1:self.rows] = x
+        win = sliding_window_view(pad, self.l_ch, axis=1)[:, :, ::-1]  # win[i, r, l] = x[i, r - l]
         out = np.zeros((len(self), self.rows), dtype=complex)
-        for j, ell in enumerate(self.tap_index):
-            out[:, ell:ell + self.cols] += self.taps[:, ell:ell + self.cols, j] * x
+        for s, t in zip(bounds[:-1], bounds[1:]):
+            out_rows, window = slice(idx[s], idx[t - 1] + self.cols), slice(idx[s], idx[t - 1] + 1)
+            out[:, out_rows] += ph[:, s, np.newaxis] * np.einsum(
+                "iqk,qk->iq", win[:, out_rows, window], self.taps[out_rows, s:t])
         return out.T
 
 
 def materialize_taps(paths: PathSet, cfg: ModemConfig, cols: int) -> ChannelMatrixSet:
-    """The channel of ``cols``-column blocks: the N per-symbol taps on their active columns.
+    """The channel of ``cols``-column blocks: each path's tap window and its symbol phases.
 
     Tap (i, r, l) sums h_p * g((l-1) - tau_p/Ts) * exp(j2*pi*nu_p*((l + r + i - 1)*Ts - Ts/2))
     over paths, with r and i counted from 1 and g the configured shaping pulse
     (ideal Nyquist rounds each delay to a single unit tap), on the
-    cols + L_ch - 1 output rows.  The active columns are the union over
-    paths of the rounded delay plus or minus the pulse half-span, inside the
-    :func:`required_l_ch` span; every other column is exactly zero and is
-    not stored.
+    cols + L_ch - 1 output rows.  Path p's window, its rounded delay plus or
+    minus the pulse half-span inside the :func:`required_l_ch` span, is one
+    outer product (symbol 0), and symbol i scales it by exp(j2*pi*nu_p*(i-1)*Ts).
     """
     ts = cfg.sample_period_s
     half = _pulse_half_span(cfg.pulse)
     l_ch = required_l_ch(paths, cfg)
-    rows = cols + l_ch - 1
-    peaks = [int(round(tau / ts)) for tau in paths.delays_s]
-    windows = [(max(0, peak - half), peak + half) for peak in peaks]
-    active = np.zeros(l_ch, dtype=bool)
-    for lo, hi in windows:
-        active[lo:hi + 1] = True
-    tap_index = np.flatnonzero(active)
-    taps = np.zeros((cfg.n, rows, tap_index.size), dtype=complex)
-    ell = tap_index + 1                     # 1-based tap index; delay = ell - 1 samples
-    r = np.arange(1, rows + 1)
-
-    for h_p, tau, nu, (lo, hi) in zip(paths.gains, paths.delays_s, paths.dopplers_hz, windows):
-        first = np.searchsorted(tap_index, lo)
-        window = slice(first, first + hi - lo + 1)       # this path's columns of tap_index
-        g = np.ones(1) if cfg.pulse == "ideal" else raised_cosine(np.arange(lo, hi + 1) - tau / ts)
-        # phase exp(j2*pi*nu*((ell + r + i - 1)*Ts - Ts/2)), separable in ell, r, i
-        ph_ell = np.exp(2j * np.pi * nu * (ell[window] * ts - ts / 2.0))
-        ph_r = np.exp(2j * np.pi * nu * r * ts)
-        ph_i = np.exp(2j * np.pi * nu * np.arange(cfg.n) * ts)
-        taps[:, :, window] += h_p * np.einsum("i,r,l->irl", ph_i, ph_r, g * ph_ell)
-    return ChannelMatrixSet(taps=taps, tap_index=tap_index, l_ch=l_ch, cols=cols)
+    r = np.arange(1, cols + l_ch)
+    windows = [np.arange(max(0, peak - half), peak + half + 1)
+               for peak in (int(round(tau / ts)) for tau in paths.delays_s)]
+    taps = []
+    for h_p, tau, nu, window in zip(paths.gains, paths.delays_s, paths.dopplers_hz, windows):
+        g = np.ones(1) if cfg.pulse == "ideal" else raised_cosine(window - tau / ts)
+        ph_ell = np.exp(2j * np.pi * nu * ((window + 1) * ts - ts / 2.0))
+        taps.append(h_p * np.outer(np.exp(2j * np.pi * nu * r * ts), g * ph_ell))
+    dopplers = np.repeat(paths.dopplers_hz, [window.size for window in windows])
+    phase = np.exp(2j * np.pi * dopplers * np.arange(cfg.n)[:, np.newaxis] * ts)
+    return ChannelMatrixSet(taps=np.hstack(taps), phase=phase, tap_index=np.concatenate(windows),
+                            l_ch=l_ch, cols=cols)
 
 
 def _cols(cfg: ModemConfig, with_cp: bool) -> int:

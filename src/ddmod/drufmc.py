@@ -13,25 +13,25 @@ it, the overlap-add done with one (L - 1) x K product per symbol
 (:func:`ufmc_modulate_ft`).  The dense precoder of
 :func:`~ddmod.transforms.ufmc_precoder` is its reference.
 
-In the delay-time domain (A = X_dd F_N^H in, U = Y_dd F_N^H out) the channel
-is block lower-bidiagonal: U[:, m] = T[m, m] A[:, m] + T[m, m-1] A[:, m-1]
-with T[m, m] = C_m and T[m, m-1] = D_m, the per-symbol
-head and overlap-tail maps of :func:`_delay_domain_blocks`, built path by
-path: C_m = F_K^H B_m diag(resp) F_K - D_m, with B_m the closed form of
-:func:`~ddmod.ofdm.per_symbol_ft_channel` without CP and resp the subband
-filters' gains, and D_m = X_m R from the L - 1 channel columns the tail
-reaches: R, the precoder's tail rows, is the same (L - 1) x K factor for
-every symbol.  R is the Dolph-Chebyshev filter ramp, whose singular values
-fall fast (numerical rank r = 24 of L - 1 = 59 at table 1), so the tail is
-kept at that rank, at every scale: D_m = (X_m U_r S_r) V_r^H from R's thin
-SVD.  The dense delay-Doppler channel is V T V^H with V = F_N (x) I_K, so
-its MMSE error covariance is sigma^2 V G V^H, G = (T^H T + sigma^2 I)^{-1}.  The Doppler
-DFT mixes the diagonals of every block of G, so :func:`drufmc_mmse` takes
-them from a selected inverse that keeps the tails in that rank-r form
-(O(N^2 r^2 K + N K^3) work, O(N K^2) memory, no K x K tail formed);
-:func:`drufmc_link` runs the whole link.  :func:`drufmc_effective_channel`
-builds the dense matrix as the reference.  Links and detectors take the
-channel as a :class:`~ddmod.ofdm.LinkChannel` and read its CP-less set.
+In the delay-time domain (A = X_dd F_N^H in, U = Y_dd F_N^H out) the channel is
+block lower-bidiagonal: U[:, m] = T[m, m] A[:, m] + T[m, m-1] A[:, m-1] with
+T[m, m] = C_m and T[m, m-1] = D_m, the per-symbol head and overlap-tail maps of
+:func:`_delay_domain_blocks`, built path by path, each weighted by its Doppler
+phase on symbol m: C_m = F_K^H B_m diag(resp) F_K - D_m, with B_m the closed
+form of :func:`~ddmod.ofdm.per_symbol_ft_channel` without CP and resp the
+subband filters' gains, and D_m = X_m R from the L - 1 channel columns the tail
+reaches: R, the precoder's tail rows, is the same (L - 1) x K factor for every
+symbol.  R is the Dolph-Chebyshev filter ramp, whose singular values fall fast
+(numerical rank r = 24 of L - 1 = 59 at table 1), so the tail is kept at that
+rank, at every scale: D_m = (X_m U_r S_r) V_r^H from R's thin SVD.  The dense
+delay-Doppler channel is V T V^H with V = F_N (x) I_K, so its MMSE error
+covariance is sigma^2 V G V^H, G = (T^H T + sigma^2 I)^{-1}.  The Doppler DFT
+mixes the diagonals of every block of G, so :func:`drufmc_mmse` takes them from
+a selected inverse that keeps the tails in that rank-r form (O(N^2 r^2 K +
+N K^3) work, O(N K^2) memory, no K x K tail formed); :func:`drufmc_link` runs the
+whole link.  :func:`drufmc_effective_channel` builds the dense matrix as the
+reference.  Links and detectors take the channel as a
+:class:`~ddmod.ofdm.LinkChannel` and read its CP-less set.
 """
 
 from __future__ import annotations
@@ -132,9 +132,9 @@ def _delay_domain_blocks(chan: ChannelMatrixSet,
     ko = cfg.k * cfg.o_s
     resp = _filter_response(cfg)[0] * _tx_null(cfg)
     rows = np.arange(cfg.filter_len - 1)[:, np.newaxis] + chan.tap_index  # band, columns < L-1
-    h = chan.taps[:, rows, np.arange(rows.shape[1])] * (rows < ko)         # R_tail: rows < K*O_s
-    band = np.einsum("kcj,mcj->mkc", oversampled_dft(cfg.k, cfg.o_s)[:, rows % ko], h,
-                     optimize=True)                                    # W M_m[:K*O_s, :L-1]
+    h = chan.taps[rows, np.arange(rows.shape[1])] * (rows < ko)            # R_tail: rows < K*O_s
+    band = np.moveaxis((oversampled_dft(cfg.k, cfg.o_s)[:, rows % ko] * h) @ chan.phase.T,
+                       -1, 0)                                          # W M_m[:K*O_s, :L-1]
     # F_K^H (.) F_K: an inverse FFT down the columns, then an FFT along the rows;
     # the tail D_m = X_m R takes the first in X_m and the second in R
     x = np.fft.ifft(band, axis=-2)

@@ -94,8 +94,8 @@ def apply_channel(
 ) -> np.ndarray:
     """Push a serialized signal through the per-symbol LTV matrices and add noise.
 
-    Blocks are independent (block-diagonal channel) and are convolved with the
-    active taps all at once; each output block gains L_ch - 1 tail samples.
+    Blocks are independent (block-diagonal channel) and are convolved path by
+    path, all symbols at once; each output block gains L_ch - 1 tail samples.
     Noise is circular complex Gaussian with the given per-sample variance.
     """
     s = np.asarray(s)
@@ -137,12 +137,12 @@ def _path_ft_blocks(chan: ChannelMatrixSet, cfg: ModemConfig, n_cp: int) -> np.n
     k, ko = cfg.k, cfg.k * cfg.o_s
     if chan.cols != ko + n_cp:
         raise ValueError(f"dimension mismatch: {chan.cols} channel columns, expected {ko + n_cp}")
-    seg = chan.taps[:, n_cp:n_cp + ko, :].transpose(0, 2, 1).copy()      # (N, P, KO_s)
-    seg[:, np.arange(ko) < chan.tap_index[:, np.newaxis] - n_cp] = 0.0
+    seg = chan.taps[n_cp:n_cp + ko].T.copy()                            # (E, KO_s)
+    seg[np.arange(ko) < chan.tap_index[:, np.newaxis] - n_cp] = 0.0
     diffs = np.arange(1 - k, k)                                         # f_k' - f_k
-    g = np.fft.fft(seg, axis=-1)[..., diffs % ko]                       # (N, P, 2K-1)
-    phase = np.exp(-2j * np.pi * np.outer(chan.tap_index, np.arange(k) - k // 2) / ko)
-    by_diff = np.swapaxes(g, 1, 2) @ (phase / ko)                       # (N, 2K-1, K)
+    g = np.fft.fft(seg, axis=-1)[:, diffs % ko]                         # (E, 2K-1)
+    delay = np.exp(-2j * np.pi * np.outer(chan.tap_index, np.arange(k) - k // 2) / ko)
+    by_diff = g.T @ (chan.phase[:, :, np.newaxis] * (delay / ko))       # (N, 2K-1, K)
     toeplitz = np.arange(k)[:, np.newaxis] - np.arange(k) + k - 1       # row of f_k' - f_k
     return np.take_along_axis(by_diff, toeplitz[np.newaxis], axis=1)
 
@@ -152,15 +152,15 @@ def per_symbol_ft_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarra
 
     R_cp keeps rows n_cp .. n_cp + K*O_s - 1 of the banded product; A_cp @ W^H
     is the CP-prefixed inverse DFT.  W^H is periodic in time, so block i sums
-    one term per active tap j at delay l_j (the per-path ICI structure of
+    one term per stored entry e at delay l_e (the per-path ICI structure of
     Schniter, IEEE TSP 2004; Raviteja et al., IEEE TWC 2018):
 
-        B_i[k', k] = (1/KO_s) sum_j exp(-j2*pi*l_j*f_k/KO_s) G_ij[(f_k' - f_k) mod KO_s]
+        B_i[k', k] = (1/KO_s) sum_e phase[i, e] exp(-j2*pi*l_e*f_k/KO_s) G_e[(f_k' - f_k) mod KO_s]
 
-    with f_k the centred subcarrier index and G_ij the FFT of
-    taps[i, n_cp:n_cp + KO_s, j], zeroed where t < l_j - n_cp (a path longer
-    than the CP reads there from before the CP).  ``chan`` must be the
-    CP-bearing set, with K*O_s + N_CP columns.
+    with f_k the centred subcarrier index and G_e the FFT of
+    taps[n_cp:n_cp + KO_s, e] (one per entry, for every symbol), zeroed where
+    t < l_e - n_cp (a path longer than the CP reads there from before the
+    CP).  ``chan`` must be the CP-bearing set, with K*O_s + N_CP columns.
     """
     return _path_ft_blocks(chan, cfg, cfg.n_cp)
 
@@ -184,7 +184,7 @@ class LinkChannel:
     """The channel of ``paths`` as every link reads it, with the work its receivers share.
 
     ``paths`` is realized once, for the CP-bearing chain, on first use; the
-    CP-less set shares its taps array with K*O_s columns (:meth:`channel`).
+    CP-less set shares its taps and phases with K*O_s columns (:meth:`channel`).
     The (N, K, K) frequency-time stack of the CP-bearing set (:attr:`ft`)
     serves every CP receiver, and its MMSE factor serves both OTFS and
     OFDM-full: it is computed at most once per sigma^2 and TX-guard count
@@ -203,9 +203,7 @@ class LinkChannel:
 
     def channel(self, with_cp: bool) -> ChannelMatrixSet:
         """The banded channel sized for the CP-bearing or the CP-less chain."""
-        if with_cp:
-            return self._cp_set
-        return ch.channel_matrices(self._cp_set, self.cfg, with_cp=False)
+        return self._cp_set if with_cp else ch.channel_matrices(self._cp_set, self.cfg, False)
 
     @cached_property
     def ft(self) -> np.ndarray:

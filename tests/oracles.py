@@ -4,7 +4,8 @@ FFT transceiver.
 The library stores only the active tap columns of a channel and applies
 them with banded kernels batched over symbols, or sums over their paths in
 closed form.  The literal dense routes they replaced live here as test
-oracles: the full (N, rows, L_ch) tap tensor, the per-symbol CP core
+oracles: the full (N, rows, L_ch) tap tensor composed from the stored path
+form, the received frame as one convolution with no block split, the per-symbol CP core
 R_cp @ M_i @ A_cp, its frequency-time block, and DR-UFMC's delay-domain head
 and tail blocks.  The literal subband and CP/tail bookkeeping matrices that the
 chains apply by slicing and convolution are here too, with DR-UFMC's stacked
@@ -20,6 +21,8 @@ products they replaced are here: the oversampled IDFT W^H of the live rows
 plus the CP, DR-UFMC's (K*O_s + L - 1) x K precoder followed by the
 continuous-packet overlap-add, and the oversampled DFT W of each kept window.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -115,9 +118,34 @@ def dense_materialize_taps(paths, cfg, rows) -> np.ndarray:
 
 
 def dense_taps(chan) -> np.ndarray:
-    """The full (N, stored rows, l_ch) tap tensor of a channel, zero off its active columns."""
-    out = np.zeros((len(chan), chan.taps.shape[1], chan.l_ch), dtype=complex)
-    out[:, :, chan.tap_index] = chan.taps
+    """The full (N, stored rows, l_ch) tap tensor of a path-form channel: each entry's
+    symbol-0 taps times its phase on every symbol, summed into its tap column."""
+    out = np.zeros((len(chan), chan.taps.shape[0], chan.l_ch), dtype=complex)
+    for e, ell in enumerate(chan.tap_index):
+        out[:, :, ell] += chan.phase[:, e, np.newaxis] * chan.taps[:, e]
+    return out
+
+
+def whole_frame_receive(s, paths, cfg) -> np.ndarray:
+    """The noiseless received frame of the serialized frame ``s``, with no block split.
+
+    Output sample n (counted from the frame's first sample) is
+    sum_l h(n, l) s[n - l] with h(n, l) = sum_p h_p g_p(l) exp(j2*pi*nu_p*(n + l + 3/2)*Ts),
+    the in-block tap phase of :func:`ddmod.channel.materialize_taps` (0-based
+    row n and column l) running on across the whole frame:
+    per path, one linear convolution of ``s`` with its pulse taps, times
+    exp(j2*pi*nu_p*n*Ts).  The frame gains L_ch - 1 tail samples.
+    """
+    ts = cfg.sample_period_s
+    s = np.asarray(s)
+    n = np.arange(s.size + ch.required_l_ch(paths, cfg) - 1)
+    out = np.zeros(n.size, dtype=complex)
+    for h_p, tau, nu in zip(paths.gains, paths.delays_s, paths.dopplers_hz):
+        # the pulse taps g_p(l): the tap tensor of this path alone, unit gain, at nu = 0
+        alone = ch.PathSet(gains=np.ones(1), delays_s=np.array([tau]), dopplers_hz=np.zeros(1))
+        g = dense_materialize_taps(alone, replace(cfg, n=1), rows=1)[0, 0].real
+        conv = np.convolve(s, g * np.exp(2j * np.pi * nu * (np.arange(g.size) + 1.5) * ts))
+        out[:conv.size] += h_p * np.exp(2j * np.pi * nu * n[:conv.size] * ts) * conv
     return out
 
 

@@ -63,14 +63,16 @@ class TestMaterializeTaps:
         cfg = desk_config(n=3)
         real = ch.materialize_taps(ch.ideal_path(), cfg, cols=40)
         assert real.l_ch == 1
-        assert np.abs(real.taps - 1.0).max() < 1e-12   # same for every (i, r)
+        assert np.abs(dense_taps(real) - 1.0).max() < 1e-12   # same for every (i, r)
+        assert np.abs(np.abs(real.phase) - 1.0).max() < 1e-12
 
     def test_pure_doppler_is_unimodular(self):
         cfg = desk_config(n=4)
         paths = ch.PathSet(gains=np.array([1.0 + 0j]), delays_s=np.zeros(1),
                            dopplers_hz=np.array([5e3]))
         real = ch.materialize_taps(paths, cfg, cols=50)
-        assert np.abs(np.abs(real.taps) - 1.0).max() < 1e-12
+        assert np.abs(np.abs(dense_taps(real)) - 1.0).max() < 1e-12
+        assert np.abs(np.abs(real.phase) - 1.0).max() < 1e-12
 
     def test_two_path_scalar_formula_oracle(self):
         # direct scalar evaluation of the tap formula at random (i, r, l)
