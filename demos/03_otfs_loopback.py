@@ -12,13 +12,13 @@ from ddmod import channel as ch
 from ddmod import (
     apply_channel,
     desk_config,
-    mmse_detect,
     normalized_mse,
     otfs_demodulate,
-    otfs_effective_channel,
     otfs_modulate,
     qpsk_grid,
 )
+from ddmod.metrics import mmse_detect
+from ddmod.otfs import otfs_effective_channel
 from ddmod.transforms import invec, vec
 
 cfg = desk_config()

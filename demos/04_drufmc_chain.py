@@ -8,8 +8,9 @@ effective channel, so MMSE detection absorbs it.
 import numpy as np
 
 from ddmod import channel as ch
-from ddmod import apply_channel, desk_config, qpsk_grid, sinr_map
+from ddmod import apply_channel, desk_config, qpsk_grid
 from ddmod.drufmc import drufmc_demodulate, drufmc_effective_channel, drufmc_modulate
+from ddmod.metrics import sinr_map
 
 cfg = desk_config()
 rng = np.random.default_rng(4)

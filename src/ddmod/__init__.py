@@ -17,12 +17,7 @@ from .channel import (
     sample_eva_paths,
 )
 from .config import ConfigError, ModemConfig, desk_config
-from .drufmc import (
-    drufmc_demodulate,
-    drufmc_effective_channel,
-    drufmc_modulate,
-    ufmc_modulate_ft,
-)
+from .drufmc import drufmc_demodulate, drufmc_modulate, ufmc_modulate_ft
 from .harness import ExperimentConfig, ResultRow, load_config, run_psd, run_sweep
 from .metrics import (
     GuardSearchError,
@@ -30,23 +25,20 @@ from .metrics import (
     PsdEstimate,
     avg_spectral_efficiency,
     guard_count_for_threshold,
-    mmse_detect,
     net_sinr,
     normalized_mse,
     oob_level_db,
     psd_estimate,
     qpsk_grid,
-    sinr_map,
 )
 from .ofdm import (
     apply_channel,
     ofdm_demodulate,
-    ofdm_full_effective_channel,
     ofdm_modulate,
     ofdm_onetap_fde,
     ofdm_onetap_sinr,
 )
-from .otfs import otfs_demodulate, otfs_effective_channel, otfs_modulate
+from .otfs import otfs_demodulate, otfs_modulate
 from .transforms import (
     chebyshev_window,
     dft_matrix,

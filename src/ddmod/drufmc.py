@@ -48,16 +48,17 @@ from .transforms import _cached, dft_matrix, isfft, oversampled_dft, sfft, ufmc_
 
 def _filter_response(cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
     """(resp, P_tail): the subband filters' gains on the K subcarriers and the
-    precoder's last L - 1 rows, memoized with the precoder.
+    precoder's last L - 1 rows, memoized per config.
 
     Column k of the precoder is the subband filter convolved with W^H[:, k],
     a tone periodic in K*O_s, so its rows 0 and K*O_s sum to W^H[0, k] resp[k]
-    with W^H[0, k] = 1/sqrt(K*O_s).
+    with W^H[0, k] = 1/sqrt(K*O_s).  P_tail is a copy, so the dense precoder,
+    built here once per config, is freed.
     """
     def build():
         ko = cfg.k * cfg.o_s
         p = ufmc_precoder(cfg)
-        return np.sqrt(ko) * p[::ko].sum(axis=0), p[ko:]
+        return np.sqrt(ko) * p[::ko].sum(axis=0), p[ko:].copy()
 
     return _cached(("ufmc_resp", cfg.k, cfg.o_s, cfg.b, cfg.filter_len,
                     float(cfg.filter_att_db)), build)
@@ -99,7 +100,7 @@ def _precoder_tail(cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray
     P_tail is the precoder's last L - 1 rows, TX-guard nulled.  The kept
     singular values are those above s_0 * max(R.shape) * eps, the tolerance
     of ``numpy.linalg.matrix_rank``.  R depends on the config alone, so the
-    three arrays are memoized with the precoder.
+    three arrays are memoized per config and TX-guard count.
     """
     def build():
         p_tail = _filter_response(cfg)[1] * _tx_null(cfg)

@@ -91,9 +91,12 @@ class ExperimentConfig:
         for speed in self.speeds_kmh:
             if not (np.isfinite(speed) and speed >= 0):
                 raise ConfigError(f"speeds_kmh must be finite and >= 0, got {speed}")
+            if speed / 3.6 >= ch.SPEED_OF_LIGHT:
+                raise ConfigError(f"speeds_kmh must be below the speed of light, got {speed}")
         for snr in self.snr_db:
             if not np.isfinite(snr):
                 raise ConfigError(f"snr_db must be finite, got {snr}")
+            noise_variance(snr)
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -123,6 +126,17 @@ class ExperimentConfig:
         return replace(self.modem, n_guard=self.n_guard_by_waveform[waveform])
 
 
+def noise_variance(snr_db: float) -> float:
+    """sigma^2 = 10^(-snr_db/10) of the unit-power transmitter; a ConfigError unless finite, > 0."""
+    try:
+        sigma2 = 1.0 / 10.0 ** (snr_db / 10.0)
+    except (OverflowError, ZeroDivisionError):     # 10^(snr/10) overflows or underflows to 0
+        sigma2 = 0.0
+    if not 0.0 < sigma2 < float("inf"):
+        raise ConfigError(f"snr_db = {snr_db} is out of range: 10^(-snr_db/10) must be finite, > 0")
+    return sigma2
+
+
 _INT_KEYS = {"trials", "seed", "psd_trials"}
 _LIST_KEYS = {"waveforms", "snr_db", "speeds_kmh"}
 
@@ -138,7 +152,7 @@ def load_config(path: str, desk: bool = False) -> ExperimentConfig:
     raw: dict[str, str] = {}
     line_of: dict[str, int] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:   # a byte-order mark is not a key
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -249,7 +263,7 @@ def evaluate_point(
     start = time.perf_counter()
     modem = cfg.modem_for(waveform)
     snr_db = cfg.snr_db[snr_index]
-    sigma2 = 1.0 / 10.0 ** (snr_db / 10.0)
+    sigma2 = noise_variance(snr_db)
     with_cp, link = WAVEFORMS[waveform]
     if point is None:
         point = grid_point(cfg, speed_kmh, snr_index, trial)

@@ -16,8 +16,8 @@ block of symbol i, the MMSE SINR of bin (k, i) is 1 / (sigma^2 [G_i]_kk) - 1
 and the estimate of column i is G_i C_i^H y_i, G_i = (C_i^H C_i + sigma^2 I)^{-1}
 (:func:`ofdm_full_mmse`).  Every link takes its channel as one
 :class:`LinkChannel`: a realization that builds its frequency-time stack and
-that stack's MMSE factor on first use, so receivers that share it (OTFS and
-OFDM-full) share the factor.  :func:`ofdm_full_link` and
+the TX-nulled stack's MMSE factor on first use, so receivers that share it
+(OTFS and OFDM-full) share both.  :func:`ofdm_full_link` and
 :func:`ofdm_onetap_link` run each receiver's whole link.
 :func:`ofdm_full_effective_channel` builds the dense block-diagonal matrix as
 the reference.
@@ -186,16 +186,17 @@ class LinkChannel:
     ``paths`` is realized once, for the CP-bearing chain, on first use; the
     CP-less set shares its taps and phases with K*O_s columns (:meth:`channel`).
     The (N, K, K) frequency-time stack of the CP-bearing set (:attr:`ft`)
-    serves every CP receiver, and its MMSE factor serves both OTFS and
-    OFDM-full: it is computed at most once per sigma^2 and TX-guard count
-    (:meth:`mmse_factor`).  The guard count does not enter the channel, so
-    links whose configs differ only in it share one.  The realization lives
-    as long as the object, the stack and its factors until :meth:`release_cp`.
+    serves every CP receiver; OTFS and OFDM-full share its TX-nulled form, one
+    per TX-guard count, and that form's MMSE factor, one per sigma^2 and count
+    (:meth:`nulled_stack_and_factor`).  The guard count does not enter the
+    channel, so links whose configs differ only in it share one.  The
+    realization lives as long as the object, the stacks and factors until
+    :meth:`release_cp`.
     """
 
     paths: PathSet
     cfg: ModemConfig
-    _factors: dict = field(default_factory=dict, init=False, repr=False)
+    _nulled: dict = field(default_factory=dict, init=False, repr=False)  # guard: (C, {s2: L^-1})
 
     @cached_property
     def _cp_set(self) -> ChannelMatrixSet:
@@ -210,38 +211,36 @@ class LinkChannel:
         """:func:`per_symbol_ft_channel` of the CP-bearing set."""
         return per_symbol_ft_channel(self._cp_set, self.cfg)
 
-    def mmse_factor(self, cfg: ModemConfig, sigma2: float) -> np.ndarray:
-        """:func:`~ddmod.mmse.per_symbol_factor` of the TX-nulled stack ``ft`` * diag(null).
-
-        Keyed on the :func:`_tx_guard` count, not ``n_guard``: under
-        ``accounting`` nulling every guard count shares one factor.
-        """
-        key = (sigma2, _tx_guard(cfg))
-        if key not in self._factors:
-            self._factors[key] = per_symbol_factor(self.ft * _tx_null(cfg), sigma2)
-        return self._factors[key]
+    def nulled_stack_and_factor(self, cfg: ModemConfig, sigma2: float) -> tuple:
+        """(C, L^-1): the TX-nulled stack C = ``ft`` * diag(null) and its
+        :func:`~ddmod.mmse.per_symbol_factor`, kept per :func:`_tx_guard` count
+        (not ``n_guard``) and sigma^2.  With no guard nulled, C is ``ft`` itself."""
+        guard = _tx_guard(cfg)
+        if guard not in self._nulled:
+            self._nulled[guard] = (self.ft * _tx_null(cfg) if guard else self.ft, {})
+        c, factors = self._nulled[guard]
+        if sigma2 not in factors:
+            factors[sigma2] = per_symbol_factor(c, sigma2)
+        return c, factors[sigma2]
 
     def release_cp(self) -> None:
-        """Drop the frequency-time stack and its factors, which no CP-less link reads."""
+        """Drop the frequency-time stacks and their factors, which no CP-less link reads."""
         self.__dict__.pop("ft", None)
-        self._factors.clear()
+        self._nulled.clear()
 
 
 def ofdm_full_mmse(y: np.ndarray, channel: LinkChannel, cfg: ModemConfig,
                    sigma2: float) -> tuple[np.ndarray, np.ndarray]:
     """Full MMSE SINR grid and estimates of the received frequency-time grid ``y``.
 
-    Detects through ``channel``'s frequency-time stack and its shared
-    :meth:`LinkChannel.mmse_factor`, one batched Cholesky of
-    C_i^H C_i + sigma^2 I per symbol; bins whose column is exactly zero
-    (TX-nulled guards) report SINR 0, as in ``metrics.sinr_map``.  Returns
-    the (K, N) SINR and estimate grids.
+    Detects through ``channel``'s shared TX-nulled stack C and its factor
+    (:meth:`LinkChannel.nulled_stack_and_factor`), one batched Cholesky of
+    C_i^H C_i + sigma^2 I per symbol; the TX-nulled guard bins report SINR 0,
+    as in ``metrics.sinr_map``.  Returns the (K, N) SINR and estimate grids.
     """
-    l_inv = channel.mmse_factor(cfg, sigma2)
-    c = channel.ft * _tx_null(cfg)
+    c, l_inv = channel.nulled_stack_and_factor(cfg, sigma2)
     mse, x_hat = per_symbol_mmse(c, y, l_inv)
-    live = np.any(c != 0, axis=1).T
-    return np.where(live, mmse_sinr(mse.T, sigma2), 0.0), x_hat
+    return np.where(_tx_null(cfg)[:, np.newaxis] > 0, mmse_sinr(mse.T, sigma2), 0.0), x_hat
 
 
 def ofdm_onetap_fde(

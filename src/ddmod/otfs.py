@@ -66,14 +66,13 @@ def otfs_mmse(y: np.ndarray, channel: LinkChannel, cfg: ModemConfig,
               sigma2: float) -> tuple[np.ndarray, np.ndarray]:
     """MMSE SINR grid and estimates of the received delay-Doppler grid ``y``.
 
-    Detects through ``channel``'s frequency-time stack and the same shared
-    factor as :func:`ddmod.ofdm.ofdm_full_mmse`
-    (:meth:`~ddmod.ofdm.LinkChannel.mmse_factor`); the SINR is
+    Detects through the TX-nulled stack and factor that ``channel`` shares
+    with :func:`ddmod.ofdm.ofdm_full_mmse`
+    (:meth:`~ddmod.ofdm.LinkChannel.nulled_stack_and_factor`); the SINR is
     1 / (sigma^2 mean_i diag(F_K^H G_i F_K)) - 1, equal across Doppler bins.
     Returns the (K, N) SINR and delay-Doppler estimate grids.
     """
-    l_inv = channel.mmse_factor(cfg, sigma2)
-    c = channel.ft * _tx_null(cfg)
+    c, l_inv = channel.nulled_stack_and_factor(cfg, sigma2)
     mse, x_ft = per_symbol_mmse(c, isfft(y), l_inv, basis=dft_matrix(cfg.k))
     sinr = mmse_sinr(mse.mean(axis=0), sigma2)
     return np.repeat(sinr[:, np.newaxis], cfg.n, axis=1), sfft(x_ft)

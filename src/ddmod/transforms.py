@@ -1,10 +1,11 @@
 """Deterministic matrix and window builders shared by all transceiver chains.
 
-Everything here is a pure function of its arguments.  The matrix and
-window builders are memoized (:func:`_cached`) and hand out shared read-only
-arrays, so results can be shared freely across threads; copy one before
-mutating it.  The contract is the explicit matrix semantics; the
-Dolph-Chebyshev window is the one builder that takes an FFT.
+Everything here is a pure function of its arguments.  The builders a sweep
+reads at every grid point (the DFT matrices, W and the window) are memoized
+(:func:`_cached`) and hand out shared read-only arrays; copy one before
+mutating it.  W^H and the UFMC precoder are built on each call: no link reads
+them, and DR-UFMC keeps only the precoder products it reads.  The contract is
+the explicit matrix semantics; the window is the one builder that takes an FFT.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ import numpy as np
 
 from .config import ModemConfig
 
-# Builders are pure, so frequently used matrices are memoized and handed out
-# as read-only arrays; copy before mutating.  Two threads may both build a
-# missing entry; either result serves, so no lock is taken.
+# Two threads may both build a missing entry; either result serves, so no lock is taken.
 _CACHE: dict = {}
 
 
@@ -70,10 +69,9 @@ def oversampled_idft(k: int, o_s: int) -> np.ndarray:
 
     The modulators apply W^H as one K*O_s-point inverse FFT per symbol; this
     dense matrix is their reference and the input of :func:`ufmc_precoder`.
-    Memoized as the transposed (Fortran-ordered) view, the operand layout of
-    ``oversampled_dft(k, o_s).conj().T``.
+    Not memoized: a Fortran-ordered view of the conjugate of the memoized W.
     """
-    return _cached(("wbar_h", k, o_s), lambda: oversampled_dft(k, o_s).conj().T)
+    return oversampled_dft(k, o_s).conj().T
 
 
 def _grid_shape(x: np.ndarray) -> tuple[int, int]:
@@ -187,21 +185,15 @@ def ufmc_precoder(cfg: ModemConfig) -> np.ndarray:
     Sums the per-subband chains G_i @ W^H @ P_i into a single
     (K*O_s + L - 1) x K matrix applied to a frequency-time column.  Column k
     is the subband-k/D filter convolved with the oversampled IFFT of e_k, so
-    it can be formed by direct convolution without materializing G_i.
+    it can be formed by direct convolution without materializing G_i.  Not
+    memoized: ``drufmc._filter_response`` keeps the products DR-UFMC reads.
     """
-
-    def build():
-        w_h = oversampled_idft(cfg.k, cfg.o_s)
-        filt = prototype_filter(cfg)
-        out = np.zeros((cfg.k * cfg.o_s + cfg.filter_len - 1, cfg.k), dtype=complex)
-        for i in range(cfg.b):
-            taps = modulated_filter_taps(filt, i, cfg.k, cfg.o_s, cfg.d)
-            for col in range(i * cfg.d, (i + 1) * cfg.d):
-                out[:, col] = np.convolve(w_h[:, col], taps)
-        return out
-
-    return _cached(
-        ("ufmc", cfg.k, cfg.o_s, cfg.b, cfg.filter_len, float(cfg.filter_att_db)),
-        build,
-    )
+    w_h = oversampled_idft(cfg.k, cfg.o_s)
+    filt = prototype_filter(cfg)
+    out = np.zeros((cfg.k * cfg.o_s + cfg.filter_len - 1, cfg.k), dtype=complex)
+    for i in range(cfg.b):
+        taps = modulated_filter_taps(filt, i, cfg.k, cfg.o_s, cfg.d)
+        for col in range(i * cfg.d, (i + 1) * cfg.d):
+            out[:, col] = np.convolve(w_h[:, col], taps)
+    return out
 

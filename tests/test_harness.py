@@ -109,6 +109,14 @@ class TestLoadConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot read config") and err.count("\n") == 1
 
+    def test_config_saved_with_a_byte_order_mark_is_read(self, tmp_path, capsys):
+        # the mark once became part of the first key: unknown key '\ufefftrials'
+        path = tmp_path / "bom.cfg"
+        path.write_bytes((DESK_LINES + "trials = 1\nwaveforms = otfs\n").encode("utf-8-sig"))
+        assert load_config(str(path)).trials == 1
+        assert main(["run", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == "8 rows\n"
+
     def test_every_modem_field_is_a_config_key(self, tmp_path):
         values = dict(k=16, n=4, o_s=2, b=2, filter_len=5, filter_att_db=60.5, n_cp=3,
                       n_guard=1, delta_oob_db=-40.0, pulse="rrc", guard_nulling="tx")
@@ -210,11 +218,19 @@ class TestLoadConfig:
         ("speeds_kmh = -50", "speeds_kmh must be finite and >= 0, got -50"),
         ("snr_db = nan", "snr_db must be finite, got nan"),
         ("snr_db = inf", "snr_db must be finite, got inf"),
+        ("snr_db = 4000", "snr_db = 4000.0 is out of range"),
+        ("snr_db = -4000", "snr_db = -4000.0 is out of range"),
+        ("snr_db = -3100", "snr_db = -3100.0 is out of range"),
+        ("speeds_kmh = 1.08e9", "speeds_kmh must be below the speed of light"),
+        ("speeds_kmh = 1e300", "speeds_kmh must be below the speed of light"),
+        ("speeds_kmh = 1e308", "speeds_kmh must be below the speed of light"),
     ], ids=["empty_speeds", "empty_waveforms", "duplicate_waveform", "duplicate_speed",
             "duplicate_snr", "speeds_equal_in_the_csv", "snrs_equal_in_the_csv",
-            "signed_zero_snr", "negative_speed", "nan_snr", "inf_snr"])
+            "signed_zero_snr", "negative_speed", "nan_snr", "inf_snr", "overflowing_snr",
+            "underflowing_snr", "infinite_noise_snr", "faster_than_light",
+            "nan_doppler_speed", "overflowing_speed"])
     def test_bad_sweep_axis_is_a_config_error(self, tmp_path, capsys, line, match):
-        # each once gave 0 rows, duplicated rows or a traceback per cell
+        # each once gave 0 rows, duplicated rows, NaN rows or a traceback per cell
         path = write_config(tmp_path, DESK_LINES + "trials = 1\n" + line + "\n")
         with pytest.raises(ConfigError, match=match):
             load_config(path)

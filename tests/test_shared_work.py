@@ -8,13 +8,16 @@ fresh channel per cell and the per-frame transmitter give
 (``tests/oracles.py``), and a failure must stay in the cells it belongs to.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddmod import channel as ch
-from ddmod import harness, mmse, ofdm
+from ddmod import drufmc, harness, mmse, ofdm, otfs, transforms
 from ddmod.config import ModemConfig, desk_config
 from ddmod.harness import WAVEFORMS, ExperimentConfig, evaluate_point, grid_point, psd_signal
 from ddmod.harness import run_psd, run_sweep
@@ -97,20 +100,59 @@ def test_each_point_realizes_and_builds_its_stack_once(monkeypatch):
 ])
 def test_otfs_and_ofdm_full_share_one_factor_per_tx_null(monkeypatch, guard_nulling, overrides,
                                                          factors):
-    stacks = []
-    factor = mmse._inverse_factor
+    stacks, fts, detected = [], [], []
+    factor, ft_stack = mmse._inverse_factor, ofdm.per_symbol_ft_channel
 
     def counted(a):
         if a.ndim == 3:                 # DR-UFMC factors one K x K block at a time
             stacks.append(a.shape)
         return factor(a)
 
+    def recorded(detect):
+        def wrapper(c, *args, **kwargs):
+            detected.append(c)          # kept alive, so the ids below are distinct objects
+            return detect(c, *args, **kwargs)
+        return wrapper
+
     monkeypatch.setattr(mmse, "_inverse_factor", counted)
+    monkeypatch.setattr(ofdm, "per_symbol_ft_channel",
+                        lambda *args: fts.append(ft_stack(*args)) or fts[-1])
+    for module in (ofdm, otfs):
+        monkeypatch.setattr(module, "per_symbol_mmse", recorded(module.per_symbol_mmse))
     cfg = ExperimentConfig(modem=desk_config(guard_nulling=guard_nulling), speeds_kmh=(500.0,),
                            snr_db=(10.0,), trials=1, seed=4, n_guard_by_waveform=overrides)
     rows, failures = run_sweep(cfg)
     assert not failures and len(rows) == len(WAVEFORMS)
     assert len(stacks) == factors
+    # OTFS and OFDM-full detect through one nulled stack per TX-guard count,
+    # which under accounting is the frequency-time stack itself, not a copy
+    assert len(fts) == 1 and len(detected) == 2
+    assert len({id(c) for c in detected}) == factors
+    assert all((c is fts[0]) == (guard_nulling == "accounting") for c in detected)
+
+
+def test_table1_drufmc_cell_builds_the_dense_precoder_once_and_frees_it(monkeypatch):
+    built = []
+    precoder = drufmc.ufmc_precoder
+
+    def recorded(cfg):
+        p = precoder(cfg)
+        built.append(weakref.ref(p))
+        return p
+
+    monkeypatch.setattr(transforms, "_CACHE", {})
+    monkeypatch.setattr(drufmc, "ufmc_precoder", recorded)
+    cfg = ExperimentConfig(modem=ModemConfig(), waveforms=("drufmc",), speeds_kmh=(500.0,),
+                           snr_db=(20.0, 30.0), trials=1, seed=4)
+    rows, failures = run_sweep(cfg)
+    assert not failures and len(rows) == 2
+    gc.collect()
+    assert len(built) == 1 and built[0]() is None
+    ko, k = cfg.modem.k * cfg.modem.o_s, cfg.modem.k
+    held = [a for hit in transforms._CACHE.values()
+            for a in (hit if isinstance(hit, tuple) else (hit,))]
+    # neither the dense precoder nor W^H is memoized, and no view keeps the precoder alive
+    assert not [a.shape for a in held if a.shape in {(ko + cfg.modem.filter_len - 1, k), (ko, k)}]
 
 
 def test_raising_link_fails_only_its_own_cell(monkeypatch):

@@ -5,7 +5,7 @@ and the estimates of ``metrics.sinr_map`` and ``metrics.mmse_detect`` applied
 to the dense KN x KN effective channels, over random valid modem
 configurations (any N, guards nulled at the transmitter or only accounted,
 both pulses, noise variances from 1e-4 to 1), and the sweep must not touch
-the dense route.  With guards nulled at the transmitter, each link must send
+the dense route, which the package does not export.  With guards nulled at the transmitter, each link must send
 exactly the channel its detector models.  Every link and every route takes
 its channel as one ``ofdm.LinkChannel``, through one signature per kind.
 """
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ddmod
 from ddmod import channel as ch
 from ddmod import drufmc, harness, metrics, ofdm, otfs
 from ddmod.config import ModemConfig, desk_config
@@ -132,6 +133,13 @@ def test_sweep_never_builds_the_dense_channel(monkeypatch, waveform):
                            snr_db=(20.0,), speeds_kmh=(500.0,), trials=1)
     row = evaluate_point(cfg, waveform, 500.0, 0, 0)
     assert np.isfinite([row.net_sinr_db, row.avg_se_bps_hz, row.nmse]).all()
+
+
+def test_package_does_not_export_the_dense_route():
+    # the dense builders and their detector stay in their modules as references
+    for name in ("ofdm_full_effective_channel", "otfs_effective_channel",
+                 "drufmc_effective_channel", "sinr_map", "mmse_detect"):
+        assert not hasattr(ddmod, name), name
 
 
 LINKS = {
