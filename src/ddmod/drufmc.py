@@ -10,8 +10,9 @@ resp, the circular block W^H diag(resp) x.  The filtered symbol differs from
 it only in its first and last L - 1 samples, by the precoder tail P_tail x:
 each block gives that up from its head and takes the previous symbol's from
 it, the overlap-add done with one (L - 1) x K product per symbol
-(:func:`ufmc_modulate_ft`).  The dense precoder of
-:func:`~ddmod.transforms.ufmc_precoder` is its reference.
+(:func:`ufmc_modulate_ft`).  resp and P_tail are closed forms over the L
+filter taps (:func:`_filter_response`); the dense precoder of
+:func:`~ddmod.transforms.ufmc_precoder` is their reference.
 
 In the delay-time domain (A = X_dd F_N^H in, U = Y_dd F_N^H out) the channel is
 block lower-bidiagonal: U[:, m] = T[m, m] A[:, m] + T[m, m-1] A[:, m-1] with
@@ -40,25 +41,32 @@ import numpy as np
 
 from .channel import ChannelMatrixSet
 from .config import ModemConfig, live_rows
-from .mmse import bidiagonal_mmse, mmse_sinr
+from .mmse import _symbol_chunks, bidiagonal_mmse, mmse_sinr
 from .ofdm import (LinkChannel, _demodulate, _path_ft_blocks, _symbol_blocks, _tx_guard,
                    _tx_null, apply_channel)
-from .transforms import _cached, dft_matrix, isfft, oversampled_dft, sfft, ufmc_precoder
+from .transforms import _cached, dft_matrix, isfft, modulated_filter_taps, prototype_filter, sfft
 
 
 def _filter_response(cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
     """(resp, P_tail): the subband filters' gains on the K subcarriers and the
     precoder's last L - 1 rows, memoized per config.
 
-    Column k of the precoder is the subband filter convolved with W^H[:, k],
-    a tone periodic in K*O_s, so its rows 0 and K*O_s sum to W^H[0, k] resp[k]
-    with W^H[0, k] = 1/sqrt(K*O_s).  P_tail is a copy, so the dense precoder,
-    built here once per config, is freed.
+    Column k of the precoder is subband k//D's L taps h_l convolved with
+    W^H[:, k], the tone exp(j2*pi*t*f_k/(K*O_s)) / sqrt(K*O_s) with f_k = k - K/2.
+    With Phi[l, k] = h_l exp(-j2*pi*l*f_k/(K*O_s)), the gain is resp[k] =
+    sum_l Phi[l, k], and tail row s (row K*O_s + s of the precoder) is
+    exp(j2*pi*s*f_k/(K*O_s)) / sqrt(K*O_s) sum_{l > s} Phi[l, k]: the taps that
+    reach past the block.  No precoder is formed; ``ufmc_precoder`` is the
+    reference.
     """
     def build():
-        ko = cfg.k * cfg.o_s
-        p = ufmc_precoder(cfg)
-        return np.sqrt(ko) * p[::ko].sum(axis=0), p[ko:].copy()
+        ko, ell = cfg.k * cfg.o_s, np.arange(cfg.filter_len)[:, np.newaxis]
+        f = np.arange(cfg.k) - cfg.k // 2
+        taps = np.stack([modulated_filter_taps(prototype_filter(cfg), i, cfg.k, cfg.o_s, cfg.d)
+                         for i in range(cfg.b)], axis=1)                     # (L, B)
+        phi = np.repeat(taps, cfg.d, axis=1) * np.exp(-2j * np.pi * ell * f / ko)  # (L, K)
+        later = np.cumsum(phi[:0:-1], axis=0)[::-1]                          # rows l > s
+        return phi.sum(axis=0), later * (np.exp(2j * np.pi * ell[:-1] * f / ko) / np.sqrt(ko))
 
     return _cached(("ufmc_resp", cfg.k, cfg.o_s, cfg.b, cfg.filter_len,
                     float(cfg.filter_att_db)), build)
@@ -128,20 +136,33 @@ def _delay_domain_blocks(chan: ChannelMatrixSet,
     with B_m the per-path closed form of :func:`~ddmod.ofdm.per_symbol_ft_channel`
     without CP.  The heads subtract the full X_m R; the tail pair returned is
     (X_m U_r S_r, V_r^H) from R's thin SVD (:func:`_precoder_tail`), at any
-    rank r <= L - 1.  ``chan`` must be the CP-less set, with K*O_s columns.
+    rank r <= L - 1.  Column t of the band W M_m[:K*O_s, :L-1] sums entry e's
+    tap at row t + l_e times W's column there, exp(-j2*pi*t*f/(K*O_s)) times
+    exp(-j2*pi*l_e*f/(K*O_s)) / sqrt(K*O_s): one phase per column and one per
+    entry, so W is not formed.  The heads are transformed in place and take
+    X_m R a chunk of symbols at a time.  ``chan`` must be the CP-less set, with
+    K*O_s columns.
     """
     ko = cfg.k * cfg.o_s
     resp = _filter_response(cfg)[0] * _tx_null(cfg)
-    rows = np.arange(cfg.filter_len - 1)[:, np.newaxis] + chan.tap_index  # band, columns < L-1
-    h = chan.taps[rows, np.arange(rows.shape[1])] * (rows < ko)            # R_tail: rows < K*O_s
-    band = np.moveaxis((oversampled_dft(cfg.k, cfg.o_s)[:, rows % ko] * h) @ chan.phase.T,
-                       -1, 0)                                          # W M_m[:K*O_s, :L-1]
+    t = np.arange(cfg.filter_len - 1)
+    rows = t[:, np.newaxis] + chan.tap_index                           # band, columns < L-1
+    h = chan.taps[rows, np.arange(rows.shape[1])] * (rows < ko)        # R_tail: rows < K*O_s
+    # W M_m[:K*O_s, :L-1]: W[f, t + l_e] = exp(-j2*pi*t*f/KO_s) exp(-j2*pi*l_e*f/KO_s) / sqrt(KO_s)
+    f = np.arange(cfg.k) - cfg.k // 2
+    delay = np.exp(-2j * np.pi * np.outer(f, chan.tap_index) / ko) / np.sqrt(ko)   # (K, E)
+    band = (delay * chan.phase[:, np.newaxis]) @ h.T                   # (N, K, L-1)
+    band *= np.exp(-2j * np.pi * np.outer(f, t) / ko)
     # F_K^H (.) F_K: an inverse FFT down the columns, then an FFT along the rows;
     # the tail D_m = X_m R takes the first in X_m and the second in R
-    x = np.fft.ifft(band, axis=-2)
+    x = np.fft.ifft(band, axis=-2, out=band)
     r, us, vh = _precoder_tail(cfg)
-    head = np.fft.fft(np.fft.ifft(_path_ft_blocks(chan, cfg, 0) * resp, axis=-2), axis=-1)
-    head -= x @ r
+    head = _path_ft_blocks(chan, cfg, 0)
+    head *= resp
+    np.fft.ifft(head, axis=-2, out=head)
+    np.fft.fft(head, axis=-1, out=head)
+    for sl in _symbol_chunks(head):
+        head[sl] -= x[sl] @ r
     return head, x @ us, vh                    # X_m R = (X_m U_r S_r) V_r^H
 
 
@@ -181,7 +202,7 @@ def drufmc_mmse(y: np.ndarray, channel: LinkChannel, cfg: ModemConfig,
     cf, x, r = _delay_domain_blocks(channel.channel(False), cfg)
     f_n = dft_matrix(cfg.n)
     u = (np.asarray(y) @ f_n.conj()).T             # U = Y_dd F_N^H, one row per symbol
-    mse, a_hat = bidiagonal_mmse(cf, x, r, u, sigma2, f_n)
+    mse, a_hat = bidiagonal_mmse(cf, x, r, u, sigma2, f_n)   # overwrites cf with its factors
     return mmse_sinr(mse.T, sigma2), a_hat.T @ f_n
 
 

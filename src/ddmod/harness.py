@@ -258,7 +258,8 @@ def evaluate_point(
     so no KN x KN effective channel is built.  The link and the score take
     ``cfg.modem_for(waveform)``; the point is realized from ``cfg.modem``, as
     the guard count does not enter the channel.  The transmitter has unit
-    power, so the SNR fixes the noise variance alone.
+    power, so the SNR fixes the noise variance alone.  A score that is not
+    finite raises FloatingPointError naming it, so no such row is written.
     """
     start = time.perf_counter()
     modem = cfg.modem_for(waveform)
@@ -273,16 +274,16 @@ def evaluate_point(
     x_dd = qpsk_grid(sym_rng, modem.k, modem.n)
     sinr, x_hat = link(x_dd, point, modem, sigma2, noise_ss)
     efficiency = modem.cp_efficiency() if with_cp else 1.0
-    return ResultRow(
-        waveform=waveform,
-        speed_kmh=speed_kmh,
-        snr_db=snr_db,
-        trial=trial,
-        net_sinr_db=net_sinr(sinr, modem.n_guard),
-        avg_se_bps_hz=avg_spectral_efficiency(sinr, efficiency, modem.n_guard),
-        nmse=normalized_mse(vec(x_hat), vec(x_dd)),
-        runtime_s=(time.perf_counter() - start) if cfg.timing else 0.0,
-    )
+    scores = {
+        "net_sinr_db": net_sinr(sinr, modem.n_guard),
+        "avg_se_bps_hz": avg_spectral_efficiency(sinr, efficiency, modem.n_guard),
+        "nmse": normalized_mse(vec(x_hat), vec(x_dd)),
+    }
+    bad = [f"{name} = {value}" for name, value in scores.items() if not np.isfinite(value)]
+    if bad:
+        raise FloatingPointError(f"non-finite score: {', '.join(bad)}")
+    return ResultRow(waveform=waveform, speed_kmh=speed_kmh, snr_db=snr_db, trial=trial,
+                     runtime_s=(time.perf_counter() - start) if cfg.timing else 0.0, **scores)
 
 
 def _cell_streams(cfg, waveform, speed_kmh, snr_index, trial):

@@ -29,11 +29,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import channel as ch
 from .channel import ChannelMatrixSet, PathSet
 from .config import ModemConfig, live_rows
-from .mmse import mmse_sinr, per_symbol_factor, per_symbol_mmse
+from .mmse import _symbol_chunks, mmse_sinr, per_symbol_factor, per_symbol_mmse
 from .transforms import invec, vec
 
 
@@ -140,11 +141,16 @@ def _path_ft_blocks(chan: ChannelMatrixSet, cfg: ModemConfig, n_cp: int) -> np.n
     seg = chan.taps[n_cp:n_cp + ko].T.copy()                            # (E, KO_s)
     seg[np.arange(ko) < chan.tap_index[:, np.newaxis] - n_cp] = 0.0
     diffs = np.arange(1 - k, k)                                         # f_k' - f_k
-    g = np.fft.fft(seg, axis=-1)[:, diffs % ko]                         # (E, 2K-1)
+    g = np.fft.fft(seg, axis=-1)[:, diffs % ko].T                       # (2K-1, E)
     delay = np.exp(-2j * np.pi * np.outer(chan.tap_index, np.arange(k) - k // 2) / ko)
-    by_diff = g.T @ (chan.phase[:, :, np.newaxis] * (delay / ko))       # (N, 2K-1, K)
-    toeplitz = np.arange(k)[:, np.newaxis] - np.arange(k) + k - 1       # row of f_k' - f_k
-    return np.take_along_axis(by_diff, toeplitz[np.newaxis], axis=1)
+    weights = chan.phase[:, :, np.newaxis] * (delay / ko)               # (N, E, K)
+    out = np.empty((len(chan), k, k), dtype=complex)
+    for sl in _symbol_chunks(out):
+        by_diff = g @ weights[sl]                                       # (symbols, 2K-1, K)
+        s_sym, s_row, s_col = by_diff.strides
+        # block[k', k] = by_diff[K-1 + k' - k, k]: a strided view from row K-1, rows 0 .. 2K-2
+        out[sl] = as_strided(by_diff[:, k - 1:], out[sl].shape, (s_sym, s_row, s_col - s_row))
+    return out
 
 
 def per_symbol_ft_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarray:
@@ -267,12 +273,15 @@ def ofdm_onetap_sinr(ft: np.ndarray, cfg: ModemConfig, noise_var: float) -> np.n
     """Per-bin SINR of one-tap FDE: diagonal power over row residual plus noise.
 
     ``ft`` is the (N, K, K) stack from :func:`per_symbol_ft_channel`; TX-nulled
-    guard columns carry nothing, so guard bins report SINR 0.
+    guard columns carry nothing, so guard bins report SINR 0.  The row
+    energies of the nulled stack are taken a chunk of symbols at a time.
     """
-    blk = ft * _tx_null(cfg)
-    sig = np.abs(np.diagonal(blk, axis1=1, axis2=2)) ** 2
-    interference = np.sum(np.abs(blk) ** 2, axis=2) - sig
-    return (sig / (interference + noise_var)).T
+    null = _tx_null(cfg)
+    sig = np.abs(np.diagonal(ft, axis1=1, axis2=2) * null) ** 2
+    power = np.empty_like(sig)
+    for sl in _symbol_chunks(ft):
+        power[sl] = np.sum(np.abs(ft[sl] * null) ** 2, axis=2)
+    return (sig / (power - sig + noise_var)).T
 
 
 def _receive(x: np.ndarray, channel: LinkChannel, cfg: ModemConfig, sigma2: float,

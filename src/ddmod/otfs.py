@@ -73,7 +73,7 @@ def otfs_mmse(y: np.ndarray, channel: LinkChannel, cfg: ModemConfig,
     Returns the (K, N) SINR and delay-Doppler estimate grids.
     """
     c, l_inv = channel.nulled_stack_and_factor(cfg, sigma2)
-    mse, x_ft = per_symbol_mmse(c, isfft(y), l_inv, basis=dft_matrix(cfg.k))
+    mse, x_ft = per_symbol_mmse(c, isfft(y), l_inv, fourier=True)
     sinr = mmse_sinr(mse.mean(axis=0), sigma2)
     return np.repeat(sinr[:, np.newaxis], cfg.n, axis=1), sfft(x_ft)
 

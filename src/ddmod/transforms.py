@@ -1,11 +1,13 @@
 """Deterministic matrix and window builders shared by all transceiver chains.
 
-Everything here is a pure function of its arguments.  The builders a sweep
-reads at every grid point (the DFT matrices, W and the window) are memoized
-(:func:`_cached`) and hand out shared read-only arrays; copy one before
-mutating it.  W^H and the UFMC precoder are built on each call: no link reads
-them, and DR-UFMC keeps only the precoder products it reads.  The contract is
-the explicit matrix semantics; the window is the one builder that takes an FFT.
+Everything here is a pure function of its arguments.  The DFT matrices, W
+and the window are memoized (:func:`_cached`) and hand out shared read-only
+arrays; copy one before mutating it.  A sweep reads the DFT matrices and the
+window; W, W^H and the UFMC precoder are references only: the transceivers
+take FFTs, DR-UFMC derives the precoder products it reads in closed form,
+and no sweep builds the three.  W^H and the precoder are built on each call.
+The contract is the explicit matrix semantics; the window is the one builder
+that takes an FFT.
 """
 
 from __future__ import annotations
@@ -47,9 +49,8 @@ def oversampled_dft(k: int, o_s: int) -> np.ndarray:
     Entry (l, m) = exp(-j2*pi*m*(l - K/2)/(K*O_s)) / sqrt(K*O_s) for
     l = 0..K-1 and m = 0..K*O_s-1.  Rows are orthonormal, so W @ W^H = I_K.
     The receivers apply W as a K*O_s-point FFT that keeps the K centred bins;
-    this dense matrix is their reference, and it builds the tail band of
-    DR-UFMC's delay-domain blocks.  Requires even K because the subcarrier
-    grid is centred at K/2.
+    this dense matrix is their reference.  Requires even K because the
+    subcarrier grid is centred at K/2.
     """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"invalid size: K must be even and >= 2, got {k}")
@@ -186,7 +187,8 @@ def ufmc_precoder(cfg: ModemConfig) -> np.ndarray:
     (K*O_s + L - 1) x K matrix applied to a frequency-time column.  Column k
     is the subband-k/D filter convolved with the oversampled IFFT of e_k, so
     it can be formed by direct convolution without materializing G_i.  Not
-    memoized: ``drufmc._filter_response`` keeps the products DR-UFMC reads.
+    memoized: it is the reference of the closed forms in
+    ``drufmc._filter_response``, and no sweep builds it.
     """
     w_h = oversampled_idft(cfg.k, cfg.o_s)
     filt = prototype_filter(cfg)

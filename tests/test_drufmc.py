@@ -3,6 +3,8 @@ effective channel, and spectral confinement."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ddmod import channel as ch
 from ddmod import drufmc
@@ -65,6 +67,42 @@ class TestModulate:
         s_proc = drufmc.drufmc_modulate(x, cfg)
         s_mat = ufmc_stacked_precoder(cfg) @ dd_to_ft_kron(cfg) @ vec(x)
         assert np.abs(s_proc - s_mat).max() < 1e-12
+
+
+@st.composite
+def filter_configs(draw):
+    k = draw(st.sampled_from([2, 4, 8, 16, 32]))
+    o_s = draw(st.integers(1, 6))
+    return desk_config(k=k, o_s=o_s, b=draw(st.sampled_from([b for b in range(1, k + 1)
+                                                                if k % b == 0])),
+                       filter_len=draw(st.integers(1, min(k * o_s, 64))),
+                       filter_att_db=draw(st.floats(10.0, 150.0)))
+
+
+def assert_filter_response_is_the_precoders(cfg):
+    # the closed forms against the dense precoder: its rows 0 and K*O_s sum to
+    # resp / sqrt(K*O_s), and its rows from K*O_s on are the tail
+    ko = cfg.k * cfg.o_s
+    p = ufmc_precoder(cfg)
+    resp, tail = drufmc._filter_response(cfg)
+    peak = np.abs(p).max(axis=0)
+    assert resp.shape == (cfg.k,) and tail.shape == (cfg.filter_len - 1, cfg.k)
+    assert np.all(np.abs(resp / np.sqrt(ko) - p[::ko].sum(axis=0)) <= 1e-12 * peak)
+    assert np.all(np.abs(tail - p[ko:]) <= 1e-12 * peak)
+
+
+class TestFilterResponse:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(cfg=filter_configs())
+    @example(cfg=desk_config(filter_len=1))
+    @example(cfg=desk_config(b=1))
+    @example(cfg=desk_config(k=2, o_s=1, b=1, filter_len=2))
+    def test_closed_form_matches_the_dense_precoder(self, cfg):
+        assert_filter_response_is_the_precoders(cfg)
+
+    @pytest.mark.parametrize("cfg", [ModemConfig(), desk_config()], ids=["table1", "desk"])
+    def test_presets(self, cfg):
+        assert_filter_response_is_the_precoders(cfg)
 
 
 class TestApplyChannel:

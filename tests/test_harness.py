@@ -306,6 +306,33 @@ class TestRunSweep:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 3
 
+    def test_snr_at_the_range_ends_writes_no_non_finite_score(self, tmp_path, capsys):
+        # OTFS once wrote net_sinr_db = nan at -3080 dB; the failed DR-UFMC cell made the exit 1
+        path = write_config(tmp_path, DESK_LINES + "speeds_kmh = 1.079e9\n"
+                            "snr_db = -3080, 3080\nseed = 0\ntrials = 1\n")
+        out = tmp_path / "ends.csv"
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", path, "--out", str(out)]) in (0, 1)
+        lines = out.read_text().splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) > 1
+        for line in lines[1:]:
+            assert all(np.isfinite(float(v)) for v in line.split(",")[1:]), line
+
+    @pytest.mark.parametrize("value, score", [(-0.5, "net_sinr_db = nan"),
+                                              (np.inf, "net_sinr_db = inf")])
+    def test_non_finite_score_fails_its_cell(self, monkeypatch, value, score):
+        def link(x, point, modem, sigma2, seed):
+            return np.full(x.shape, value), x
+
+        monkeypatch.setitem(harness.WAVEFORMS, "otfs", (True, link))
+        cfg = desk_exp(trials="1")
+        with np.errstate(all="ignore"):
+            with pytest.raises(FloatingPointError, match=f"non-finite score: {score}"):
+                evaluate_point(cfg, "otfs", 500.0, 0, 0)
+            rows, failures = run_sweep(cfg)
+        assert not rows and [cell for cell, _ in failures] == [("otfs", 500.0, 0, 0)]
+        assert "Traceback (most recent call last)" in failures[0][1]
+
     def test_byte_identical_rerun(self, tmp_path):
         cfg = desk_exp(waveforms="otfs, ofdm-onetap", trials="2")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

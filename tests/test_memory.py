@@ -1,0 +1,63 @@
+"""Memory of a table-1 grid point, and chunked stack products against whole ones.
+
+The per-symbol stack products (FT stack, Gram and factor, error diagonals,
+DR-UFMC heads, one-tap row energies) run over symbols in chunks of about
+``mmse._STACK_CHUNK_BYTES``, so a cell's temporaries are a few chunks, not whole
+(N, K, K) stacks.  ``tracemalloc`` sees numpy's array allocations, so each
+cell's traced high-water mark above its starting traced memory bounds what
+the cell holds and frees; BLAS work buffers are not traced.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from ddmod import harness, mmse, transforms
+from ddmod.config import ModemConfig, desk_config
+from ddmod.harness import WAVEFORMS, ExperimentConfig
+
+# One table-1 (N, K, K) complex stack is 4.19 MB.  Measured with numpy 2.4,
+# the per-config memos built inside the cells: OTFS 2.53 stacks (it builds and
+# keeps the point's FT stack and its factor), OFDM-full 0.52, one-tap 0.52 and
+# DR-UFMC 2.33.  With whole-stack temporaries and the dense precoder and W they
+# were 5.30, 2.03, 1.52 and 5.94 stacks (22.2, 8.5, 6.4 and 24.9 MB).
+BOUND_STACKS = 3
+
+
+def test_each_table1_cell_peaks_below_three_stacks(monkeypatch):
+    cfg = ExperimentConfig(modem=ModemConfig(), speeds_kmh=(500.0,), snr_db=(20.0,), trials=1,
+                           seed=0)
+    stack = 16 * cfg.modem.n * cfg.modem.k ** 2
+    peaks, evaluate = {}, harness.evaluate_point
+
+    def traced(cfg, waveform, *args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        row = evaluate(cfg, waveform, *args)
+        peaks[waveform] = (tracemalloc.get_traced_memory()[1] - start) / stack
+        return row
+
+    monkeypatch.setattr(transforms, "_CACHE", {})
+    monkeypatch.setattr(harness, "evaluate_point", traced)
+    tracemalloc.start()
+    try:
+        results = harness._point_worker((cfg, (500.0, 0, 0)))   # the sweep's cell order
+    finally:
+        tracemalloc.stop()
+    assert all(row is not None for row, _ in results)
+    assert set(peaks) == set(WAVEFORMS)
+    assert max(peaks.values()) <= BOUND_STACKS, peaks
+
+
+@pytest.mark.parametrize("modem", [desk_config(pulse="rrc"),
+                                   desk_config(n_guard=3, guard_nulling="tx")],
+                         ids=["desk_rrc", "desk_tx"])
+def test_one_symbol_chunks_give_the_same_rows(monkeypatch, modem):
+    cfg = ExperimentConfig(modem=modem, speeds_kmh=(500.0,), snr_db=(10.0, 30.0), trials=1,
+                           seed=5)
+    monkeypatch.setattr(mmse, "_STACK_CHUNK_BYTES", 1 << 40)
+    whole, failures = harness.run_sweep(cfg)
+    assert not failures
+    monkeypatch.setattr(mmse, "_STACK_CHUNK_BYTES", 1)
+    assert harness.run_sweep(cfg) == (whole, [])

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from ddmod import mmse
+from ddmod.transforms import dft_matrix
 from ddmod.metrics import IllConditionedError, mmse_detect, sinr_map
 
 
@@ -87,6 +88,41 @@ def test_bidiagonal_mmse_matches_dense_inverse(n, k, rank, seed, sigma2):
     assert mse.shape == est.shape == (n, k)
     assert np.abs(mse - mse_ref).max() <= 1e-10 * np.abs(mse_ref).max()
     assert np.abs(est - est_ref).max() <= 1e-10 * np.abs(est_ref).max()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 5), k=st.integers(1, 40), seed=st.integers(0, 2**16),
+       sigma2=st.sampled_from([1e-3, 0.1, 1.0]))
+@example(n=16, k=128, seed=0, sigma2=0.01)
+def test_fourier_error_diagonal_is_the_dense_basis_change(n, k, seed, sigma2):
+    # per_symbol_mmse takes diag(F_K^H G_i F_K) from an FFT of the rows of L_i^{-1}
+    rng = np.random.default_rng(seed)
+    c = complex_normal(rng, n, k, k)
+    l_inv = mmse.per_symbol_factor(c, sigma2)
+    z = l_inv @ dft_matrix(k)
+    ref = np.sum(np.abs(z) ** 2, axis=1)
+    mse, _ = mmse.per_symbol_mmse(c, complex_normal(rng, k, n), l_inv, fourier=True)
+    assert mse.shape == (n, k)
+    assert np.abs(mse - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("k, n", [(8, 5), (128, 16)])
+def test_chunked_stack_products_equal_one_chunk(monkeypatch, k, n):
+    # one symbol per chunk against the whole stack in one chunk
+    rng = np.random.default_rng(k)
+    c, y = complex_normal(rng, n, k, k), complex_normal(rng, k, n)
+    d, x, r = c.copy(), complex_normal(rng, n, k, 3), complex_normal(rng, 3, k)
+
+    def run():
+        l_inv = mmse.per_symbol_factor(c, 0.1)
+        return (l_inv, *mmse.per_symbol_mmse(c, y, l_inv, fourier=True),
+                *mmse.bidiagonal_mmse(d.copy(), x, r, y.T, 0.1, dft_matrix(n)))
+
+    monkeypatch.setattr(mmse, "_STACK_CHUNK_BYTES", 1 << 40)
+    whole = run()
+    monkeypatch.setattr(mmse, "_STACK_CHUNK_BYTES", 1)
+    for got, ref in zip(run(), whole):
+        assert np.array_equal(got, ref)
 
 
 K = 20

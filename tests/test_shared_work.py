@@ -8,8 +8,7 @@ fresh channel per cell and the per-frame transmitter give
 (``tests/oracles.py``), and a failure must stay in the cells it belongs to.
 """
 
-import gc
-import weakref
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddmod import channel as ch
-from ddmod import drufmc, harness, mmse, ofdm, otfs, transforms
+from ddmod import harness, ofdm, otfs, transforms
 from ddmod.config import ModemConfig, desk_config
 from ddmod.harness import WAVEFORMS, ExperimentConfig, evaluate_point, grid_point, psd_signal
 from ddmod.harness import run_psd, run_sweep
@@ -101,12 +100,11 @@ def test_each_point_realizes_and_builds_its_stack_once(monkeypatch):
 def test_otfs_and_ofdm_full_share_one_factor_per_tx_null(monkeypatch, guard_nulling, overrides,
                                                          factors):
     stacks, fts, detected = [], [], []
-    factor, ft_stack = mmse._inverse_factor, ofdm.per_symbol_ft_channel
+    factor, ft_stack = ofdm.per_symbol_factor, ofdm.per_symbol_ft_channel
 
-    def counted(a):
-        if a.ndim == 3:                 # DR-UFMC factors one K x K block at a time
-            stacks.append(a.shape)
-        return factor(a)
+    def counted(c, sigma2):             # one whole stack, however many chunks it is factored in
+        stacks.append(c.shape)
+        return factor(c, sigma2)
 
     def recorded(detect):
         def wrapper(c, *args, **kwargs):
@@ -114,7 +112,7 @@ def test_otfs_and_ofdm_full_share_one_factor_per_tx_null(monkeypatch, guard_null
             return detect(c, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(mmse, "_inverse_factor", counted)
+    monkeypatch.setattr(ofdm, "per_symbol_factor", counted)
     monkeypatch.setattr(ofdm, "per_symbol_ft_channel",
                         lambda *args: fts.append(ft_stack(*args)) or fts[-1])
     for module in (ofdm, otfs):
@@ -131,28 +129,24 @@ def test_otfs_and_ofdm_full_share_one_factor_per_tx_null(monkeypatch, guard_null
     assert all((c is fts[0]) == (guard_nulling == "accounting") for c in detected)
 
 
-def test_table1_drufmc_cell_builds_the_dense_precoder_once_and_frees_it(monkeypatch):
-    built = []
-    precoder = drufmc.ufmc_precoder
-
-    def recorded(cfg):
-        p = precoder(cfg)
-        built.append(weakref.ref(p))
-        return p
+def test_table1_sweep_builds_no_dense_precoder_or_w(monkeypatch):
+    def dense(*args):
+        raise AssertionError("a sweep built a dense transform")
 
     monkeypatch.setattr(transforms, "_CACHE", {})
-    monkeypatch.setattr(drufmc, "ufmc_precoder", recorded)
-    cfg = ExperimentConfig(modem=ModemConfig(), waveforms=("drufmc",), speeds_kmh=(500.0,),
-                           snr_db=(20.0, 30.0), trials=1, seed=4)
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ddmod"]:
+        for name in ("ufmc_precoder", "oversampled_dft", "oversampled_idft"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, dense)
+    cfg = ExperimentConfig(modem=ModemConfig(), speeds_kmh=(500.0,), snr_db=(20.0, 30.0),
+                           trials=1, seed=4)
     rows, failures = run_sweep(cfg)
-    assert not failures and len(rows) == 2
-    gc.collect()
-    assert len(built) == 1 and built[0]() is None
+    assert not failures and len(rows) == 2 * len(WAVEFORMS)
     ko, k = cfg.modem.k * cfg.modem.o_s, cfg.modem.k
-    held = [a for hit in transforms._CACHE.values()
+    held = [a.shape for hit in transforms._CACHE.values()
             for a in (hit if isinstance(hit, tuple) else (hit,))]
-    # neither the dense precoder nor W^H is memoized, and no view keeps the precoder alive
-    assert not [a.shape for a in held if a.shape in {(ko + cfg.modem.filter_len - 1, k), (ko, k)}]
+    # no memo holds W, W^H or the dense precoder
+    assert not set(held) & {(k, ko), (ko, k), (ko + cfg.modem.filter_len - 1, k)}
 
 
 def test_raising_link_fails_only_its_own_cell(monkeypatch):

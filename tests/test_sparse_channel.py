@@ -132,8 +132,8 @@ def test_table1_tail_is_cut_to_its_numerical_rank(monkeypatch, guard_nulling, n_
     heads, x, r = _delay_domain_blocks(chan, cfg)
     assert x.shape == (cfg.n, cfg.k, rank) and r.shape == (rank, cfg.k)
     assert _full_tail_rank(cfg) == rank
-    # the same blocks with the tail left at L - 1 columns
-    full_r = _full_tail(cfg)
+    # the same blocks with the tail left at L - 1 columns (the R the heads subtract)
+    full_r = drufmc._precoder_tail(cfg)[0]
     monkeypatch.setattr(drufmc, "_precoder_tail",
                         lambda cfg: (full_r, np.eye(cfg.filter_len - 1), full_r))
     full_heads, full_x, _ = _delay_domain_blocks(chan, cfg)
