@@ -15,6 +15,10 @@ class ConfigError(ValueError):
 #: Default cyclic-prefix duration in seconds (converted to samples per config).
 DEFAULT_T_CP_S = 0.586e-6
 
+#: Variables through which a user chooses BLAS threads; if one is set, BLAS is left alone.
+#: This module loads no numpy, so the command line reads them before numpy starts OpenBLAS.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
 
 def live_rows(k: int, n_guard: int) -> slice:
     """Rows [N_G, K - N_G) of a K-row grid, all but the 2*N_G edge ones; needs 0 <= 2*N_G < K."""

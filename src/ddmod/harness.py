@@ -1,5 +1,6 @@
 """Experiment runner: config parsing, seeded SNR x speed x waveform sweeps,
-PSD / guard-band experiments, and the ``ddmod`` command line interface.
+PSD / guard-band experiments, and the ``ddmod`` command line interface
+(started through ``ddmod.__main__``, which sets numpy's BLAS threads first).
 
 The compared waveforms are the rows of :data:`WAVEFORMS`; each module owns
 its link from symbols to SINR grid and estimates.  Waveforms at the same
@@ -8,7 +9,11 @@ so waveform comparisons are paired and free of Monte-Carlo noise: every link
 takes the point's one :class:`~ddmod.ofdm.LinkChannel` (:func:`grid_point`),
 which builds the realization, its frequency-time stack and the stack's MMSE
 factor once.  Output rows are sorted deterministically before writing;
-rerunning an identical config and seed reproduces the CSV byte for byte.
+rerunning an identical config and seed reproduces the CSV byte for byte,
+however many processes the sweep's grid points were spread over: every
+usable CPU by default, capped by available memory, or ``DDMOD_THREADS``
+(:func:`_worker_count`).  Each process runs OpenBLAS on one thread unless
+the user chose a count (:func:`_pin_blas`).
 
 The PSD experiment hands the guard search a ``spectrum(n_guard)`` function:
 the Welch estimate of one family's ``psd_trials``-frame signal, streamed to
@@ -32,7 +37,7 @@ import numpy as np
 
 from . import channel as ch
 from . import drufmc, ofdm, otfs
-from .config import ConfigError, ModemConfig, desk_config
+from .config import BLAS_THREAD_VARS, ConfigError, ModemConfig, desk_config
 from .metrics import (
     GuardSearchError,
     avg_spectral_efficiency,
@@ -317,8 +322,6 @@ def _point_worker(args):
     return [results[wf] for wf in cfg.waveforms]
 
 
-#: Variables through which a user chooses BLAS threads; if one is set, BLAS is left alone.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 #: Thread-count setters of the OpenBLAS builds numpy (64-bit ints) and scipy ship.
 _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                  "openblas_set_num_threads64_", "openblas_set_num_threads")
@@ -328,14 +331,18 @@ def _pin_blas() -> None:
     """Set every loaded OpenBLAS to one thread unless the user chose a count.
 
     The sweep's BLAS calls are small, and a second thread spins longer than
-    it helps; ``DDMOD_THREADS`` spreads grid points over processes instead.
-    ddmod loads only numpy's OpenBLAS; scipy's own build is pinned too, but
-    only if the caller loaded it.  Builds are found in /proc/self/maps (a
-    no-op where that file does not exist).  Called by :func:`main`, by the
-    pool's worker initializer, by :func:`run_psd` before it starts two
-    family threads and once per test session, never at import.
+    it helps; grid points spread over processes instead (:func:`run_sweep`).
+    This is for callers that loaded numpy before choosing a count.  The
+    command line sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads
+    (``ddmod.__main__``), which also keeps OpenBLAS from starting the worker
+    thread that a count set afterwards does not stop.  ddmod loads only
+    numpy's OpenBLAS; scipy's own build is pinned too, but only if the
+    caller loaded it.  Builds are found in /proc/self/maps (a no-op where
+    that file does not exist).  Called by :func:`main`, by the pool's worker
+    initializer, by :func:`run_psd` before it starts two family threads and
+    once per test session; never by ``import ddmod``.
     """
-    if any(var in os.environ for var in _BLAS_THREAD_VARS):
+    if any(var in os.environ for var in BLAS_THREAD_VARS):
         return
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -350,10 +357,54 @@ def _pin_blas() -> None:
                 break
 
 
-def _worker_count(value: str | None) -> int:
-    """Process count from a DDMOD_THREADS value; unset means serial."""
+#: A pool worker's peak memory, in complex (N, K, K) stacks of its modem.  At
+#: table-1 scale one stack is 4.19 MB and a whole ``ddmod run`` of one point
+#: peaks at 50.4 MB RSS, 12.0 stacks: about 7 are the interpreter and numpy
+#: (29 MB), 2 the point's frequency-time stack and factor, and 3 the bound
+#: ``tests/test_memory.py`` puts on one cell's temporaries.  Above table 1
+#: the interpreter's share shrinks, so 12 stays an upper estimate.  Below it
+#: the estimate is low (a forked desk-scale worker ends its points with about
+#: 9 MB of private pages, some 70 desk stacks), so there the cap binds only
+#: where memory is nearly gone.
+_WORKER_STACKS = 12
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _available_memory(path: str = "/proc/meminfo") -> int | None:
+    """``MemAvailable`` in bytes, or None where the file or the line is absent."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _worker_count(value: str | None, modem: ModemConfig = ModemConfig()) -> int:
+    """Process count of a sweep from a DDMOD_THREADS value.
+
+    An integer >= 1 is honoured as given; anything else is a ConfigError.
+    Unset, it is the usable CPU count (:func:`_usable_cpus`), capped so that
+    that many workers of ``_WORKER_STACKS`` of ``modem``'s (N, K, K) stacks
+    each fit in ``MemAvailable``, and at least 1.  Without ``/proc/meminfo``
+    there is no cap.
+    """
     if value is None:
-        return 1
+        workers = _usable_cpus()
+        available = _available_memory()
+        if available is not None:
+            per_worker = _WORKER_STACKS * 16 * modem.n * modem.k ** 2
+            workers = min(workers, available // per_worker)
+        return max(1, workers)
     try:
         workers = int(value)
     except ValueError:
@@ -367,12 +418,15 @@ def run_sweep(cfg: ExperimentConfig, out_path: str | None = None):
     """Run the full grid; returns (rows, failures) and optionally writes CSV.
 
     Each (speed, SNR, trial) point evaluates all its waveforms on one
-    :func:`grid_point`.  Rows are sorted by (waveform, speed, SNR, trial)
-    before writing so the output is independent of execution order;
-    DDMOD_THREADS > 1 enables a process pool over grid points, each worker
-    on one BLAS thread.  A failure is (cell, formatted traceback).
+    :func:`grid_point`.  The points run in a process pool of
+    :func:`_worker_count` workers (every usable CPU unless DDMOD_THREADS
+    says otherwise), each on one BLAS thread, and never more workers than
+    points: a one-point sweep, or one worker, runs serially in this process
+    and starts no pool.  Rows are sorted by (waveform, speed, SNR, trial)
+    before writing so the output is independent of execution order.  A
+    failure is (cell, formatted traceback).
     """
-    workers = _worker_count(os.environ.get("DDMOD_THREADS"))
+    workers = _worker_count(os.environ.get("DDMOD_THREADS"), cfg.modem)
     tasks = [
         (cfg, (speed, si, t))
         for speed in cfg.speeds_kmh
@@ -383,8 +437,11 @@ def run_sweep(cfg: ExperimentConfig, out_path: str | None = None):
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
 
+        # about four batches of points per worker: fewer round trips, still balanced
+        chunk = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
-            results = [r for point in pool.map(_point_worker, tasks) for r in point]
+            results = [r for point in pool.map(_point_worker, tasks, chunksize=chunk)
+                       for r in point]
     else:
         results = [r for task in tasks for r in _point_worker(task)]
 
@@ -540,7 +597,3 @@ def main(argv=None) -> int:
         print(f"{wf}: 2N_G = {2 * n_guard} nulled subcarriers for "
               f"{cfg.modem.delta_oob_db:g} dB out-of-band threshold")
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import os
 import re
 import subprocess
 import sys
@@ -419,9 +420,36 @@ class TestRunSweep:
 
 
 class TestWorkerCount:
-    def test_unset_runs_serially(self):
-        assert _worker_count(None) == 1
+    def test_unset_is_the_usable_cpu_count(self, monkeypatch):
+        # no process is started: the count is arithmetic on the CPU and meminfo readings
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        monkeypatch.setattr(harness, "_available_memory", lambda: None)
+        assert _worker_count(None) == _worker_count(None, desk_config()) == usable
         assert _worker_count("3") == 3
+
+    @pytest.mark.parametrize("fit, workers", [(0, 1), (0.99, 1), (1, 1), (3.5, 3), (8, 8),
+                                              (100, 8)])
+    def test_unset_is_capped_by_available_memory(self, monkeypatch, fit, workers):
+        # MemAvailable holds `fit` workers of _WORKER_STACKS (N, K, K) stacks each
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        for modem in (ModemConfig(), desk_config(), ModemConfig(k=512, n=64)):
+            per_worker = harness._WORKER_STACKS * 16 * modem.n * modem.k ** 2
+            monkeypatch.setattr(harness, "_available_memory", lambda: int(fit * per_worker))
+            assert _worker_count(None, modem) == workers
+
+    def test_explicit_count_is_honoured_whatever_the_memory(self, monkeypatch):
+        monkeypatch.setattr(harness, "_available_memory", lambda: 0)
+        assert _worker_count("64", ModemConfig(k=512, n=64)) == 64
+        assert _worker_count(None, ModemConfig(k=512, n=64)) == 1
+
+    def test_meminfo_reader(self, tmp_path):
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal:       16000000 kB\nMemFree:  100 kB\n"
+                           "MemAvailable:    7707984 kB\nBuffers:  1 kB\n")
+        assert harness._available_memory(str(meminfo)) == 7707984 * 1024
+        meminfo.write_text("MemTotal:       16000000 kB\nMemFree:  100 kB\n")
+        assert harness._available_memory(str(meminfo)) is None      # no cap
+        assert harness._available_memory(str(tmp_path / "missing")) is None
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_rejects_anything_but_a_positive_integer(self, value):
@@ -453,7 +481,7 @@ class TestWorkerCount:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
+            def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
@@ -624,6 +652,12 @@ def blas_threads():
     return counts
 
 
+def os_threads():
+    """Threads of this process, from /proc/self/status."""
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+
+
 def report_point(args):
     """Stands in for harness._point_worker: a failure carrying the worker's counts."""
     return [(None, (os.getpid(), json.dumps(blas_threads())))]
@@ -665,20 +699,51 @@ harness.run_sweep = report
 harness.main(["run", "--config", sys.argv[1]])
 """
 
+RUN_AS_MAIN = """
+import contextlib, io, json, runpy, sys, blas_probe
+sys.argv = ["ddmod", "run", "--config", sys.argv[1]]
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        runpy.run_module("ddmod", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, blas_probe.blas_threads(), blas_probe.os_threads()]))
+"""
+
+# what the installed console script does: import its target and call it
+_SCRIPT = re.search(r'^ddmod = "([\w.]+):(\w+)"$',
+                    (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(), re.M)
+CONSOLE_SCRIPT = f"""
+import contextlib, importlib, io, json, sys, blas_probe
+sys.argv = ["ddmod", "run", "--config", sys.argv[1]]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = importlib.import_module({_SCRIPT[1]!r}).{_SCRIPT[2]}()
+print(json.dumps([code, blas_probe.blas_threads(), blas_probe.os_threads()]))
+"""
+
+LAZY_IMPORT = """
+import json, sys
+import ddmod
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("ddmod", "numpy"))
+resolved = [name for name in ddmod.__all__ if getattr(ddmod, name, None) is not None]
+print(json.dumps([loaded, resolved, hasattr(ddmod, "sinr_map"), ddmod.__all__]))
+"""
+
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
 class TestBlasThreads:
     """The CLI and its pool workers load one OpenBLAS, numpy's, and run it on one thread.
 
+    The command line (``python -m ddmod`` and the console script) sets that
+    count before numpy loads, so OpenBLAS starts no worker thread there.
     A caller that loaded scipy's own build before ``main`` gets both builds
     pinned.  On a 1-CPU machine OpenBLAS already defaults to one thread, so
     the pinning tests pass there without showing anything.
     """
 
     def _probe(self, tmp_path, code, **env):
+        """The JSON on the first line a child running ``code`` prints."""
         import json
-        import os
-        from pathlib import Path
 
         import ddmod
 
@@ -727,6 +792,28 @@ class TestBlasThreads:
         before, after = self._probe(tmp_path, AT_IMPORT)
         assert len(before) == 1 and after == before
 
+    @pytest.mark.parametrize("entry", [RUN_AS_MAIN, CONSOLE_SCRIPT], ids=["-m", "script"])
+    def test_cli_starts_numpy_on_one_blas_thread(self, tmp_path, entry):
+        # the count is set before numpy loads, so OpenBLAS starts no worker
+        # thread: a serial run ends with the main thread alone
+        numpy_build = self._numpy_build(tmp_path)
+        code, blas, threads = self._probe(tmp_path, entry, DDMOD_THREADS="1")
+        assert code == 0
+        assert blas == dict.fromkeys(numpy_build, 1)
+        assert threads == 1
+
+    def test_cli_leaves_an_explicit_thread_count(self, tmp_path):
+        chosen = self._numpy_build(tmp_path, OMP_NUM_THREADS="2")
+        code, blas, _ = self._probe(tmp_path, RUN_AS_MAIN, OMP_NUM_THREADS="2",
+                                    DDMOD_THREADS="1")
+        assert code == 0 and blas == chosen
+
+    def test_import_loads_no_numpy(self, tmp_path):
+        loaded, resolved, has_sinr_map, exported = self._probe(tmp_path, LAZY_IMPORT)
+        assert loaded == ["ddmod"]
+        assert exported and resolved == exported
+        assert not has_sinr_map
+
 
 class TestCli:
     def _run(self, *args):
@@ -756,20 +843,22 @@ class TestCli:
         assert r.returncode == 2
 
     def test_worker_pool_matches_serial_output(self, tmp_path):
-        import os
-
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(DESK_LINES + "waveforms = otfs, ofdm-onetap\nsnr_db = 0, 10\n"
                        "speeds_kmh = 500\ntrials = 2\nseed = 5\n")
-        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
-        r1 = self._run("run", "--config", str(cfg), "--out", str(serial))
-        env = dict(os.environ, DDMOD_THREADS="2")
-        r2 = subprocess.run(
-            [sys.executable, "-m", "ddmod", "run", "--config", str(cfg), "--out", str(pooled)],
-            capture_output=True, text=True, timeout=600, env=env,
-        )
-        assert r1.returncode == 0 and r2.returncode == 0, r2.stderr
-        assert serial.read_bytes() == pooled.read_bytes()
+        outs = []
+        # serial, a pool of two, and the default: one worker per usable CPU
+        for threads in ("1", "2", None):
+            out = tmp_path / f"threads-{threads}.csv"
+            env = {k: v for k, v in os.environ.items() if k != "DDMOD_THREADS"}
+            env.update({"DDMOD_THREADS": threads} if threads else {})
+            r = subprocess.run(
+                [sys.executable, "-m", "ddmod", "run", "--config", str(cfg), "--out", str(out)],
+                capture_output=True, text=True, timeout=600, env=env,
+            )
+            assert r.returncode == 0, r.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
 
     def test_desk_preset_applies_without_full_flag(self, tmp_path):
         # an empty config loads the full-scale modem, but a plain run swaps in

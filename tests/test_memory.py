@@ -50,10 +50,17 @@ def test_each_table1_cell_peaks_below_three_stacks(monkeypatch):
     assert max(peaks.values()) <= BOUND_STACKS, peaks
 
 
+def test_worker_estimate_holds_a_cell_and_its_point():
+    # the pool sizes its default from a per-worker estimate in stacks: a cell's
+    # temporaries at this bound plus the point's FT stack and factor must fit in it
+    assert harness._WORKER_STACKS >= BOUND_STACKS + 2
+
+
 @pytest.mark.parametrize("modem", [desk_config(pulse="rrc"),
                                    desk_config(n_guard=3, guard_nulling="tx")],
                          ids=["desk_rrc", "desk_tx"])
 def test_one_symbol_chunks_give_the_same_rows(monkeypatch, modem):
+    monkeypatch.setenv("DDMOD_THREADS", "1")    # the chunk size is set in this process
     cfg = ExperimentConfig(modem=modem, speeds_kmh=(500.0,), snr_db=(10.0, 30.0), trials=1,
                            seed=5)
     monkeypatch.setattr(mmse, "_STACK_CHUNK_BYTES", 1 << 40)

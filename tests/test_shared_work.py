@@ -74,6 +74,7 @@ def desk_sweep(trials=1):
 
 
 def test_each_point_realizes_and_builds_its_stack_once(monkeypatch):
+    monkeypatch.setenv("DDMOD_THREADS", "1")    # counted in this process
     calls = {"realize": 0, "ft": 0}
     realize, stack = ch.realize, ofdm.per_symbol_ft_channel
 
@@ -99,6 +100,7 @@ def test_each_point_realizes_and_builds_its_stack_once(monkeypatch):
 ])
 def test_otfs_and_ofdm_full_share_one_factor_per_tx_null(monkeypatch, guard_nulling, overrides,
                                                          factors):
+    monkeypatch.setenv("DDMOD_THREADS", "1")    # recorded in this process
     stacks, fts, detected = [], [], []
     factor, ft_stack = ofdm.per_symbol_factor, ofdm.per_symbol_ft_channel
 
@@ -130,6 +132,8 @@ def test_otfs_and_ofdm_full_share_one_factor_per_tx_null(monkeypatch, guard_null
 
 
 def test_table1_sweep_builds_no_dense_precoder_or_w(monkeypatch):
+    monkeypatch.setenv("DDMOD_THREADS", "1")    # counted in this process
+
     def dense(*args):
         raise AssertionError("a sweep built a dense transform")
 
