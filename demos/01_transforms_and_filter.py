@@ -7,7 +7,8 @@ and the Dolph-Chebyshev prototype filter with its equiripple side-lobes.
 
 import numpy as np
 
-from ddmod import chebyshev_window, dft_matrix, isfft, oversampled_dft, sfft
+from ddmod import chebyshev_window, dft_matrix, isfft, sfft
+from ddmod.transforms import oversampled_dft
 
 rng = np.random.default_rng(0)
 

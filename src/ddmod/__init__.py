@@ -25,8 +25,7 @@ _EXPORTS = {
     "ofdm": ("apply_channel", "ofdm_demodulate", "ofdm_modulate", "ofdm_onetap_fde",
              "ofdm_onetap_sinr"),
     "otfs": ("otfs_demodulate", "otfs_modulate"),
-    "transforms": ("chebyshev_window", "dft_matrix", "isfft", "oversampled_dft", "sfft",
-                   "ufmc_precoder"),
+    "transforms": ("chebyshev_window", "dft_matrix", "isfft", "sfft"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = {*_EXPORTS, "mmse"}

@@ -18,8 +18,8 @@ In the delay-time domain (A = X_dd F_N^H in, U = Y_dd F_N^H out) the channel is
 block lower-bidiagonal: U[:, m] = T[m, m] A[:, m] + T[m, m-1] A[:, m-1] with
 T[m, m] = C_m and T[m, m-1] = D_m, the per-symbol head and overlap-tail maps of
 :func:`_delay_domain_blocks`, built path by path, each weighted by its Doppler
-phase on symbol m: C_m = F_K^H B_m diag(resp) F_K - D_m, with B_m the closed
-form of :func:`~ddmod.ofdm.per_symbol_ft_channel` without CP and resp the
+phase on symbol m: C_m = F_K^H B_m diag(resp) F_K - D_m, with B_m the
+:func:`~ddmod.ofdm.per_symbol_ft_channel` block of the CP-less set and resp the
 subband filters' gains, and D_m = X_m R from the L - 1 channel columns the tail
 reaches: R, the precoder's tail rows, is the same (L - 1) x K factor for every
 symbol.  R is the Dolph-Chebyshev filter ramp, whose singular values fall fast
@@ -42,8 +42,8 @@ import numpy as np
 from .channel import ChannelMatrixSet
 from .config import ModemConfig, live_rows
 from .mmse import _symbol_chunks, bidiagonal_mmse, mmse_sinr
-from .ofdm import (LinkChannel, _demodulate, _path_ft_blocks, _symbol_blocks, _tx_guard,
-                   _tx_null, apply_channel)
+from .ofdm import (LinkChannel, _demodulate, _symbol_blocks, _tx_guard, _tx_null, apply_channel,
+                   per_symbol_ft_channel)
 from .transforms import _cached, dft_matrix, isfft, modulated_filter_taps, prototype_filter, sfft
 
 
@@ -133,8 +133,8 @@ def _delay_domain_blocks(chan: ChannelMatrixSet,
     R = P_tail F_K.  P_head / P_tail are the first K*O_s / last L - 1 precoder
     rows, TX-guard nulled.  P_head is the steady state W^H diag(resp) less
     P_tail in its first L - 1 rows, so C_m = F_K^H B_m diag(resp) F_K - D_m,
-    with B_m the per-path closed form of :func:`~ddmod.ofdm.per_symbol_ft_channel`
-    without CP.  The heads subtract the full X_m R; the tail pair returned is
+    with B_m the :func:`~ddmod.ofdm.per_symbol_ft_channel` block of ``chan``.
+    The heads subtract the full X_m R; the tail pair returned is
     (X_m U_r S_r, V_r^H) from R's thin SVD (:func:`_precoder_tail`), at any
     rank r <= L - 1.  Column t of the band W M_m[:K*O_s, :L-1] sums entry e's
     tap at row t + l_e times W's column there, exp(-j2*pi*t*f/(K*O_s)) times
@@ -144,6 +144,8 @@ def _delay_domain_blocks(chan: ChannelMatrixSet,
     K*O_s columns.
     """
     ko = cfg.k * cfg.o_s
+    if chan.cols != ko:
+        raise ValueError(f"dimension mismatch: {chan.cols} channel columns, expected {ko}")
     resp = _filter_response(cfg)[0] * _tx_null(cfg)
     t = np.arange(cfg.filter_len - 1)
     rows = t[:, np.newaxis] + chan.tap_index                           # band, columns < L-1
@@ -157,7 +159,7 @@ def _delay_domain_blocks(chan: ChannelMatrixSet,
     # the tail D_m = X_m R takes the first in X_m and the second in R
     x = np.fft.ifft(band, axis=-2, out=band)
     r, us, vh = _precoder_tail(cfg)
-    head = _path_ft_blocks(chan, cfg, 0)
+    head = per_symbol_ft_channel(chan, cfg)
     head *= resp
     np.fft.ifft(head, axis=-2, out=head)
     np.fft.fft(head, axis=-1, out=head)

@@ -132,14 +132,11 @@ class ExperimentConfig:
 
 
 def noise_variance(snr_db: float) -> float:
-    """sigma^2 = 10^(-snr_db/10) of the unit-power transmitter; a ConfigError unless finite, > 0."""
-    try:
-        sigma2 = 1.0 / 10.0 ** (snr_db / 10.0)
-    except (OverflowError, ZeroDivisionError):     # 10^(snr/10) overflows or underflows to 0
-        sigma2 = 0.0
-    if not 0.0 < sigma2 < float("inf"):
-        raise ConfigError(f"snr_db = {snr_db} is out of range: 10^(-snr_db/10) must be finite, > 0")
-    return sigma2
+    """sigma^2 = 10^(-snr_db/10) of the unit-power transmitter; a ConfigError if |snr_db| > 100,
+    where the full-MMSE SINR 1 / (sigma^2 G_jj) - 1 starts to cancel."""
+    if not abs(snr_db) <= 100.0:
+        raise ConfigError(f"snr_db = {snr_db} is out of range: |snr_db| must be <= 100 dB")
+    return 1.0 / 10.0 ** (snr_db / 10.0)
 
 
 _INT_KEYS = {"trials", "seed", "psd_trials"}

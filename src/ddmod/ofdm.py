@@ -5,8 +5,8 @@ The modulator here is the frequency-time core shared with the delay-Doppler
 chain: data sits directly on the K x N frequency-time grid.  Each symbol
 takes one K*O_s-point inverse FFT of its K centred subcarriers, written
 behind its CP; each receiver takes one K*O_s-point FFT of its kept window
-and keeps the K centred bins (:func:`_demodulate`).  The dense W^H and W of
-:mod:`ddmod.transforms` are their references.  Two receivers are provided,
+and keeps the K centred bins (:func:`_demodulate`).  The dense W of
+:mod:`ddmod.transforms` is their reference.  Two receivers are provided,
 full multicarrier-multisymbol linear MMSE and classical per-subcarrier
 one-tap FDE.
 
@@ -133,11 +133,28 @@ def ofdm_demodulate(r: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     return _demodulate(r, cfg, cfg.n_cp)
 
 
-def _path_ft_blocks(chan: ChannelMatrixSet, cfg: ModemConfig, n_cp: int) -> np.ndarray:
-    """:func:`per_symbol_ft_channel` for a chain with ``n_cp`` CP samples (0: no CP, R = I)."""
+def per_symbol_ft_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarray:
+    """(N, K, K) stack of frequency-time channels W @ R_cp @ M_i @ A_cp @ W^H, either chain's.
+
+    The CP width n_cp is ``chan.cols`` - K*O_s: N_CP for the CP-bearing set
+    the CP receivers read, 0 for the CP-less set of DR-UFMC's heads (R_cp =
+    A_cp = I).  R_cp keeps rows n_cp .. n_cp + K*O_s - 1 of the banded
+    product; A_cp @ W^H is the CP-prefixed inverse DFT.  W^H is periodic in
+    time, so block i sums one term per stored entry e at delay l_e (the
+    per-path ICI structure of Schniter, IEEE TSP 2004; Raviteja et al., IEEE
+    TWC 2018):
+
+        B_i[k', k] = (1/KO_s) sum_e phase[i, e] exp(-j2*pi*l_e*f_k/KO_s) G_e[(f_k' - f_k) mod KO_s]
+
+    with f_k the centred subcarrier index and G_e the FFT of
+    taps[n_cp:n_cp + KO_s, e] (one per entry, for every symbol), zeroed where
+    t < l_e - n_cp (a path longer than the CP reads there from before the
+    CP).
+    """
     k, ko = cfg.k, cfg.k * cfg.o_s
-    if chan.cols != ko + n_cp:
-        raise ValueError(f"dimension mismatch: {chan.cols} channel columns, expected {ko + n_cp}")
+    n_cp = chan.cols - ko
+    if n_cp not in (0, cfg.n_cp):
+        raise ValueError(f"dimension mismatch: CP width {n_cp} is neither 0 nor {cfg.n_cp}")
     seg = chan.taps[n_cp:n_cp + ko].T.copy()                            # (E, KO_s)
     seg[np.arange(ko) < chan.tap_index[:, np.newaxis] - n_cp] = 0.0
     diffs = np.arange(1 - k, k)                                         # f_k' - f_k
@@ -151,24 +168,6 @@ def _path_ft_blocks(chan: ChannelMatrixSet, cfg: ModemConfig, n_cp: int) -> np.n
         # block[k', k] = by_diff[K-1 + k' - k, k]: a strided view from row K-1, rows 0 .. 2K-2
         out[sl] = as_strided(by_diff[:, k - 1:], out[sl].shape, (s_sym, s_row, s_col - s_row))
     return out
-
-
-def per_symbol_ft_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarray:
-    """(N, K, K) stack of frequency-time channels W @ R_cp @ M_i @ A_cp @ W^H.
-
-    R_cp keeps rows n_cp .. n_cp + K*O_s - 1 of the banded product; A_cp @ W^H
-    is the CP-prefixed inverse DFT.  W^H is periodic in time, so block i sums
-    one term per stored entry e at delay l_e (the per-path ICI structure of
-    Schniter, IEEE TSP 2004; Raviteja et al., IEEE TWC 2018):
-
-        B_i[k', k] = (1/KO_s) sum_e phase[i, e] exp(-j2*pi*l_e*f_k/KO_s) G_e[(f_k' - f_k) mod KO_s]
-
-    with f_k the centred subcarrier index and G_e the FFT of
-    taps[n_cp:n_cp + KO_s, e] (one per entry, for every symbol), zeroed where
-    t < l_e - n_cp (a path longer than the CP reads there from before the
-    CP).  ``chan`` must be the CP-bearing set, with K*O_s + N_CP columns.
-    """
-    return _path_ft_blocks(chan, cfg, cfg.n_cp)
 
 
 def ofdm_full_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarray:

@@ -1,13 +1,12 @@
 """Deterministic matrix and window builders shared by all transceiver chains.
 
-Everything here is a pure function of its arguments.  The DFT matrices, W
-and the window are memoized (:func:`_cached`) and hand out shared read-only
+Everything here is a pure function of its arguments.  The DFT matrices and
+the window are memoized (:func:`_cached`) and hand out shared read-only
 arrays; copy one before mutating it.  A sweep reads the DFT matrices and the
-window; W, W^H and the UFMC precoder are references only: the transceivers
-take FFTs, DR-UFMC derives the precoder products it reads in closed form,
-and no sweep builds the three.  W^H and the precoder are built on each call.
-The contract is the explicit matrix semantics; the window is the one builder
-that takes an FFT.
+window; W and the UFMC precoder are references only, built on each call: the
+transceivers take FFTs, DR-UFMC derives the precoder products it reads in
+closed form, and no sweep builds either.  The contract is the explicit
+matrix semantics; the window is the one builder that takes an FFT.
 """
 
 from __future__ import annotations
@@ -48,31 +47,18 @@ def oversampled_dft(k: int, o_s: int) -> np.ndarray:
 
     Entry (l, m) = exp(-j2*pi*m*(l - K/2)/(K*O_s)) / sqrt(K*O_s) for
     l = 0..K-1 and m = 0..K*O_s-1.  Rows are orthonormal, so W @ W^H = I_K.
-    The receivers apply W as a K*O_s-point FFT that keeps the K centred bins;
-    this dense matrix is their reference.  Requires even K because the
-    subcarrier grid is centred at K/2.
+    The receivers apply W as a K*O_s-point FFT that keeps the K centred bins,
+    and the modulators W^H as one inverse FFT per symbol; this dense matrix
+    is their reference.  Requires even K because the subcarrier grid is
+    centred at K/2.
     """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"invalid size: K must be even and >= 2, got {k}")
     if o_s < 1:
         raise ValueError(f"invalid size: O_s must be >= 1, got {o_s}")
-
-    def build():
-        m = np.arange(k * o_s)
-        freq = np.arange(k) - k // 2
-        return np.exp(-2j * np.pi * np.outer(freq, m) / (k * o_s)) / np.sqrt(k * o_s)
-
-    return _cached(("wbar", k, o_s), build)
-
-
-def oversampled_idft(k: int, o_s: int) -> np.ndarray:
-    """(K*O_s) x K oversampled IDFT W^H, the conjugate transpose of :func:`oversampled_dft`.
-
-    The modulators apply W^H as one K*O_s-point inverse FFT per symbol; this
-    dense matrix is their reference and the input of :func:`ufmc_precoder`.
-    Not memoized: a Fortran-ordered view of the conjugate of the memoized W.
-    """
-    return oversampled_dft(k, o_s).conj().T
+    m = np.arange(k * o_s)
+    freq = np.arange(k) - k // 2
+    return np.exp(-2j * np.pi * np.outer(freq, m) / (k * o_s)) / np.sqrt(k * o_s)
 
 
 def _grid_shape(x: np.ndarray) -> tuple[int, int]:
@@ -186,11 +172,11 @@ def ufmc_precoder(cfg: ModemConfig) -> np.ndarray:
     Sums the per-subband chains G_i @ W^H @ P_i into a single
     (K*O_s + L - 1) x K matrix applied to a frequency-time column.  Column k
     is the subband-k/D filter convolved with the oversampled IFFT of e_k, so
-    it can be formed by direct convolution without materializing G_i.  Not
-    memoized: it is the reference of the closed forms in
-    ``drufmc._filter_response``, and no sweep builds it.
+    it can be formed by direct convolution without materializing G_i.  It is
+    the reference of the closed forms in ``drufmc._filter_response``, and no
+    sweep builds it.
     """
-    w_h = oversampled_idft(cfg.k, cfg.o_s)
+    w_h = oversampled_dft(cfg.k, cfg.o_s).conj().T
     filt = prototype_filter(cfg)
     out = np.zeros((cfg.k * cfg.o_s + cfg.filter_len - 1, cfg.k), dtype=complex)
     for i in range(cfg.b):

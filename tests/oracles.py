@@ -44,10 +44,19 @@ from ddmod.transforms import (
     isfft,
     modulated_filter_taps,
     oversampled_dft,
-    oversampled_idft,
     ufmc_precoder,
     vec,
 )
+
+
+def crandn(rng, *shape):
+    """Complex Gaussian array of ``shape``: unit-variance real and imaginary parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def close(a, b, tol):
+    """Whether a matches the reference b to ``tol`` relative to max(1, |b|)."""
+    return np.abs(a - b).max() <= tol * max(1.0, np.abs(b).max())
 
 
 def dense_ofdm_modulate(x_ft, cfg, n_guard: int = 0) -> np.ndarray:
@@ -55,7 +64,7 @@ def dense_ofdm_modulate(x_ft, cfg, n_guard: int = 0) -> np.ndarray:
     live = live_rows(cfg.k, n_guard)
     x_ft = np.asarray(x_ft)
     s = np.empty((*x_ft.shape[:-2], cfg.block_len, cfg.n), dtype=complex)
-    s[..., cfg.n_cp:, :] = oversampled_idft(cfg.k, cfg.o_s)[:, live] @ x_ft[..., live, :]
+    s[..., cfg.n_cp:, :] = oversampled_dft(cfg.k, cfg.o_s).conj().T[:, live] @ x_ft[..., live, :]
     s[..., :cfg.n_cp, :] = s[..., cfg.k * cfg.o_s:, :]
     return vec(s)
 

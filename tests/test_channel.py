@@ -7,11 +7,7 @@ from scipy import stats
 from ddmod import channel as ch
 from ddmod.config import desk_config
 
-from oracles import dense_taps
-
-
-def crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+from oracles import crandn, dense_taps
 
 
 class TestEvaPaths:

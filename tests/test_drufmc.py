@@ -20,11 +20,7 @@ from ddmod.transforms import (
     vec,
 )
 
-from oracles import dd_to_ft_kron, seeded_frames, ufmc_stacked_precoder
-
-
-def crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+from oracles import crandn, dd_to_ft_kron, seeded_frames, ufmc_stacked_precoder
 
 
 def chain(cfg, chan, x_dd):

@@ -16,15 +16,11 @@ from ddmod import drufmc, ofdm
 from ddmod.config import ModemConfig, desk_config
 from ddmod.transforms import sfft
 
-from oracles import dense_demodulate, dense_ofdm_modulate, dense_ufmc_modulate_ft
+from oracles import crandn, dense_demodulate, dense_ofdm_modulate, dense_ufmc_modulate_ft
 
 TOL = 1e-12
 
 examples = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-
-
-def crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def close(got, ref):

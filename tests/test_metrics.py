@@ -27,11 +27,7 @@ from ddmod.metrics import (
 )
 from ddmod.transforms import isfft
 
-from oracles import frame_generator, linear_guard_scan, seeded_frames
-
-
-def crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+from oracles import crandn, frame_generator, linear_guard_scan, seeded_frames
 
 
 def scipy_welch(x, cfg):

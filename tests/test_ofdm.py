@@ -10,9 +10,7 @@ from ddmod.config import desk_config
 from ddmod.metrics import qpsk_grid, sinr_map
 from ddmod.transforms import invec, vec
 
-
-def crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+from oracles import crandn
 
 
 def short_static_paths(cfg, n_taps=3):

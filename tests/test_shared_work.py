@@ -139,7 +139,7 @@ def test_table1_sweep_builds_no_dense_precoder_or_w(monkeypatch):
 
     monkeypatch.setattr(transforms, "_CACHE", {})
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ddmod"]:
-        for name in ("ufmc_precoder", "oversampled_dft", "oversampled_idft"):
+        for name in ("ufmc_precoder", "oversampled_dft"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, dense)
     cfg = ExperimentConfig(modem=ModemConfig(), speeds_kmh=(500.0,), snr_db=(20.0, 30.0),

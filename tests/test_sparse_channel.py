@@ -24,7 +24,8 @@ from ddmod.drufmc import _delay_domain_blocks
 from ddmod.ofdm import LinkChannel, _tx_null, per_symbol_ft_channel
 from ddmod.transforms import ufmc_precoder
 
-from oracles import dense_delay_domain_blocks, dense_ft_block, dense_materialize_taps, dense_taps
+from oracles import (close, dense_delay_domain_blocks, dense_ft_block, dense_materialize_taps,
+                     dense_taps)
 
 TOL = 1e-12
 EPS = np.finfo(float).eps
@@ -56,10 +57,6 @@ def modem_and_paths(draw):
     return cfg, paths
 
 
-def close(a, b):
-    return np.abs(a - b).max() <= TOL * max(1.0, np.abs(b).max())
-
-
 @examples
 @given(modem_and_paths(), st.booleans())
 def test_stored_taps_are_the_dense_columns(case, with_cp):
@@ -80,18 +77,20 @@ def test_apply_matches_dense_matrices(case, with_cp, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((chan.cols, cfg.n)) + 1j * rng.standard_normal((chan.cols, cfg.n))
     expect = np.stack([chan.matrix(i) @ x[:, i] for i in range(cfg.n)], axis=1)
-    assert close(chan.apply(x), expect)
+    assert close(chan.apply(x), expect, TOL)
 
 
 @examples
-@given(modem_and_paths())
-def test_ft_blocks_match_cp_core(case):
+@given(modem_and_paths(), st.booleans())
+def test_ft_blocks_match_cp_core(case, with_cp):
+    # either chain's set: the CP-less one is the stack of DR-UFMC's heads, with no CP to fold
     cfg, paths = case
-    chan = ch.realize(paths, cfg, with_cp=True)
+    chan = LinkChannel(paths, cfg).channel(with_cp)
     blocks = per_symbol_ft_channel(chan, cfg)
     assert blocks.shape == (cfg.n, cfg.k, cfg.k)
+    chain = cfg if with_cp else dataclasses.replace(cfg, n_cp=0)
     for i in range(cfg.n):
-        assert close(blocks[i], dense_ft_block(chan, cfg, i))
+        assert close(blocks[i], dense_ft_block(chan, chain, i), TOL)
 
 
 @examples
@@ -108,8 +107,8 @@ def test_delay_domain_blocks_match_dense(case, guard_nulling, data):
     assert heads.shape == tails.shape == (cfg.n, cfg.k, cfg.k)
     for m in range(cfg.n):
         head, tail = dense_delay_domain_blocks(chan, cfg, m)
-        assert close(heads[m], head)
-        assert close(tails[m], tail)
+        assert close(heads[m], head, TOL)
+        assert close(tails[m], tail, TOL)
 
 
 def _full_tail(cfg):
@@ -155,17 +154,19 @@ def test_closed_forms_at_table1_shape(pulse):
     heads, x, r = _delay_domain_blocks(cpless, cfg)
     tails = x @ r
     for i in (0, cfg.n - 1):
-        assert close(ft[i], dense_ft_block(cp_set, cfg, i))
+        assert close(ft[i], dense_ft_block(cp_set, cfg, i), TOL)
         head, tail = dense_delay_domain_blocks(cpless, cfg, i)
-        assert close(heads[i], head)
-        assert close(tails[i], tail)
+        assert close(heads[i], head, TOL)
+        assert close(tails[i], tail, TOL)
 
 
 def test_closed_forms_refuse_a_mismatched_channel_set():
     cfg = desk_config()
     paths = ch.sample_eva_paths(4, 500 / 3.6, cfg.f_c_hz)
+    # the FT stack takes either chain's set, but not one realized for another CP width
+    other_cp = dataclasses.replace(cfg, n_cp=cfg.n_cp // 2)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        per_symbol_ft_channel(ch.realize(paths, cfg, with_cp=False), cfg)
+        per_symbol_ft_channel(ch.realize(paths, other_cp, with_cp=True), cfg)
     with pytest.raises(ValueError, match="dimension mismatch"):
         _delay_domain_blocks(ch.realize(paths, cfg, with_cp=True), cfg)
 

@@ -10,17 +10,12 @@ from ddmod.transforms import (
     isfft,
     modulated_filter_taps,
     oversampled_dft,
-    oversampled_idft,
     sfft,
     ufmc_precoder,
     vec,
     invec,
 )
-from oracles import cp_insert_matrix, selection_matrix, subband_conv_matrix
-
-
-def crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+from oracles import cp_insert_matrix, crandn, selection_matrix, subband_conv_matrix
 
 
 class TestDftMatrix:
@@ -57,14 +52,13 @@ class TestOversampledDft:
         w = oversampled_dft(8, 3)
         assert np.abs(np.abs(w) - 1 / np.sqrt(24)).max() < 1e-12
 
-    def test_inverse_is_the_memoized_conjugate_transpose(self):
-        # W^H is built on each call from the memoized W: the same values and the
-        # same Fortran-ordered layout as w.conj().T, so the GEMMs that use it
-        # are unchanged
-        wh = oversampled_idft(16, 3)
-        ref = oversampled_dft(16, 3).conj().T
-        assert np.array_equal(wh, ref)
-        assert wh.flags.f_contiguous and not wh.flags.c_contiguous
+    def test_inverse_is_the_conjugate_transpose(self):
+        # column k of W^H = W.conj().T is the tone exp(j2*pi*m*(k - K/2)/(K*O_s)) / sqrt(K*O_s)
+        # that the modulators' inverse FFT writes; W is built on each call, not memoized
+        k, o_s = 16, 3
+        tones = np.exp(2j * np.pi * np.outer(np.arange(k * o_s), np.arange(k) - k // 2) / (k * o_s))
+        assert np.abs(oversampled_dft(k, o_s).conj().T - tones / np.sqrt(k * o_s)).max() < 1e-12
+        assert oversampled_dft(k, o_s) is not oversampled_dft(k, o_s)
 
     def test_rejects_odd_k(self):
         with pytest.raises(ValueError, match="invalid size"):
