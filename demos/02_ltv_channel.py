@@ -17,7 +17,7 @@ v = 500 / 3.6  # 500 km/h in m/s
 paths = ch.sample_eva_paths(seed=42, v_max_ms=v, f_c_hz=cfg.f_c_hz)
 nu_max = ch.max_doppler_hz(v, cfg.f_c_hz)
 print(f"max Doppler at 500 km/h, 28 GHz: {nu_max / 1e3:.2f} kHz")
-print(f"{paths.n_paths} paths, delays {paths.delays_s * 1e9} ns")
+print(f"{paths.gains.size} paths, delays {paths.delays_s * 1e9} ns")
 print(f"path powers: {np.round(np.abs(paths.gains) ** 2, 4)}")
 print(f"path Dopplers/nu_max: {np.round(paths.dopplers_hz / nu_max, 3)}")
 

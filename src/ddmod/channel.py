@@ -55,10 +55,6 @@ class PathSet:
         object.__setattr__(self, "delays_s", t)
         object.__setattr__(self, "dopplers_hz", v)
 
-    @property
-    def n_paths(self) -> int:
-        return self.gains.size
-
 
 def max_doppler_hz(v_max_ms: float, f_c_hz: float) -> float:
     """Maximum Doppler shift f_c * v / c."""

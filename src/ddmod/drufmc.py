@@ -44,28 +44,30 @@ from .config import ModemConfig, live_rows
 from .mmse import _symbol_chunks, bidiagonal_mmse, mmse_sinr
 from .ofdm import (LinkChannel, _demodulate, _symbol_blocks, _tx_guard, _tx_null, apply_channel,
                    per_symbol_ft_channel)
-from .transforms import _cached, dft_matrix, isfft, modulated_filter_taps, prototype_filter, sfft
+from .transforms import _cached, dft_matrix, isfft, prototype_filter, sfft
 
 
 def _filter_response(cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
     """(resp, P_tail): the subband filters' gains on the K subcarriers and the
     precoder's last L - 1 rows, memoized per config.
 
-    Column k of the precoder is subband k//D's L taps h_l convolved with
-    W^H[:, k], the tone exp(j2*pi*t*f_k/(K*O_s)) / sqrt(K*O_s) with f_k = k - K/2.
-    With Phi[l, k] = h_l exp(-j2*pi*l*f_k/(K*O_s)), the gain is resp[k] =
-    sum_l Phi[l, k], and tail row s (row K*O_s + s of the precoder) is
-    exp(j2*pi*s*f_k/(K*O_s)) / sqrt(K*O_s) sum_{l > s} Phi[l, k]: the taps that
-    reach past the block.  No precoder is formed; ``ufmc_precoder`` is the
-    reference.
+    Column k of the precoder is the prototype's L taps h_l, shifted to the
+    centre F_(k//D) of subband k//D, convolved with W^H[:, k], the tone
+    exp(j2*pi*t*f_k/(K*O_s)) / sqrt(K*O_s) with f_k = k - K/2.  As
+    F_(k//D) - f_k = (D-1)/2 - (k mod D), with Phi[l, k] =
+    h_l exp(j2*pi*l*((D-1)/2 - k mod D)/(K*O_s)) the gain is resp[k] =
+    sum_l Phi[l, k], the same in every subband, and tail row s (row K*O_s + s
+    of the precoder) is exp(j2*pi*s*f_k/(K*O_s)) / sqrt(K*O_s) sum_{l > s}
+    Phi[l, k]: the taps that reach past the block.  No precoder is formed;
+    ``ufmc_precoder`` is the reference.
     """
     def build():
         ko, ell = cfg.k * cfg.o_s, np.arange(cfg.filter_len)[:, np.newaxis]
-        f = np.arange(cfg.k) - cfg.k // 2
-        taps = np.stack([modulated_filter_taps(prototype_filter(cfg), i, cfg.k, cfg.o_s, cfg.d)
-                         for i in range(cfg.b)], axis=1)                     # (L, B)
-        phi = np.repeat(taps, cfg.d, axis=1) * np.exp(-2j * np.pi * ell * f / ko)  # (L, K)
+        k = np.arange(cfg.k)
+        offset = (cfg.d - 1) / 2.0 - k % cfg.d                               # F_(k//D) - f_k
+        phi = prototype_filter(cfg)[:, np.newaxis] * np.exp(2j * np.pi * ell * offset / ko)
         later = np.cumsum(phi[:0:-1], axis=0)[::-1]                          # rows l > s
+        f = k - cfg.k // 2
         return phi.sum(axis=0), later * (np.exp(2j * np.pi * ell[:-1] * f / ko) / np.sqrt(ko))
 
     return _cached(("ufmc_resp", cfg.k, cfg.o_s, cfg.b, cfg.filter_len,

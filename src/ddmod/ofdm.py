@@ -259,7 +259,10 @@ def ofdm_onetap_fde(
     ``ft`` is the (N, K, K) stack from :func:`per_symbol_ft_channel`.  The
     scalar channel of bin (k, i) is the diagonal of the symbol-i
     frequency-time matrix; inter-carrier leakage is left as noise.  The
-    estimate is the MMSE scalar's, conj(c) y / (|c|^2 + sigma^2).
+    estimate is conj(c) y / (|c|^2 + sigma^2).  It is not the MMSE scalar's:
+    the denominator leaves out the row's inter-carrier power, which
+    :func:`ofdm_onetap_sinr` counts, so under heavy Doppler the NMSE can
+    exceed 1.  The committed one-tap ``nmse`` references are this estimate's.
     """
     y_ft = np.asarray(y_ft)
     if y_ft.shape != (cfg.k, cfg.n):

@@ -1,15 +1,19 @@
 """Deterministic matrix and window builders shared by all transceiver chains.
 
-Everything here is a pure function of its arguments.  The DFT matrices and
-the window are memoized (:func:`_cached`) and hand out shared read-only
-arrays; copy one before mutating it.  A sweep reads the DFT matrices and the
-window; W and the UFMC precoder are references only, built on each call: the
-transceivers take FFTs, DR-UFMC derives the precoder products it reads in
-closed form, and no sweep builds either.  The contract is the explicit
-matrix semantics; the window is the one builder that takes an FFT.
+Everything here is a pure function of its arguments.  The DFT matrices are
+memoized (:func:`_cached`) and hand out shared read-only arrays; copy one
+before mutating it.  A sweep reads the DFT matrices and, through DR-UFMC's
+filter response (memoized per config), the window; W and the UFMC precoder
+are references only, built on each call: the transceivers take FFTs, DR-UFMC
+derives the precoder products it reads in closed form, and no sweep builds
+either.  The contract is the explicit matrix semantics; the window is the one
+builder that takes an FFT.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 import numpy as np
 
@@ -107,45 +111,28 @@ def invec(v: np.ndarray, rows: int) -> np.ndarray:
 def chebyshev_window(length: int, attenuation_db: float) -> np.ndarray:
     """Dolph-Chebyshev window with equiripple side-lobes ``attenuation_db`` below the peak.
 
-    Built by sampling the Chebyshev polynomial in the frequency domain,
-    inverse transforming, and symmetrizing; the taps sum to one (unit DC
-    gain), so filtering keeps the per-symbol transmit power.
+    The spectrum samples T_(L-1)(beta cos(pi k / L)), k = 0..L-1, are
+    cosh((L-1) arccosh(.)) taken on the complex branch, whose real part is
+    the Chebyshev polynomial on all of the real line, the (-1)^(L-1) sign
+    below -1 included.  The phase exp(-j*pi*k*(L-1)/L) centres the inverse
+    FFT on (L-1)/2 for either parity of L.  The taps are then symmetrized and
+    sum to one (unit DC gain), so filtering keeps the per-symbol transmit power.
     """
     if length < 2:
         raise ValueError(f"invalid size: window length must be >= 2, got {length}")
-    if attenuation_db <= 0:
-        raise ValueError(f"invalid attenuation: must be > 0 dB, got {attenuation_db}")
-
-    def build():
-        order = length - 1
-        ripple_ratio = 10.0 ** (attenuation_db / 20.0)
-        beta = np.cosh(np.arccosh(ripple_ratio) / order)
-
-        x = beta * np.cos(np.pi * np.arange(length) / length)
-        # Chebyshev polynomial T_order evaluated on and beyond [-1, 1]
-        p = np.empty(length)
-        inside = np.abs(x) <= 1.0
-        p[inside] = np.cos(order * np.arccos(x[inside]))
-        above = x > 1.0
-        p[above] = np.cosh(order * np.arccosh(x[above]))
-        below = x < -1.0
-        p[below] = (2 * (length % 2) - 1) * np.cosh(order * np.arccosh(-x[below]))
-
-        if length % 2:
-            w = np.real(np.fft.fft(p))
-            half = (length + 1) // 2
-            w = np.concatenate((w[half - 1:0:-1], w[:half]))
-        else:
-            p = p * np.exp(1j * np.pi / length * np.arange(length))
-            w = np.real(np.fft.fft(p))
-            half = length // 2 + 1
-            w = np.concatenate((w[half - 1:0:-1], w[1:half]))
-
-        w = w / w.max()
-        w = 0.5 * (w + w[::-1])          # enforce exact symmetry
-        return w * (1.0 / w.sum())       # unit DC gain
-
-    return _cached(("cheb", length, float(attenuation_db)), build)
+    if not (math.isfinite(attenuation_db) and attenuation_db > 0
+            and attenuation_db / 20.0 < math.log10(sys.float_info.max)):
+        raise ValueError(f"invalid attenuation: must be finite, > 0 dB and keep 10^(att/20) "
+                         f"finite, got {attenuation_db}")
+    order = length - 1
+    beta = np.cosh(np.arccosh(10.0 ** (attenuation_db / 20.0)) / order)
+    k = np.arange(length)
+    p = np.cosh(order * np.arccosh(beta * np.cos(np.pi * k / length) + 0j)).real
+    p = np.ldexp(p, -np.frexp(p[0])[1])       # exact: peak p[0] below 1, so no sum overflows
+    w = np.fft.ifft(p * np.exp(-1j * np.pi * k * order / length)).real
+    w = w / w.max()
+    w = 0.5 * (w + w[::-1])          # enforce exact symmetry
+    return w * (1.0 / w.sum())       # unit DC gain
 
 
 def modulated_filter_taps(taps: np.ndarray, i: int, k: int, o_s: int, d: int) -> np.ndarray:

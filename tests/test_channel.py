@@ -33,7 +33,7 @@ class TestEvaPaths:
 
     def test_delays_sorted_and_standard_profile(self):
         p = ch.sample_eva_paths(0, 10.0, 28e9)
-        assert p.n_paths == 9
+        assert p.gains.size == 9
         assert np.all(np.diff(p.delays_s) > 0)
         assert p.delays_s[0] == 0.0
         assert p.delays_s[-1] == pytest.approx(2510e-9)

@@ -100,6 +100,16 @@ class TestFilterResponse:
     def test_presets(self, cfg):
         assert_filter_response_is_the_precoders(cfg)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(cfg=filter_configs())
+    @example(cfg=ModemConfig())
+    @example(cfg=desk_config())
+    def test_gains_follow_the_offset_in_the_subband(self, cfg):
+        # every subband is the same prototype shifted to its centre, so a
+        # subcarrier's gain is a function of its offset in the subband alone
+        rows = drufmc._filter_response(cfg)[0].reshape(cfg.b, cfg.d)
+        assert np.array_equal(rows, np.broadcast_to(rows[0], rows.shape))
+
 
 class TestApplyChannel:
     def test_identity_channel_pads_tail(self):

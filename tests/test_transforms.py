@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.signal.windows import chebwin
 
 from ddmod.config import desk_config
 from ddmod.transforms import (
@@ -152,9 +153,27 @@ class TestChebyshevWindow:
         sidelobe = h_db[i:2048].max()
         assert abs(sidelobe - (-60.0)) < 0.5
 
+    @pytest.mark.parametrize("att", [45.0, 60.0, 100.0, 150.0, 300.0])
+    def test_matches_scipy_chebwin(self, att):
+        # chebwin warns below 45 dB; its window scaled to unit sum is the reference
+        for length in [*range(2, 130), 600, 1279, 1280]:
+            ref = chebwin(length, att)
+            ref = ref / ref.sum()
+            gap = np.abs(chebyshev_window(length, att) - ref).max()
+            assert gap <= 1e-12 * ref.max(), (length, gap)
+
+    @pytest.mark.parametrize("length", [2, 3, 60, 1280])
+    def test_finite_up_to_the_attenuation_bound(self, length):
+        # the largest attenuation whose 10^(att/20) is finite, as ModemConfig accepts it
+        att = 20.0 * np.log10(np.finfo(float).max) - 1e-9
+        with np.errstate(over="raise", invalid="raise"):
+            filt = chebyshev_window(length, att)
+        assert np.all(np.isfinite(filt)) and abs(filt.sum() - 1.0) < 1e-12
+
     def test_rejects_bad_attenuation(self):
-        with pytest.raises(ValueError, match="invalid attenuation"):
-            chebyshev_window(16, 0.0)
+        for att in (0.0, float("nan"), float("inf"), 7000.0):
+            with pytest.raises(ValueError, match="invalid attenuation"):
+                chebyshev_window(16, att)
         with pytest.raises(ValueError, match="invalid size"):
             chebyshev_window(1, 60.0)
 
