@@ -19,7 +19,6 @@ from ddmod import (
 )
 from ddmod.metrics import mmse_detect
 from ddmod.otfs import otfs_effective_channel
-from ddmod.transforms import invec, vec
 
 cfg = desk_config()
 rng = np.random.default_rng(3)
@@ -38,8 +37,10 @@ eff = otfs_effective_channel(chan, cfg)
 j = int(rng.integers(cfg.k * cfg.n))
 e = np.zeros(cfg.k * cfg.n)
 e[j] = 1.0
-probe = vec(otfs_demodulate(
-    apply_channel(otfs_modulate(invec(e, cfg.k), cfg), chan, 0.0), cfg))
+# the effective matrix acts on column-stacked grids
+probe = otfs_demodulate(
+    apply_channel(otfs_modulate(e.reshape(cfg.k, cfg.n, order="F"), cfg), chan, 0.0), cfg
+).ravel(order="F")
 rel = np.linalg.norm(probe - eff[:, j]) / np.linalg.norm(eff[:, j])
 print(f"chain vs matrix, probed column {j}: relative error {rel:.2e}")
 
@@ -47,6 +48,7 @@ snr_db = 20.0
 sigma2 = 10 ** (-snr_db / 10)
 s = otfs_modulate(x, cfg)
 r = apply_channel(s, chan, sigma2, seed=9)
-y = vec(otfs_demodulate(r, cfg))
+y = otfs_demodulate(r, cfg).ravel(order="F")
 x_hat = mmse_detect(eff, y, sigma2)
-print(f"MMSE detection at {snr_db:.0f} dB SNR: NMSE = {normalized_mse(x_hat, vec(x)):.4f}")
+nmse = normalized_mse(x_hat, x.ravel(order="F"))
+print(f"MMSE detection at {snr_db:.0f} dB SNR: NMSE = {nmse:.4f}")

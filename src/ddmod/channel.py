@@ -149,10 +149,10 @@ class ChannelMatrixSet:
             mat[c + ell, c] += self.phase[i, e] * self.taps[c + ell, e]
         return mat
 
-    def apply(self, blocks: np.ndarray) -> np.ndarray:
-        """(rows, N) array whose column i is M_i @ blocks[:, i]; entries on consecutive
-        columns with one phase (a path's window) are one banded product."""
-        x, idx, ph = np.asarray(blocks).T, self.tap_index, self.phase
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """(N, rows) array whose row i is M_i @ x[i] for the (N, cols) symbol rows ``x``;
+        entries on consecutive columns with one phase (a path's window) are one banded product."""
+        idx, ph = self.tap_index, self.phase
         starts = (np.diff(idx, prepend=-2) != 1) | np.any(np.diff(ph, prepend=0) != 0, axis=0)
         bounds = [*np.flatnonzero(starts).tolist(), idx.size]
         pad = np.zeros((len(self), self.rows + self.l_ch - 1), dtype=complex)
@@ -163,7 +163,7 @@ class ChannelMatrixSet:
             out_rows, window = slice(idx[s], idx[t - 1] + self.cols), slice(idx[s], idx[t - 1] + 1)
             out[:, out_rows] += ph[:, s, np.newaxis] * np.einsum(
                 "iqk,qk->iq", win[:, out_rows, window], self.taps[out_rows, s:t])
-        return out.T
+        return out
 
 
 def materialize_taps(paths: PathSet, cfg: ModemConfig, cols: int) -> ChannelMatrixSet:

@@ -37,6 +37,8 @@ reference.  Links and detectors take the channel as a
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .channel import ChannelMatrixSet
@@ -44,12 +46,13 @@ from .config import ModemConfig, live_rows
 from .mmse import _symbol_chunks, bidiagonal_mmse, mmse_sinr
 from .ofdm import (LinkChannel, _demodulate, _symbol_blocks, _tx_guard, _tx_null, apply_channel,
                    per_symbol_ft_channel)
-from .transforms import _cached, dft_matrix, isfft, prototype_filter, sfft
+from .transforms import dft_matrix, isfft, prototype_filter, sfft
 
 
+@functools.cache
 def _filter_response(cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
     """(resp, P_tail): the subband filters' gains on the K subcarriers and the
-    precoder's last L - 1 rows, memoized per config.
+    precoder's last L - 1 rows, read-only and memoized per config.
 
     Column k of the precoder is the prototype's L taps h_l, shifted to the
     centre F_(k//D) of subband k//D, convolved with W^H[:, k], the tone
@@ -61,17 +64,16 @@ def _filter_response(cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
     Phi[l, k]: the taps that reach past the block.  No precoder is formed;
     ``ufmc_precoder`` is the reference.
     """
-    def build():
-        ko, ell = cfg.k * cfg.o_s, np.arange(cfg.filter_len)[:, np.newaxis]
-        k = np.arange(cfg.k)
-        offset = (cfg.d - 1) / 2.0 - k % cfg.d                               # F_(k//D) - f_k
-        phi = prototype_filter(cfg)[:, np.newaxis] * np.exp(2j * np.pi * ell * offset / ko)
-        later = np.cumsum(phi[:0:-1], axis=0)[::-1]                          # rows l > s
-        f = k - cfg.k // 2
-        return phi.sum(axis=0), later * (np.exp(2j * np.pi * ell[:-1] * f / ko) / np.sqrt(ko))
-
-    return _cached(("ufmc_resp", cfg.k, cfg.o_s, cfg.b, cfg.filter_len,
-                    float(cfg.filter_att_db)), build)
+    ko, ell = cfg.k * cfg.o_s, np.arange(cfg.filter_len)[:, np.newaxis]
+    k = np.arange(cfg.k)
+    offset = (cfg.d - 1) / 2.0 - k % cfg.d                                   # F_(k//D) - f_k
+    phi = prototype_filter(cfg)[:, np.newaxis] * np.exp(2j * np.pi * ell * offset / ko)
+    later = np.cumsum(phi[:0:-1], axis=0)[::-1]                              # rows l > s
+    f = k - cfg.k // 2
+    out = phi.sum(axis=0), later * (np.exp(2j * np.pi * ell[:-1] * f / ko) / np.sqrt(ko))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def ufmc_modulate_ft(x_ft: np.ndarray, cfg: ModemConfig, n_guard: int = 0) -> np.ndarray:
@@ -104,23 +106,22 @@ def drufmc_demodulate(r: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     return sfft(_demodulate(r, cfg, 0))
 
 
+@functools.cache
 def _precoder_tail(cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """R = P_tail F_K and its thin-SVD factors (U_r S_r, V_r^H) at R's numerical rank r.
 
     P_tail is the precoder's last L - 1 rows, TX-guard nulled.  The kept
     singular values are those above s_0 * max(R.shape) * eps, the tolerance
     of ``numpy.linalg.matrix_rank``.  R depends on the config alone, so the
-    three arrays are memoized per config and TX-guard count.
+    three arrays are read-only and memoized per config.
     """
-    def build():
-        p_tail = _filter_response(cfg)[1] * _tx_null(cfg)
-        r = np.fft.fft(p_tail, axis=-1)
-        u, s, vh = np.linalg.svd(r, full_matrices=False)
-        rank = np.count_nonzero(s > s[0] * max(r.shape) * np.finfo(float).eps) if s.size else 0
-        return r, u[:, :rank] * s[:rank], vh[:rank]
-
-    return _cached(("ufmc_tail", cfg.k, cfg.o_s, cfg.b, cfg.filter_len,
-                    float(cfg.filter_att_db), _tx_guard(cfg)), build)
+    r = np.fft.fft(_filter_response(cfg)[1] * _tx_null(cfg), axis=-1)
+    u, s, vh = np.linalg.svd(r, full_matrices=False)
+    rank = np.count_nonzero(s > s[0] * max(r.shape) * np.finfo(float).eps) if s.size else 0
+    out = r, u[:, :rank] * s[:rank], vh[:rank]
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _delay_domain_blocks(chan: ChannelMatrixSet,

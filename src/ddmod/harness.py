@@ -48,7 +48,7 @@ from .metrics import (
     qpsk_grid,
     sinr_map,  # unused here; perfbench/test_perfbench.py checks that its tracer rebinds it
 )
-from .transforms import isfft, vec
+from .transforms import isfft
 
 #: Waveform name -> (CP-bearing, link).  A link maps (x, channel, cfg, sigma2,
 #: seed), with ``channel`` an ``ofdm.LinkChannel``, to the (K, N) SINR and
@@ -279,7 +279,7 @@ def evaluate_point(
     scores = {
         "net_sinr_db": net_sinr(sinr, modem.n_guard),
         "avg_se_bps_hz": avg_spectral_efficiency(sinr, efficiency, modem.n_guard),
-        "nmse": normalized_mse(vec(x_hat), vec(x_dd)),
+        "nmse": normalized_mse(x_hat.ravel(order="F"), x_dd.ravel(order="F")),
     }
     bad = [f"{name} = {value}" for name, value in scores.items() if not np.isfinite(value)]
     if bad:
@@ -417,9 +417,10 @@ def run_sweep(cfg: ExperimentConfig, out_path: str | None = None):
     Each (speed, SNR, trial) point evaluates all its waveforms on one
     :func:`grid_point`.  The points run in a process pool of
     :func:`_worker_count` workers (every usable CPU unless DDMOD_THREADS
-    says otherwise), each on one BLAS thread, and never more workers than
-    points: a one-point sweep, or one worker, runs serially in this process
-    and starts no pool.  Rows are sorted by (waveform, speed, SNR, trial)
+    says otherwise), each on one BLAS thread and forked from this process
+    where the platform can fork, and never more workers than points: a
+    one-point sweep, or one worker, runs serially in this process and starts
+    no pool.  Rows are sorted by (waveform, speed, SNR, trial)
     before writing so the output is independent of execution order.  A
     failure is (cell, formatted traceback).
     """
@@ -432,11 +433,15 @@ def run_sweep(cfg: ExperimentConfig, out_path: str | None = None):
     ]
     workers = min(workers, len(tasks))          # a fork pool starts all its workers at once
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
+        import multiprocessing  # serial runs skip these imports
+        from concurrent.futures import ProcessPoolExecutor
 
+        # workers fork wherever the platform can, whatever its default start method
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
         # about four batches of points per worker: fewer round trips, still balanced
         chunk = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas,
+                                 mp_context=multiprocessing.get_context(method)) as pool:
             results = [r for point in pool.map(_point_worker, tasks, chunksize=chunk)
                        for r in point]
     else:

@@ -100,10 +100,10 @@ def _inverse_factor(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _gram(c: np.ndarray, sigma2: float, out: np.ndarray | None = None) -> np.ndarray:
-    """C^H C + sigma^2 I for one matrix or a stack, a stack a chunk of symbols at a time,
+    """C_i^H C_i + sigma^2 I for the (N, K, K) stack ``c``, a chunk of symbols at a time,
     written to ``out`` (which may be ``c``) or to a new array."""
     a = np.empty_like(c) if out is None else out
-    for sl in _symbol_chunks(c) if c.ndim == 3 else (...,):
+    for sl in _symbol_chunks(c):
         np.matmul(_herm(c[sl]), c[sl], out=a[sl])
     a += sigma2 * np.eye(c.shape[-1])
     return a

@@ -35,7 +35,6 @@ from . import channel as ch
 from .channel import ChannelMatrixSet, PathSet
 from .config import ModemConfig, live_rows
 from .mmse import _symbol_chunks, mmse_sinr, per_symbol_factor, per_symbol_mmse
-from .transforms import invec, vec
 
 
 def _tx_guard(cfg: ModemConfig) -> int:
@@ -95,9 +94,11 @@ def apply_channel(
 ) -> np.ndarray:
     """Push a serialized signal through the per-symbol LTV matrices and add noise.
 
-    Blocks are independent (block-diagonal channel) and are convolved path by
-    path, all symbols at once; each output block gains L_ch - 1 tail samples.
-    Noise is circular complex Gaussian with the given per-sample variance.
+    The signal is read as its N symbol rows of ``chan.cols`` samples.  Blocks
+    are independent (block-diagonal channel) and are convolved path by path,
+    all symbols at once; each output block gains L_ch - 1 tail samples, and
+    the output rows are serialized in symbol order.  Noise is circular complex
+    Gaussian with the given per-sample variance.
     """
     s = np.asarray(s)
     n_sym = len(chan)
@@ -105,7 +106,7 @@ def apply_channel(
         raise ValueError(
             f"dimension mismatch: signal length {s.size} != {n_sym} x {chan.cols}"
         )
-    r = vec(chan.apply(invec(s, chan.cols)))
+    r = chan.apply(s.reshape(n_sym, chan.cols)).reshape(-1)
     if noise_var > 0:
         rng = np.random.default_rng(seed)
         w = rng.standard_normal(r.size) + 1j * rng.standard_normal(r.size)

@@ -1,8 +1,8 @@
 """Deterministic matrix and window builders shared by all transceiver chains.
 
 Everything here is a pure function of its arguments.  The DFT matrices are
-memoized (:func:`_cached`) and hand out shared read-only arrays; copy one
-before mutating it.  A sweep reads the DFT matrices and, through DR-UFMC's
+memoized with ``functools.cache`` and hand out shared read-only arrays; copy
+one before mutating it.  A sweep reads the DFT matrices and, through DR-UFMC's
 filter response (memoized per config), the window; W and the UFMC precoder
 are references only, built on each call: the transceivers take FFTs, DR-UFMC
 derives the precoder products it reads in closed form, and no sweep builds
@@ -12,6 +12,7 @@ builder that takes an FFT.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -19,31 +20,15 @@ import numpy as np
 
 from .config import ModemConfig
 
-# Two threads may both build a missing entry; either result serves, so no lock is taken.
-_CACHE: dict = {}
-
-
-def _cached(key, builder):
-    """``builder()``, an array or a tuple of arrays, built once per key and read-only."""
-    hit = _CACHE.get(key)
-    if hit is None:
-        hit = builder()
-        for arr in hit if isinstance(hit, tuple) else (hit,):
-            arr.flags.writeable = False
-        _CACHE[key] = hit
-    return hit
-
-
+@functools.cache
 def dft_matrix(n: int) -> np.ndarray:
-    """Unitary n x n DFT matrix with entry (a, b) = exp(-j2*pi*a*b/n) / sqrt(n)."""
+    """Unitary n x n DFT matrix with entry (a, b) = exp(-j2*pi*a*b/n) / sqrt(n), read-only."""
     if n < 1:
         raise ValueError(f"invalid size: DFT order must be >= 1, got {n}")
-
-    def build():
-        idx = np.arange(n)
-        return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
-
-    return _cached(("dft", n), build)
+    idx = np.arange(n)
+    out = np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
+    out.flags.writeable = False
+    return out
 
 
 def oversampled_dft(k: int, o_s: int) -> np.ndarray:
@@ -90,22 +75,6 @@ def sfft(y_ft: np.ndarray) -> np.ndarray:
     y_ft = np.asarray(y_ft)
     k, n = _grid_shape(y_ft)
     return dft_matrix(k).conj().T @ y_ft @ dft_matrix(n)
-
-
-def vec(x: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization; a (..., rows, cols) stack vectorizes each matrix."""
-    x = np.asarray(x)
-    if x.ndim <= 2:
-        return x.flatten(order="F")
-    return np.swapaxes(x, -1, -2).reshape(*x.shape[:-2], -1)
-
-
-def invec(v: np.ndarray, rows: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a known row count."""
-    v = np.asarray(v)
-    if v.size % rows != 0:
-        raise ValueError(f"dimension mismatch: length {v.size} not divisible by {rows} rows")
-    return v.reshape(rows, -1, order="F")
 
 
 def chebyshev_window(length: int, attenuation_db: float) -> np.ndarray:

@@ -20,6 +20,8 @@ The modulators and receivers take one K*O_s-point FFT per symbol; the dense
 products they replaced are here: the oversampled IDFT W^H of the live rows
 plus the CP, DR-UFMC's (K*O_s + L - 1) x K precoder followed by the
 continuous-packet overlap-add, and the oversampled DFT W of each kept window.
+The dense maps act on column-stacked grids (:func:`vec`, :func:`invec`); the
+library keeps a frame as its symbol rows and needs neither.
 """
 
 from dataclasses import replace
@@ -40,13 +42,33 @@ from ddmod.metrics import (
 )
 from ddmod.transforms import (
     dft_matrix,
-    invec,
     isfft,
     modulated_filter_taps,
     oversampled_dft,
     ufmc_precoder,
-    vec,
 )
+
+
+def vec(x: np.ndarray) -> np.ndarray:
+    """Column-stacking vectorization; a (..., rows, cols) stack vectorizes each matrix."""
+    x = np.asarray(x)
+    if x.ndim <= 2:
+        return x.flatten(order="F")
+    return np.swapaxes(x, -1, -2).reshape(*x.shape[:-2], -1)
+
+
+def invec(v: np.ndarray, rows: int) -> np.ndarray:
+    """Inverse of :func:`vec` for a known row count."""
+    v = np.asarray(v)
+    if v.size % rows != 0:
+        raise ValueError(f"dimension mismatch: length {v.size} not divisible by {rows} rows")
+    return v.reshape(rows, -1, order="F")
+
+
+def clear_memos():
+    """Empty the library's per-config memos, so each builds afresh on its next call."""
+    for memo in (dft_matrix, drufmc._filter_response, drufmc._precoder_tail):
+        memo.cache_clear()
 
 
 def crandn(rng, *shape):

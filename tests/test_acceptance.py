@@ -25,9 +25,9 @@ from ddmod.metrics import (
     qpsk_grid,
     sinr_map,
 )
-from ddmod.transforms import invec, isfft, vec
+from ddmod.transforms import isfft
 
-from oracles import dd_to_ft_kron, seeded_frames, ufmc_stacked_precoder
+from oracles import dd_to_ft_kron, invec, seeded_frames, ufmc_stacked_precoder, vec
 
 
 def report(criterion, ok, detail):

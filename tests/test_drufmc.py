@@ -12,15 +12,13 @@ from ddmod.config import ModemConfig, desk_config
 from ddmod.metrics import psd_estimate, qpsk_grid, sinr_map
 from ddmod.transforms import (
     dft_matrix,
-    invec,
     isfft,
     oversampled_dft,
     prototype_filter,
     ufmc_precoder,
-    vec,
 )
 
-from oracles import crandn, dd_to_ft_kron, seeded_frames, ufmc_stacked_precoder
+from oracles import crandn, dd_to_ft_kron, invec, seeded_frames, ufmc_stacked_precoder, vec
 
 
 def chain(cfg, chan, x_dd):

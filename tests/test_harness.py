@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ddmod import channel as ch
-from ddmod import harness, ofdm, transforms
+from ddmod import harness, ofdm
 from ddmod.config import ConfigError, ModemConfig, desk_config
 from ddmod.metrics import GuardSearchError, net_sinr, qpsk_grid
 from ddmod.harness import (
@@ -28,6 +28,8 @@ from ddmod.harness import (
     run_psd,
     run_sweep,
 )
+
+from oracles import clear_memos
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -475,7 +477,7 @@ class TestWorkerCount:
         class Recording:
             """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
 
-            def __init__(self, max_workers=None, initializer=None):
+            def __init__(self, max_workers=None, initializer=None, mp_context=None):
                 built.append(max_workers)
 
             def __enter__(self):
@@ -555,7 +557,7 @@ class TestRunPsd:
 
     def test_concurrent_families_equal_single_family_runs(self, monkeypatch):
         # both family threads build the shared transform cache, switching often
-        monkeypatch.setattr(transforms, "_CACHE", {})
+        clear_memos()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

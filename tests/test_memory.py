@@ -13,9 +13,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ddmod import harness, mmse, transforms
+from ddmod import harness, mmse
 from ddmod.config import ModemConfig, desk_config
 from ddmod.harness import WAVEFORMS, ExperimentConfig
+
+from oracles import clear_memos
 
 # One table-1 (N, K, K) complex stack is 4.19 MB.  Measured with numpy 2.4,
 # the per-config memos built inside the cells: OTFS 2.53 stacks (it builds and
@@ -38,7 +40,7 @@ def test_each_table1_cell_peaks_below_three_stacks(monkeypatch):
         peaks[waveform] = (tracemalloc.get_traced_memory()[1] - start) / stack
         return row
 
-    monkeypatch.setattr(transforms, "_CACHE", {})
+    clear_memos()
     monkeypatch.setattr(harness, "evaluate_point", traced)
     tracemalloc.start()
     try:

@@ -27,7 +27,8 @@ def cholesky_factors(k, n, seed, sigma2, dtype):
     c = rng.standard_normal(shape).astype(dtype)
     if np.issubdtype(dtype, np.complexfloating):
         c += 1j * rng.standard_normal(shape)
-    return np.linalg.cholesky(mmse._gram(c, sigma2))
+    a = mmse._gram(c[np.newaxis], sigma2)[0] if n is None else mmse._gram(c, sigma2)
+    return np.linalg.cholesky(a)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

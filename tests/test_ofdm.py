@@ -8,9 +8,8 @@ from ddmod import channel as ch
 from ddmod import ofdm
 from ddmod.config import desk_config
 from ddmod.metrics import qpsk_grid, sinr_map
-from ddmod.transforms import invec, vec
 
-from oracles import crandn
+from oracles import crandn, invec, vec
 
 
 def short_static_paths(cfg, n_taps=3):

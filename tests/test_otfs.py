@@ -7,9 +7,9 @@ from ddmod import channel as ch
 from ddmod import otfs
 from ddmod.config import ModemConfig, desk_config
 from ddmod.metrics import qpsk_grid
-from ddmod.transforms import dft_matrix, invec, oversampled_dft, vec
+from ddmod.transforms import dft_matrix, oversampled_dft
 
-from oracles import crandn
+from oracles import crandn, invec, vec
 
 
 def probe_column(cfg, chan, j):

@@ -8,7 +8,9 @@ fresh channel per cell and the per-frame transmitter give
 (``tests/oracles.py``), and a failure must stay in the cells it belongs to.
 """
 
+import multiprocessing
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,13 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddmod import channel as ch
-from ddmod import harness, ofdm, otfs, transforms
+from ddmod import drufmc, harness, ofdm, otfs, transforms
 from ddmod.config import ModemConfig, desk_config
 from ddmod.harness import WAVEFORMS, ExperimentConfig, evaluate_point, grid_point, psd_signal
 from ddmod.harness import run_psd, run_sweep
 from ddmod.metrics import psd_estimate
 
-from oracles import per_cell_row, per_frame_signal
+from oracles import clear_memos, per_cell_row, per_frame_signal
 
 examples = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -137,7 +139,7 @@ def test_table1_sweep_builds_no_dense_precoder_or_w(monkeypatch):
     def dense(*args):
         raise AssertionError("a sweep built a dense transform")
 
-    monkeypatch.setattr(transforms, "_CACHE", {})
+    clear_memos()
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ddmod"]:
         for name in ("ufmc_precoder", "oversampled_dft"):
             if hasattr(module, name):
@@ -147,10 +149,35 @@ def test_table1_sweep_builds_no_dense_precoder_or_w(monkeypatch):
     rows, failures = run_sweep(cfg)
     assert not failures and len(rows) == 2 * len(WAVEFORMS)
     ko, k = cfg.modem.k * cfg.modem.o_s, cfg.modem.k
-    held = [a.shape for hit in transforms._CACHE.values()
-            for a in (hit if isinstance(hit, tuple) else (hit,))]
+    # every entry the memos hold, each read back without a build
+    memos = {transforms.dft_matrix: (k, cfg.modem.n), drufmc._filter_response: (cfg.modem,),
+             drufmc._precoder_tail: (cfg.modem,)}
+    held = []
+    for memo, keys in memos.items():
+        built = memo.cache_info()
+        assert built.currsize == len(keys)
+        held += [a.shape for hit in map(memo, keys)
+                 for a in (hit if isinstance(hit, tuple) else (hit,))]
+        assert memo.cache_info().misses == built.misses
     # no memo holds W, W^H or the dense precoder
     assert not set(held) & {(k, ko), (ko, k), (ko + cfg.modem.filter_len - 1, k)}
+
+
+def test_config_memos_are_shared_read_only_and_keyed_by_the_whole_config():
+    cfg = desk_config()
+    memos = (drufmc._filter_response, drufmc._precoder_tail)
+    for arr in (transforms.dft_matrix(8), *(a for memo in memos for a in memo(cfg))):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1.0
+    # equal configs built apart hit one entry, the same arrays
+    assert transforms.dft_matrix(8) is transforms.dft_matrix(8)
+    for memo in memos:
+        assert memo(desk_config()) is memo(cfg)
+        assert memo(desk_config(filter_att_db=100)) is memo(desk_config(filter_att_db=100.0))
+    # under TX nulling the guard count shapes the tail; it is part of the key
+    tx = desk_config(guard_nulling="tx", n_guard=2)
+    r2, r3 = drufmc._precoder_tail(tx)[0], drufmc._precoder_tail(replace(tx, n_guard=3))[0]
+    assert not np.array_equal(r2, r3)
 
 
 def test_raising_link_fails_only_its_own_cell(monkeypatch):
@@ -167,6 +194,20 @@ def test_raising_link_fails_only_its_own_cell(monkeypatch):
         assert "Traceback (most recent call last)" in tb
         assert "in exploding_link" in tb and "RuntimeError: link down" in tb
     assert rows == [r for r in clean if r.waveform != "otfs"]
+
+
+def test_raising_link_fails_its_cell_under_a_forkserver_default(monkeypatch):
+    # the pool forks wherever it can, so its workers see this process's patches
+    # whatever the default start method (forkserver on Linux from Python 3.14)
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no forkserver start method on this platform")
+    monkeypatch.setenv("DDMOD_THREADS", "2")    # a pool, whatever the CPU count
+    default = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("forkserver", force=True)
+    try:
+        test_raising_link_fails_only_its_own_cell(monkeypatch)
+    finally:
+        multiprocessing.set_start_method(default, force=True)
 
 
 def test_raising_realization_fails_every_cell_of_its_point(monkeypatch):

@@ -77,7 +77,7 @@ def test_apply_matches_dense_matrices(case, with_cp, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((chan.cols, cfg.n)) + 1j * rng.standard_normal((chan.cols, cfg.n))
     expect = np.stack([chan.matrix(i) @ x[:, i] for i in range(cfg.n)], axis=1)
-    assert close(chan.apply(x), expect, TOL)
+    assert close(chan.apply(x.T).T, expect, TOL)
 
 
 @examples

@@ -24,9 +24,8 @@ from ddmod import drufmc, harness, metrics, ofdm, otfs
 from ddmod.config import ModemConfig, desk_config
 from ddmod.harness import WAVEFORMS, ExperimentConfig, evaluate_point
 from ddmod.metrics import IllConditionedError, mmse_detect, net_sinr, sinr_map
-from ddmod.transforms import vec
 
-from oracles import close
+from oracles import close, vec
 
 TOL = 1e-10
 

@@ -13,10 +13,8 @@ from ddmod.transforms import (
     oversampled_dft,
     sfft,
     ufmc_precoder,
-    vec,
-    invec,
 )
-from oracles import cp_insert_matrix, crandn, selection_matrix, subband_conv_matrix
+from oracles import cp_insert_matrix, crandn, invec, selection_matrix, subband_conv_matrix, vec
 
 
 class TestDftMatrix:
