@@ -6,7 +6,8 @@ the reference for the structured per-waveform routes built on
 :mod:`ddmod.mmse`, which the sweep uses.  The Welch PSD is plain numpy
 (``scipy.signal.welch`` is its test reference) and takes the signal whole or
 as a stream of consecutive pieces, which it never joins; the guard search
-bisects over a caller's ``spectrum(n_guard)``.
+brackets the threshold crossing over a caller's ``spectrum(n_guard)``, guided
+by the skirt of the unnulled estimate.
 """
 
 from __future__ import annotations
@@ -221,30 +222,69 @@ def oob_level_db(psd: PsdEstimate, band_hz: float) -> float:
     return 10.0 * np.log10(psd.density[~inband].max() / peak)
 
 
+def _skirt_db(psd: PsdEstimate, cfg: ModemConfig) -> np.ndarray:
+    """skirt[g] for g in [0, K/2): the maximum density beyond B/2 + g*delta_f,
+    relative to the in-band peak, in dB.
+
+    This is the level 2*g nulled edge subcarriers would give if nulling only
+    moved the spectrum inward by g*delta_f, so skirt[0] is the unnulled level.
+    """
+    inband = psd.band_mask(cfg.bandwidth_hz)
+    peak = psd.density[inband].max()
+    past_edge = np.abs(psd.freqs_hz) - cfg.bandwidth_hz / 2.0
+    beyond = [psd.density[past_edge > g * cfg.delta_f_hz].max(initial=0.0)
+              for g in range(cfg.k // 2)]
+    return 10.0 * np.log10(np.maximum(beyond, 1e-300) / peak)
+
+
 def guard_count_for_threshold(spectrum, cfg: ModemConfig) -> int:
     """Smallest per-edge guard count whose PSD meets the ``cfg.delta_oob_db`` threshold.
 
     ``spectrum(n_guard)`` must return the :class:`PsdEstimate` of the signal
-    with 2*n_guard edge subcarriers nulled on the frequency-time grid.
-    Nulling more edge subcarriers only lowers the out-of-band level, so the
-    first passing count is found by bisection: count 0 is estimated first and
-    returned if it passes, then (0, K/2] is bisected with K/2 standing for
-    "none passes", about log2(K) estimates in all, each count at most once.
-    Raises :class:`GuardSearchError` when even maximal nulling fails.
-    """
-    def passes(n_guard):
-        return oob_level_db(spectrum(n_guard), cfg.bandwidth_hz) <= cfg.delta_oob_db
+    with 2*n_guard edge subcarriers nulled on the frequency-time grid; each
+    count is estimated at most once.  Count 0 is estimated first and returned
+    if it passes.  Otherwise the bracket (fails, first_pass) = (0, K/2), with
+    K/2 standing for "none passes", is narrowed by probes guided by the
+    unnulled spectrum's skirt (:func:`_skirt_db`).  A probe is the smallest
+    count inside the bracket where skirt + offset meets the threshold, or
+    first_pass - 1 if there is none; the offset is interpolated linearly
+    between the measured ``level - skirt`` at the bracket's ends (0 at count
+    0; at an unmeasured K/2 the lower end's).  Whenever the two previous
+    probes together did not halve the bracket, the probe is its midpoint, so
+    every three probes more than halve it: at most 1 + 3*ceil(log2(K/2))
+    estimates, 19 at K = 128 (3-5 at table-1 scale with 100 frames).
 
-    if passes(0):
+    The search assumes the out-of-band level falls with the guard count, as
+    its expectation does; on a falling curve it returns the first passing
+    count and raises :class:`GuardSearchError` when none passes.  On any
+    curve it finds a crossing: a returned count passes and the count below
+    it fails, or it is 0, and the error is raised only if count K/2 - 1 fails.
+    """
+    threshold, half = cfg.delta_oob_db, cfg.k // 2
+    unnulled = spectrum(0)
+    levels = {0: oob_level_db(unnulled, cfg.bandwidth_hz)}
+    if levels[0] <= threshold:
         return 0
-    fails, first_pass = 0, cfg.k // 2
+    skirt = _skirt_db(unnulled, cfg)
+    fails, first_pass = 0, half
+    widths = [half]
     while first_pass - fails > 1:
-        mid = (fails + first_pass) // 2
-        if passes(mid):
-            first_pass = mid
+        if len(widths) >= 3 and 2 * widths[-1] > widths[-3]:
+            probe = (fails + first_pass) // 2
         else:
-            fails = mid
-    if first_pass == cfg.k // 2:
+            inside = np.arange(fails + 1, first_pass)
+            low = levels[fails] - skirt[fails]
+            high = levels[first_pass] - skirt[first_pass] if first_pass < half else low
+            offset = low + (high - low) * (inside - fails) / (first_pass - fails)
+            hits = inside[skirt[inside] + offset <= threshold]
+            probe = int(hits[0]) if hits.size else first_pass - 1
+        levels[probe] = oob_level_db(spectrum(probe), cfg.bandwidth_hz)
+        if levels[probe] <= threshold:
+            first_pass = probe
+        else:
+            fails = probe
+        widths.append(first_pass - fails)
+    if first_pass == half:
         raise GuardSearchError(
             f"not achievable: out-of-band level above {cfg.delta_oob_db} dB at every guard count"
         )

@@ -11,7 +11,7 @@ and tail blocks.  The literal subband and CP/tail bookkeeping matrices that the
 chains apply by slicing and convolution are here too, with DR-UFMC's stacked
 (K*O_s*N) x (K*N) precoder and the KN x KN delay-Doppler to frequency-time
 Kronecker factor built from them, as are the linear
-guard-count scan that the bisected search replaced, the per-frame PSD
+guard-count scan that the guard search replaced, the per-frame PSD
 transmitter that ``harness.psd_signal`` batches (with the seeded frame loop
 that builds a multi-frame signal from it), and the sweep cell that realized
 its own channel before grid points shared one.
@@ -289,6 +289,35 @@ def seeded_frames(frame_fn, trials: int, seed) -> np.ndarray:
     """``trials`` frames ``frame_fn(rng)``, drawn in order from ``default_rng(seed)``, concatenated."""
     rng = np.random.default_rng(seed)
     return np.concatenate([np.asarray(frame_fn(rng)) for _ in range(trials)])
+
+
+def record_psd_estimates(monkeypatch) -> list:
+    """Patch ``harness`` so that every PSD estimate it makes is appended, as
+    ((waveform, n_guard), estimate), to the list returned."""
+    make_signal, estimate = harness.psd_signal, harness.psd_estimate
+    estimates = []
+
+    class Tagged:
+        """The chunks of one signal(n_guard) call, tagged (waveform, n_guard)."""
+
+        def __init__(self, tag, chunks):
+            self.tag, self.chunks = tag, chunks
+
+        def __iter__(self):
+            return iter(self.chunks)
+
+    def tagged(cfg, waveform):
+        signal = make_signal(cfg, waveform)
+        return lambda n_guard: Tagged((waveform, n_guard), signal(n_guard))
+
+    def recorded(x, *args):
+        est = estimate(x, *args)
+        estimates.append((x.tag, est))
+        return est
+
+    monkeypatch.setattr(harness, "psd_signal", tagged)
+    monkeypatch.setattr(harness, "psd_estimate", recorded)
+    return estimates
 
 
 def linear_guard_scan(frame_fn_for_guard, cfg, delta_oob_db, trials, seed) -> int:

@@ -29,7 +29,7 @@ from ddmod.harness import (
     run_sweep,
 )
 
-from oracles import clear_memos
+from oracles import clear_memos, record_psd_estimates
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -516,31 +516,10 @@ class TestRunPsd:
         assert len(lines) > 10
 
     def test_each_guard_count_estimated_once(self, monkeypatch):
-        # table-1 K = 128: count 0, then at most log2(64) = 6 bisection steps
+        # table-1 K = 128 with 2 frames: count 0, then the skirt-guided probes;
+        # 3-5 estimates per family with 100 frames (tests/test_reference.py)
         cfg = ExperimentConfig(modem=ModemConfig(), waveforms=("otfs", "drufmc"), psd_trials=2)
-        make_signal, estimate = harness.psd_signal, harness.psd_estimate
-        estimates = []
-
-        class Tagged:
-            """The chunks of one signal(n_guard) call, tagged (waveform, n_guard)."""
-
-            def __init__(self, tag, chunks):
-                self.tag, self.chunks = tag, chunks
-
-            def __iter__(self):
-                return iter(self.chunks)
-
-        def tagged(cfg, waveform):
-            signal = make_signal(cfg, waveform)
-            return lambda n_guard: Tagged((waveform, n_guard), signal(n_guard))
-
-        def recorded(x, *args):
-            est = estimate(x, *args)
-            estimates.append((x.tag, est))
-            return est
-
-        monkeypatch.setattr(harness, "psd_signal", tagged)
-        monkeypatch.setattr(harness, "psd_estimate", recorded)
+        estimates = record_psd_estimates(monkeypatch)
         summary = run_psd(cfg)
         tags = [tag for tag, _ in estimates]
         assert len(set(tags)) == len(tags)

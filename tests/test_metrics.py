@@ -1,5 +1,6 @@
 """MMSE detection, SINR/SE accounting, PSD estimation and guard search."""
 
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -15,6 +16,7 @@ from ddmod.config import ModemConfig, desk_config
 from ddmod.harness import ExperimentConfig
 from ddmod.metrics import (
     GuardSearchError,
+    PsdEstimate,
     avg_spectral_efficiency,
     guard_count_for_threshold,
     mmse_detect,
@@ -57,6 +59,81 @@ def search_outcome(search, *args):
         return search(*args)
     except GuardSearchError:
         return None
+
+
+def stub_psd(cfg, oob_db) -> PsdEstimate:
+    """A PSD with an in-band peak of 1 at 0 Hz and out-of-band bins at
+    B/2 + (g + 1/2) delta_f, g = 0, 1, ..., holding the levels ``oob_db`` (dB)."""
+    offsets = (np.arange(len(oob_db)) + 0.5) * cfg.delta_f_hz
+    return PsdEstimate(freqs_hz=np.concatenate(([0.0], cfg.bandwidth_hz / 2 + offsets)),
+                       density=np.concatenate(([1.0], 10.0 ** (np.asarray(oob_db) / 10.0))),
+                       sample_rate_hz=cfg.sample_rate_hz)
+
+
+def stub_search(levels, skirt, threshold):
+    """(outcome, counts estimated) of the guard search over stub spectra.
+
+    ``levels[g]`` is the out-of-band level of count g; count 0's spectrum
+    carries the densities ``skirt``, shifted so that their maximum is
+    ``levels[0]``.  The outcome is the count, or None for "not achievable".
+    """
+    cfg = ModemConfig(k=2 * len(levels), n=1, o_s=2, b=1, filter_len=1, delta_oob_db=threshold)
+    skirt = np.asarray(skirt) - np.max(skirt) + levels[0]
+    calls = []
+
+    def spectrum(n_guard):
+        calls.append(n_guard)
+        return stub_psd(cfg, skirt if n_guard == 0 else [levels[n_guard]])
+
+    try:
+        return guard_count_for_threshold(spectrum, cfg), calls
+    except GuardSearchError as exc:
+        assert "not achievable" in str(exc)
+        return None, calls
+
+
+def worst_case_estimates(half: int) -> int:
+    """The documented bound on the guard search's estimates, 1 + 3*ceil(log2(K/2))."""
+    return 1 + 3 * math.ceil(math.log2(half))
+
+
+def skirts(half: int):
+    """Unnulled out-of-band densities (dB, one per count), misleading ones included:
+    random, constant or rising (both a constant skirt), or a cliff after count c."""
+    return st.one_of(
+        st.lists(st.floats(-60.0, 0.0), min_size=half, max_size=half),
+        st.just([0.0] * half),
+        st.just(list(np.linspace(-40.0, 0.0, half))),
+        st.integers(0, half - 1).map(lambda c: [0.0] * (c + 1) + [-80.0] * (half - c - 1)),
+    )
+
+
+@st.composite
+def guard_curves(draw, falling: bool):
+    """(levels, skirt) over K/2 = 1..64 counts; ``falling`` makes levels strictly falling."""
+    half = draw(st.integers(1, 64))
+    if falling:
+        steps = draw(st.lists(st.floats(0.01, 6.0), min_size=half - 1, max_size=half - 1))
+        # sorted steps give a convex or concave curve, where interpolation crawls
+        steps = sorted(steps, reverse=draw(st.booleans())) if draw(st.booleans()) else steps
+        levels = -draw(st.floats(0.0, 20.0)) - np.concatenate(([0.0], np.cumsum(steps)))
+    else:
+        # on a 0.01 dB grid, so that distinct levels survive the stub's dB round trip
+        levels = np.array(draw(st.lists(st.integers(-8000, 0), min_size=half, max_size=half))) / 100
+    return levels, draw(skirts(half))
+
+
+def thresholds_between(levels):
+    """Above and below every level, and midway between each pair of neighbouring distinct levels."""
+    edges = np.unique(levels)
+    return [edges[-1] + 1.0, *(edges[:-1] + edges[1:]) / 2, edges[0] - 1.0]
+
+
+# table-1-sized falling curves: an even fall, and a cliff after count 0 then a
+# 0.01 dB creep, on which interpolation from a constant skirt steps one count
+# at a time until bisection steps in
+_EVEN_FALL = -10.0 - 0.7 * np.arange(64)
+_CLIFF = np.concatenate(([0.0], -40.0 - 0.01 * np.arange(1, 64)))
 
 
 class TestMmseDetect:
@@ -406,3 +483,31 @@ class TestGuardSearch:
         with pytest.raises(GuardSearchError, match="not achievable"):
             guard_count_for_threshold(guard_spectra(gen, cfg, 2, 0),
                                       replace(cfg, delta_oob_db=-40.0))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(guard_curves(falling=True))
+    @example((_EVEN_FALL, [0.0] * 64))
+    @example((_EVEN_FALL, [0.0] + [-80.0] * 63))
+    @example((_EVEN_FALL, [0.0] * 63 + [-80.0]))
+    @example((_CLIFF, [0.0] * 64))
+    def test_guided_search_finds_the_first_passing_count(self, curve):
+        # on a strictly falling curve the skirt only steers the probes: the
+        # result is the first passing count whatever the skirt says
+        levels, skirt = curve
+        for thr in thresholds_between(levels):
+            got, calls = stub_search(levels, skirt, thr)
+            passing = np.flatnonzero(levels <= thr)
+            assert got == (passing[0] if passing.size else None), f"threshold {thr:.3f} dB"
+            assert len(set(calls)) == len(calls) <= worst_case_estimates(len(levels))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(guard_curves(falling=False))
+    def test_guided_search_gives_a_crossing_on_any_curve(self, curve):
+        levels, skirt = curve
+        for thr in thresholds_between(levels):
+            got, calls = stub_search(levels, skirt, thr)
+            if got is None:
+                assert levels[0] > thr and levels[-1] > thr
+            else:
+                assert levels[got] <= thr and (got == 0 or levels[got - 1] > thr)
+            assert len(set(calls)) == len(calls) <= worst_case_estimates(len(levels))
