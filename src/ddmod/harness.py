@@ -18,7 +18,8 @@ the user chose a count (:func:`_pin_blas`).
 The PSD experiment hands the guard search a ``spectrum(n_guard)`` function:
 the Welch estimate of one family's ``psd_trials``-frame signal, streamed to
 it a chunk of frames at a time (:func:`psd_signal`) and computed at most once
-per guard count.  The two families' searches run on one thread each.  The
+per guard count.  The two families' searches run on one thread each and
+share one read-only stack of the seeded frames (:func:`psd_frames`).  The
 oracles these routes are checked against live in ``tests/``.
 """
 
@@ -465,38 +466,52 @@ def run_sweep(cfg: ExperimentConfig, out_path: str | None = None):
 _PSD_CHUNK_BYTES = 1 << 20
 
 
-def psd_signal(cfg: ExperimentConfig, waveform: str):
+def psd_frames(cfg: ExperimentConfig) -> np.ndarray:
+    """The ``psd_trials`` seeded frequency-time frames of the PSD experiment.
+
+    One read-only complex (psd_trials, K, N) stack: the QPSK grids are drawn
+    in frame order from ``default_rng(cfg.seed)`` and each one's isfft is
+    written straight into its slot, so no second stack is ever built.
+    """
+    modem = cfg.modem
+    rng = np.random.default_rng(cfg.seed)
+    frames = np.empty((cfg.psd_trials, modem.k, modem.n), dtype=complex)
+    for frame in frames:
+        frame[...] = isfft(qpsk_grid(rng, modem.k, modem.n))
+    frames.flags.writeable = False
+    return frames
+
+
+def psd_signal(cfg: ExperimentConfig, waveform: str, frames: np.ndarray):
     """Transmit signals of one PSD family for the guard search, one per guard count.
 
-    Returns ``signal(n_guard)``: a generator of the ``psd_trials`` frames with
-    2*n_guard edge subcarriers nulled, one after another, as 1-D chunks of
-    about ``_PSD_CHUNK_BYTES`` (whole frames, at least one).  The seeded QPSK
-    grids are drawn in frame order from ``default_rng(cfg.seed)`` and
-    isfft'ed once, as one stack; each chunk is modulated as the estimate asks
-    for it, so the whole signal is never held.
+    Returns ``signal(n_guard)``: a generator of the ``frames``
+    (:func:`psd_frames`) modulated with 2*n_guard edge subcarriers nulled, one
+    after another, as 1-D chunks of about ``_PSD_CHUNK_BYTES`` (whole frames,
+    at least one).  Each chunk is modulated as the estimate asks for it, so
+    the whole signal is never held.
     """
     modem = cfg.modem
     with_cp = WAVEFORMS[waveform][0]
     modulate = ofdm.ofdm_modulate if with_cp else drufmc.ufmc_modulate_ft
-    rng = np.random.default_rng(cfg.seed)
-    grids = isfft(np.stack([qpsk_grid(rng, modem.k, modem.n) for _ in range(cfg.psd_trials)]))
     frame_len = modem.n * (modem.block_len if with_cp else modem.k * modem.o_s)
     chunk = max(1, _PSD_CHUNK_BYTES // (16 * frame_len))
 
     def signal(n_guard):
-        for start in range(0, len(grids), chunk):
-            yield modulate(grids[start:start + chunk], modem, n_guard).reshape(-1)
+        for start in range(0, len(frames), chunk):
+            yield modulate(frames[start:start + chunk], modem, n_guard).reshape(-1)
 
     return signal
 
 
-def _psd_family(cfg: ExperimentConfig, waveform: str):
-    """(unnulled PsdEstimate, guard count) of one family, each guard count estimated once.
+def _psd_family(cfg: ExperimentConfig, waveform: str, frames: np.ndarray):
+    """(unnulled PsdEstimate, guard count) of one family's ``frames``, each
+    guard count estimated once.
 
     The spectra are cached per guard count, so the unnulled spectrum is the
     guard search's own first estimate.
     """
-    signal = psd_signal(cfg, waveform)
+    signal = psd_signal(cfg, waveform, frames)
     spectrum = cache(lambda n_guard: psd_estimate(signal(n_guard), cfg.modem))
     n_guard = guard_count_for_threshold(spectrum, cfg.modem)
     return spectrum(0), n_guard
@@ -507,10 +522,12 @@ def run_psd(cfg: ExperimentConfig, out_path: str | None = None):
 
     Returns {waveform: (PsdEstimate, n_guard)} and optionally writes a
     ``waveform,freq_hz,power_db`` CSV of the unnulled spectra.  The families
-    are independent searches (:func:`_psd_family`) and run on one thread each;
-    numpy's FFTs and BLAS release the GIL.  With two families, BLAS is first
-    set to one thread (:func:`_pin_blas`), so the two threads do not
-    oversubscribe the cores.
+    transmit the same seeded frames, built once (:func:`psd_frames`) before
+    their searches start; the searches are independent (:func:`_psd_family`)
+    and run on one thread each, sharing that read-only stack; numpy's FFTs
+    and BLAS release the GIL.  With two families, BLAS is first set to one
+    thread (:func:`_pin_blas`), so the two threads do not oversubscribe the
+    cores.
     Results are collected in family order, and a family's error propagates
     before anything is written.  O_s = 1 is a :class:`ConfigError`, raised
     before any work: its PSD grid has no out-of-band bin.  If guard searches
@@ -525,8 +542,9 @@ def run_psd(cfg: ExperimentConfig, out_path: str | None = None):
     families = dict.fromkeys("otfs" if WAVEFORMS[wf][0] else "drufmc" for wf in cfg.waveforms)
     if len(families) > 1:
         _pin_blas()
+    frames = psd_frames(cfg)
     with ThreadPoolExecutor(max_workers=len(families)) as pool:
-        futures = {wf: pool.submit(_psd_family, cfg, wf) for wf in families}
+        futures = {wf: pool.submit(_psd_family, cfg, wf, frames) for wf in families}
     out, failed = {}, []
     for wf, future in futures.items():
         try:
@@ -539,7 +557,7 @@ def run_psd(cfg: ExperimentConfig, out_path: str | None = None):
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("waveform,freq_hz,power_db\n")
             for wf, (est, _) in out.items():
-                for f, p in zip(est.freqs_hz, est.db_rel_peak()):
+                for f, p in zip(est.freqs_hz.tolist(), est.db_rel_peak().tolist()):
                     fh.write(f"{wf},{f:.10g},{p:.10g}\n")
     return out
 

@@ -306,8 +306,8 @@ def record_psd_estimates(monkeypatch) -> list:
         def __iter__(self):
             return iter(self.chunks)
 
-    def tagged(cfg, waveform):
-        signal = make_signal(cfg, waveform)
+    def tagged(cfg, waveform, frames):
+        signal = make_signal(cfg, waveform, frames)
         return lambda n_guard: Tagged((waveform, n_guard), signal(n_guard))
 
     def recorded(x, *args):

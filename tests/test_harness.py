@@ -555,10 +555,10 @@ class TestRunPsd:
                                                                          monkeypatch):
         family = harness._psd_family
 
-        def failing(cfg, waveform):
+        def failing(cfg, waveform, frames):
             if waveform == "drufmc":
                 raise GuardSearchError("forced for drufmc")
-            return family(cfg, waveform)
+            return family(cfg, waveform, frames)
 
         monkeypatch.setattr(harness, "_psd_family", failing)
         out = tmp_path / "psd.csv"

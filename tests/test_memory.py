@@ -1,14 +1,19 @@
-"""Memory of a table-1 grid point, and chunked stack products against whole ones.
+"""Memory of a table-1 grid point and of a PSD run, and chunked stack products
+against whole ones.
 
 The per-symbol stack products (FT stack, Gram and factor, error diagonals,
 DR-UFMC heads, one-tap row energies) run over symbols in chunks of about
 ``mmse._STACK_CHUNK_BYTES``, so a cell's temporaries are a few chunks, not whole
-(N, K, K) stacks.  ``tracemalloc`` sees numpy's array allocations, so each
-cell's traced high-water mark above its starting traced memory bounds what
-the cell holds and frees; BLAS work buffers are not traced.
+(N, K, K) stacks.  A PSD run holds its seeded frames once, as one
+(psd_trials, K, N) stack that both family threads read, and streams them to
+the Welch estimate in chunks, so its memory grows by one frame stack per
+added frame stack.  ``tracemalloc`` sees numpy's array allocations, so a
+traced high-water mark above the starting traced memory bounds what a cell or
+a run holds and frees; BLAS work buffers are not traced.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +30,12 @@ from oracles import clear_memos
 # DR-UFMC 2.33.  With whole-stack temporaries and the dense precoder and W they
 # were 5.30, 2.03, 1.52 and 5.94 stacks (22.2, 8.5, 6.4 and 24.9 MB).
 BOUND_STACKS = 3
+
+# Adding 100 table-1 frames to a two-family PSD run adds one (100, K, N) frame
+# stack, 3.28 MB, to its traced peak: 0.97-1.06 stacks measured.  With a
+# stack drawn and isfft'ed per family, through a three-stack transient, and a
+# 4 MB Welch batch per family thread it was about 5.6 stacks.
+PSD_BOUND_FRAME_STACKS = 1.5
 
 
 def test_each_table1_cell_peaks_below_three_stacks(monkeypatch):
@@ -50,6 +61,24 @@ def test_each_table1_cell_peaks_below_three_stacks(monkeypatch):
     assert all(row is not None for row, _ in results)
     assert set(peaks) == set(WAVEFORMS)
     assert max(peaks.values()) <= BOUND_STACKS, peaks
+
+
+def test_psd_run_grows_by_one_frame_stack_per_added_frame_stack():
+    cfg = ExperimentConfig(modem=ModemConfig(), waveforms=("otfs", "drufmc"), psd_trials=1)
+    harness.run_psd(cfg)    # lazy imports and first-call allocations, untraced
+    peaks = {}
+    for trials in (100, 200):
+        cfg = replace(cfg, psd_trials=trials)
+        clear_memos()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            harness.run_psd(cfg)
+            peaks[trials] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    stack = 16 * 100 * cfg.modem.k * cfg.modem.n
+    assert (peaks[200] - peaks[100]) / stack <= PSD_BOUND_FRAME_STACKS, peaks
 
 
 def test_worker_estimate_holds_a_cell_and_its_point():

@@ -291,7 +291,7 @@ class TestNormalizedMse:
 
 class TestPsd:
     # segment length 4*K*O_s = 64: lengths up to 200 give one to five segments,
-    # and a 1-, 3- or 4096-segment batch (the default cap) splits them differently
+    # and a 1-, 3- or 1024-segment batch (the default cap) splits them differently
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 200), st.integers(1, 3), st.integers(0, 2**32 - 1),
            st.sampled_from([1, 3 * 16 * 64, metrics._WELCH_BATCH_BYTES]))

@@ -2,8 +2,9 @@
 
 A grid point's waveforms share one ``ofdm.LinkChannel`` (``harness.grid_point``),
 which materializes one channel, one frequency-time stack and one MMSE factor
-per TX null for all of them, and the guard search modulates one set of seeded
-grids per PSD family (``harness.psd_signal``).  Both must give exactly what a
+per TX null for all of them, and the guard searches of both PSD families
+modulate one read-only stack of seeded frames per run (``harness.psd_frames``,
+``harness.psd_signal``).  Both must give exactly what a
 fresh channel per cell and the per-frame transmitter give
 (``tests/oracles.py``), and a failure must stay in the cells it belongs to.
 """
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 from ddmod import channel as ch
 from ddmod import drufmc, harness, ofdm, otfs, transforms
 from ddmod.config import ModemConfig, desk_config
-from ddmod.harness import WAVEFORMS, ExperimentConfig, evaluate_point, grid_point, psd_signal
+from ddmod.harness import WAVEFORMS, ExperimentConfig, evaluate_point, grid_point, psd_frames
+from ddmod.harness import psd_signal
 from ddmod.harness import run_psd, run_sweep
 from ddmod.metrics import psd_estimate
 
@@ -240,7 +242,7 @@ def test_batched_signal_equals_per_frame_frames(monkeypatch, family, modem_kw, p
                                                 chunk_bytes):
     monkeypatch.setattr(harness, "_PSD_CHUNK_BYTES", chunk_bytes)
     cfg = ExperimentConfig(modem=desk_config(**modem_kw), psd_trials=psd_trials, seed=3)
-    signal = psd_signal(cfg, family)
+    signal = psd_signal(cfg, family, psd_frames(cfg))
     # counts in the order a search may ask them, each call a fresh generator
     for n_guard in (0, cfg.modem.k // 2 - 1, 3, 0):
         per_frame = per_frame_signal(cfg, family, n_guard)
@@ -251,10 +253,21 @@ def test_batched_signal_equals_per_frame_frames(monkeypatch, family, modem_kw, p
         assert np.array_equal(est.density, ref.density)
 
 
-def test_run_psd_draws_each_familys_grids_once(monkeypatch):
-    calls = []
-    draw = harness.qpsk_grid
+def test_run_psd_draws_the_grids_once_per_run(monkeypatch):
+    calls, stacks = [], {}
+    draw, family = harness.qpsk_grid, harness._psd_family
     monkeypatch.setattr(harness, "qpsk_grid", lambda *args: calls.append(args) or draw(*args))
+
+    def recorded(cfg, waveform, frames):
+        stacks[waveform] = frames
+        return family(cfg, waveform, frames)
+
+    monkeypatch.setattr(harness, "_psd_family", recorded)
     cfg = ExperimentConfig(modem=ModemConfig(), waveforms=("otfs", "drufmc"), psd_trials=3)
     run_psd(cfg)
-    assert len(calls) == 2 * 3      # once per estimate it was 2 families x 7 estimates x 3
+    # once per estimate it was 2 families x 7 estimates x 3, once per family 2 x 3
+    assert len(calls) == 3
+    assert stacks["otfs"] is stacks["drufmc"]
+    assert stacks["otfs"].shape == (3, cfg.modem.k, cfg.modem.n)
+    with pytest.raises(ValueError, match="read-only"):
+        stacks["otfs"][0, 0, 0] = 0
