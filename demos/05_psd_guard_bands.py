@@ -5,11 +5,11 @@ smallest number of nulled edge subcarriers meeting the -30 dB out-of-band
 threshold, both through ``run_psd``.  The filtered chain needs roughly half
 the guards.
 
-Runtime is about 0.5-0.6 s, start-up included, on a 2-vCPU machine with
-OpenBLAS on one thread (4 Welch estimates for OTFS and 3 for DR-UFMC in the
-skirt-guided guard search, each modulating the 100 frames with one inverse
-FFT per symbol; the two families on one thread each); pass --quick for a
-coarse 20-trial version, about 0.29 s.
+Runtime is about 0.5 s and peak RSS about 49 MB, start-up included, on a
+2-vCPU machine with OpenBLAS on one thread (4 Welch estimates for OTFS and 3
+for DR-UFMC in the skirt-guided guard search, each modulating the same 100
+frames, drawn once, with one inverse FFT per symbol; the two families on one
+thread each); pass --quick for a coarse 20-trial version, about 0.28 s.
 """
 
 import sys

@@ -32,9 +32,10 @@ from oracles import clear_memos
 BOUND_STACKS = 3
 
 # Adding 100 table-1 frames to a two-family PSD run adds one (100, K, N) frame
-# stack, 3.28 MB, to its traced peak: 0.97-1.06 stacks measured.  With a
+# stack, 3.28 MB, to its traced peak: 0.95-0.99 stacks measured.  With a
 # stack drawn and isfft'ed per family, through a three-stack transient, and a
-# 4 MB Welch batch per family thread it was about 5.6 stacks.
+# 4 MB Welch batch per family thread it was 3.6-5.6 stacks, depending on how
+# the two family threads overlapped.
 PSD_BOUND_FRAME_STACKS = 1.5
 
 

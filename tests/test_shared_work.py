@@ -22,8 +22,7 @@ from ddmod import channel as ch
 from ddmod import drufmc, harness, ofdm, otfs, transforms
 from ddmod.config import ModemConfig, desk_config
 from ddmod.harness import WAVEFORMS, ExperimentConfig, evaluate_point, grid_point, psd_frames
-from ddmod.harness import psd_signal
-from ddmod.harness import run_psd, run_sweep
+from ddmod.harness import psd_signal, run_psd, run_sweep
 from ddmod.metrics import psd_estimate
 
 from oracles import clear_memos, per_cell_row, per_frame_signal
