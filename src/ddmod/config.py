@@ -120,7 +120,7 @@ class ModemConfig:
 
 
 def desk_config(**overrides) -> ModemConfig:
-    """Small configuration for tests and CI: K=32, N=8, O_s=4, B=4 (D=8), L=16."""
+    """Small configuration for the tests and demos: K=32, N=8, O_s=4, B=4 (D=8), L=16."""
     base = dict(k=32, n=8, o_s=4, b=4, filter_len=16)
     base.update(overrides)
     return ModemConfig(**base)

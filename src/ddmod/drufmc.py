@@ -172,27 +172,19 @@ def _delay_domain_blocks(chan: ChannelMatrixSet,
 
 
 def drufmc_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarray:
-    """Dense KN x KN delay-Doppler map of the filtered CP-less chain.
+    """Dense KN x KN delay-Doppler channel V T V^H, with V = F_N (x) I_K.
 
-    Exploits the chain structure instead of forming the KN x (K*O_s*N)
-    intermediate: with C_m / D_m the per-symbol head and overlap-tail maps
-    brought to the delay domain, the output block (n, n') sums
-    exp(-j2*pi*n*m/N) C_m and the shifted tail terms over symbols m, followed
-    by the Doppler-side DFT.
+    T is the block lower-bidiagonal delay-time channel on an (N, K, N, K) array:
+    T[m, m] = C_m and T[m, m-1] = X_m R, from :func:`_delay_domain_blocks`.
     """
     k, n = cfg.k, cfg.n
-    cf, x, r = _delay_domain_blocks(chan, cfg)
-    df = x @ r
-    theta = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-    phi = np.sqrt(n) * dft_matrix(n).conj()         # phi[m, col] = exp(+j2*pi*m*col/N)
-    # tail of symbol m lands in the head of symbol m+1: shift its phase row
-    phi_shift = np.zeros_like(phi)
-    phi_shift[1:] = phi[:-1]
-    blocks = (
-        np.einsum("rm,mc,mkl->rckl", theta, phi, cf, optimize=True)
-        + np.einsum("rm,mc,mkl->rckl", theta, phi_shift, df, optimize=True)
-    )
-    return blocks.transpose(0, 2, 1, 3).reshape(k * n, k * n) * (1.0 / n)
+    head, x, r = _delay_domain_blocks(chan, cfg)
+    t = np.zeros((n, k, n, k), dtype=complex)
+    m = np.arange(n)
+    t[m, :, m] = head
+    t[m[1:], :, m[:-1]] = (x @ r)[1:]
+    f_n = dft_matrix(n)
+    return np.einsum("nm,mkpl,qp->nkql", f_n, t, f_n.conj(), optimize=True).reshape(k * n, -1)
 
 
 def drufmc_mmse(y: np.ndarray, channel: LinkChannel, cfg: ModemConfig,

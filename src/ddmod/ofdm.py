@@ -172,17 +172,15 @@ def per_symbol_ft_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarra
 
 
 def ofdm_full_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarray:
-    """Block-diagonal KN x KN input/output map on the frequency-time grid.
+    """Dense KN x KN frequency-time channel C = blockdiag(C_i): no symbol mixes with another.
 
-    Symbol blocks are W @ H_i @ W^H; the block-diagonal channel
-    model mixes nothing across symbols in this domain.
+    Block C_i = W H_i W^H (TX-nulled :func:`per_symbol_ft_channel`) sits at (i, i) of (N, K, N, K).
     """
     k, n = cfg.k, cfg.n
-    blocks = per_symbol_ft_channel(chan, cfg) * _tx_null(cfg)
-    out = np.zeros((k * n, k * n), dtype=complex)
-    for i in range(n):
-        out[i * k:(i + 1) * k, i * k:(i + 1) * k] = blocks[i]
-    return out
+    out = np.zeros((n, k, n, k), dtype=complex)
+    i = np.arange(n)
+    out[i, :, i] = per_symbol_ft_channel(chan, cfg) * _tx_null(cfg)
+    return out.reshape(k * n, -1)
 
 
 @dataclass(eq=False)

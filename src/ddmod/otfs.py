@@ -12,7 +12,7 @@ estimate is sfft of the per-symbol MMSE estimate of isfft(y)
 (:func:`otfs_mmse`, on the factor of G_i^{-1} that a
 :class:`~ddmod.ofdm.LinkChannel` shares with OFDM-full; :func:`otfs_link`
 runs the whole link).
-:func:`otfs_effective_channel` builds the dense matrix as the reference.
+:func:`otfs_effective_channel` builds the dense Q^H C Q as the reference.
 """
 
 from __future__ import annotations
@@ -41,25 +41,15 @@ def otfs_demodulate(r: np.ndarray, cfg: ModemConfig) -> np.ndarray:
 
 
 def otfs_effective_channel(chan: ChannelMatrixSet, cfg: ModemConfig) -> np.ndarray:
-    """Dense KN x KN delay-Doppler channel matrix.
+    """Dense KN x KN delay-Doppler channel Q^H C Q, with Q = F_N^* (x) F_K.
 
-    Per-symbol frequency-time maps B_i are conjugated into the delay domain,
-    then combined across symbols with the Doppler-difference phases
-    exp(-j2*pi*(i-1)*(n-n')/N); the result is block-circulant over the
-    Doppler index, so only N distinct K x K blocks are formed.
+    C's blocks C_i are the TX-nulled :func:`~ddmod.ofdm.per_symbol_ft_channel` stack, so the
+    channel is sum_i (F_N e_i e_i^T F_N^*) (x) (F_K^H C_i F_K), summed on an (N, K, N, K) array.
     """
-    k, n = cfg.k, cfg.n
-    f_k = dft_matrix(k)
-    b_i = f_k.conj().T @ (per_symbol_ft_channel(chan, cfg) * _tx_null(cfg)) @ f_k
-    # B_dd[d] = sum_i B_i * exp(-j2*pi*(i-1)*d/N) with i counted from 1
-    phases = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-    b_dd = np.einsum("id,ikl->dkl", phases, b_i)
-    out = np.empty((k * n, k * n), dtype=complex)
-    scale = 1.0 / n
-    for row in range(n):
-        for col in range(n):
-            out[row * k:(row + 1) * k, col * k:(col + 1) * k] = scale * b_dd[(row - col) % n]
-    return out
+    f_k, f_n = dft_matrix(cfg.k), dft_matrix(cfg.n)
+    b = f_k.conj().T @ (per_symbol_ft_channel(chan, cfg) * _tx_null(cfg)) @ f_k
+    out = np.einsum("ni,mi,ikl->nkml", f_n, f_n.conj(), b, optimize=True)
+    return out.reshape(cfg.k * cfg.n, -1)
 
 
 def otfs_mmse(y: np.ndarray, channel: LinkChannel, cfg: ModemConfig,

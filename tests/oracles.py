@@ -22,14 +22,19 @@ plus the CP, DR-UFMC's (K*O_s + L - 1) x K precoder followed by the
 continuous-packet overlap-add, and the oversampled DFT W of each kept window.
 The dense maps act on column-stacked grids (:func:`vec`, :func:`invec`); the
 library keeps a frame as its symbol rows and needs neither.
+
+The dense references the library itself keeps are listed once
+(:data:`DENSE_REFERENCES`), with :func:`fence_dense_references` to make them
+raise, and :func:`clear_memos` empties every memo of the loaded library.
 """
 
+import sys
 from dataclasses import replace
 
 import numpy as np
 
 from ddmod import channel as ch
-from ddmod import drufmc, harness, ofdm
+from ddmod import drufmc, harness, metrics, ofdm, otfs, transforms
 from ddmod.config import live_rows
 from ddmod.metrics import (
     GuardSearchError,
@@ -65,10 +70,39 @@ def invec(v: np.ndarray, rows: int) -> np.ndarray:
     return v.reshape(rows, -1, order="F")
 
 
-def clear_memos():
-    """Empty the library's per-config memos, so each builds afresh on its next call."""
-    for memo in (dft_matrix, drufmc._filter_response, drufmc._precoder_tail):
+def _ddmod_modules():
+    """The loaded ddmod modules."""
+    return [m for key, m in sys.modules.items() if key.split(".")[0] == "ddmod"]
+
+
+def clear_memos() -> set:
+    """Empty every memo (``cache_clear``-bearing attribute) of the loaded ddmod
+    modules, so each builds afresh on its next call; returns the memos."""
+    memos = {value for m in _ddmod_modules() for value in vars(m).values()
+             if callable(getattr(value, "cache_clear", None))}
+    for memo in memos:
         memo.cache_clear()
+    return memos
+
+
+#: The dense references the benchmark's tracer times, as (owner, name).
+DENSE_REFERENCES = [(ofdm, "ofdm_full_effective_channel"), (otfs, "otfs_effective_channel"),
+                    (drufmc, "drufmc_effective_channel"), (metrics, "sinr_map"),
+                    (metrics, "mmse_detect"), (ch.ChannelMatrixSet, "matrix"),
+                    (transforms, "ufmc_precoder"), (transforms, "oversampled_dft")]
+
+
+def fence_dense_references(monkeypatch):
+    """Make each reference raise in every ddmod namespace that binds it (harness binds sinr_map)."""
+    def dense(*args, **kwargs):
+        raise AssertionError("a dense reference ran")
+
+    for owner, attr in DENSE_REFERENCES:
+        original = vars(owner)[attr]
+        for ns in [owner] if isinstance(owner, type) else _ddmod_modules():
+            for key, value in list(vars(ns).items()):
+                if value is original:
+                    monkeypatch.setattr(ns, key, dense)
 
 
 def crandn(rng, *shape):

@@ -7,12 +7,13 @@ The same desk ``run`` and a desk ``psd`` must also write the same outputs
 with every dense reference made to raise: no output depends on them.
 """
 
-import sys
 from pathlib import Path
 
 import pytest
 
-from ddmod import channel, drufmc, harness, metrics, ofdm, otfs, transforms
+from ddmod import harness, ofdm
+
+from oracles import fence_dense_references
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -57,28 +58,6 @@ def test_failed_cell_reports_traceback(tmp_path, monkeypatch, capsys):
     # the other cells are written exactly as in a clean run
     golden = (GOLDEN / "run_ideal.csv").read_text().splitlines(keepends=True)
     assert out.read_text() == "".join(ln for ln in golden if not ln.startswith("ofdm-onetap,"))
-
-
-#: The dense references the benchmark's tracer times, as (owner, name).
-DENSE_REFERENCES = [(ofdm, "ofdm_full_effective_channel"), (otfs, "otfs_effective_channel"),
-                    (drufmc, "drufmc_effective_channel"), (metrics, "sinr_map"),
-                    (metrics, "mmse_detect"), (channel.ChannelMatrixSet, "matrix"),
-                    (transforms, "ufmc_precoder"), (transforms, "oversampled_dft")]
-
-
-def fence_dense_references(monkeypatch):
-    """Make each reference raise in every ddmod namespace that binds it (harness binds sinr_map)."""
-    def dense(*args, **kwargs):
-        raise AssertionError("a dense reference ran")
-
-    for owner, attr in DENSE_REFERENCES:
-        original = vars(owner)[attr]
-        namespaces = [owner] if isinstance(owner, type) else [
-            m for key, m in sys.modules.items() if key.split(".")[0] == "ddmod"]
-        for ns in namespaces:
-            for key, value in list(vars(ns).items()):
-                if value is original:
-                    monkeypatch.setattr(ns, key, dense)
 
 
 @pytest.mark.parametrize("command, pulse", [("run", "ideal"), ("run", "rrc"), ("psd", "ideal")])

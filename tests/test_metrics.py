@@ -355,6 +355,17 @@ class TestPsd:
         assert np.array_equal(est.freqs_hz, freqs)
         np.testing.assert_allclose(est.density, dens, rtol=1e-12, atol=1e-12 * dens.max())
 
+    def test_density_does_not_depend_on_the_batch_size(self):
+        # desk nper = 512: batches of 1, 8, 128 and 512 segments over 1069 segments
+        cfg = desk_config()
+        x = seeded_frames(guard_frames(cfg, "otfs")(0), trials=250, seed=0)
+        dens = []
+        for batch_bytes in (1, 64 << 10, 1 << 20, 4 << 20):
+            with mock.patch.object(metrics, "_WELCH_BATCH_BYTES", batch_bytes):
+                dens.append(psd_estimate(x, cfg).density)
+        for d in dens[1:]:
+            assert np.abs(d - dens[0]).max() <= 1e-13 * dens[0].max()
+
     def test_constant_signal_is_dc_line(self):
         cfg = desk_config(k=8, o_s=2, b=1, n=2, filter_len=1)
         est = psd_estimate(np.ones(512, dtype=complex), cfg)

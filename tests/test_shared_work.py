@@ -10,7 +10,6 @@ fresh channel per cell and the per-frame transmitter give
 """
 
 import multiprocessing
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +24,7 @@ from ddmod.harness import WAVEFORMS, ExperimentConfig, evaluate_point, grid_poin
 from ddmod.harness import psd_signal, run_psd, run_sweep
 from ddmod.metrics import psd_estimate
 
-from oracles import clear_memos, per_cell_row, per_frame_signal
+from oracles import clear_memos, fence_dense_references, per_cell_row, per_frame_signal
 
 examples = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -137,14 +136,8 @@ def test_otfs_and_ofdm_full_share_one_factor_per_tx_null(monkeypatch, guard_null
 def test_table1_sweep_builds_no_dense_precoder_or_w(monkeypatch):
     monkeypatch.setenv("DDMOD_THREADS", "1")    # counted in this process
 
-    def dense(*args):
-        raise AssertionError("a sweep built a dense transform")
-
     clear_memos()
-    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ddmod"]:
-        for name in ("ufmc_precoder", "oversampled_dft"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, dense)
+    fence_dense_references(monkeypatch)
     cfg = ExperimentConfig(modem=ModemConfig(), speeds_kmh=(500.0,), snr_db=(20.0, 30.0),
                            trials=1, seed=4)
     rows, failures = run_sweep(cfg)
@@ -179,6 +172,14 @@ def test_config_memos_are_shared_read_only_and_keyed_by_the_whole_config():
     tx = desk_config(guard_nulling="tx", n_guard=2)
     r2, r3 = drufmc._precoder_tail(tx)[0], drufmc._precoder_tail(replace(tx, n_guard=3))[0]
     assert not np.array_equal(r2, r3)
+
+
+def test_clear_memos_finds_and_empties_every_library_memo():
+    memos = {transforms.dft_matrix, drufmc._filter_response, drufmc._precoder_tail}
+    drufmc._precoder_tail(desk_config())          # fills _filter_response as well
+    transforms.dft_matrix(8)
+    assert memos <= clear_memos()
+    assert all(memo.cache_info().currsize == 0 for memo in memos)
 
 
 def test_raising_link_fails_only_its_own_cell(monkeypatch):

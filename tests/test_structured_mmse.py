@@ -4,10 +4,12 @@
 and the estimates of ``metrics.sinr_map`` and ``metrics.mmse_detect`` applied
 to the dense KN x KN effective channels, over random valid modem
 configurations (any N, guards nulled at the transmitter or only accounted,
-both pulses, noise variances from 1e-4 to 1), and the sweep must not touch
-the dense route, which the package does not export.  With guards nulled at the transmitter, each link must send
-exactly the channel its detector models.  Every link and every route takes
-its channel as one ``ofdm.LinkChannel``, through one signature per kind.
+both pulses, noise variances from 1e-4 to 1).  On the same configurations
+each dense channel must be what its noiseless chain makes of every unit grid.
+The sweep must not touch the dense route, which the package does not export.
+With guards nulled at the transmitter, each link must send exactly the
+channel its detector models.  Every link and every route takes its channel
+as one ``ofdm.LinkChannel``, through one signature per kind.
 """
 
 import inspect
@@ -25,7 +27,7 @@ from ddmod.config import ModemConfig, desk_config
 from ddmod.harness import WAVEFORMS, ExperimentConfig, evaluate_point
 from ddmod.metrics import IllConditionedError, mmse_detect, net_sinr, sinr_map
 
-from oracles import close, vec
+from oracles import DENSE_REFERENCES, close, fence_dense_references, invec, vec
 
 TOL = 1e-10
 
@@ -98,6 +100,28 @@ def test_net_sinr_at_the_snr_range_ends_matches_dense(waveform, pulse, snr_db):
         assert abs(net_sinr(sinr, cfg.n_guard) - dense) <= 1e-4
 
 
+CHAINS = {
+    "ofdm-full": (ofdm.ofdm_modulate, ofdm.ofdm_demodulate),
+    "otfs": (otfs.otfs_modulate, otfs.otfs_demodulate),
+    "drufmc": (drufmc.drufmc_modulate, drufmc.drufmc_demodulate),
+}
+
+
+@pytest.mark.parametrize("waveform", sorted(DENSE))
+@settings(max_examples=60, deadline=1000, derandomize=True, database=None)
+@given(case=modem_and_paths())
+def test_dense_reference_is_its_probed_chain(waveform, case):
+    # column j of the reference is what the noiseless chain makes of unit grid j
+    cfg, paths = case
+    chan = ofdm.LinkChannel(paths, cfg).channel(WAVEFORMS[waveform][0])
+    modulate, demodulate = CHAINS[waveform]
+    eff = DENSE[waveform](chan, cfg)
+    bound = 1e-9 * max(1.0, np.abs(eff).max())
+    for j, e in enumerate(np.eye(cfg.k * cfg.n)):
+        r = ofdm.apply_channel(modulate(invec(e, cfg.k), cfg, ofdm._tx_guard(cfg)), chan, 0.0)
+        assert np.abs(vec(demodulate(r, cfg)) - eff[:, j]).max() <= bound, j
+
+
 def zero_channel():
     return ch.PathSet(gains=np.zeros(1, dtype=complex), delays_s=np.zeros(1), dopplers_hz=np.zeros(1))
 
@@ -132,15 +156,7 @@ def test_tx_nulled_ofdm_full_guard_bins_are_exactly_zero(sigma2):
 
 @pytest.mark.parametrize("waveform", WAVEFORMS)
 def test_sweep_never_builds_the_dense_channel(monkeypatch, waveform):
-    def dense_route(*args, **kwargs):
-        raise AssertionError("dense KN x KN route on the sweep's hot path")
-
-    for module, name in [(ofdm, "ofdm_full_effective_channel"), (otfs, "otfs_effective_channel"),
-                         (drufmc, "drufmc_effective_channel"), (metrics, "sinr_map"),
-                         (metrics, "mmse_detect"), (harness, "sinr_map")]:
-        monkeypatch.setattr(module, name, dense_route)
-    # harness does not import mmse_detect; binding it anyway catches a later import
-    monkeypatch.setattr(harness, "mmse_detect", dense_route, raising=False)
+    fence_dense_references(monkeypatch)
     cfg = ExperimentConfig(modem=desk_config(pulse="rrc"), waveforms=(waveform,),
                            snr_db=(20.0,), speeds_kmh=(500.0,), trials=1)
     row = evaluate_point(cfg, waveform, 500.0, 0, 0)
@@ -149,9 +165,7 @@ def test_sweep_never_builds_the_dense_channel(monkeypatch, waveform):
 
 def test_package_does_not_export_the_dense_route():
     # the dense builders and their detector stay in their modules as references
-    for name in ("ofdm_full_effective_channel", "otfs_effective_channel",
-                 "drufmc_effective_channel", "sinr_map", "mmse_detect", "oversampled_dft",
-                 "ufmc_precoder"):
+    for _, name in DENSE_REFERENCES:
         assert not hasattr(ddmod, name) and name not in ddmod.__all__, name
 
 
