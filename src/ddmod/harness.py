@@ -228,26 +228,18 @@ class ResultRow:
         )
 
 
-def channel_seed(base_seed: int, snr_index: int, trial: int):
-    """Entropy for the trial channel.
+def grid_point(cfg: ExperimentConfig, speed_kmh: float, snr_index: int,
+               trial: int) -> ofdm.LinkChannel:
+    """The one channel of a (speed, SNR, trial) grid point, realized from ``cfg.modem``.
 
     Neither the waveform nor the speed enters the seed: waveforms at one grid
     point share a realization, and the two speed curves see the same gains,
     delays and ray angles with only the Doppler scale changing, so waveform
     and speed comparisons are both free of Monte-Carlo noise.
     """
-    return np.random.SeedSequence((int(base_seed), int(snr_index), int(trial)))
-
-
-def _trial_paths(cfg: ExperimentConfig, speed_kmh: float, snr_index: int, trial: int) -> ch.PathSet:
-    seed = channel_seed(cfg.seed, snr_index, trial)
-    return ch.sample_eva_paths(seed, speed_kmh / 3.6, cfg.modem.f_c_hz)
-
-
-def grid_point(cfg: ExperimentConfig, speed_kmh: float, snr_index: int,
-               trial: int) -> ofdm.LinkChannel:
-    """The one channel of a (speed, SNR, trial) grid point, realized from ``cfg.modem``."""
-    return ofdm.LinkChannel(_trial_paths(cfg, speed_kmh, snr_index, trial), cfg.modem)
+    seed = np.random.SeedSequence((int(cfg.seed), int(snr_index), int(trial)))
+    paths = ch.sample_eva_paths(seed, speed_kmh / 3.6, cfg.modem.f_c_hz)
+    return ofdm.LinkChannel(paths, cfg.modem)
 
 
 def evaluate_point(
@@ -301,16 +293,14 @@ def _cell_streams(cfg, waveform, speed_kmh, snr_index, trial):
 def _point_worker(args):
     """(row, None) or (None, (cell, traceback)) for each waveform at one grid point.
 
-    The CP-bearing cells run first; the point then drops its frequency-time
-    stack and factors (:meth:`~ddmod.ofdm.LinkChannel.release_cp`), so the
-    CP-less cells do not hold them.  Results come back in ``cfg.waveforms`` order.
+    The CP-less cells run first, so the point builds its frequency-time stack
+    and factors only for the CP-bearing cells, after the CP-less cells' working
+    sets are freed.  Results come back in ``cfg.waveforms`` order.
     """
     cfg, (speed, snr_index, trial) = args
     point = grid_point(cfg, speed, snr_index, trial)
     results = {}
-    for waveform in sorted(cfg.waveforms, key=lambda wf: not WAVEFORMS[wf][0]):
-        if not WAVEFORMS[waveform][0]:
-            point.release_cp()
+    for waveform in sorted(cfg.waveforms, key=lambda wf: WAVEFORMS[wf][0]):
         try:
             results[waveform] = (evaluate_point(cfg, waveform, speed, snr_index, trial, point),
                                  None)
@@ -358,12 +348,12 @@ def _pin_blas() -> None:
 #: A pool worker's peak memory, in complex (N, K, K) stacks of its modem.  At
 #: table-1 scale one stack is 4.19 MB and a whole ``ddmod run`` of one point
 #: peaks at 50.4 MB RSS, 12.0 stacks: about 7 are the interpreter and numpy
-#: (29 MB), 2 the point's frequency-time stack and factor, and 3 the bound
-#: ``tests/test_memory.py`` puts on one cell's temporaries.  Above table 1
-#: the interpreter's share shrinks, so 12 stays an upper estimate.  Below it
-#: the estimate is low (a forked desk-scale worker ends its points with about
-#: 9 MB of private pages, some 70 desk stacks), so there the cap binds only
-#: where memory is nearly gone.
+#: (29 MB), and 4 the bound ``tests/test_memory.py`` puts on the point's
+#: traced peak (its frequency-time stack and factor and its cells'
+#: temporaries).  Above table 1 the interpreter's share shrinks, so 12 stays
+#: an upper estimate.  Below it the estimate is low (a forked desk-scale
+#: worker ends its points with about 9 MB of private pages, some 70 desk
+#: stacks), so there the cap binds only where memory is nearly gone.
 _WORKER_STACKS = 12
 
 

@@ -194,8 +194,8 @@ class LinkChannel:
     per TX-guard count, and that form's MMSE factor, one per sigma^2 and count
     (:meth:`nulled_stack_and_factor`).  The guard count does not enter the
     channel, so links whose configs differ only in it share one.  The
-    realization lives as long as the object, the stacks and factors until
-    :meth:`release_cp`.
+    realization, stacks and factors are each built on first use and live as
+    long as the object.
     """
 
     paths: PathSet
@@ -226,11 +226,6 @@ class LinkChannel:
         if sigma2 not in factors:
             factors[sigma2] = per_symbol_factor(c, sigma2)
         return c, factors[sigma2]
-
-    def release_cp(self) -> None:
-        """Drop the frequency-time stacks and their factors, which no CP-less link reads."""
-        self.__dict__.pop("ft", None)
-        self._nulled.clear()
 
 
 def ofdm_full_mmse(y: np.ndarray, channel: LinkChannel, cfg: ModemConfig,

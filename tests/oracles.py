@@ -395,7 +395,7 @@ def per_cell_row(cfg, waveform: str, speed_kmh: float, snr_index: int, trial: in
     snr_db = cfg.snr_db[snr_index]
     sigma2 = 1.0 / 10.0 ** (snr_db / 10.0)
     with_cp, link = harness.WAVEFORMS[waveform]
-    channel = ofdm.LinkChannel(harness._trial_paths(cfg, speed_kmh, snr_index, trial), modem)
+    channel = ofdm.LinkChannel(harness.grid_point(cfg, speed_kmh, snr_index, trial).paths, modem)
     sym_rng, noise_ss = harness._cell_streams(cfg, waveform, speed_kmh, snr_index, trial)
     x_dd = qpsk_grid(sym_rng, modem.k, modem.n)
     sinr, x_hat = link(x_dd, channel, modem, sigma2, noise_ss)

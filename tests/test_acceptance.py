@@ -16,7 +16,7 @@ import pytest
 from ddmod import channel as ch
 from ddmod import drufmc, ofdm, otfs
 from ddmod.config import ModemConfig, desk_config
-from ddmod.harness import channel_seed
+from ddmod.harness import ExperimentConfig, grid_point
 from ddmod.metrics import (
     avg_spectral_efficiency,
     guard_count_for_threshold,
@@ -160,15 +160,14 @@ def paired_sweep():
     assert xi_cp == pytest.approx(0.9343, abs=5e-4)
     xi = {"otfs": xi_cp, "ofdm-full": xi_cp, "ofdm-onetap": xi_cp, "drufmc": 1.0}
 
+    exp = ExperimentConfig(modem=cfg, seed=42)
     start = time.perf_counter()
     net = {}   # (wf, speed, snr) -> list of per-trial mean linear SINR
     se = {}    # (wf, speed, snr) -> list of per-trial average SE
     for speed in SPEEDS:
         for si, snr in enumerate(SNRS):
             for trial in range(TRIALS):
-                paths = ch.sample_eva_paths(
-                    channel_seed(42, si, trial), speed / 3.6, cfg.f_c_hz
-                )
+                paths = grid_point(exp, speed, si, trial).paths
                 chan_cp = ch.realize(paths, cfg, with_cp=True)
                 chan_no = ch.realize(paths, cfg, with_cp=False)
                 sigma2 = 1.0 / 10 ** (snr / 10)

@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 
 from ddmod import channel as ch
-from ddmod import harness, ofdm
+from ddmod import harness, ofdm, otfs
 from ddmod.config import ConfigError, ModemConfig, desk_config
 from ddmod.metrics import GuardSearchError, net_sinr, qpsk_grid
 from ddmod.harness import (
     CSV_HEADER,
     ExperimentConfig,
     _worker_count,
-    channel_seed,
     config_from_dict,
     evaluate_point,
     load_config,
@@ -268,25 +267,25 @@ class TestLoadConfig:
 
 
 class TestSeeding:
-    def test_channel_seed_excludes_waveform(self):
+    def test_grid_point_excludes_waveform(self):
         # same grid point must give the same realization to every waveform
-        s1 = channel_seed(1, 2, 7)
-        s2 = channel_seed(1, 2, 7)
-        a = ch.sample_eva_paths(s1, 500 / 3.6, 28e9)
-        b = ch.sample_eva_paths(s2, 500 / 3.6, 28e9)
+        cfg = ExperimentConfig(seed=1)
+        a = harness.grid_point(cfg, 500.0, 2, 7).paths
+        b = harness.grid_point(cfg, 500.0, 2, 7).paths
         assert np.array_equal(a.gains, b.gains)
 
     def test_speed_curves_share_draws(self):
         # 50 and 500 km/h reuse gains and ray angles; only the Doppler scale moves
         cfg = ExperimentConfig(seed=1)
-        a = harness._trial_paths(cfg, 50.0, 2, 7)
-        b = harness._trial_paths(cfg, 500.0, 2, 7)
+        a = harness.grid_point(cfg, 50.0, 2, 7).paths
+        b = harness.grid_point(cfg, 500.0, 2, 7).paths
         assert np.array_equal(a.gains, b.gains)
         assert np.abs(b.dopplers_hz - 10 * a.dopplers_hz).max() < 1e-6
 
     def test_distinct_trials_differ(self):
-        a = ch.sample_eva_paths(channel_seed(1, 0, 0), 500 / 3.6, 28e9)
-        b = ch.sample_eva_paths(channel_seed(1, 0, 1), 500 / 3.6, 28e9)
+        cfg = ExperimentConfig(seed=1)
+        a = harness.grid_point(cfg, 500.0, 0, 0).paths
+        b = harness.grid_point(cfg, 500.0, 0, 1).paths
         assert not np.array_equal(a.gains, b.gains)
 
 
@@ -393,17 +392,25 @@ class TestRunSweep:
         assert net_db == pytest.approx(17.0, abs=2.0)
         assert net_db < 17.0
 
-    def test_paired_channels_across_waveforms(self):
-        cfg = desk_exp(waveforms="otfs, ofdm-full", snr_db="30", trials="1")
-        r_otfs = evaluate_point(cfg, "otfs", 500.0, 0, 0)
-        r_ofdm = evaluate_point(cfg, "ofdm-full", 500.0, 0, 0)
-        # same realization: the MSE-trace identity makes the mean of
-        # 1/(1+SINR) match between the two full-MMSE chains; spot-check via
-        # the shared channel draw instead of re-deriving metrics here
-        p1 = ch.sample_eva_paths(channel_seed(cfg.seed, 0, 0), 500 / 3.6, cfg.modem.f_c_hz)
-        p2 = ch.sample_eva_paths(channel_seed(cfg.seed, 0, 0), 500 / 3.6, cfg.modem.f_c_hz)
-        assert np.array_equal(p1.gains, p2.gains)
-        assert r_otfs.trial == r_ofdm.trial
+    @pytest.mark.parametrize("modem", [desk_config(pulse="rrc"), desk_config(n_guard=3),
+                                       ModemConfig()],
+                             ids=["desk_rrc", "desk_guard_3", "table1_ideal"])
+    def test_paired_channels_across_waveforms(self, modem):
+        # OTFS is OFDM-full conjugated by a unitary, so on one channel the two
+        # full-MMSE receivers' mean 1/(1+SINR), sigma^2 tr(G) / KN, is equal;
+        # on the next trial's channel it is not
+        cfg = ExperimentConfig(modem=modem, seed=11)
+        sigma2 = harness.noise_variance(30.0)
+        y = np.zeros((modem.k, modem.n), dtype=complex)    # the SINR does not read y
+
+        def mean_mse(mmse, point):
+            return np.mean(1.0 / (1.0 + mmse(y, point, modem, sigma2)[0]))
+
+        point = harness.grid_point(cfg, 500.0, 0, 0)
+        paired = mean_mse(ofdm.ofdm_full_mmse, point)
+        assert mean_mse(otfs.otfs_mmse, point) == pytest.approx(paired, rel=1e-12, abs=0)
+        other = mean_mse(otfs.otfs_mmse, harness.grid_point(cfg, 500.0, 0, 1))
+        assert other != pytest.approx(paired, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("pulse", ["ideal", "rrc"])
     def test_guard_override_is_that_waveforms_n_guard(self, pulse):

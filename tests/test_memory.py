@@ -25,11 +25,18 @@ from ddmod.harness import WAVEFORMS, ExperimentConfig
 from oracles import clear_memos
 
 # One table-1 (N, K, K) complex stack is 4.19 MB.  Measured with numpy 2.4,
-# the per-config memos built inside the cells: OTFS 2.53 stacks (it builds and
-# keeps the point's FT stack and its factor), OFDM-full 0.52, one-tap 0.52 and
-# DR-UFMC 2.33.  With whole-stack temporaries and the dense precoder and W they
-# were 5.30, 2.03, 1.52 and 5.94 stacks (22.2, 8.5, 6.4 and 24.9 MB).
+# the per-config memos built inside the cells, in the sweep's order: DR-UFMC
+# 2.66 stacks (it realizes the point's channel), OTFS 2.30 (it builds and
+# keeps the point's FT stack and its factor), OFDM-full 0.52 and one-tap 0.52.
+# With whole-stack temporaries and the dense precoder and W they were 5.94,
+# 5.30, 2.03 and 1.52 stacks (24.9, 22.2, 8.5 and 6.4 MB).
 BOUND_STACKS = 3
+
+# A whole table-1 point, its cells in the sweep's order from cold memos: 2.74
+# stacks with the ideal pulse and 3.66 with the RRC one (2.59 and 3.51 with
+# the memos warm).  Running the CP-bearing cells first and keeping their FT
+# stack and factors through the DR-UFMC cell peaked at 4.63 and 5.66.
+POINT_BOUND_STACKS = 4
 
 # Adding 100 table-1 frames to a two-family PSD run adds one (100, K, N) frame
 # stack, 3.28 MB, to its traced peak: 0.95-0.99 stacks measured.  With a
@@ -64,6 +71,25 @@ def test_each_table1_cell_peaks_below_three_stacks(monkeypatch):
     assert max(peaks.values()) <= BOUND_STACKS, peaks
 
 
+@pytest.mark.parametrize("pulse", ["ideal", "rrc"])
+def test_each_table1_point_peaks_below_four_stacks(pulse):
+    cfg = ExperimentConfig(modem=ModemConfig(pulse=pulse), speeds_kmh=(500.0,), snr_db=(20.0,),
+                           trials=1, seed=0)
+    stack = 16 * cfg.modem.n * cfg.modem.k ** 2
+    task = (cfg, (500.0, 0, 0))
+    harness._point_worker(task)     # lazy imports and first-call allocations, untraced
+    clear_memos()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        results = harness._point_worker(task)
+        peak = (tracemalloc.get_traced_memory()[1] - start) / stack
+    finally:
+        tracemalloc.stop()
+    assert all(row is not None for row, _ in results)
+    assert peak <= POINT_BOUND_STACKS, peak
+
+
 def test_psd_run_grows_by_one_frame_stack_per_added_frame_stack():
     cfg = ExperimentConfig(modem=ModemConfig(), waveforms=("otfs", "drufmc"), psd_trials=1)
     harness.run_psd(cfg)    # lazy imports and first-call allocations, untraced
@@ -83,9 +109,9 @@ def test_psd_run_grows_by_one_frame_stack_per_added_frame_stack():
 
 
 def test_worker_estimate_holds_a_cell_and_its_point():
-    # the pool sizes its default from a per-worker estimate in stacks: a cell's
-    # temporaries at this bound plus the point's FT stack and factor must fit in it
-    assert harness._WORKER_STACKS >= BOUND_STACKS + 2
+    # the pool sizes its default from a per-worker estimate in stacks: a whole
+    # point at its measured bound plus the interpreter's 7 must fit in it
+    assert harness._WORKER_STACKS >= POINT_BOUND_STACKS + 7
 
 
 @pytest.mark.parametrize("modem", [desk_config(pulse="rrc"),

@@ -215,7 +215,7 @@ def test_raising_link_fails_its_cell_under_a_forkserver_default(monkeypatch):
 def test_raising_realization_fails_every_cell_of_its_point(monkeypatch):
     cfg = desk_sweep()
     clean, _ = run_sweep(cfg)
-    target = harness._trial_paths(cfg, 500.0, 1, 0)
+    target = harness.grid_point(cfg, 500.0, 1, 0).paths
     realize = ch.realize
 
     def failing_realize(paths, *args, **kwargs):
