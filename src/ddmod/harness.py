@@ -242,31 +242,29 @@ def grid_point(cfg: ExperimentConfig, speed_kmh: float, snr_index: int,
     return ofdm.LinkChannel(paths, cfg.modem)
 
 
-def evaluate_point(
-    cfg: ExperimentConfig, waveform: str, speed_kmh: float, snr_index: int, trial: int,
-    point: ofdm.LinkChannel | None = None,
-) -> ResultRow:
+def evaluate_point(cfg: ExperimentConfig, waveform: str, speed_kmh: float, snr_index: int,
+                   trial: int, point: ofdm.LinkChannel) -> ResultRow:
     """Metrics for one (waveform, speed, SNR, trial) grid cell.
 
-    The waveform's link runs on the trial's channel ``point`` (a fresh
-    :func:`grid_point` if None); the MMSE links use the structured routes,
-    so no KN x KN effective channel is built.  The link and the score take
-    ``cfg.modem_for(waveform)``; the point is realized from ``cfg.modem``, as
-    the guard count does not enter the channel.  The transmitter has unit
-    power, so the SNR fixes the noise variance alone.  A score that is not
-    finite raises FloatingPointError naming it, so no such row is written.
+    The waveform's link runs on the trial's channel ``point``
+    (:func:`grid_point`); the MMSE links use the structured routes, so no
+    KN x KN effective channel is built.  The link and the score take
+    ``cfg.modem_for(waveform)``.  The cell's symbols and noise come from its
+    own seed, in which the waveform and the speed enter too.  The transmitter
+    has unit power, so the SNR fixes the noise variance alone.  A score that
+    is not finite raises FloatingPointError naming it, so no such row is
+    written.
     """
     start = time.perf_counter()
     modem = cfg.modem_for(waveform)
     snr_db = cfg.snr_db[snr_index]
     sigma2 = noise_variance(snr_db)
     with_cp, link = WAVEFORMS[waveform]
-    if point is None:
-        point = grid_point(cfg, speed_kmh, snr_index, trial)
-
-    # deterministic per-cell stream for symbols and noise
-    sym_rng, noise_ss = _cell_streams(cfg, waveform, speed_kmh, snr_index, trial)
-    x_dd = qpsk_grid(sym_rng, modem.k, modem.n)
+    sym_ss, noise_ss = np.random.SeedSequence(
+        (int(cfg.seed), 0x5EED, list(WAVEFORMS).index(waveform),
+         int(round(speed_kmh * 1000)), int(snr_index), int(trial))
+    ).spawn(2)
+    x_dd = qpsk_grid(np.random.default_rng(sym_ss), modem.k, modem.n)
     sinr, x_hat = link(x_dd, point, modem, sigma2, noise_ss)
     efficiency = modem.cp_efficiency() if with_cp else 1.0
     scores = {
@@ -279,15 +277,6 @@ def evaluate_point(
         raise FloatingPointError(f"non-finite score: {', '.join(bad)}")
     return ResultRow(waveform=waveform, speed_kmh=speed_kmh, snr_db=snr_db, trial=trial,
                      runtime_s=(time.perf_counter() - start) if cfg.timing else 0.0, **scores)
-
-
-def _cell_streams(cfg, waveform, speed_kmh, snr_index, trial):
-    ss = np.random.SeedSequence(
-        (int(cfg.seed), 0x5EED, list(WAVEFORMS).index(waveform),
-         int(round(speed_kmh * 1000)), int(snr_index), int(trial))
-    )
-    sym_ss, noise_ss = ss.spawn(2)
-    return np.random.default_rng(sym_ss), noise_ss
 
 
 def _point_worker(args):

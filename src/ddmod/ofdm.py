@@ -251,9 +251,11 @@ def ofdm_onetap_fde(
     """Per-subcarrier scalar equalization of a received frequency-time grid.
 
     ``ft`` is the (N, K, K) stack from :func:`per_symbol_ft_channel`.  The
-    scalar channel of bin (k, i) is the diagonal of the symbol-i
-    frequency-time matrix; inter-carrier leakage is left as noise.  The
-    estimate is conj(c) y / (|c|^2 + sigma^2).  It is not the MMSE scalar's:
+    scalar channel c of bin (k, i) is the diagonal of the symbol-i
+    frequency-time matrix, 0 on the TX-nulled guard bins, which carry
+    nothing (as in :func:`ofdm_onetap_sinr`), so their estimates are 0;
+    inter-carrier leakage is left as noise.  The estimate is
+    conj(c) y / (|c|^2 + sigma^2).  It is not the MMSE scalar's:
     the denominator leaves out the row's inter-carrier power, which
     :func:`ofdm_onetap_sinr` counts, so under heavy Doppler the NMSE can
     exceed 1.  The committed one-tap ``nmse`` references are this estimate's.
@@ -261,7 +263,7 @@ def ofdm_onetap_fde(
     y_ft = np.asarray(y_ft)
     if y_ft.shape != (cfg.k, cfg.n):
         raise ValueError(f"dimension mismatch: expected {(cfg.k, cfg.n)}, got {y_ft.shape}")
-    c = np.diagonal(ft, axis1=1, axis2=2).T
+    c = np.diagonal(ft, axis1=1, axis2=2).T * _tx_null(cfg)[:, np.newaxis]
     return np.conj(c) * y_ft / (np.abs(c) ** 2 + noise_var)
 
 

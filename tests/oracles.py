@@ -36,15 +36,7 @@ import numpy as np
 from ddmod import channel as ch
 from ddmod import drufmc, harness, metrics, ofdm, otfs, transforms
 from ddmod.config import live_rows
-from ddmod.metrics import (
-    GuardSearchError,
-    avg_spectral_efficiency,
-    net_sinr,
-    normalized_mse,
-    oob_level_db,
-    psd_estimate,
-    qpsk_grid,
-)
+from ddmod.metrics import GuardSearchError, oob_level_db, psd_estimate, qpsk_grid
 from ddmod.transforms import (
     dft_matrix,
     isfft,
@@ -391,22 +383,6 @@ def per_cell_row(cfg, waveform: str, speed_kmh: float, snr_index: int, trial: in
     waveform's modem, with its guard override if any, and is read by this
     link alone; the link and the score use that modem too.
     """
-    modem = cfg.modem_for(waveform)
-    snr_db = cfg.snr_db[snr_index]
-    sigma2 = 1.0 / 10.0 ** (snr_db / 10.0)
-    with_cp, link = harness.WAVEFORMS[waveform]
-    channel = ofdm.LinkChannel(harness.grid_point(cfg, speed_kmh, snr_index, trial).paths, modem)
-    sym_rng, noise_ss = harness._cell_streams(cfg, waveform, speed_kmh, snr_index, trial)
-    x_dd = qpsk_grid(sym_rng, modem.k, modem.n)
-    sinr, x_hat = link(x_dd, channel, modem, sigma2, noise_ss)
-    efficiency = modem.cp_efficiency() if with_cp else 1.0
-    return harness.ResultRow(
-        waveform=waveform,
-        speed_kmh=speed_kmh,
-        snr_db=snr_db,
-        trial=trial,
-        net_sinr_db=net_sinr(sinr, modem.n_guard),
-        avg_se_bps_hz=avg_spectral_efficiency(sinr, efficiency, modem.n_guard),
-        nmse=normalized_mse(vec(x_hat), vec(x_dd)),
-        runtime_s=0.0,
-    )
+    paths = harness.grid_point(cfg, speed_kmh, snr_index, trial).paths
+    channel = ofdm.LinkChannel(paths, cfg.modem_for(waveform))
+    return harness.evaluate_point(cfg, waveform, speed_kmh, snr_index, trial, channel)

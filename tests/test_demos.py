@@ -16,9 +16,3 @@ def test_demo_runs(script):
                        cwd=DEMOS.parent, capture_output=True, text=True, timeout=300)
     assert r.returncode == 0, r.stderr
 
-
-def test_readme_quick_start_runs(capsys):
-    readme = (DEMOS.parent / "README.md").read_text()
-    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
-    exec(compile(block, "README.md", "exec"), {})
-    assert capsys.readouterr().out.startswith("net SINR:")

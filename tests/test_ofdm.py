@@ -3,10 +3,11 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from ddmod import channel as ch
 from ddmod import ofdm
-from ddmod.config import desk_config
+from ddmod.config import desk_config, live_rows
 from ddmod.metrics import qpsk_grid, sinr_map
 
 from oracles import crandn, invec, vec
@@ -128,3 +129,23 @@ class TestOneTapFde:
         y = ofdm.ofdm_demodulate(r, cfg)
         ft = ofdm.per_symbol_ft_channel(chan, cfg)
         assert np.abs(ofdm.ofdm_onetap_fde(y, ft, cfg, 0.0) - x).max() < 1e-8
+
+
+@pytest.mark.parametrize("pulse", ["ideal", "rrc"])
+@pytest.mark.parametrize("link", [ofdm.ofdm_onetap_link, ofdm.ofdm_full_link])
+def test_tx_nulled_guard_rows_are_absent_at_the_receiver(link, pulse):
+    # guards nulled at the transmitter are never sent, so both frequency-time
+    # receivers estimate 0 there, and the guard-row symbols reach no score
+    cfg = desk_config(n_guard=4, guard_nulling="tx", pulse=pulse)
+    channel = ofdm.LinkChannel(ch.sample_eva_paths(5, 500 / 3.6, cfg.f_c_hz), cfg)
+    live = live_rows(cfg.k, cfg.n_guard)
+    guard = np.r_[:cfg.n_guard, cfg.k - cfg.n_guard:cfg.k]
+    rng = np.random.default_rng(11)
+    x = qpsk_grid(rng, cfg.k, cfg.n)
+    redrawn = x.copy()
+    redrawn[guard] = qpsk_grid(rng, guard.size, cfg.n)
+    sinr, x_hat = link(x, channel, cfg, 0.01, seed=2)
+    sinr_redrawn, x_hat_redrawn = link(redrawn, channel, cfg, 0.01, seed=2)
+    assert np.all(x_hat[guard] == 0)
+    assert np.array_equal(sinr_redrawn, sinr)
+    assert np.array_equal(x_hat_redrawn[live], x_hat[live])

@@ -159,7 +159,7 @@ def test_sweep_never_builds_the_dense_channel(monkeypatch, waveform):
     fence_dense_references(monkeypatch)
     cfg = ExperimentConfig(modem=desk_config(pulse="rrc"), waveforms=(waveform,),
                            snr_db=(20.0,), speeds_kmh=(500.0,), trials=1)
-    row = evaluate_point(cfg, waveform, 500.0, 0, 0)
+    row = evaluate_point(cfg, waveform, 500.0, 0, 0, harness.grid_point(cfg, 500.0, 0, 0))
     assert np.isfinite([row.net_sinr_db, row.avg_se_bps_hz, row.nmse]).all()
 
 
